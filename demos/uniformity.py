@@ -18,7 +18,7 @@ from aml.gowers import (
     dual_function,
     gowers_box_pow,
     gowers_norm_pow,
-    gowers_norm_pow_subst,
+    gowers_norm_pow_derivative,
     inner_product,
     positivity_criterion,
 )
@@ -38,8 +38,8 @@ for name, f in (("alternating sign", SIGN), ("point mass", POINT),
 print("\nTwo independent formulas for the same power agree exactly:")
 for k in (1, 2, 3):
     a = gowers_norm_pow(Z8, RAMP, k)
-    b = gowers_norm_pow_subst(Z8, RAMP, k)
-    print(f"  degree {k}:  cube average {a} == pair average {b}: {a == b}")
+    b = gowers_norm_pow_derivative(Z8, RAMP, k)
+    print(f"  degree {k}:  cube average {a} == derivative recursion {b}: {a == b}")
 
 print("\nThe squared-mean floor (degree-1 power equals the squared mean):")
 print(f"  mean(ramp)^2 = {RAMP.mean() ** 2} = {gowers_norm_pow(Z8, RAMP, 1)}")

@@ -359,18 +359,9 @@ def check_instance(m: FiniteStructure, inst: SchemeInstance,
     return SoundnessResult(inst, True, None)
 
 
-def check_soundness(m: FiniteStructure, instances, budget: Budget | None = None,
-                    threads: int = 1) -> SoundnessReport:
-    instances = list(instances)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda inst: check_instance(m, inst, Budget(budget.limit) if budget else None),
-                instances))
-    else:
-        results = [check_instance(m, inst, budget) for inst in instances]
-    return SoundnessReport(tuple(results))
+def check_soundness(m: FiniteStructure, instances,
+                    budget: Budget | None = None) -> SoundnessReport:
+    return SoundnessReport(tuple(check_instance(m, inst, budget) for inst in instances))
 
 
 # ---------------------------------------------------------------------------
@@ -529,120 +520,4 @@ def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
         except SideConditionError:
             continue
         out.append(inst)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Exact decision of quantifier-free arithmetic sentences over nonnegative
-# rationals with + and *, used instead of carrying an arithmetic axiom group.
-
-
-def q_oracle(text: str) -> bool:
-    """Decide a quantifier-free sentence over (Q>=0, +, *, <, 0, 1, rational
-    constants) by exact evaluation.
-
-    Grammar: sentence := clause ('|' clause)*; clause := lit ('&' lit)*;
-    lit := '~' lit | comparison; comparison := arith (=|!=|<|<=|>|>=) arith;
-    arith := prod ('+' prod)*; prod := atom (('*'|'·') atom)*;
-    atom := rational | '(' arith ')'.
-    """
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text.startswith(("<=", ">=", "!="), i):
-            tokens.append(text[i:i + 2])
-            i += 2
-        elif c in "+*/()<>=~&|" or c == "·":
-            tokens.append("*" if c == "·" else c)
-            i += 1
-        else:
-            raise ValueError(f"malformed arithmetic sentence: unexpected {c!r}")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"malformed arithmetic sentence: expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def atom() -> Fraction:
-        tok = peek()
-        if tok == "(":
-            take("(")
-            v = arith()
-            take(")")
-            return v
-        if tok is None or not tok.isdigit():
-            raise ValueError(f"malformed arithmetic sentence: expected a number, got {tok!r}")
-        take()
-        if peek() == "/":
-            take("/")
-            den = take()
-            if not den.isdigit() or int(den) == 0:
-                raise ValueError("malformed arithmetic sentence: bad denominator")
-            return Fraction(int(tok), int(den))
-        return Fraction(int(tok))
-
-    def prod() -> Fraction:
-        v = atom()
-        while peek() == "*":
-            take("*")
-            v *= atom()
-        return v
-
-    def arith() -> Fraction:
-        v = prod()
-        while peek() == "+":
-            take("+")
-            v += prod()
-        return v
-
-    def comparison() -> bool:
-        left = arith()
-        op = take()
-        right = arith()
-        return {"=": left == right, "!=": left != right, "<": left < right,
-                "<=": left <= right, ">": left > right, ">=": left >= right}.get(
-                    op) if op in ("=", "!=", "<", "<=", ">", ">=") else _bad(op)
-
-    def _bad(op):
-        raise ValueError(f"malformed arithmetic sentence: unknown comparison {op!r}")
-
-    def lit() -> bool:
-        if peek() == "~":
-            take("~")
-            return not lit()
-        return comparison()
-
-    def clause() -> bool:
-        v = lit()
-        while peek() == "&":
-            take("&")
-            v = lit() and v
-        return v
-
-    def sentence() -> bool:
-        v = clause()
-        while peek() == "|":
-            take("|")
-            v = clause() or v
-        return v
-
-    out = sentence()
-    if pos != len(tokens):
-        raise ValueError("malformed arithmetic sentence: trailing input")
     return out

@@ -3,12 +3,12 @@
 Subcommands: eval, measure, check-axioms, gowers, regularity, hypergraph,
 ap-encode, limit, density, furstenberg.  Global flags on every subcommand:
 --budget (work units; the AML_BUDGET environment variable overrides the
-default), --threads, --seed, --format {text,records}, --trace.
+default), --seed, --format {text,records}, --trace.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
-and seed regardless of thread count.  All reported comparisons are exact
-rationals; decimal renderings are display-only and labeled approx.
+and seed.  All reported comparisons are exact rationals; decimal renderings
+are display-only and labeled approx.
 
 Exit codes: 0 success, 1 a checked property failed, 2 parse error (arguments
 or input files), 3 semantic error (unbound variable, out-of-range binding,
@@ -26,7 +26,7 @@ from . import axioms, gowers, limits, regularity
 from .parser import ParseError, parse_formula, parse_structure
 from .semantics import Budget, BudgetExceeded, EvalError, Evaluator, extension
 from .structures import FiniteStructure, VFlag, measure
-from .syntax import Meas, Not, free_vars
+from .syntax import AbbrevCmp, Cmp, Meas, Not, free_vars
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -161,10 +161,13 @@ def _cmd_eval(args, out: _Out) -> int:
     summary = "true" if verdict else "false"
     if isinstance(root, Meas) and trace:
         top = trace[-1]
-        summary += (f" (mu = {top.mu}, {top.cmp.value} {top.threshold}, "
+        cmp = top.cmp.value
+        if root is not phi:  # ~(m < q) reads as m >= q, ~(m <= q) as m > q
+            cmp = (AbbrevCmp.GE if top.cmp is Cmp.LT else AbbrevCmp.GT).value
+        summary += (f" (mu = {top.mu}, {cmp} {top.threshold}, "
                     f"flag {_FLAG_DISPLAY[top.flag]})")
         out.record("mu", top.mu)
-        out.record("cmp", top.cmp.value)
+        out.record("cmp", cmp)
         out.record("threshold", top.threshold)
         out.record("flag", top.flag.value)
     out.text(summary)
@@ -228,8 +231,7 @@ def _cmd_check_axioms(args, out: _Out) -> int:
             continue
         instances = axioms.generate_instances(args.seed + which, share[which],
                                               schemes=schemes, sig=m.signature())
-        report = axioms.check_soundness(m, instances, budget=budget,
-                                        threads=args.threads)
+        report = axioms.check_soundness(m, instances, budget=budget)
         total += len(instances)
         held += sum(1 for r in report.results if r.holds)
         failures.extend(f"{f.instance.scheme} on {args.structures[which]}"
@@ -240,7 +242,7 @@ def _cmd_check_axioms(args, out: _Out) -> int:
     for i, f in enumerate(failures[:20]):
         out.text(f"  FAILED: {f}")
         out.record(f"failure.{i}", f)
-    return EXIT_OK if held == len(instances) else EXIT_FAIL
+    return EXIT_OK if held == total else EXIT_FAIL
 
 
 def _load_group(spec: str) -> gowers.AbelianGroup:
@@ -275,14 +277,14 @@ def _cmd_gowers(args, out: _Out) -> int:
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k
     power = gowers.gowers_norm_pow(group, g, k)
-    power_subst = gowers.gowers_norm_pow_subst(group, g, k)
-    agree = power == power_subst
+    power_check = gowers.gowers_norm_pow_derivative(group, g, k)
+    agree = power == power_check
     approx = gowers.decimal_root(power, 1 << k) if power >= 0 else "undefined"
     out.text(f"U^{k} power = {power}" + ("" if agree else
-                                         f"  [MISMATCH: substituted form {power_subst}]"))
+                                         f"  [MISMATCH: derivative form {power_check}]"))
     out.text(f"norm approx {approx}")
     out.record("power", power)
-    out.record("power_subst", power_subst)
+    out.record("power_check", power_check)
     out.record("agree", agree)
     out.record("approx", approx)
     return EXIT_OK if agree else EXIT_FAIL
@@ -439,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=default_budget,
                         help="enumeration budget in work units "
                              "(default %(default)s; env AML_BUDGET overrides)")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("text", "records"), default="text")
     common.add_argument("--trace", action="store_true",

@@ -9,6 +9,11 @@ and, equivalently (substituting x = sum h0_i, h_i = h1_i - h0_i):
 
     (1/|G|^{2k}) sum_{h0, h1 in G^k} prod_{omega in {0,1}^k} g(sum_i h_i^{omega(i)}).
 
+Gowers' derivative identity (Gowers, "A new proof of Szemeredi's theorem",
+GAFA 2001) gives the same power recursively, at a cost of about |G|^k:
+
+    ||g||^{2^k}  =  E_h ||g * g(. + h)||^{2^{k-1}},   with  ||g||^2 = (E g)^2.
+
 For a k-variable function f on a measured universe, the box-norm power is
 
     ||f||^{2^k}  =  sum_{h0, h1 in M^k} prod_omega f(h_1^{omega(1)}, ..., h_k^{omega(k)}) * prod_i w(h0_i) w(h1_i),
@@ -201,8 +206,31 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
     return Fraction(total, denom ** (1 << k) * n ** (k + 1))
 
 
+def gowers_norm_pow_derivative(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
+    """||g||^{2^k} via the derivative identity, recursing on g * g(. + h)."""
+    if k < 1:
+        raise GowersError("k must be >= 1")
+    if g.arity != 1 or g.n != group.n:
+        raise GowersError("g must be a 1-variable function on the group")
+    gi, denom = _int_table(g.values)
+    add = group.table
+    n = group.n
+
+    def scaled(t: list[int], depth: int) -> int:
+        # n^{depth+1} * ||t||^{2^depth} for an integer table t
+        if depth == 1:
+            return sum(t) ** 2
+        return sum(scaled([a * t[row[h]] for a, row in zip(t, add)], depth - 1)
+                   for h in range(n))
+
+    return Fraction(scaled(gi, k), denom ** (1 << k) * n ** (k + 1))
+
+
 def gowers_norm_pow_subst(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
-    """||g||^{2^k} via the two-sided substitution form over (h0, h1) in G^k x G^k."""
+    """||g||^{2^k} via the two-sided substitution form over (h0, h1) in G^k x G^k.
+
+    Costs |G|^{2k} * 2^k; kept as the small-n reference that tests compare
+    the other forms against."""
     if k < 1:
         raise GowersError("k must be >= 1")
     if g.arity != 1 or g.n != group.n:

@@ -21,7 +21,7 @@ fast path is tested against).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .structures import DefinableSet, FiniteStructure, VFlag

@@ -9,7 +9,7 @@ expanded by :func:`expand_abbrev`, so evaluators only ever see LT/LE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 

@@ -169,6 +169,7 @@ def test_criterion_05_gowers_identities():
         g = gowers.GridFunction.from_values(vals, 1)
         power = gowers.gowers_norm_pow(grp, g, k)
         assert power == gowers.gowers_norm_pow_subst(grp, g, k)
+        assert power == gowers.gowers_norm_pow_derivative(grp, g, k)
         assert power >= 0
         assert g.mean() ** (2 ** k) <= power
         if k == 1:

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from aml.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -33,6 +31,18 @@ def test_eval_false_still_exits_zero(capsys):
     code, out, _ = run(capsys, "eval", Z4, "m[x] < 1/4 . x = e")
     assert code == 0
     assert out == "false (mu = 1/4, < 1/4, flag ⊙)\n"
+
+
+def test_eval_negated_measure_shows_the_answered_comparison(capsys):
+    # m[x] >= q parses as ~(m[x] < q); the summary states m >= q, not m < q
+    code, out, _ = run(capsys, "eval", Z4, "m[x] >= 1/4 . x = e")
+    assert (code, out) == (0, "true (mu = 1/4, >= 1/4, flag ⊙)\n")
+    code, out, _ = run(capsys, "eval", Z4, "m[x] > 1/4 . x = e")
+    assert (code, out) == (0, "false (mu = 1/4, > 1/4, flag ⊙)\n")
+    code, out, _ = run(capsys, "eval", Z4, "m[x] >= 1/4 . x = e", "--format", "records")
+    assert out == "verdict=true\nmu=1/4\ncmp=>=\nthreshold=1/4\nflag=.\n"
+    code, out, _ = run(capsys, "eval", Z4, "m[x] > 1/4 . x = e", "--format", "records")
+    assert out == "verdict=false\nmu=1/4\ncmp=>\nthreshold=1/4\nflag=.\n"
 
 
 def test_eval_with_binding(capsys):
@@ -130,12 +140,18 @@ def test_check_axioms_scheme_subset(capsys):
     assert (code, out) == (0, "8/8 hold\n")
 
 
-def test_check_axioms_deterministic_across_threads(capsys):
+def test_check_axioms_deterministic(capsys):
     args = ("check-axioms", Z4, "--count", "12", "--seed", "5",
             "--format", "records")
-    _, seq, _ = run(capsys, *args, "--threads", "1")
-    _, par, _ = run(capsys, *args, "--threads", "4")
-    assert seq == par == "held=12\ntotal=12\n"
+    _, first, _ = run(capsys, *args)
+    _, second, _ = run(capsys, *args)
+    assert first == second == "held=12\ntotal=12\n"
+
+
+def test_check_axioms_over_several_structures(capsys):
+    # the exit code compares held with the total over all structures
+    code, out, _ = run(capsys, "check-axioms", Z4, Z4, "--count", "10")
+    assert (code, out) == (0, "10/10 hold\n")
 
 
 # -- gowers ------------------------------------------------------------------------------
@@ -150,7 +166,7 @@ def test_gowers_records_with_agreement(capsys):
     code, out, _ = run(capsys, "gowers", "z4", "--g", "1,0,0,0", "--k", "2",
                        "--format", "records")
     assert code == 0
-    assert out == ("power=1/64\npower_subst=1/64\nagree=true\n"
+    assert out == ("power=1/64\npower_check=1/64\nagree=true\n"
                    "approx=0.35355339059327376220\n")
 
 

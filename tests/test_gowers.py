@@ -18,6 +18,7 @@ from aml.gowers import (
     dual_function,
     gowers_box_pow,
     gowers_norm_pow,
+    gowers_norm_pow_derivative,
     gowers_norm_pow_subst,
     inner_product,
     parse_grid_function,
@@ -125,13 +126,16 @@ def test_constant_function_norm_power():
 
 def test_both_norm_forms_agree():
     rng = random.Random(5)
-    for grp in (Z2, Z3, Z4, KLEIN):
-        for k in (1, 2):
+    relabeled = AbelianGroup.from_table([[1, 0], [0, 1]])   # Z_2, identity at 1
+    for grp in (Z2, Z3, Z4, KLEIN, relabeled):
+        for k in (1, 2, 3):
             for _ in range(6):
                 vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                         for _ in range(grp.n)]
                 f = GridFunction.from_values(vals, 1)
-                assert gowers_norm_pow(grp, f, k) == gowers_norm_pow_subst(grp, f, k)
+                power = gowers_norm_pow(grp, f, k)
+                assert power == gowers_norm_pow_subst(grp, f, k)
+                assert power == gowers_norm_pow_derivative(grp, f, k)
 
 
 def test_norm_power_nonnegative_and_monotone_under_mean():

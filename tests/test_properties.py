@@ -1,7 +1,5 @@
 """Property-based checks: grammar round trips, measure laws, density bounds."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from aml.axioms import random_formula

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from aml.structures import (
-    DefinableSet,
     FiniteStructure,
     VFlag,
     measure,
