@@ -3,7 +3,7 @@
 Subcommands: eval, measure, check-axioms, gowers, regularity, hypergraph,
 ap-encode, limit, density, furstenberg.  Global flags on every subcommand:
 --budget (work units; the AML_BUDGET environment variable overrides the
-default), --seed, --format {text,records}, --trace.
+default), --format {text,records}, --trace.  check-axioms also takes --seed.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -276,6 +276,7 @@ def _cmd_gowers(args, out: _Out) -> int:
         raise CliError(f"--g needs {group.n} values for this group", EXIT_SEMANTIC)
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k
+    Budget(args.budget).charge(group.n ** (k + 1))  # the cube form's terms
     power = gowers.gowers_norm_pow(group, g, k)
     power_check = gowers.gowers_norm_pow_derivative(group, g, k)
     agree = power == power_check
@@ -290,8 +291,16 @@ def _cmd_gowers(args, out: _Out) -> int:
     return EXIT_OK if agree else EXIT_FAIL
 
 
+def _parse_input(parse, path: str):
+    """Parse an input file, reporting its format errors as parse errors."""
+    try:
+        return parse(_read_file(path))
+    except regularity.RegularityError as e:
+        raise CliError(f"{path}: {e}", EXIT_PARSE) from None
+
+
 def _cmd_regularity(args, out: _Out) -> int:
-    g = regularity.parse_graph(_read_file(args.graph))
+    g = _parse_input(regularity.parse_graph, args.graph)
     eps = _parse_rational(args.eps, "--eps")
     res = regularity.regularity_partition(g, eps, k_min=args.kmin,
                                           k_max=args.kmax, exact_cap=args.cap)
@@ -314,8 +323,8 @@ def _cmd_regularity(args, out: _Out) -> int:
 
 
 def _cmd_hypergraph(args, out: _Out) -> int:
-    host = regularity.parse_hypergraph(_read_file(args.host))
-    pattern = regularity.parse_hypergraph(_read_file(args.pattern))
+    host = _parse_input(regularity.parse_hypergraph, args.host)
+    pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
     copies = regularity.count_copies(pattern, host, budget=args.budget)
     out.text(f"copies = {copies}")
     out.record("copies", copies)
@@ -404,6 +413,8 @@ def _cmd_limit(args, out: _Out) -> int:
 
 def _cmd_density(args, out: _Out) -> int:
     elements = _element_set(args.E)
+    starts = max(args.N + 1 - max(args.Lmin, 1), 0)
+    Budget(args.budget).charge(starts * (starts + 1) // 2)  # the windows scanned
     d = limits.banach_density(elements, args.N, args.Lmin)
     out.text(f"banach density = {d}")
     out.record("density", d)
@@ -441,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=default_budget,
                         help="enumeration budget in work units "
                              "(default %(default)s; env AML_BUDGET overrides)")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("text", "records"), default="text")
     common.add_argument("--trace", action="store_true",
                         help="print per-step details (measure subevaluations, "
@@ -470,6 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structures", nargs="+")
     p.add_argument("--schemes", default="AML,I,F,F+")
     p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check_axioms)
 
     p = sub.add_parser("gowers", parents=[common],
@@ -549,10 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as e:
         print(f"budget error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except EvalError as e:
-        print(f"semantic error: {e}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except (gowers.GowersError, regularity.RegularityError, limits.LimitError,
+    except (EvalError, gowers.GowersError, regularity.RegularityError, limits.LimitError,
             axioms.SideConditionError, ValueError) as e:
         print(f"semantic error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC

@@ -79,14 +79,11 @@ PREDICATE_RULES: dict[str, Callable[[int], frozenset[int]]] = {
 }
 
 
-def cyclic_family(i_lo: int, i_hi: int, predicates: dict[str, str] | None = None,
-                  step: int = 1) -> StructureFamily:
-    """The groups Z_i for i = i_lo, i_lo+step, ..., up to i_hi, with constant
-    e = 0, binary addition mod i, and optional unary predicates drawn from
-    PREDICATE_RULES (mapping predicate name -> rule id).
-
-    With step > 1 the family is reindexed: index j holds Z_{i_lo + (j-i_lo)*step}.
-    """
+def cyclic_family(i_lo: int, i_hi: int,
+                  predicates: dict[str, str] | None = None) -> StructureFamily:
+    """The groups Z_i for i = i_lo..i_hi, with constant e = 0, binary
+    addition mod i, and optional unary predicates drawn from PREDICATE_RULES
+    (mapping predicate name -> rule id)."""
     if i_lo < 1:
         raise LimitError("cyclic family needs i_lo >= 1")
     predicates = dict(predicates or {})
@@ -95,20 +92,14 @@ def cyclic_family(i_lo: int, i_hi: int, predicates: dict[str, str] | None = None
             raise LimitError(f"unknown membership rule {rule!r} "
                              f"(available: {sorted(PREDICATE_RULES)})")
 
-    def build(j: int) -> FiniteStructure:
-        n = i_lo + (j - i_lo) * step
+    def build(n: int) -> FiniteStructure:
         add = tuple((a + b) % n for a in range(n) for b in range(n))
         rels = {name: (1, frozenset((x,) for x in PREDICATE_RULES[rule](n)))
                 for name, rule in predicates.items()}
         return FiniteStructure(n, {"e": 0}, {"add": (2, add)}, rels)
 
-    if step < 1:
-        raise LimitError("step must be >= 1")
-    count = (i_hi - i_lo) // step if step > 1 else i_hi - i_lo
-    hi = i_lo + count if step > 1 else i_hi
-    sig = build(i_lo).signature()
-    label = f"Z_i for i = {i_lo}..{i_hi}" + (f" step {step}" if step > 1 else "")
-    return StructureFamily("cyclic", i_lo, hi, build, sig, label)
+    return StructureFamily("cyclic", i_lo, i_hi, build, build(i_lo).signature(),
+                           f"Z_i for i = {i_lo}..{i_hi}")
 
 
 def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:

@@ -16,11 +16,13 @@ the right):
 
 ``>=`` / ``>`` measure bounds are expanded immediately (they abbreviate
 negated ``<`` / ``<=`` bounds), so parsed ASTs only contain LT/LE.  Every
-parse error carries a byte-offset span into the input.
+parse error carries a byte-offset span into the input, and nesting is capped
+at ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +39,13 @@ class SourceSpan:
     def __post_init__(self):
         if self.start > self.end:
             raise ValueError("span start after end")
+
+
+# Each ~, parenthesis, quantifier, measure binder and -> opens one level, and
+# the parsed tree may be no deeper: the parser, the printer, free_vars and the
+# evaluators then stay within Python's default recursion limit.  (The printer
+# may add parentheses, so a formula near the cap can print deeper than it.)
+MAX_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -101,6 +110,7 @@ class _Parser:
         self.sig = sig
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -119,6 +129,15 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}", t.span)
         return self.next()
 
+    @contextmanager
+    def nested(self, tok: Token):
+        """One more level of nesting, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.span)
+        yield
+        self.depth -= 1
+
     # -- grammar ------------------------------------------------------------
 
     def formula(self) -> Formula:
@@ -127,8 +146,8 @@ class _Parser:
     def impl(self) -> Formula:
         left = self.disj()
         if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.impl())
+            with self.nested(self.next()):
+                return Implies(left, self.impl())
         return left
 
     def disj(self) -> Formula:
@@ -148,12 +167,14 @@ class _Parser:
     def neg(self) -> Formula:
         t = self.peek()
         if t.kind == "~":
-            self.next()
-            return Not(self.neg())
+            with self.nested(self.next()):
+                return Not(self.neg())
         if t.kind == "ident" and t.text in _KEYWORDS:
-            return self.quantifier()
+            with self.nested(t):
+                return self.quantifier()
         if t.kind == "ident" and t.text == "m" and self.peek(1).kind == "[":
-            return self.measure()
+            with self.nested(t):
+                return self.measure()
         return self.atom()
 
     def quantifier(self) -> Formula:
@@ -219,8 +240,8 @@ class _Parser:
     def atom(self) -> Formula:
         t = self.peek()
         if t.kind == "(":
-            self.next()
-            inner = self.formula()
+            with self.nested(self.next()):
+                inner = self.formula()
             self.expect(")")
             return inner
         if t.kind != "ident":
@@ -257,10 +278,11 @@ class _Parser:
 
     def term_list(self, name: str, arity: int) -> tuple[Term, ...]:
         open_tok = self.expect("(")
-        args = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
-            args.append(self.term())
+        with self.nested(open_tok):
+            args = [self.term()]
+            while self.peek().kind == ",":
+                self.next()
+                args.append(self.term())
         close = self.expect(")")
         if len(args) != arity:
             raise ParseError(f"{name!r} expects {arity} arguments, got {len(args)}",
@@ -274,7 +296,25 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
+    if _height(out) > MAX_DEPTH:  # chains of & and | nest the tree to the left
+        raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
+                         SourceSpan(0, len(text)))
     return out
+
+
+def _height(phi: Formula) -> int:
+    """The number of connectives and binders on the longest root-to-leaf path,
+    found without recursion."""
+    best = 0
+    stack = [(phi, 0)]
+    while stack:
+        node, depth = stack.pop()
+        best = max(best, depth)
+        if isinstance(node, (Not, Forall, Exists, Meas)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (And, Or, Implies)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return best
 
 
 def parse_term(text: str, sig: Signature) -> Term:

@@ -1,8 +1,14 @@
 """Command-line front end: outputs, exit codes, records format, determinism."""
 
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from aml.cli import main
+from aml.parser import MAX_DEPTH
 
 DATA = Path(__file__).parent / "data"
 Z4 = str(DATA / "z4.struct")
@@ -114,6 +120,126 @@ def test_property_failure_exits_1(capsys):
                        "--kmax", "2")
     assert code == 1
     assert "k-max-exhausted" in out
+
+
+def test_deeply_nested_negations_exit_2(capsys):
+    code, _, err = run(capsys, "eval", Z4, "~" * 3000 + "(x = e)", "--bind", "x=0")
+    assert code == 2
+    assert err == (f"parse error: formula nests deeper than {MAX_DEPTH} levels "
+                   f"(at {MAX_DEPTH}..{MAX_DEPTH + 1})\n")
+
+
+def test_deeply_nested_parentheses_exit_2(capsys):
+    code, _, err = run(capsys, "eval", Z4, "(" * 1200 + "x = e" + ")" * 1200,
+                       "--bind", "x=0")
+    assert code == 2
+    assert err == (f"parse error: formula nests deeper than {MAX_DEPTH} levels "
+                   f"(at {MAX_DEPTH}..{MAX_DEPTH + 1})\n")
+
+
+def test_formula_at_the_depth_limit_evaluates(capsys):
+    # the parenthesis is the last of the MAX_DEPTH levels; an odd number of ~
+    code, out, _ = run(capsys, "eval", Z4, "~" * (MAX_DEPTH - 1) + "(x = e)",
+                       "--bind", "x=0")
+    assert (code, out) == (0, "false\n")
+
+
+def test_malformed_graph_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("graph 4\n0 x\n")
+    code, _, err = run(capsys, "regularity", str(bad), "--eps", "1/4")
+    assert code == 2
+    assert err == f"error: {bad}: line 2: bad vertex\n"
+
+
+def test_regularity_algorithm_errors_still_exit_3(capsys):
+    code, _, err = run(capsys, "regularity", G16, "--eps", "2")
+    assert code == 3
+    assert "eps must be in (0,1)" in err
+
+
+def test_malformed_hypergraph_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.hg"
+    bad.write_text("hypergraph 3 2\n0 1 2\n")
+    code, _, err = run(capsys, "hypergraph", TWOTRI, "--pattern", str(bad))
+    assert code == 2
+    assert err == f"error: {bad}: line 2: expected 2 vertices\n"
+    code, _, _ = run(capsys, "hypergraph", str(bad), "--pattern", TRI)
+    assert code == 2
+
+
+def test_gowers_over_budget_exits_4(capsys):
+    code, out, err = run(capsys, "gowers", "z8", "--g", "1,2,3,4,5,6,7,8",
+                         "--k", "3", "--budget", "10")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 4096 work units > limit 10\n"
+    code, _, _ = run(capsys, "gowers", "z2", "--g", "1,-1", "--k", "40")   # 2^41 terms
+    assert code == 4
+
+
+def test_density_over_budget_exits_4(capsys):
+    # N = 10, Lmin = 2: windows start at 1..9, and 9 * 10 / 2 of them are scanned
+    code, _, err = run(capsys, "density", "--E", EVENS, "--N", "10", "--Lmin", "2",
+                       "--budget", "44")
+    assert code == 4
+    assert err == "budget error: enumeration budget exceeded: 45 work units > limit 44\n"
+    code, out, _ = run(capsys, "density", "--E", EVENS, "--N", "10", "--Lmin", "2",
+                       "--budget", "45")
+    assert (code, out) == (0, "banach density = 2/3\n")
+
+
+def test_seed_belongs_to_check_axioms_only(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["eval", Z4, "e = e", "--seed", "1"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main()'s exit code, with argparse's own exits read as codes too."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+_FORMULA_TOKENS = ["~", "(", ")", "&", "|", "->", "forall", "exists", "x", "y", "e",
+                   ".", ",", "=", "!=", "m[x]", "m[x,y]", "m[", "]", "<", "<=", ">=",
+                   ">", "1/2", "1", "0/0", "add(", "add(x, e)", "@", "q", "forall x ."]
+_GRAPH_WORDS = ["graph", "hypergraph", "0", "1", "2", "3", "6", "-1", "x", "#", "1/2"]
+
+
+@st.composite
+def _formula_texts(draw):
+    run_token = draw(st.sampled_from(["~", "(", "~(", "x = e & "]))
+    run = run_token * draw(st.integers(min_value=0, max_value=30 * MAX_DEPTH))
+    tokens = draw(st.lists(st.sampled_from(_FORMULA_TOKENS), max_size=30))
+    return run + " ".join(tokens)
+
+
+@st.composite
+def _graph_texts(draw):
+    header = draw(st.sampled_from(["graph 6", "graph 1", "graph 0", "graph", "graph x",
+                                   "graph 3 3", "hypergraph 6 2", ""]))
+    lines = draw(st.lists(st.lists(st.sampled_from(_GRAPH_WORDS), max_size=3),
+                          max_size=8))
+    return "\n".join([header] + [" ".join(words) for words in lines]) + "\n"
+
+
+@given(st.one_of(_formula_texts().map(lambda t: ("formula", t)),
+                 _graph_texts().map(lambda t: ("graph", t))))
+@settings(max_examples=150, deadline=None)
+def test_every_input_gets_a_contract_exit_code(tmp_path_factory, case):
+    # codes 0-4 only: no traceback, and no exit 1 from a crash
+    kind, text = case
+    if kind == "formula":
+        argv = ["eval", Z4, text, "--bind", "x=0", "--budget", "10000"]
+    else:
+        path = tmp_path_factory.getbasetemp() / "fuzz.graph"
+        path.write_text(text)
+        argv = ["regularity", str(path), "--eps", "1/3"]
+    assert _exit_code(argv) in range(5)
 
 
 # -- measure ------------------------------------------------------------------------

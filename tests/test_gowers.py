@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aml.gowers import (
     AbelianGroup,
     FiniteAlgebra,
     GowersError,
     GridFunction,
+    _int_table,
     box_multiplication_check,
     cond_expect,
     coordinate_support,
@@ -149,6 +151,122 @@ def test_norm_power_nonnegative_and_monotone_under_mean():
 
 
 # -- box norms over grids --------------------------------------------------------------
+
+# The double sums over (h0, h1) in M^k x M^k that define the box-norm power
+# and the dual function, at a cost of n^{2k} * 2^k: the references the
+# slice recursions of the library are compared against.
+
+def _box_pow_reference(f):
+    k = f.arity
+    fi, fden = _int_table(f.values)
+    wi, wden = _int_table(f.weights)
+    n = f.n
+    total = 0
+    for h0 in itertools.product(range(n), repeat=k):
+        w0 = 1
+        for a in h0:
+            w0 *= wi[a]
+        if not w0:
+            continue
+        for h1 in itertools.product(range(n), repeat=k):
+            w1 = w0
+            for b in h1:
+                w1 *= wi[b]
+            if not w1:
+                continue
+            idxs = [0]
+            for a, b in zip(h0, h1):
+                idxs = [v * n + a for v in idxs] + [v * n + b for v in idxs]
+            prod = 1
+            for v in idxs:
+                prod *= fi[v]
+                if not prod:
+                    break
+            total += prod * w1
+    return Fraction(total, fden ** (1 << k) * wden ** (2 * k))
+
+
+def _dual_reference(f):
+    k = f.arity
+    fi, fden = _int_table(f.values)
+    wi, wden = _int_table(f.weights)
+    n = f.n
+    out = []
+    scale = Fraction(1, fden ** ((1 << k) - 1) * wden ** k)
+    for h0 in itertools.product(range(n), repeat=k):
+        total = 0
+        for h1 in itertools.product(range(n), repeat=k):
+            w1 = 1
+            for b in h1:
+                w1 *= wi[b]
+            if not w1:
+                continue
+            idxs = [0]
+            for a, b in zip(h0, h1):
+                idxs = [v * n + a for v in idxs] + [v * n + b for v in idxs]
+            prod = 1
+            for v in idxs[1:]:  # idxs[0] is the all-h0 corner, i.e. f(h0) itself
+                prod *= fi[v]
+                if not prod:
+                    break
+            total += prod * w1
+        out.append(total * scale)
+    return GridFunction(n, k, tuple(out), f.weights)
+
+
+def _assert_matches_references(f):
+    assert gowers_box_pow(f) == _box_pow_reference(f)
+    assert dual_function(f) == _dual_reference(f)
+
+
+def test_box_and_dual_match_references_seeded():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        for arity in range(1, 4):
+            for weighted in (False, True):
+                for _ in range(4):
+                    vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                            for _ in range(n ** arity)]
+                    weights = tuple(Fraction(rng.randint(0, 3), rng.randint(1, 4))
+                                    for _ in range(n)) if weighted else ()
+                    _assert_matches_references(GridFunction(n, arity, tuple(vals), weights))
+
+
+def test_box_and_dual_with_zero_weights_match_references():
+    f = GridFunction(3, 3, tuple(Fraction(i % 5 - 2, 1 + i % 3) for i in range(27)),
+                     (Fraction(0), Fraction(1, 2), Fraction(3, 2)))
+    _assert_matches_references(f)
+    zero = GridFunction(2, 2, (1, -1, 2, 3), (Fraction(0), Fraction(0)))
+    assert gowers_box_pow(zero) == 0
+    _assert_matches_references(zero)
+
+
+@st.composite
+def grid_functions(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    vals = draw(st.lists(rationals, min_size=n ** arity, max_size=n ** arity))
+    weights = draw(st.one_of(
+        st.just(()),
+        st.lists(st.fractions(min_value=0, max_value=2, max_denominator=5),
+                 min_size=n, max_size=n).map(tuple)))
+    return GridFunction(n, arity, tuple(vals), weights)
+
+
+@given(grid_functions())
+@settings(max_examples=60, deadline=None)
+def test_box_and_dual_match_references(f):
+    _assert_matches_references(f)
+
+
+def test_box_and_dual_need_a_coordinate_to_slice():
+    constant = GridFunction(2, 0, (Fraction(3),), ())
+    with pytest.raises(GowersError):
+        gowers_box_pow(constant)
+    with pytest.raises(GowersError):
+        dual_function(constant)
+
 
 def test_box_power_degree_two_frozen():
     # rows of [[1,1],[1,-1]] have gram matrix [[2,0],[0,2]]: power 8/16

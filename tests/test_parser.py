@@ -7,6 +7,7 @@ import pytest
 
 from aml.axioms import random_formula
 from aml.parser import (
+    MAX_DEPTH,
     ParseError,
     parse_formula,
     parse_structure,
@@ -16,6 +17,8 @@ from aml.parser import (
     print_term,
     tokenize,
 )
+from aml.semantics import evaluate, naive_evaluate
+from aml.structures import FiniteStructure
 from aml.syntax import (
     And,
     Atom,
@@ -176,6 +179,50 @@ def test_generated_formulae_round_trip():
         phi = random_formula(rng, ("x", "y"), depth=3, rank_budget=2, sig=SIG)
         text = print_formula(phi)
         assert parse_formula(text, SIG) == phi, text
+
+
+# -- nesting depth -------------------------------------------------------------------
+
+Z2 = FiniteStructure.counting(2, constants={"e": 0}, functions={"f": (1, (1, 0))},
+                              relations={"P": (1, frozenset({(0,)}))})
+
+
+@pytest.mark.parametrize("text", [
+    "~" * (MAX_DEPTH - 1) + "(x = e)",                  # the parenthesis is a level too
+    "(" * MAX_DEPTH + "x = e" + ")" * MAX_DEPTH,
+    "exists y . " * (MAX_DEPTH - 2) + "m[z] <= 1/2 . " * 2 + "x = e",
+    " & ".join(["P(x)"] * (MAX_DEPTH + 1)),
+    " -> ".join(["x = e"] * (MAX_DEPTH + 1)),
+    "f(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " = e",
+], ids=["negations", "parentheses", "binders", "and-chain", "implication-chain",
+        "function-terms"])
+def test_formula_at_the_depth_limit_parses_evaluates_and_round_trips(text):
+    phi = rt(text)
+    assert evaluate(Z2, phi, {"x": 0}) == naive_evaluate(Z2, phi, {"x": 0})
+
+
+@pytest.mark.parametrize("text, start", [
+    ("~" * MAX_DEPTH + "(x = e)", MAX_DEPTH),          # the opening parenthesis crosses
+    ("(" * (MAX_DEPTH + 1) + "x = e" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+    ("~" * 3000 + "(x = e)", MAX_DEPTH),
+    ("(" * 1200 + "x = e" + ")" * 1200, MAX_DEPTH),
+    ("f(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " = e", 2 * MAX_DEPTH + 1),
+    ("P(x) -> " * MAX_DEPTH + "P(x)", 8 * MAX_DEPTH + 1),   # the last P( crosses
+], ids=["negations", "parentheses", "3000-negations", "1200-parentheses",
+        "function-terms", "relation-arguments"])
+def test_one_level_deeper_is_a_parse_error_at_the_crossing_token(text, start):
+    with pytest.raises(ParseError) as ex:
+        parse_formula(text, SIG)
+    assert "nests deeper than" in ex.value.message
+    assert (ex.value.span.start, ex.value.span.end) == (start, start + 1)
+
+
+def test_long_connective_chains_are_parse_errors():
+    # & and | build left-nested trees, so a long chain is as deep as it is long
+    for op in (" & ", " | ", " -> "):
+        text = op.join(["P(x)"] * (MAX_DEPTH + 2))
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_formula(text, SIG)
 
 
 # -- structure files -----------------------------------------------------------------
