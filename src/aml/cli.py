@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, measure, check-axioms, gowers, regularity, hypergraph,
-ap-encode, limit, density, furstenberg.  Global flags on every subcommand:
---budget (work units; the AML_BUDGET environment variable overrides the
-default), --format {text,records}, --trace.  check-axioms also takes --seed.
+ap-encode, limit, density, furstenberg.  Flags on every subcommand: --budget
+(work units; the AML_BUDGET environment variable overrides the default) and
+--format {text,records}.  eval and limit also take --trace, check-axioms
+--seed.  main builds one Budget per run, and each layer charges it for its
+own enumeration just before running it (see semantics.Budget).
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -116,8 +118,8 @@ class _Out:
                 print(line)
 
 
-def _load_structure(path: str) -> FiniteStructure:
-    return parse_structure(_read_file(path))
+def _load_structure(path: str, budget: Budget) -> FiniteStructure:
+    return parse_structure(_read_file(path), budget=budget)
 
 
 def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
@@ -146,12 +148,12 @@ def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
 # Subcommands
 
 
-def _cmd_eval(args, out: _Out) -> int:
-    m = _load_structure(args.structure)
+def _cmd_eval(args, out: _Out, budget: Budget) -> int:
+    m = _load_structure(args.structure, budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     val = _parse_bindings(args.bind, m)
     trace: list = []
-    ev = Evaluator(m, budget=Budget(args.budget), trace=trace)
+    ev = Evaluator(m, budget=budget, trace=trace)
     missing = free_vars(phi) - set(val)
     if missing:
         raise EvalError(f"unbound variables: {', '.join(sorted(missing))}")
@@ -181,15 +183,15 @@ def _cmd_eval(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _cmd_measure(args, out: _Out) -> int:
-    m = _load_structure(args.structure)
+def _cmd_measure(args, out: _Out, budget: Budget) -> int:
+    m = _load_structure(args.structure, budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     xs = tuple(args.vars.replace(",", " ").split()) if args.vars \
         else tuple(sorted(free_vars(phi)))
     if not xs:
         raise CliError("formula is closed; nothing to measure over "
                        "(use eval instead)", EXIT_SEMANTIC)
-    ext = extension(m, phi, xs, budget=Budget(args.budget))
+    ext = extension(m, phi, xs, budget=budget)
     mu = measure(ext)
     out.text(f"mu = {mu} (count {len(ext)} of {m.n ** len(xs)})")
     out.record("mu", mu)
@@ -217,10 +219,9 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _cmd_check_axioms(args, out: _Out) -> int:
+def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     schemes = _parse_schemes(args.schemes)
-    ms = [_load_structure(path) for path in args.structures]
-    budget = Budget(args.budget)
+    ms = [_load_structure(path, budget) for path in args.structures]
     share = [args.count // len(ms)] * len(ms)
     for i in range(args.count % len(ms)):
         share[i] += 1
@@ -269,15 +270,14 @@ def _load_group(spec: str) -> gowers.AbelianGroup:
         raise CliError(str(e), EXIT_SEMANTIC) from None
 
 
-def _cmd_gowers(args, out: _Out) -> int:
+def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     group = _load_group(args.group)
     values = _parse_rational_list(args.g, "--g")
     if len(values) != group.n:
         raise CliError(f"--g needs {group.n} values for this group", EXIT_SEMANTIC)
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k
-    Budget(args.budget).charge(group.n ** (k + 1))  # the cube form's terms
-    power = gowers.gowers_norm_pow(group, g, k)
+    power = gowers.gowers_norm_pow(group, g, k, budget=budget)
     power_check = gowers.gowers_norm_pow_derivative(group, g, k)
     agree = power == power_check
     approx = gowers.decimal_root(power, 1 << k) if power >= 0 else "undefined"
@@ -291,19 +291,19 @@ def _cmd_gowers(args, out: _Out) -> int:
     return EXIT_OK if agree else EXIT_FAIL
 
 
-def _parse_input(parse, path: str):
+def _parse_input(parse, path: str, **kwargs):
     """Parse an input file, reporting its format errors as parse errors."""
     try:
-        return parse(_read_file(path))
+        return parse(_read_file(path), **kwargs)
     except regularity.RegularityError as e:
         raise CliError(f"{path}: {e}", EXIT_PARSE) from None
 
 
-def _cmd_regularity(args, out: _Out) -> int:
-    g = _parse_input(regularity.parse_graph, args.graph)
+def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
+    g = _parse_input(regularity.parse_graph, args.graph, budget=budget)
     eps = _parse_rational(args.eps, "--eps")
-    res = regularity.regularity_partition(g, eps, k_min=args.kmin,
-                                          k_max=args.kmax, exact_cap=args.cap)
+    res = regularity.regularity_partition(g, eps, k_min=args.kmin, k_max=args.kmax,
+                                          exact_cap=args.cap, budget=budget)
     parts = res.partition.parts
     out.text(f"partition of {g.n} vertices into {len(parts)} parts "
              f"(status: {res.status})")
@@ -322,15 +322,18 @@ def _cmd_regularity(args, out: _Out) -> int:
     return EXIT_OK if res.status == "regular" else EXIT_FAIL
 
 
-def _cmd_hypergraph(args, out: _Out) -> int:
+def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
     host = _parse_input(regularity.parse_hypergraph, args.host)
     pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
-    copies = regularity.count_copies(pattern, host, budget=args.budget)
+    if args.remove:
+        eps = _parse_rational(args.eps, "--eps") if args.eps else None
+        res = regularity.remove_copies(pattern, host, eps, budget=budget)
+        copies = res.copies_before
+    else:
+        copies = regularity.count_copies(pattern, host, budget=budget)
     out.text(f"copies = {copies}")
     out.record("copies", copies)
     if args.remove:
-        eps = _parse_rational(args.eps, "--eps") if args.eps else None
-        res = regularity.remove_copies(pattern, host, eps, budget=args.budget)
         out.text(f"removed {len(res.removed)} edges ({res.method}); "
                  f"copies after = {res.copies_after}")
         for i, e in enumerate(sorted(res.removed, key=sorted)):
@@ -343,9 +346,9 @@ def _cmd_hypergraph(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _cmd_ap_encode(args, out: _Out) -> int:
+def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
     elements = _element_set(args.A, "--A")
-    enc = regularity.ap_encode(elements, args.n, args.k, budget=args.budget)
+    enc = regularity.ap_encode(elements, args.n, args.k, budget=budget)
     out.text(f"hypergraph: {enc.hypergraph.n} vertices, "
              f"{len(enc.hypergraph.edges)} edges, parts "
              f"{'/'.join(str(len(p)) for p in enc.parts)}")
@@ -361,7 +364,7 @@ def _cmd_ap_encode(args, out: _Out) -> int:
     return EXIT_OK if enc.verified else EXIT_FAIL
 
 
-def _cmd_limit(args, out: _Out) -> int:
+def _cmd_limit(args, out: _Out, budget: Budget) -> int:
     base = os.path.dirname(os.path.abspath(args.family))
 
     def loader(path: str) -> str:
@@ -374,7 +377,6 @@ def _cmd_limit(args, out: _Out) -> int:
     if bool(args.sentence) == bool(args.phi):
         raise CliError("need exactly one of --sentence (truth profile) or "
                        "--phi with --target (limit measure)", EXIT_PARSE)
-    budget = Budget(args.budget)
     if args.sentence:
         sigma = parse_formula(_formula_arg(args.sentence), family.signature)
         prof = limits.truth_profile(family, sigma, slack=args.slack, budget=budget)
@@ -411,20 +413,18 @@ def _cmd_limit(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _cmd_density(args, out: _Out) -> int:
+def _cmd_density(args, out: _Out, budget: Budget) -> int:
     elements = _element_set(args.E)
-    starts = max(args.N + 1 - max(args.Lmin, 1), 0)
-    Budget(args.budget).charge(starts * (starts + 1) // 2)  # the windows scanned
-    d = limits.banach_density(elements, args.N, args.Lmin)
+    d = limits.banach_density(elements, args.N, args.Lmin, budget=budget)
     out.text(f"banach density = {d}")
     out.record("density", d)
     return EXIT_OK
 
 
-def _cmd_furstenberg(args, out: _Out) -> int:
+def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
     elements = _element_set(args.E)
     shifts = set(_parse_int_list(args.U, "--U"))
-    cyc, plain, bound = limits.furstenberg_check(elements, args.N, shifts)
+    cyc, plain, bound = limits.furstenberg_check(elements, args.N, shifts, budget=budget)
     ok = abs(cyc - plain) <= bound
     out.text(f"cyclic density = {cyc}, plain density = {plain}, "
              f"wraparound bound = {bound}")
@@ -453,9 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="enumeration budget in work units "
                              "(default %(default)s; env AML_BUDGET overrides)")
     common.add_argument("--format", choices=("text", "records"), default="text")
-    common.add_argument("--trace", action="store_true",
-                        help="print per-step details (measure subevaluations, "
-                             "per-index values)")
 
     top = argparse.ArgumentParser(prog="aml", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -465,6 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("formula", help="formula text, or @path to a file")
     p.add_argument("--bind", help="valuation, e.g. x=0,y=2")
+    p.add_argument("--trace", action="store_true",
+                   help="print each measure subevaluation")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("measure", parents=[common],
@@ -523,6 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", help="tuple variables for --phi")
     p.add_argument("--target", help="target rational for --phi")
     p.add_argument("--slack", type=int, default=5)
+    p.add_argument("--trace", action="store_true", help="print each index's value")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("density", parents=[common],
@@ -550,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     out = _Out(args.format)
     try:
-        code = args.func(args, out)
+        code = args.func(args, out, Budget(args.budget))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

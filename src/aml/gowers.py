@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .semantics import Budget
 from .structures import DefinableSet
 
 
@@ -196,9 +197,11 @@ def _check_degree(group: AbelianGroup, g: GridFunction, k: int) -> None:
         raise GowersError("g must be a 1-variable function on the group")
 
 
-def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
+def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
+                    budget: Budget | None = None) -> Fraction:
     """||g||^{2^k} via the direct cube average over x and h_1..h_k."""
     _check_degree(group, g, k)
+    (budget or Budget()).charge(group.n ** (k + 1))  # the cube's terms
     gi, denom = _int_table(g.values)
     add = group.table
     n = group.n

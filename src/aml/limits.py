@@ -57,9 +57,11 @@ class StructureFamily:
     def indices(self) -> range:
         return range(self.i_lo, self.i_hi + 1)
 
-    def at(self, i: int) -> FiniteStructure:
+    def at(self, i: int, budget: Budget | None = None) -> FiniteStructure:
         if not self.i_lo <= i <= self.i_hi:
             raise LimitError(f"index {i} outside [{self.i_lo}, {self.i_hi}]")
+        # the universe and the function tables, charged before they are built
+        (budget or Budget()).charge(i + sum(i ** a for _, a in self.signature.functions))
         m = self.builder(i)
         if m.signature() != self.signature:
             raise LimitError(f"structure at index {i} does not match the "
@@ -169,7 +171,7 @@ def truth_profile(family: StructureFamily, sigma: Formula, slack: int = 5,
         raise LimitError("slack must be >= 0")
     values = []
     for i in family.indices():
-        ev = Evaluator(family.at(i), budget=budget)
+        ev = Evaluator(family.at(i, budget), budget=budget)
         values.append(ev.eval(sigma, {}))
     values = tuple(values)
     for target, verdict in ((True, "eventually-true"), (False, "eventually-false")):
@@ -231,8 +233,7 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
         raise LimitError(f"free variables {sorted(extra)} outside the tuple {xs}")
     values = []
     for i in family.indices():
-        m = family.at(i)
-        ext = extension(m, phi, xs, budget=budget)
+        ext = extension(family.at(i, budget), phi, xs, budget=budget)
         values.append(measure(ext))
     values = tuple(values)
     count = len(values)
@@ -279,7 +280,8 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
 # Banach density and the finite shift comparison
 
 
-def banach_density(elements, n_hi: int, l_min: int = 1) -> Fraction:
+def banach_density(elements, n_hi: int, l_min: int = 1,
+                   budget: Budget | None = None) -> Fraction:
     """max over windows n <= x < m inside [1, n_hi] with m - n >= l_min of
     |E ∩ [n, m)| / (m - n), by exhaustive window scan.
 
@@ -293,6 +295,8 @@ def banach_density(elements, n_hi: int, l_min: int = 1) -> Fraction:
         raise LimitError("l_min must be >= 1")
     if n_hi < l_min:
         raise LimitError("window [1, n_hi] shorter than l_min")
+    starts = n_hi + 1 - l_min
+    (budget or Budget()).charge(starts * (starts + 1) // 2)  # the windows scanned
     prefix = [0] * (n_hi + 1)
     for v in range(1, n_hi + 1):
         prefix[v] = prefix[v - 1] + (v in e_set)
@@ -307,7 +311,8 @@ def banach_density(elements, n_hi: int, l_min: int = 1) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def furstenberg_check(elements, n_hi: int, shifts) -> tuple[Fraction, Fraction, Fraction]:
+def furstenberg_check(elements, n_hi: int, shifts,
+                      budget: Budget | None = None) -> tuple[Fraction, Fraction, Fraction]:
     """Compare, for E ⊆ [1, n_hi] and a finite shift set U:
 
     - the cyclic density |{x : f^i(x) in E for all i in U}| / n_hi, where f is
@@ -327,6 +332,7 @@ def furstenberg_check(elements, n_hi: int, shifts) -> tuple[Fraction, Fraction, 
         raise LimitError(f"max shift {shift_set[-1]} must be < n_hi = {n_hi}")
     if e_set and not all(1 <= x <= n_hi for x in e_set):
         raise LimitError(f"elements must lie in [1, {n_hi}]")
+    (budget or Budget()).charge(n_hi * len(shift_set))
     cyclic = plain = 0
     for x in range(1, n_hi + 1):
         if all((x - 1 + i) % n_hi + 1 in e_set for i in shift_set):

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .semantics import Budget
 from .structures import FiniteStructure
 from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall, Formula,
                      Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev)
@@ -447,7 +448,7 @@ class _WordReader:
             raise ParseError(f"expected {what}, found {w.text!r}", w.span) from None
 
 
-def parse_structure(text: str) -> FiniteStructure:
+def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     r = _WordReader(text)
     kw = r.next("'universe'")
     if kw.text != "universe":
@@ -455,6 +456,7 @@ def parse_structure(text: str) -> FiniteStructure:
     n, n_span = r.next_int("universe size")
     if n < 1:
         raise ParseError("universe must be nonempty", n_span)
+    (budget or Budget()).charge(n)  # before anything of size n is built
 
     weights: tuple[Fraction, ...] | None = None
     constants: dict[str, int] = {}

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .semantics import BudgetExceeded
+from .semantics import Budget
 
 
 class RegularityError(ValueError):
@@ -177,8 +177,8 @@ def _scan_extremes(g: Graph, sub_a: tuple[int, ...], side_b: tuple[int, ...],
     return None
 
 
-def is_epsilon_regular(g: Graph, part_u, part_v, eps,
-                       mode: str = "exact", exact_cap: int = 15) -> RegularityVerdict:
+def is_epsilon_regular(g: Graph, part_u, part_v, eps, mode: str = "exact",
+                       exact_cap: int = 15, budget: Budget | None = None) -> RegularityVerdict:
     """Check epsilon-regularity of (U, U').
 
     Exact mode enumerates every qualifying subset pair (left side by bitmask,
@@ -208,6 +208,7 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps,
         left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
         m_min_l = m_min_u if not swapped else m_min_v
         m_min_r = m_min_v if not swapped else m_min_u
+        (budget or Budget()).charge(1 << len(left))  # one unit per subset
         for bits in range(1, 1 << len(left)):
             if bits.bit_count() < m_min_l:
                 continue
@@ -321,15 +322,15 @@ def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
     return [p for p in out if p]
 
 
-def _survey(g: Graph, parts, eps, exact_cap):
+def _survey(g: Graph, parts, eps, exact_cap, budget):
     """Exact verdicts for all unordered part pairs; returns (irregular list,
     ordered-pair mass of irregular pairs)."""
     irregular = []
     mass = 0
     for i in range(len(parts)):
         for j in range(i, len(parts)):
-            verdict = is_epsilon_regular(g, parts[i], parts[j], eps,
-                                         mode="exact", exact_cap=exact_cap)
+            verdict = is_epsilon_regular(g, parts[i], parts[j], eps, mode="exact",
+                                         exact_cap=exact_cap, budget=budget)
             if not verdict.regular:
                 irregular.append((i, j, verdict.witness))
                 block = len(parts[i]) * len(parts[j])
@@ -338,7 +339,7 @@ def _survey(g: Graph, parts, eps, exact_cap):
 
 
 def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
-                         exact_cap: int = 15) -> PartitionResult:
+                         exact_cap: int = 15, budget: Budget | None = None) -> PartitionResult:
     """Refine an initial partition by irregularity witnesses until the
     ordered-pair mass of irregular pairs is at most eps * n^2, or the part
     budget k_max is exhausted.
@@ -365,7 +366,7 @@ def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
     rounds = 0
 
     while True:
-        irregular, mass = _survey(g, parts, eps, exact_cap)
+        irregular, mass = _survey(g, parts, eps, exact_cap, budget)
         if mass <= bound:
             log.append(f"round {rounds}: irregular mass {mass} within bound {bound}")
             return PartitionResult(Partition(n, tuple(parts), tuple(log)),
@@ -408,12 +409,10 @@ def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
 # Copy counting and removal
 
 
-def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: int):
+def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
-    total = host.n ** pattern.n
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    (budget or Budget()).charge(host.n ** pattern.n)
     pat_edges = [tuple(sorted(e)) for e in pattern.edges]
     for assignment in itertools.product(range(host.n), repeat=pattern.n):
         used = []
@@ -429,7 +428,7 @@ def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: int):
 
 
 def count_copies(pattern: Hypergraph, host: Hypergraph,
-                 budget: int = 10 ** 7) -> int:
+                 budget: Budget | None = None) -> int:
     """Number of labeled maps from the pattern's vertices into the host such
     that every pattern edge lands on a host edge (injectivity not required;
     a map collapsing an edge never counts, since the image is too small to
@@ -438,7 +437,7 @@ def count_copies(pattern: Hypergraph, host: Hypergraph,
 
 
 def count_copies_injective(pattern: Hypergraph, host: Hypergraph,
-                           budget: int = 10 ** 7) -> int:
+                           budget: Budget | None = None) -> int:
     return sum(1 for assignment, _ in _pattern_maps(pattern, host, budget)
                if len(set(assignment)) == pattern.n)
 
@@ -500,7 +499,7 @@ def _greedy_hitting_set(constraint_sets: list[frozenset]):
 
 
 def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
-                  bb_cap: int = 10 ** 4, budget: int = 10 ** 7) -> RemovalResult:
+                  bb_cap: int = 10 ** 4, budget: Budget | None = None) -> RemovalResult:
     """A set of host edges meeting every copy of the pattern: the exact
     minimum hitting set (branch and bound) when there are at most ``bb_cap``
     copies, greedy otherwise.  The result always leaves zero copies."""
@@ -547,7 +546,7 @@ def _ap_vertex(i: int, value: int, n: int) -> int:
     return (i - 1) * n + (value - 1)
 
 
-def ap_encode(elements, n: int, k: int, budget: int = 10 ** 7) -> APEncoding:
+def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncoding:
     """Encode A ⊆ [1,n] as a (k+1)-partite k-uniform hypergraph whose
     complete-pattern copies with x_{k+1} ≠ x_1 + ... + x_k correspond exactly
     (with multiplicity) to (k+1)-term arithmetic progressions inside A with
@@ -565,9 +564,7 @@ def ap_encode(elements, n: int, k: int, budget: int = 10 ** 7) -> APEncoding:
         raise RegularityError("k must be >= 1")
     big = k * k * n
     n_vertices = k * n + big
-    work = (n ** k) * big
-    if work > budget:
-        raise BudgetExceeded(work, budget)
+    (budget or Budget()).charge(n ** k * big)
 
     edges = set()
     # edge omitting X_{k+1}: values x_1..x_k with sum i*x_i in A
@@ -629,21 +626,6 @@ def ap_encode(elements, n: int, k: int, budget: int = 10 ** 7) -> APEncoding:
                       direct, copy_count == direct)
 
 
-def direct_ap_count(elements, k: int) -> int:
-    """Plain count of (k+1)-term APs with nonzero difference inside A,
-    without the encoding's multiplicity — a convenience for demos."""
-    a_set = frozenset(elements)
-    if not a_set:
-        return 0
-    lo, hi = min(a_set), max(a_set)
-    count = 0
-    for a in sorted(a_set):
-        for d in range(-(hi - lo), hi - lo + 1):
-            if d and all(a + i * d in a_set for i in range(1, k + 1)):
-                count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
@@ -655,7 +637,7 @@ def _data_words(text: str):
             yield lineno, body
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     """Parse "graph <n>" followed by one "u v" edge per line."""
     lines = list(_data_words(text))
     if not lines or lines[0][1][0] != "graph" or len(lines[0][1]) != 2:
@@ -664,6 +646,7 @@ def parse_graph(text: str) -> Graph:
         n = int(lines[0][1][1])
     except ValueError:
         raise RegularityError(f"bad vertex count {lines[0][1][1]!r}") from None
+    (budget or Budget()).charge(n)  # before the n-vertex graph is built
     pairs = []
     for lineno, body in lines[1:]:
         if len(body) != 2:

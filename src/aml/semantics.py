@@ -41,8 +41,11 @@ class BudgetExceeded(Exception):
 
 
 class Budget:
-    """Work-unit meter: each measure constructor charges n^k for its
-    extension enumeration, each quantifier charges n."""
+    """Work-unit meter shared by every layer.  Each enumeration charges its
+    size just before its loop: a measure constructor or extension n^k, a
+    quantifier n, a parsed structure or graph its declared size; the other
+    layers price their own loops next to them (Gowers cube terms, scanned
+    windows, pattern maps, regularity subsets, family members)."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit

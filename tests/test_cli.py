@@ -195,6 +195,61 @@ def test_seed_belongs_to_check_axioms_only(capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def test_trace_belongs_to_eval_and_limit(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["gowers", "z2", "--g", "1,-1", "--k", "2", "--trace"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    code, out, _ = run(capsys, "limit", FAM, "--phi", "x = e", "--vars", "x",
+                       "--target", "0", "--trace")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["  index 1: mu = 1", "  index 2: mu = 1/2"]
+
+
+EVERY_SUBCOMMAND = [
+    ["eval", Z4, "m[x] <= 1/4 . x = e"],
+    ["measure", Z4, "x = e", "--vars", "x"],
+    ["check-axioms", Z4, "--count", "10"],
+    ["gowers", "z4", "--g", "1,-1,1,-1", "--k", "2"],
+    ["regularity", G16, "--eps", "1/4"],
+    ["hypergraph", TWOTRI, "--pattern", TRI],
+    ["ap-encode", "--A", EVENS, "--n", "10", "--k", "2"],
+    ["limit", FAM, "--sentence", "m[x] <= 1/3 . x = e"],
+    ["density", "--E", EVENS, "--N", "10", "--Lmin", "2"],
+    ["furstenberg", "--E", EVENS, "--N", "10", "--U", "0,2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_every_subcommand_honours_the_budget(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("budget error: enumeration budget exceeded:")
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_declared_sizes_are_charged_before_allocation(capsys, tmp_path):
+    # a header alone would otherwise build a 10^12-element universe or graph
+    huge = tmp_path / "huge.struct"
+    huge.write_text(f"universe {10 ** 12}\nmeasure counting\n")
+    code, out, err = run(capsys, "eval", str(huge), "x = x", "--bind", "x=0")
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"{10 ** 12} work units > limit {10 ** 7}\n")
+    huge = tmp_path / "huge.graph"
+    huge.write_text(f"graph {10 ** 12}\n0 1\n")
+    code, out, _ = run(capsys, "regularity", str(huge), "--eps", "1/4")
+    assert (code, out) == (4, "")
+
+
+def test_limit_charges_each_family_member(capsys, tmp_path):
+    # Z_1..Z_600 need sum(i + i^2) > 7 * 10^7 units for universes and add tables
+    fam = tmp_path / "big.fam"
+    fam.write_text("family cyclic 1 600\n")
+    code, out, _ = run(capsys, "limit", str(fam), "--sentence", "m[x] <= 1/3 . x = e")
+    assert (code, out) == (4, "")
+
+
 def _exit_code(argv):
     """main()'s exit code, with argparse's own exits read as codes too."""
     try:
@@ -322,6 +377,17 @@ def test_regularity_records_energy_log(capsys):
 def test_hypergraph_count(capsys):
     code, out, _ = run(capsys, "hypergraph", TWOTRI, "--pattern", TRI)
     assert (code, out) == (0, "copies = 12\n")
+
+
+def test_hypergraph_removal_enumerates_the_host_once(capsys):
+    # 6^3 = 216 maps for the removal, 216 more to recount the stripped host
+    argv = ("hypergraph", TWOTRI, "--pattern", TRI, "--remove")
+    code, out, err = run(capsys, *argv, "--budget", "431")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 432 work units > limit 431\n"
+    code, out, _ = run(capsys, *argv, "--budget", "432")
+    assert (code, out) == (0, "copies = 12\n"
+                              "removed 2 edges (branch-and-bound); copies after = 0\n")
 
 
 def test_hypergraph_removal(capsys):

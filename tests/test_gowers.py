@@ -26,6 +26,7 @@ from aml.gowers import (
     parse_grid_function,
     positivity_criterion,
 )
+from aml.semantics import Budget
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
@@ -138,6 +139,12 @@ def test_both_norm_forms_agree():
                 power = gowers_norm_pow(grp, f, k)
                 assert power == gowers_norm_pow_subst(grp, f, k)
                 assert power == gowers_norm_pow_derivative(grp, f, k)
+
+
+def test_cube_form_charges_its_terms():
+    budget = Budget()
+    gowers_norm_pow(Z4, GridFunction.from_values([1, -1, 1, -1], 1), 2, budget=budget)
+    assert budget.used == 4 ** 3
 
 
 def test_norm_power_nonnegative_and_monotone_under_mean():

@@ -139,6 +139,14 @@ def test_limit_rejects_stray_free_variables():
         limit_measure(CYCLIC, parse_formula("add(x, y) = e", SIG), ("x",), 0)
 
 
+def test_family_members_are_charged_before_they_are_built():
+    budget = Budget()
+    assert CYCLIC.at(5, budget).n == 5
+    assert budget.used == 5 + 5 ** 2        # the universe and the add table
+    with pytest.raises(BudgetExceeded):
+        CYCLIC.at(30, Budget(929))
+
+
 def test_limit_budget_propagates():
     with pytest.raises(BudgetExceeded):
         limit_measure(CYCLIC, SINGLETON, ("x",), 0, budget=Budget(3))
@@ -157,6 +165,15 @@ def test_banach_density_takes_the_best_window():
     # the dense block 5..8 dominates: window [5, 9) has all four points
     assert banach_density([5, 6, 7, 8], 20, 4) == 1
     assert banach_density([5, 6, 7, 8], 20, 8) == Fraction(1, 2)
+
+
+def test_window_scan_and_shift_check_charge_their_loops():
+    budget = Budget()
+    banach_density([2, 4, 6, 8, 10], 10, 2, budget=budget)
+    assert budget.used == 9 * 10 // 2       # windows start at 1..9
+    budget = Budget()
+    furstenberg_check([2, 4, 6, 8, 10], 10, [0, 2], budget=budget)
+    assert budget.used == 10 * 2            # every point against every shift
 
 
 def test_banach_density_argument_checks():

@@ -17,7 +17,7 @@ from aml.parser import (
     print_term,
     tokenize,
 )
-from aml.semantics import evaluate, naive_evaluate
+from aml.semantics import Budget, BudgetExceeded, evaluate, naive_evaluate
 from aml.structures import FiniteStructure
 from aml.syntax import (
     And,
@@ -264,6 +264,14 @@ def test_weighted_structure():
     assert m.total_mass == 1
     assert m.uniform_weight is None
     assert parse_structure(print_structure(m)) == m
+
+
+def test_universe_size_is_charged_before_the_structure_is_built():
+    budget = Budget()
+    parse_structure(STRUCT_TEXT, budget=budget)
+    assert budget.used == 4
+    with pytest.raises(BudgetExceeded):
+        parse_structure(f"universe {10 ** 12}\nmeasure counting\n", budget=Budget(10 ** 7))
 
 
 STRUCT_ERRORS = [

@@ -15,7 +15,6 @@ from aml.regularity import (
     count_copies,
     count_copies_injective,
     density,
-    direct_ap_count,
     is_epsilon_regular,
     parse_graph,
     parse_hypergraph,
@@ -26,7 +25,7 @@ from aml.regularity import (
     remove_copies,
     validate_witness,
 )
-from aml.semantics import BudgetExceeded
+from aml.semantics import Budget, BudgetExceeded
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +116,14 @@ def test_heuristic_regular_verdicts_are_uncertified():
         is_epsilon_regular(g, range(4), range(4, 8), QUARTER, mode="bogus")
 
 
+def test_exact_check_charges_its_subsets():
+    budget = Budget()
+    is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=budget)
+    assert budget.used == 1 << 6            # subsets of the 6-vertex side
+    with pytest.raises(BudgetExceeded):
+        is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=Budget(63))
+
+
 def test_eps_out_of_range():
     with pytest.raises(RegularityError):
         is_epsilon_regular(C4, (0, 1), (2, 3), Fraction(3, 2))
@@ -166,6 +173,14 @@ def test_partition_invariants_on_seeded_graphs():
             assert res.irregular_mass <= eps * n * n
 
 
+def test_partition_charges_its_pair_checks():
+    budget = Budget()
+    regularity_partition(G16, QUARTER, budget=budget)
+    assert regularity_partition(G16, QUARTER, budget=Budget(budget.used)).status == "regular"
+    with pytest.raises(BudgetExceeded):
+        regularity_partition(G16, QUARTER, budget=Budget(budget.used - 1))
+
+
 def test_partition_rejects_bad_eps_and_kmax():
     with pytest.raises(RegularityError):
         regularity_partition(G16, Fraction(2))
@@ -193,7 +208,7 @@ def test_no_copies_in_triangle_free_host():
 
 def test_copy_count_budget():
     with pytest.raises(BudgetExceeded):
-        count_copies(TRIANGLE, TWO_TRIANGLES, budget=3)
+        count_copies(TRIANGLE, TWO_TRIANGLES, budget=Budget(3))
 
 
 # -- removal --------------------------------------------------------------------------------
@@ -248,15 +263,9 @@ def test_ap_encoding_agrees_across_subsets():
             assert enc.copy_ap_count == enc.direct_ap_count
 
 
-def test_plain_ap_count():
-    assert direct_ap_count({1, 2, 3}, 2) == 2     # both directions of 1,2,3
-    assert direct_ap_count({1, 2, 4}, 2) == 0
-    assert direct_ap_count(set(), 2) == 0
-
-
 def test_ap_encode_budget():
     with pytest.raises(BudgetExceeded):
-        ap_encode({1, 2, 3, 4, 5}, 5, 2, budget=10)
+        ap_encode({1, 2, 3, 4, 5}, 5, 2, budget=Budget(10))
 
 
 # -- file formats -------------------------------------------------------------------------------
@@ -270,6 +279,14 @@ def test_hypergraph_file_round_trip():
     assert parse_hypergraph((DATA / "tri.hg").read_text()).edges == TRIANGLE.edges
     assert parse_hypergraph(print_hypergraph(TWO_TRIANGLES)).edges == \
         TWO_TRIANGLES.edges
+
+
+def test_graph_header_is_charged_before_the_graph_is_built():
+    budget = Budget()
+    assert parse_graph("graph 5\n0 1\n", budget=budget).n == 5
+    assert budget.used == 5
+    with pytest.raises(BudgetExceeded):
+        parse_graph(f"graph {10 ** 12}\n", budget=Budget(10 ** 7))
 
 
 def test_graph_parse_errors():
