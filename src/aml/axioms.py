@@ -9,8 +9,11 @@ Scheme groups:
         product set is): the two threshold-gap forms (t < qr / qr < t).
   F+  - the boundary completions of F at threshold exactly qr.
 
-Every scheme is a template: `instantiate` substitutes formulae and rationals,
-validates the side conditions, and returns the universally closed sentence.
+Every scheme is one row of SCHEMES: its group, the shape of its bound tuples,
+the formulas and rationals it reads, the rationals that must be positive, and
+its law.  `instantiate` substitutes formulae and rationals into a row,
+validates the side conditions, and returns the universally closed sentence;
+`generate_instances` draws the substitutions.
 
 Side conditions.  Some come written into the law itself (coherence-b needs
 t < t'; f-a needs t < qr; f-b needs qr < t).  Others are required for the
@@ -27,11 +30,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .semantics import Budget, Evaluator
 from .structures import FiniteStructure
-from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Forall, Formula, Func,
-                     Implies, Meas, Not, Or, Signature, Var, expand_abbrev, free_vars)
+from .syntax import (And, Atom, Cmp, Const, Equality, Forall, Formula, Func, Implies, Meas,
+                     Not, Or, Signature, Var, free_vars)
 
 
 class SideConditionError(ValueError):
@@ -54,24 +58,13 @@ class SchemeInstance:
         return f"{self.scheme}[{rats}]: {print_formula(self.sentence)}"
 
 
+ZERO = Fraction(0)
+
+
 def _forall(vars: tuple[str, ...], body: Formula) -> Formula:
     for v in reversed(vars):
         body = Forall(v, body)
     return body
-
-
-def _close(scheme: str, matrix: Formula, params: dict[str, Fraction],
-           phi: Formula | None = None, psi: Formula | None = None) -> SchemeInstance:
-    zs = tuple(sorted(free_vars(matrix)))
-    return SchemeInstance(scheme, matrix, zs, _forall(zs, matrix), dict(params), phi, psi)
-
-
-def _ge(xs, r, body):
-    return expand_abbrev(xs, AbbrevCmp.GE, r, body)
-
-
-def _gt(xs, r, body):
-    return expand_abbrev(xs, AbbrevCmp.GT, r, body)
 
 
 def _need(cond: bool, scheme: str, reason: str) -> None:
@@ -79,236 +72,185 @@ def _need(cond: bool, scheme: str, reason: str) -> None:
         raise SideConditionError(f"{scheme}: {reason}")
 
 
-def _check_meas_shape(scheme: str, xs, ys=None, phi=None, psi=None,
-                      psi_avoids_ys: bool = False, split_product: bool = False) -> None:
-    xs = tuple(xs)
-    _need(len(set(xs)) == len(xs) and xs != (), scheme, "bound variables must be distinct")
-    if ys is not None:
-        ys = tuple(ys)
-        _need(len(set(ys)) == len(ys) and ys != (), scheme, "bound variables must be distinct")
-        _need(not set(xs) & set(ys), scheme, "the two bound tuples must be disjoint")
-    if psi_avoids_ys and psi is not None and ys is not None:
-        _need(not free_vars(psi) & set(ys), scheme,
-              "psi may not contain variables from the second bound tuple")
-    if split_product and phi is not None and psi is not None and ys is not None:
-        _need(not free_vars(phi) & set(ys), scheme,
-              "phi may only use the first bound tuple and parameters")
-        _need(not free_vars(psi) & set(xs), scheme,
-              "psi may only use the second bound tuple and parameters")
+def _m(xs: tuple[str, ...], op: str, bound: Fraction, body: Formula) -> Formula:
+    """m[xs] op bound . body for op among <, <=, >=, >; the last two are the
+    negated core forms ~(m[xs] < bound . body) and ~(m[xs] <= bound . body)."""
+    if op == "<":
+        return Meas(xs, Cmp.LT, bound, body)
+    if op == "<=":
+        return Meas(xs, Cmp.LE, bound, body)
+    return Not(Meas(xs, Cmp.LT if op == ">=" else Cmp.LE, bound, body))
 
 
 # ---------------------------------------------------------------------------
-# Scheme builders.  Each returns a SchemeInstance; rationals arrive as any
-# Fraction-convertible and are normalized here.
+# Laws.  Each takes (scheme name, the row's ops, xs, ys, phi, psi, then the
+# row's rationals in params order) and returns the matrix, checking the side
+# conditions written into the law itself.
 
 
-def _build_emptyset_a(xs=("x",), **_):
-    xs = tuple(xs)
-    _check_meas_shape("emptyset-a", xs)
+def _emptyset(name, ops, xs, ys, phi, psi):
     x1 = Var(xs[0])
-    return _close("emptyset-a", Meas(xs, Cmp.LE, Fraction(0), Not(Equality(x1, x1))), {})
+    return _m(xs, ops[0], ZERO, Not(Equality(x1, x1)))
 
 
-def _build_emptyset_b(xs=("x",), **_):
-    xs = tuple(xs)
-    _check_meas_shape("emptyset-b", xs)
-    x1 = Var(xs[0])
-    return _close("emptyset-b", _ge(xs, Fraction(0), Not(Equality(x1, x1))), {})
+def _comparability(name, ops, xs, ys, phi, psi, t):
+    _need(t >= 0, name, "threshold must be nonnegative")
+    return Implies(_forall(xs, Implies(phi, psi)),
+                   Implies(_m(xs, ops[0], t, psi), _m(xs, ops[0], t, phi)))
 
 
-def _build_comparability(strict: bool):
-    def build(xs=("x",), phi=None, psi=None, t=0, **_):
-        scheme = "comparability-a" if strict else "comparability-b"
-        xs, t = tuple(xs), Fraction(t)
-        _check_meas_shape(scheme, xs)
-        _need(t >= 0, scheme, "threshold must be nonnegative")
-        cmp = Cmp.LT if strict else Cmp.LE
-        matrix = Implies(_forall(xs, Implies(phi, psi)),
-                         Implies(Meas(xs, cmp, t, psi), Meas(xs, cmp, t, phi)))
-        return _close(scheme, matrix, {"t": t}, phi, psi)
-    return build
+def _coherence(name, ops, xs, ys, phi, psi, t, t2=None):
+    if t2 is None:  # coherence-a bounds phi by t twice
+        t2 = t
+    else:
+        _need(t < t2, name, f"needs t < t', got t={t}, t'={t2}")
+    return Implies(_m(xs, ops[0], t, phi), _m(xs, ops[1], t2, phi))
 
 
-def _build_coherence_a(xs=("x",), phi=None, t=0, **_):
-    xs, t = tuple(xs), Fraction(t)
-    _check_meas_shape("coherence-a", xs)
-    matrix = Implies(Meas(xs, Cmp.LT, t, phi), Meas(xs, Cmp.LE, t, phi))
-    return _close("coherence-a", matrix, {"t": t}, phi)
+def _additivity(name, ops, xs, ys, phi, psi, t, t2):
+    antecedent = And(_m(xs, ops[0], t, phi), _m(xs, ops[1], t2, psi))
+    if ops[0] == ">=":  # lower bounds add up over disjoint extensions only
+        antecedent = And(antecedent, _m(xs, "<=", ZERO, And(phi, psi)))
+    return Implies(antecedent, _m(xs, ops[2], t + t2, Or(phi, psi)))
 
 
-def _build_coherence_b(xs=("x",), phi=None, t=0, t2=None, **_):
-    xs, t, t2 = tuple(xs), Fraction(t), Fraction(t2)
-    _check_meas_shape("coherence-b", xs)
-    _need(t < t2, "coherence-b", f"needs t < t', got t={t}, t'={t2}")
-    matrix = Implies(Meas(xs, Cmp.LE, t, phi), Meas(xs, Cmp.LT, t2, phi))
-    return _close("coherence-b", matrix, {"t": t, "t'": t2}, phi)
+def _product(name, ops, xs, ys, phi, psi, t, t2):
+    return Implies(And(_m(xs, ops[0], t, phi), _m(ys, ops[1], t2, psi)),
+                   _m(xs + ys, ops[2], t * t2, And(phi, psi)))
 
 
-def _build_additivity(variant: str):
-    def build(xs=("x",), phi=None, psi=None, t=0, t2=0, **_):
-        scheme = f"additivity-{variant}"
-        xs, t, t2 = tuple(xs), Fraction(t), Fraction(t2)
-        _check_meas_shape(scheme, xs)
-        both = Or(phi, psi)
-        if variant == "a":
-            matrix = Implies(And(Meas(xs, Cmp.LE, t, phi), Meas(xs, Cmp.LE, t2, psi)),
-                             Meas(xs, Cmp.LE, t + t2, both))
-        elif variant == "b":
-            matrix = Implies(And(Meas(xs, Cmp.LE, t, phi), Meas(xs, Cmp.LT, t2, psi)),
-                             Meas(xs, Cmp.LT, t + t2, both))
-        else:
-            disjoint = Meas(xs, Cmp.LE, Fraction(0), And(phi, psi))
-            if variant == "c":
-                matrix = Implies(And(And(_ge(xs, t, phi), _ge(xs, t2, psi)), disjoint),
-                                 _ge(xs, t + t2, both))
-            else:
-                matrix = Implies(And(And(_ge(xs, t, phi), _gt(xs, t2, psi)), disjoint),
-                                 _gt(xs, t + t2, both))
-        return _close(scheme, matrix, {"t": t, "t'": t2}, phi, psi)
-    return build
+def _perm(name, ops, xs, ys, phi, psi, t):
+    # ys is xs permuted by sigma
+    return Implies(_m(xs, ops[0], t, phi), _m(ys, ops[0], t, phi))
 
 
-def _build_product(variant: str):
-    def build(xs=("x",), ys=("y",), phi=None, psi=None, t=0, t2=0, **_):
-        scheme = f"product-{variant}"
-        xs, ys, t, t2 = tuple(xs), tuple(ys), Fraction(t), Fraction(t2)
-        _check_meas_shape(scheme, xs, ys, phi, psi, split_product=True)
-        if variant in ("b", "d"):
-            _need(t > 0, scheme,
-                  f"needs t > 0 on exact-measure structures, got t={t}")
-        conj = And(phi, psi)
-        if variant == "a":
-            matrix = Implies(And(Meas(xs, Cmp.LE, t, phi), Meas(ys, Cmp.LE, t2, psi)),
-                             Meas(xs + ys, Cmp.LE, t * t2, conj))
-        elif variant == "b":
-            matrix = Implies(And(Meas(xs, Cmp.LE, t, phi), Meas(ys, Cmp.LT, t2, psi)),
-                             Meas(xs + ys, Cmp.LT, t * t2, conj))
-        elif variant == "c":
-            matrix = Implies(And(_ge(xs, t, phi), _ge(ys, t2, psi)),
-                             _ge(xs + ys, t * t2, conj))
-        else:
-            matrix = Implies(And(_ge(xs, t, phi), _gt(ys, t2, psi)),
-                             _gt(xs + ys, t * t2, conj))
-        return _close(scheme, matrix, {"t": t, "t'": t2}, phi, psi)
-    return build
+def _fubini(name, ops, xs, ys, phi, psi, q, r, t=None):
+    """(forall xs (psi -> m[ys] ops[0] r . phi) & m[xs] ops[1] q . psi)
+       -> m[xs,ys] ops[2] bound . (phi & psi).
+
+    The boundary forms bound by qr; a gap form by its threshold t, which a
+    lower bound needs below qr and an upper bound above it."""
+    if t is None:
+        bound = q * r
+    elif ops[2] == ">":
+        _need(t < q * r, name, f"needs t < qr, got t={t}, qr={q * r}")
+        bound = t
+    else:
+        _need(q * r < t, name, f"needs qr < t, got t={t}, qr={q * r}")
+        bound = t
+    fiber = _m(ys, ops[0], r, phi)
+    return Implies(And(_forall(xs, Implies(psi, fiber)), _m(xs, ops[1], q, psi)),
+                   _m(xs + ys, ops[2], bound, And(phi, psi)))
 
 
-def _build_perm(strict: bool):
-    def build(xs=("x", "y"), phi=None, sigma=None, t=0, **_):
-        scheme = "perm-b" if strict else "perm-a"
-        xs, t = tuple(xs), Fraction(t)
-        _check_meas_shape(scheme, xs)
-        _need(sigma is not None and sorted(sigma) == list(range(len(xs))), scheme,
-              f"sigma must be a permutation of 0..{len(xs) - 1}")
-        permuted = tuple(xs[i] for i in sigma)
-        cmp = Cmp.LT if strict else Cmp.LE
-        matrix = Implies(Meas(xs, cmp, t, phi), Meas(permuted, cmp, t, phi))
-        return _close(scheme, matrix, {"t": t}, phi)
-    return build
+# ---------------------------------------------------------------------------
+# The scheme table
+
+# Shapes of the bound tuples: ONE is a tuple xs; PERM is xs and its
+# permutation by sigma; PRODUCT is disjoint xs and ys with phi over xs and psi
+# over ys; FUBINI is disjoint xs and ys with psi free of ys.
+ONE, PERM, PRODUCT, FUBINI = "one", "perm", "product", "fubini"
+
+# The keyword argument of `instantiate` that carries each recorded rational.
+_KWARG = {"t": "t", "t'": "t2", "q": "q", "r": "r"}
 
 
-def _build_fubini(variant: str):
-    """f-a/f-b (threshold-gap forms) and f+-a..f (boundary forms).
+@dataclass(frozen=True)
+class Scheme:
+    """One axiom scheme, as both `instantiate` and `generate_instances` read it."""
 
-    Shape: (forall xs (psi -> m[ys] <inner> r . phi) & m[xs] <outer> q . psi)
-           -> m[xs,ys] <result> bound . (phi & psi).
-    """
-    inner_cmp, outer_cmp, result_cmp = {
-        "f-a": ("ge", "ge", "gt"), "f-b": ("le", "le", "lt"),
-        "f+-a": ("ge", "ge", "ge"), "f+-b": ("gt", "ge", "gt"),
-        "f+-c": ("ge", "gt", "gt"), "f+-d": ("le", "le", "le"),
-        "f+-e": ("lt", "le", "lt"), "f+-f": ("le", "lt", "lt"),
-    }[variant]
-
-    def meas_with(cmp_name: str, vars, bound, body):
-        return {"lt": lambda: Meas(tuple(vars), Cmp.LT, bound, body),
-                "le": lambda: Meas(tuple(vars), Cmp.LE, bound, body),
-                "ge": lambda: _ge(tuple(vars), bound, body),
-                "gt": lambda: _gt(tuple(vars), bound, body)}[cmp_name]()
-
-    def build(xs=("x",), ys=("y",), phi=None, psi=None, q=0, r=0, t=None, **_):
-        xs, ys, q, r = tuple(xs), tuple(ys), Fraction(q), Fraction(r)
-        _check_meas_shape(variant, xs, ys, phi, psi, psi_avoids_ys=True)
-        params = {"q": q, "r": r}
-        if variant == "f-a":
-            _need(t is not None, variant, "needs an explicit threshold t")
-            t = Fraction(t)
-            _need(t < q * r, variant, f"needs t < qr, got t={t}, qr={q * r}")
-            bound, params["t"] = t, t
-        elif variant == "f-b":
-            _need(t is not None, variant, "needs an explicit threshold t")
-            t = Fraction(t)
-            _need(q * r < t, variant, f"needs qr < t, got t={t}, qr={q * r}")
-            bound, params["t"] = t, t
-        else:
-            if variant == "f+-b":
-                _need(q > 0, variant, f"needs q > 0 on exact-measure structures, got q={q}")
-            elif variant == "f+-c":
-                _need(r > 0, variant, f"needs r > 0 on exact-measure structures, got r={r}")
-            elif variant == "f+-e":
-                _need(q > 0 and r > 0, variant,
-                      f"needs q > 0 and r > 0 on exact-measure structures, got q={q}, r={r}")
-            elif variant == "f+-f":
-                _need(r > 0, variant, f"needs r > 0 on exact-measure structures, got r={r}")
-            bound = q * r
-        fiber = meas_with(inner_cmp, ys, r, phi)
-        antecedent = And(_forall(xs, Implies(psi, fiber)),
-                         meas_with(outer_cmp, xs, q, psi))
-        consequent = meas_with(result_cmp, xs + ys, bound, And(phi, psi))
-        return _close(variant, Implies(antecedent, consequent), params, phi, psi)
-    return build
+    group: str
+    shape: str
+    formulas: tuple[str, ...]   # the formulas the law reads, kept on the instance
+    params: tuple[str, ...]     # the rationals the law reads, recorded in `params`
+    positive: tuple[str, ...]   # rationals that must be > 0 on exact-measure structures
+    law: Callable[..., Formula]
+    ops: tuple[str, ...]        # the law's comparisons, in the order it makes them
+    given: str = ""             # a gap form's threshold: the last of params, no default
 
 
-_BUILDERS = {
-    "emptyset-a": _build_emptyset_a,
-    "emptyset-b": _build_emptyset_b,
-    "comparability-a": _build_comparability(True),
-    "comparability-b": _build_comparability(False),
-    "coherence-a": _build_coherence_a,
-    "coherence-b": _build_coherence_b,
-    "additivity-a": _build_additivity("a"),
-    "additivity-b": _build_additivity("b"),
-    "additivity-c": _build_additivity("c"),
-    "additivity-d": _build_additivity("d"),
-    "product-a": _build_product("a"),
-    "product-b": _build_product("b"),
-    "product-c": _build_product("c"),
-    "product-d": _build_product("d"),
-    "perm-a": _build_perm(False),
-    "perm-b": _build_perm(True),
-    "f-a": _build_fubini("f-a"),
-    "f-b": _build_fubini("f-b"),
-    "f+-a": _build_fubini("f+-a"),
-    "f+-b": _build_fubini("f+-b"),
-    "f+-c": _build_fubini("f+-c"),
-    "f+-d": _build_fubini("f+-d"),
-    "f+-e": _build_fubini("f+-e"),
-    "f+-f": _build_fubini("f+-f"),
+PHI, BOTH = ("phi",), ("phi", "psi")
+
+SCHEMES: dict[str, Scheme] = {
+    "emptyset-a": Scheme("AML", ONE, (), (), (), _emptyset, ("<=",)),
+    "emptyset-b": Scheme("AML", ONE, (), (), (), _emptyset, (">=",)),
+    "comparability-a": Scheme("AML", ONE, BOTH, ("t",), (), _comparability, ("<",)),
+    "comparability-b": Scheme("AML", ONE, BOTH, ("t",), (), _comparability, ("<=",)),
+    "coherence-a": Scheme("AML", ONE, PHI, ("t",), (), _coherence, ("<", "<=")),
+    "coherence-b": Scheme("AML", ONE, PHI, ("t", "t'"), (), _coherence, ("<=", "<"),
+                          given="t'"),
+    "additivity-a": Scheme("AML", ONE, BOTH, ("t", "t'"), (), _additivity, ("<=", "<=", "<=")),
+    "additivity-b": Scheme("AML", ONE, BOTH, ("t", "t'"), (), _additivity, ("<=", "<", "<")),
+    "additivity-c": Scheme("AML", ONE, BOTH, ("t", "t'"), (), _additivity, (">=", ">=", ">=")),
+    "additivity-d": Scheme("AML", ONE, BOTH, ("t", "t'"), (), _additivity, (">=", ">", ">")),
+    "product-a": Scheme("AML", PRODUCT, BOTH, ("t", "t'"), (), _product, ("<=", "<=", "<=")),
+    "product-b": Scheme("AML", PRODUCT, BOTH, ("t", "t'"), ("t",), _product, ("<=", "<", "<")),
+    "product-c": Scheme("AML", PRODUCT, BOTH, ("t", "t'"), (), _product, (">=", ">=", ">=")),
+    "product-d": Scheme("AML", PRODUCT, BOTH, ("t", "t'"), ("t",), _product, (">=", ">", ">")),
+    "perm-a": Scheme("I", PERM, PHI, ("t",), (), _perm, ("<=",)),
+    "perm-b": Scheme("I", PERM, PHI, ("t",), (), _perm, ("<",)),
+    "f-a": Scheme("F", FUBINI, BOTH, ("q", "r", "t"), (), _fubini, (">=", ">=", ">"), given="t"),
+    "f-b": Scheme("F", FUBINI, BOTH, ("q", "r", "t"), (), _fubini, ("<=", "<=", "<"), given="t"),
+    "f+-a": Scheme("F+", FUBINI, BOTH, ("q", "r"), (), _fubini, (">=", ">=", ">=")),
+    "f+-b": Scheme("F+", FUBINI, BOTH, ("q", "r"), ("q",), _fubini, (">", ">=", ">")),
+    "f+-c": Scheme("F+", FUBINI, BOTH, ("q", "r"), ("r",), _fubini, (">=", ">", ">")),
+    "f+-d": Scheme("F+", FUBINI, BOTH, ("q", "r"), (), _fubini, ("<=", "<=", "<=")),
+    "f+-e": Scheme("F+", FUBINI, BOTH, ("q", "r"), ("q", "r"), _fubini, ("<", "<=", "<")),
+    "f+-f": Scheme("F+", FUBINI, BOTH, ("q", "r"), ("r",), _fubini, ("<=", "<", "<")),
 }
 
 GROUPS: dict[str, tuple[str, ...]] = {
-    "AML": ("emptyset-a", "emptyset-b", "comparability-a", "comparability-b",
-            "coherence-a", "coherence-b", "additivity-a", "additivity-b",
-            "additivity-c", "additivity-d", "product-a", "product-b",
-            "product-c", "product-d"),
-    "I": ("perm-a", "perm-b"),
-    "F": ("f-a", "f-b"),
-    "F+": ("f+-a", "f+-b", "f+-c", "f+-d", "f+-e", "f+-f"),
-}
+    group: tuple(name for name, s in SCHEMES.items() if s.group == group)
+    for group in dict.fromkeys(s.group for s in SCHEMES.values())}
 
-ALL_SCHEMES = tuple(s for group in GROUPS.values() for s in group)
+ALL_SCHEMES = tuple(SCHEMES)
 
 
-def instantiate(scheme: str, **kwargs) -> SchemeInstance:
+def instantiate(scheme: str, *, xs=None, ys=("y",), phi=None, psi=None, sigma=None,
+                **rationals) -> SchemeInstance:
     """Build a closed instance of the named scheme.
 
-    Raises SideConditionError when a rational or variable side condition is
-    violated, KeyError-like ValueError for unknown scheme names.
+    Rationals arrive as keywords t, t2 (recorded as t'), q and r, as anything
+    Fraction-convertible; those the scheme reads default to 0, except a gap
+    form's threshold.  Raises SideConditionError when a rational or variable
+    side condition is violated, ValueError for unknown scheme names.
     """
-    builder = _BUILDERS.get(scheme)
-    if builder is None:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(sorted(_BUILDERS))}")
-    return builder(**kwargs)
+    s = SCHEMES.get(scheme)
+    if s is None:
+        raise ValueError(f"unknown scheme {scheme!r}; known: {', '.join(sorted(SCHEMES))}")
+    rats = [rationals.get(_KWARG[p]) if p == s.given else Fraction(rationals.get(_KWARG[p], 0))
+            for p in s.params]
+    xs = (("x", "y") if s.shape == PERM else ("x",)) if xs is None else tuple(xs)
+    _need(len(set(xs)) == len(xs) and xs != (), scheme, "bound variables must be distinct")
+    if s.shape == PERM:
+        _need(sigma is not None and sorted(sigma) == list(range(len(xs))), scheme,
+              f"sigma must be a permutation of 0..{len(xs) - 1}")
+        ys = tuple(xs[i] for i in sigma)
+    elif s.shape != ONE:
+        ys = tuple(ys)
+        _need(len(set(ys)) == len(ys) and ys != (), scheme, "bound variables must be distinct")
+        _need(not set(xs) & set(ys), scheme, "the two bound tuples must be disjoint")
+        if s.shape == FUBINI:
+            _need(psi is None or not free_vars(psi) & set(ys), scheme,
+                  "psi may not contain variables from the second bound tuple")
+        elif phi is not None and psi is not None:
+            _need(not free_vars(phi) & set(ys), scheme,
+                  "phi may only use the first bound tuple and parameters")
+            _need(not free_vars(psi) & set(xs), scheme,
+                  "psi may only use the second bound tuple and parameters")
+    if s.given:
+        _need(rats[-1] is not None, scheme, f"needs an explicit threshold {s.given}")
+        rats[-1] = Fraction(rats[-1])
+    params = dict(zip(s.params, rats))
+    if not all(params[p] > 0 for p in s.positive):
+        raise SideConditionError(
+            f"{scheme}: needs {' and '.join(f'{p} > 0' for p in s.positive)} on "
+            f"exact-measure structures, got {', '.join(f'{p}={params[p]}' for p in s.positive)}")
+    matrix = s.law(scheme, s.ops, xs, ys, phi, psi, *rats)
+    zs = tuple(sorted(free_vars(matrix)))
+    return SchemeInstance(scheme, matrix, zs, _forall(zs, matrix), params,
+                          phi if "phi" in s.formulas else None,
+                          psi if "psi" in s.formulas else None)
 
 
 # ---------------------------------------------------------------------------
@@ -445,79 +387,47 @@ def _rand_rational(rng: random.Random, denom_max: int = 12, positive: bool = Fal
 
 
 def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
-                       denom_max: int = 12,
-                       sig: Signature = TEST_SIGNATURE) -> list[SchemeInstance]:
+                       denom_max: int = 12, sig: Signature = TEST_SIGNATURE,
+                       budget: Budget | None = None) -> list[SchemeInstance]:
     """Seeded stream of valid scheme instances over the given signature.
 
     Formulae have depth <= 3 and measure-nesting rank <= 2 (counting the
     scheme's own constructor); rationals are drawn with denominators <=
     denom_max, steered onto each scheme's side conditions, and include
-    boundary values (zero thresholds where legal, t = qr +- 1/denom_max)."""
+    boundary values (zero thresholds where legal, t = qr +- 1/denom_max).
+    Charges ``budget`` one unit per instance before generating any."""
     rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
     schemes = tuple(schemes)
+    (budget or Budget()).charge(count)
     out: list[SchemeInstance] = []
     while len(out) < count:
         scheme = schemes[len(out) % len(schemes)] if rng.random() < 0.5 else rng.choice(schemes)
+        s = SCHEMES[scheme]
         xs = ("x",) if rng.random() < 0.7 else ("x", "x2")
         ys = ("y",) if rng.random() < 0.8 else ("y", "y2")
         zs = ("z",) if rng.random() < 0.5 else ()
-        t = _rand_rational(rng, denom_max)
-        t2 = _rand_rational(rng, denom_max)
-        q = _rand_rational(rng, denom_max)
-        r = _rand_rational(rng, denom_max)
-        try:
-            if scheme.startswith("emptyset"):
-                inst = instantiate(scheme, xs=xs)
-            elif scheme.startswith("comparability") or scheme == "coherence-a":
-                phi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                psi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                inst = instantiate(scheme, xs=xs, phi=phi, psi=psi, t=t)
-            elif scheme == "coherence-b":
-                phi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                inst = instantiate(scheme, xs=xs, phi=phi, t=t,
-                                   t2=t + Fraction(rng.randint(1, denom_max), denom_max))
-            elif scheme.startswith("additivity"):
-                phi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                psi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                inst = instantiate(scheme, xs=xs, phi=phi, psi=psi, t=t, t2=t2)
-            elif scheme.startswith("product"):
-                phi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                psi = random_formula(rng, ys + zs, depth=2, rank_budget=1, sig=sig)
-                if scheme in ("product-b", "product-d") and t == 0:
-                    t = _rand_rational(rng, denom_max, positive=True)
-                inst = instantiate(scheme, xs=xs, ys=ys, phi=phi, psi=psi, t=t, t2=t2)
-            elif scheme.startswith("perm"):
-                xs2 = ("x", "x2") if len(xs) == 1 else xs
-                sigma = list(range(len(xs2)))
-                rng.shuffle(sigma)
-                phi = random_formula(rng, xs2 + zs, depth=2, rank_budget=1, sig=sig)
-                inst = instantiate(scheme, xs=xs2, phi=phi, sigma=tuple(sigma), t=t)
-            else:  # f / f+ family
-                phi = random_formula(rng, xs + ys + zs, depth=2, rank_budget=1, sig=sig)
-                psi = random_formula(rng, xs + zs, depth=2, rank_budget=1, sig=sig)
-                if scheme == "f+-b" and q == 0:
-                    q = _rand_rational(rng, denom_max, positive=True)
-                if scheme in ("f+-c", "f+-f") and r == 0:
-                    r = _rand_rational(rng, denom_max, positive=True)
-                if scheme == "f+-e":
-                    if q == 0:
-                        q = _rand_rational(rng, denom_max, positive=True)
-                    if r == 0:
-                        r = _rand_rational(rng, denom_max, positive=True)
-                kw = dict(xs=xs, ys=ys, phi=phi, psi=psi, q=q, r=r)
-                if scheme == "f-a":
-                    if q == 0:
-                        q = kw["q"] = _rand_rational(rng, denom_max, positive=True)
-                    if r == 0:
-                        r = kw["r"] = _rand_rational(rng, denom_max, positive=True)
-                    delta = Fraction(1, denom_max)
-                    kw["t"] = max(Fraction(0), q * r - delta)
-                    if not kw["t"] < q * r:
-                        continue
-                elif scheme == "f-b":
-                    kw["t"] = q * r + Fraction(1, denom_max)
-                inst = instantiate(scheme, **kw)
-        except SideConditionError:
-            continue
-        out.append(inst)
+        rats = {k: _rand_rational(rng, denom_max) for k in ("t", "t2", "q", "r")}
+        sigma = phi = psi = None
+        if s.shape == PERM:
+            xs = ("x", "x2") if len(xs) == 1 else xs
+            order = list(range(len(xs)))
+            rng.shuffle(order)
+            sigma = tuple(order)
+        if "phi" in s.formulas:
+            phi = random_formula(rng, (xs + ys if s.shape == FUBINI else xs) + zs,
+                                 depth=2, rank_budget=1, sig=sig)
+        # coherence-a draws a psi it does not read, as the seeded stream always has
+        if "psi" in s.formulas or scheme == "coherence-a":
+            psi = random_formula(rng, (ys if s.shape == PRODUCT else xs) + zs,
+                                 depth=2, rank_budget=1, sig=sig)
+        for p in s.positive + (("q", "r") if scheme == "f-a" else ()):  # f-a: 0 <= t < qr
+            if rats[_KWARG[p]] == 0:
+                rats[_KWARG[p]] = _rand_rational(rng, denom_max, positive=True)
+        if scheme == "coherence-b":
+            rats["t2"] = rats["t"] + Fraction(rng.randint(1, denom_max), denom_max)
+        elif scheme == "f-a":
+            rats["t"] = max(ZERO, rats["q"] * rats["r"] - Fraction(1, denom_max))
+        elif scheme == "f-b":
+            rats["t"] = rats["q"] * rats["r"] + Fraction(1, denom_max)
+        out.append(instantiate(scheme, xs=xs, ys=ys, phi=phi, psi=psi, sigma=sigma, **rats))
     return out

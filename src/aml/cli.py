@@ -221,6 +221,8 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
 
 def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     schemes = _parse_schemes(args.schemes)
+    if args.count < 0:
+        raise CliError(f"--count must be nonnegative, got {args.count}", EXIT_PARSE)
     ms = [_load_structure(path, budget) for path in args.structures]
     share = [args.count // len(ms)] * len(ms)
     for i in range(args.count % len(ms)):
@@ -230,8 +232,8 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     for which, m in enumerate(ms):
         if not share[which]:
             continue
-        instances = axioms.generate_instances(args.seed + which, share[which],
-                                              schemes=schemes, sig=m.signature())
+        instances = axioms.generate_instances(args.seed + which, share[which], schemes=schemes,
+                                              sig=m.signature(), budget=budget)
         report = axioms.check_soundness(m, instances, budget=budget)
         total += len(instances)
         held += sum(1 for r in report.results if r.holds)
@@ -246,35 +248,39 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     return EXIT_OK if held == total else EXIT_FAIL
 
 
-def _load_group(spec: str) -> gowers.AbelianGroup:
+def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
     """A group argument: z<n> for the cyclic group, or a file whose content
-    is "group <n>" followed by n*n addition-table entries."""
+    is "group <n>" followed by n*n addition-table entries.  The group must
+    have ``order`` elements, which is checked before any table is built."""
     low = spec.strip().lower()
     if low.startswith("z") and low[1:].isdigit():
-        return gowers.AbelianGroup.cyclic(int(low[1:]))
-    words = _read_file(spec).split()
-    if len(words) < 2 or words[0] != "group":
-        raise CliError(f"group file {spec!r} must start with 'group <n>'", EXIT_PARSE)
-    try:
-        n = int(words[1])
-        entries = [int(w) for w in words[2:]]
-    except ValueError:
-        raise CliError(f"bad group table in {spec!r}", EXIT_PARSE) from None
-    if len(entries) != n * n:
-        raise CliError(f"group table needs {n * n} entries, got {len(entries)}",
-                       EXIT_PARSE)
+        n, entries = int(low[1:]), None
+    else:
+        words = _read_file(spec).split()
+        if len(words) < 2 or words[0] != "group":
+            raise CliError(f"group file {spec!r} must start with 'group <n>'", EXIT_PARSE)
+        try:
+            n = int(words[1])
+            entries = [int(w) for w in words[2:]]
+        except ValueError:
+            raise CliError(f"bad group table in {spec!r}", EXIT_PARSE) from None
+        if len(entries) != n * n:
+            raise CliError(f"group table needs {n * n} entries, got {len(entries)}",
+                           EXIT_PARSE)
+    if order != n:
+        raise CliError(f"--g needs {n} values for this group", EXIT_SEMANTIC)
+    if entries is None:
+        return gowers.AbelianGroup.cyclic(n)
     try:
         return gowers.AbelianGroup.from_table(
-            [entries[i * n:(i + 1) * n] for i in range(n)])
+            [entries[i * n:(i + 1) * n] for i in range(n)], budget=budget)
     except gowers.GowersError as e:
         raise CliError(str(e), EXIT_SEMANTIC) from None
 
 
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
-    group = _load_group(args.group)
     values = _parse_rational_list(args.g, "--g")
-    if len(values) != group.n:
-        raise CliError(f"--g needs {group.n} values for this group", EXIT_SEMANTIC)
+    group = _load_group(args.group, len(values), budget)
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k
     power = gowers.gowers_norm_pow(group, g, k, budget=budget)
@@ -302,8 +308,8 @@ def _parse_input(parse, path: str, **kwargs):
 def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
     g = _parse_input(regularity.parse_graph, args.graph, budget=budget)
     eps = _parse_rational(args.eps, "--eps")
-    res = regularity.regularity_partition(g, eps, k_min=args.kmin, k_max=args.kmax,
-                                          exact_cap=args.cap, budget=budget)
+    res = regularity.regularity_partition(g, eps, k_max=args.kmax, exact_cap=args.cap,
+                                          budget=budget)
     parts = res.partition.parts
     out.text(f"partition of {g.n} vertices into {len(parts)} parts "
              f"(status: {res.status})")
@@ -493,7 +499,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="energy-increment regularity partition")
     p.add_argument("graph")
     p.add_argument("--eps", required=True)
-    p.add_argument("--kmin", type=int, default=1)
     p.add_argument("--kmax", type=int, default=64)
     p.add_argument("--cap", type=int, default=15,
                    help="exact regularity part-size cap")

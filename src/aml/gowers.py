@@ -64,8 +64,9 @@ class AbelianGroup:
         return AbelianGroup(n, table, 0)
 
     @staticmethod
-    def from_table(table) -> "AbelianGroup":
-        """Build from an addition table, verifying the abelian group laws."""
+    def from_table(table, budget: Budget | None = None) -> "AbelianGroup":
+        """Build from an addition table, verifying the abelian group laws;
+        the n^3 associativity check is charged to ``budget``."""
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if any(len(row) != n for row in table) or \
@@ -85,6 +86,7 @@ class AbelianGroup:
         for a in range(n):
             if zero not in table[a]:
                 raise GowersError(f"element {a} has no inverse")
+        (budget or Budget()).charge(n ** 3)
         for a in range(n):
             for b in range(n):
                 for c in range(n):

@@ -100,8 +100,9 @@ def cyclic_family(i_lo: int, i_hi: int,
                 for name, rule in predicates.items()}
         return FiniteStructure(n, {"e": 0}, {"add": (2, add)}, rels)
 
-    return StructureFamily("cyclic", i_lo, i_hi, build, build(i_lo).signature(),
-                           f"Z_i for i = {i_lo}..{i_hi}")
+    sig = Signature(constants=("e",), functions=(("add", 2),),
+                    relations=tuple(sorted((name, 1) for name in predicates)))
+    return StructureFamily("cyclic", i_lo, i_hi, build, sig, f"Z_i for i = {i_lo}..{i_hi}")
 
 
 def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
@@ -119,7 +120,7 @@ def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
         members = frozenset((v - 1,) for v in e_set if v <= i)
         return FiniteStructure(i, {}, {"f": (1, succ)}, {"E": (1, members)})
 
-    sig = build(i_lo).signature()
+    sig = Signature(functions=(("f", 1),), relations=(("E", 1),))
     return StructureFamily("interval", i_lo, i_hi, build, sig,
                            f"([1,i], E, successor) for i = {i_lo}..{i_hi}")
 

@@ -1,16 +1,16 @@
 """Graph regularity toolkit in exact rational arithmetic.
 
-Provides edge densities over ordered pairs, epsilon-regular pair checking
-(exact by subset enumeration below a size cap, degree-deviation heuristics
-above it), a constructive energy-increment regularity partition, labeled
-hypergraph copy counting and minimum-removal, and the classical encoding of
-arithmetic progressions as a (k+1)-partite k-uniform hypergraph.
+Provides edge densities over ordered pairs, exact epsilon-regular pair
+checking by subset enumeration below a part-size cap, a constructive
+energy-increment regularity partition, labeled hypergraph copy counting and
+minimum-removal, and the classical encoding of arithmetic progressions as a
+(k+1)-partite k-uniform hypergraph.
 
 A pair (U, U') is epsilon-regular when every V ⊆ U, V' ⊆ U' with
 |V| ≥ ε|U| and |V'| ≥ ε|U'| satisfies |d(U,U') − d(V,V')| < ε, where
 d(X, Y) = #{(x, y) ∈ X×Y : {x,y} an edge} / (|X||Y|) counts ordered pairs.
-Every "irregular" verdict carries a witness pair that re-validates on its
-own; "regular" verdicts from the heuristic are labeled not certified.
+Every verdict is certified: "regular" by the exhaustive search, and
+"irregular" by a witness pair that re-validates on its own.
 """
 
 from __future__ import annotations
@@ -116,15 +116,13 @@ def density(g: Graph, part_u, part_v) -> Fraction:
 @dataclass(frozen=True)
 class RegularityVerdict:
     regular: bool
-    certified: bool
-    mode: str
     base_density: Fraction
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     witness_density: Fraction | None = None
 
     def describe(self) -> str:
         if self.regular:
-            return "regular" if self.certified else "regular (not certified)"
+            return "regular"
         a, b = self.witness
         return (f"irregular: witness V={list(a)}, V'={list(b)} with "
                 f"d(V,V')={self.witness_density} vs d(U,U')={self.base_density}")
@@ -177,16 +175,13 @@ def _scan_extremes(g: Graph, sub_a: tuple[int, ...], side_b: tuple[int, ...],
     return None
 
 
-def is_epsilon_regular(g: Graph, part_u, part_v, eps, mode: str = "exact",
-                       exact_cap: int = 15, budget: Budget | None = None) -> RegularityVerdict:
-    """Check epsilon-regularity of (U, U').
+def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
+                       budget: Budget | None = None) -> RegularityVerdict:
+    """Check epsilon-regularity of (U, U') exactly.
 
-    Exact mode enumerates every qualifying subset pair (left side by bitmask,
-    right side by exact degree-prefix scan) and either certifies regularity or
-    returns a violating witness; it requires both parts within ``exact_cap``.
-    Heuristic mode tries degree-deviation candidates only; its irregular
-    verdicts are still certified (the witness is checked exactly), but its
-    regular verdicts are not.
+    Enumerates every qualifying subset pair (left side by bitmask, right side
+    by exact degree-prefix scan) and either certifies regularity or returns a
+    violating witness; it requires both parts within ``exact_cap``.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -195,65 +190,27 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, mode: str = "exact",
     v = tuple(sorted(part_v))
     if not u or not v:
         raise RegularityError("regularity check needs nonempty vertex sets")
+    if len(u) > exact_cap or len(v) > exact_cap:
+        raise RegularityError(f"exact check caps part sizes at {exact_cap}; "
+                              f"got {len(u)} and {len(v)}")
     d_base = density(g, u, v)
     m_min_u = max(1, _ceil_frac(eps * len(u)))
     m_min_v = max(1, _ceil_frac(eps * len(v)))
-
-    if mode == "exact":
-        if len(u) > exact_cap or len(v) > exact_cap:
-            raise RegularityError(
-                f"exact mode caps part sizes at {exact_cap}; "
-                f"got {len(u)} and {len(v)} (use mode='heuristic')")
-        # Enumerate subsets on the smaller side, scan the other exactly.
-        left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
-        m_min_l = m_min_u if not swapped else m_min_v
-        m_min_r = m_min_v if not swapped else m_min_u
-        (budget or Budget()).charge(1 << len(left))  # one unit per subset
-        for bits in range(1, 1 << len(left)):
-            if bits.bit_count() < m_min_l:
-                continue
-            sub = tuple(left[i] for i in range(len(left)) if bits >> i & 1)
-            found = _scan_extremes(g, sub, right, m_min_r, d_base, eps)
-            if found:
-                other, d_wit = found
-                wit = (other, sub) if swapped else (sub, other)
-                return RegularityVerdict(False, True, "exact", d_base, wit, d_wit)
-        return RegularityVerdict(True, True, "exact", d_base)
-
-    if mode != "heuristic":
-        raise RegularityError(f"unknown mode {mode!r}")
-
-    # Heuristic: full-side scans plus degree-split candidates.
-    for sub_a, side_b, flip in ((u, v, False), (v, u, True)):
-        found = _scan_extremes(g, sub_a, side_b, m_min_v if not flip else m_min_u,
-                               d_base, eps)
+    # Enumerate subsets on the smaller side, scan the other exactly.
+    left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
+    m_min_l = m_min_u if not swapped else m_min_v
+    m_min_r = m_min_v if not swapped else m_min_u
+    (budget or Budget()).charge(1 << len(left))  # one unit per subset
+    for bits in range(1, 1 << len(left)):
+        if bits.bit_count() < m_min_l:
+            continue
+        sub = tuple(left[i] for i in range(len(left)) if bits >> i & 1)
+        found = _scan_extremes(g, sub, right, m_min_r, d_base, eps)
         if found:
             other, d_wit = found
-            wit = (u, other) if not flip else (other, v)
-            return RegularityVerdict(False, True, "heuristic", d_base, wit, d_wit)
-    mask_u, mask_v = _mask_of(u), _mask_of(v)
-    halves_u = _degree_split(g, u, mask_v, m_min_u)
-    halves_v = _degree_split(g, v, mask_u, m_min_v)
-    for sub in halves_u:
-        for sub2 in halves_v:
-            d_wit = density(g, sub, sub2)
-            if abs(d_wit - d_base) >= eps:
-                return RegularityVerdict(False, True, "heuristic", d_base,
-                                         (sub, sub2), d_wit)
-    return RegularityVerdict(True, False, "heuristic", d_base)
-
-
-def _degree_split(g: Graph, side, opposite_mask: int, m_min: int):
-    """Candidate subsets: vertices sorted by degree into the opposite side,
-    split into top/bottom prefixes at each qualifying size (coarse grid)."""
-    order = sorted(side, key=lambda x: (-g.degree_into(x, opposite_mask), x))
-    sizes = sorted({m_min, (m_min + len(side)) // 2, len(side)})
-    out = []
-    for m in sizes:
-        if m_min <= m <= len(side):
-            out.append(tuple(sorted(order[:m])))
-            out.append(tuple(sorted(order[len(side) - m:])))
-    return out
+            wit = (other, sub) if swapped else (sub, other)
+            return RegularityVerdict(False, d_base, wit, d_wit)
+    return RegularityVerdict(True, d_base)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +221,6 @@ def _degree_split(g: Graph, side, opposite_mask: int, m_min: int):
 class Partition:
     n: int
     parts: tuple[tuple[int, ...], ...]
-    log: tuple[str, ...] = ()
 
     def __post_init__(self):
         seen = set()
@@ -304,12 +260,6 @@ class PartitionResult:
     energy_log: tuple[Fraction, ...]
     rounds: int
 
-    def describe(self) -> str:
-        sizes = [len(p) for p in self.partition.parts]
-        ok = "<=" if self.irregular_mass <= self.mass_bound else ">"
-        return (f"{self.status}: {len(sizes)} parts (sizes {sizes}), "
-                f"irregular mass {self.irregular_mass} {ok} {self.mass_bound}")
-
 
 def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
     base, extra = divmod(n, pieces)
@@ -329,7 +279,7 @@ def _survey(g: Graph, parts, eps, exact_cap, budget):
     mass = 0
     for i in range(len(parts)):
         for j in range(i, len(parts)):
-            verdict = is_epsilon_regular(g, parts[i], parts[j], eps, mode="exact",
+            verdict = is_epsilon_regular(g, parts[i], parts[j], eps,
                                          exact_cap=exact_cap, budget=budget)
             if not verdict.regular:
                 irregular.append((i, j, verdict.witness))
@@ -338,14 +288,14 @@ def _survey(g: Graph, parts, eps, exact_cap, budget):
     return irregular, mass
 
 
-def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
-                         exact_cap: int = 15, budget: Budget | None = None) -> PartitionResult:
+def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
+                         budget: Budget | None = None) -> PartitionResult:
     """Refine an initial partition by irregularity witnesses until the
     ordered-pair mass of irregular pairs is at most eps * n^2, or the part
     budget k_max is exhausted.
 
-    The initial partition has max(k_min, ceil(n / exact_cap)) contiguous
-    chunks, so every part fits the exact regularity checker from the start.
+    The initial partition has ceil(n / exact_cap) contiguous chunks, so
+    every part fits the exact regularity checker from the start.
     Each round checks all pairs exactly, then simultaneously refines every
     part by all of its witness sets; the partition energy provably rises by
     at least eps^4 * (irregular mass) / n^2 > eps^5 per round, so the loop
@@ -354,13 +304,14 @@ def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise RegularityError("eps must be in (0,1)")
+    if exact_cap < 1:
+        raise RegularityError(f"the exact part-size cap must be at least 1, got {exact_cap}")
     n = g.n
-    pieces = max(k_min, _ceil_frac(Fraction(n, exact_cap)))
+    pieces = _ceil_frac(Fraction(n, exact_cap))
     if pieces > k_max:
         raise RegularityError(f"need at least {pieces} parts to start "
                               f"but k_max={k_max}")
     parts = _initial_chunks(n, pieces)
-    log = [f"initial partition: {len(parts)} contiguous chunks"]
     energies = [partition_energy(g, parts)]
     bound = eps * n * n
     rounds = 0
@@ -368,8 +319,7 @@ def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
     while True:
         irregular, mass = _survey(g, parts, eps, exact_cap, budget)
         if mass <= bound:
-            log.append(f"round {rounds}: irregular mass {mass} within bound {bound}")
-            return PartitionResult(Partition(n, tuple(parts), tuple(log)),
+            return PartitionResult(Partition(n, tuple(parts)),
                                    "regular", tuple(irregular), mass, bound,
                                    tuple(energies), rounds)
         cuts: dict[int, list[frozenset[int]]] = {}
@@ -392,17 +342,12 @@ def regularity_partition(g: Graph, eps, k_min: int = 1, k_max: int = 64,
             new_parts.extend(tuple(sorted(c)) for c in cells)
         new_parts.sort(key=lambda p: p[0])
         if len(new_parts) > k_max:
-            log.append(f"round {rounds}: refinement would need {len(new_parts)} "
-                       f"parts > k_max={k_max}; stopping with mass {mass}")
-            return PartitionResult(Partition(n, tuple(parts), tuple(log)),
+            return PartitionResult(Partition(n, tuple(parts)),
                                    "k-max-exhausted", tuple(irregular), mass,
                                    bound, tuple(energies), rounds)
         rounds += 1
         parts = new_parts
-        energy = partition_energy(g, parts)
-        log.append(f"round {rounds}: {len(irregular)} irregular pairs, mass {mass}; "
-                   f"refined to {len(parts)} parts, energy {energies[-1]} -> {energy}")
-        energies.append(energy)
+        energies.append(partition_energy(g, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +448,8 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
     """A set of host edges meeting every copy of the pattern: the exact
     minimum hitting set (branch and bound) when there are at most ``bb_cap``
     copies, greedy otherwise.  The result always leaves zero copies."""
+    if not pattern.edges:
+        raise RegularityError("a pattern without edges has copies no edge removal can destroy")
     copy_sets = [used for _, used in _pattern_maps(pattern, host, budget)]
     before = len(copy_sets)
     if not before:

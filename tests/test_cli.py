@@ -5,8 +5,9 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from aml import gowers
 from aml.cli import main
 from aml.parser import MAX_DEPTH
 
@@ -282,19 +283,92 @@ def _graph_texts(draw):
     return "\n".join([header] + [" ".join(words) for words in lines]) + "\n"
 
 
-@given(st.one_of(_formula_texts().map(lambda t: ("formula", t)),
-                 _graph_texts().map(lambda t: ("graph", t))))
-@settings(max_examples=150, deadline=None)
-def test_every_input_gets_a_contract_exit_code(tmp_path_factory, case):
+def _cmd(*parts):
+    """An argv strategy: each part is a string, a file (a ("file", text) pair,
+    written out by the test) or a strategy drawing either or a list of them."""
+    def flat(drawn):
+        out = []
+        for part in drawn:
+            out.extend(part if isinstance(part, list) else [part])
+        return out
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map(flat)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _file(texts):
+    return texts.map(lambda text: ("file", text))
+
+
+@st.composite
+def _structure_texts(draw):
+    lines = Path(Z4).read_text().splitlines()
+    kept = lines[:draw(st.integers(min_value=0, max_value=len(lines)))]
+    extra = draw(st.sampled_from(["", "universe 0", "universe -1", "measure weights 1 0",
+                                  "relation P 1", "0 9", "constant c 5"]))
+    return "\n".join(kept + [extra]) + "\n"
+
+
+@st.composite
+def _group_texts(draw):
+    n = draw(st.integers(min_value=-1, max_value=4))
+    entries = draw(st.one_of(
+        st.just([(a + b) % n for a in range(n) for b in range(n)] if n > 0 else []),
+        st.lists(st.integers(min_value=-1, max_value=4), max_size=16)))
+    return f"group {n}\n" + " ".join(map(str, entries)) + "\n"
+
+
+_INT = st.sampled_from(["0", "-1", "1", "2", "3", "12"])
+_LIST = st.lists(st.sampled_from(["0", "1", "-1", "2", "5", "1/2", "x", "1/0"]),
+                 max_size=6).map(",".join)
+_SET = st.one_of(st.just(EVENS), _LIST)
+_EPS = st.sampled_from(["1/4", "1/3", "0", "1", "2", "-1/2", "x", "1/0"])
+_FORMULA = st.sampled_from(["x = e", "e = e", "m[x] <= 1/2 . add(x, x) = e", "x = y",
+                            "P(x)", "x ="])
+_STRUCTURE = _file(_structure_texts())
+_GRAPH = st.one_of(st.just(G16), _file(_graph_texts()))
+_HYPERGRAPH = st.one_of(st.just(TRI), st.just(TWOTRI), _file(_graph_texts()))
+_FAMILY = _file(st.builds(
+    "family {} {} {}{}\n".format,
+    st.sampled_from(["cyclic", f"interval {EVENS}", "interval nope", "bogus"]), _INT, _INT,
+    st.sampled_from(["", " predicate E even", " predicate E nope", " predicate add odd"])))
+
+_EVERY_SUBCOMMAND_ARGV = st.one_of(
+    _formula_texts().map(lambda text: ["eval", Z4, text, "--bind", "x=0"]),
+    _cmd("eval", _STRUCTURE, _FORMULA, _opt("--bind", st.sampled_from(["x=0", "x=9", "x"]))),
+    _cmd("measure", _STRUCTURE, _FORMULA, _opt("--vars", st.sampled_from(["x", "x,y", "x,x"]))),
+    _cmd("check-axioms", _STRUCTURE, _opt("--count", _INT), _opt("--seed", _INT),
+         _opt("--schemes", st.sampled_from(["AML", "I", "F", "F+", "f-a,I", "nope", ","]))),
+    _cmd("gowers", st.one_of(_INT.map("z{}".format), _file(_group_texts())),
+         "--g", _LIST, "--k", _INT),
+    _cmd("regularity", _GRAPH, "--eps", _EPS, _opt("--cap", _INT), _opt("--kmax", _INT)),
+    _cmd("hypergraph", _HYPERGRAPH, "--pattern", _HYPERGRAPH,
+         st.sampled_from([[], ["--remove"]]), _opt("--eps", _EPS)),
+    _cmd("ap-encode", "--A", _SET, "--n", _INT, "--k", _INT),
+    _cmd("limit", _FAMILY,
+         st.one_of(_cmd("--sentence", _FORMULA),
+                   _cmd("--phi", _FORMULA, _opt("--target", _EPS), _opt("--vars", _LIST))),
+         _opt("--slack", _INT)),
+    _cmd("density", "--E", _SET, "--N", _INT, _opt("--Lmin", _INT)),
+    _cmd("furstenberg", "--E", _SET, "--N", _INT, "--U", _LIST),
+)
+
+
+@given(_EVERY_SUBCOMMAND_ARGV)
+@example(["regularity", G16, "--eps", "1/4", "--cap", "0"])
+@settings(max_examples=200, deadline=None)
+def test_every_input_gets_a_contract_exit_code(tmp_path_factory, argv):
     # codes 0-4 only: no traceback, and no exit 1 from a crash
-    kind, text = case
-    if kind == "formula":
-        argv = ["eval", Z4, text, "--bind", "x=0", "--budget", "10000"]
-    else:
-        path = tmp_path_factory.getbasetemp() / "fuzz.graph"
-        path.write_text(text)
-        argv = ["regularity", str(path), "--eps", "1/3"]
-    assert _exit_code(argv) in range(5)
+    base = tmp_path_factory.getbasetemp()
+    for i, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            path = base / f"fuzz{i}"
+            path.write_text(arg[1])
+            argv[i] = str(path)
+    assert _exit_code(argv + ["--budget", "20000"]) in range(5)
 
 
 # -- measure ------------------------------------------------------------------------
@@ -329,6 +403,17 @@ def test_check_axioms_deterministic(capsys):
     assert first == second == "held=12\ntotal=12\n"
 
 
+def test_check_axioms_charges_its_count_before_generating(capsys):
+    code, out, err = run(capsys, "check-axioms", Z4, "--count", "20000", "--budget", "100")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 20004 work units > limit 100\n"
+
+
+def test_check_axioms_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, "check-axioms", Z4, "--count", "-1")
+    assert (code, out, err) == (2, "", "error: --count must be nonnegative, got -1\n")
+
+
 def test_check_axioms_over_several_structures(capsys):
     # the exit code compares held with the total over all structures
     code, out, _ = run(capsys, "check-axioms", Z4, Z4, "--count", "10")
@@ -351,6 +436,29 @@ def test_gowers_records_with_agreement(capsys):
                    "approx=0.35355339059327376220\n")
 
 
+def test_gowers_checks_the_values_before_building_a_table(capsys, monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(gowers.AbelianGroup, "cyclic", staticmethod(built.append))
+    code, out, err = run(capsys, "gowers", "z1000", "--g", "1", "--k", "1")
+    assert (code, out, err) == (3, "", "error: --g needs 1000 values for this group\n")
+    group = tmp_path / "klein.group"
+    group.write_text("group 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
+    monkeypatch.setattr(gowers.AbelianGroup, "from_table", staticmethod(built.append))
+    code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
+    assert (code, out, err) == (3, "", "error: --g needs 4 values for this group\n")
+    assert built == []
+
+
+def test_group_files_charge_their_associativity_check(capsys, tmp_path):
+    group = tmp_path / "klein.group"
+    group.write_text("group 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
+    argv = ("gowers", str(group), "--g", "1,1,-1,-1", "--k", "2")
+    code, out, err = run(capsys, *argv, "--budget", "63")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 64 work units > limit 63\n"
+    assert run(capsys, *argv)[:2] == (0, "U^2 power = 1\nnorm approx 1\n")
+
+
 # -- regularity -----------------------------------------------------------------------------
 
 def test_regularity_text_output(capsys):
@@ -370,6 +478,12 @@ def test_regularity_records_energy_log(capsys):
     assert records["energy.0"] == "1801/8192"
     assert records["energy.1"] == "577/2048"
     assert records["energy.2"] == "59/128"
+
+
+def test_regularity_rejects_a_cap_below_one(capsys):
+    code, out, err = run(capsys, "regularity", G16, "--eps", "1/4", "--cap", "0")
+    assert (code, out) == (3, "")
+    assert err == "semantic error: the exact part-size cap must be at least 1, got 0\n"
 
 
 # -- hypergraph -------------------------------------------------------------------------------
@@ -397,6 +511,14 @@ def test_hypergraph_removal(capsys):
     assert out == ("copies = 12\n"
                    "removed 2 edges (branch-and-bound); copies after = 0\n"
                    "within eps*n^k bound: True\n")
+
+
+def test_removing_an_edgeless_pattern_exits_3(capsys, tmp_path):
+    edgeless = tmp_path / "edgeless.hg"
+    edgeless.write_text("hypergraph 2 2\n")
+    code, out, err = run(capsys, "hypergraph", TRI, "--pattern", str(edgeless), "--remove")
+    assert (code, out) == (3, "")
+    assert err.startswith("semantic error: a pattern without edges")
 
 
 # -- ap-encode ---------------------------------------------------------------------------------

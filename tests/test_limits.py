@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aml import limits
 from aml.limits import (
     LimitError,
     banach_density,
@@ -51,6 +52,24 @@ def test_interval_family_builds_initial_segments():
     assert m.n == 5
     assert m.relations["E"][1] == frozenset({(1,), (3,)})   # elements 2 and 4
     assert m.functions["f"][1] == (1, 2, 3, 4, 0)            # successor, wrapping
+
+
+def test_families_declare_their_signature_without_building_a_member(monkeypatch):
+    built = []
+    real = limits.FiniteStructure
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "FiniteStructure", counting)
+    families = [cyclic_family(3, 6, predicates={"Z": "zero", "A": "odd"}),
+                interval_family([2, 4], 3, 5), parse_family("family cyclic 1500 1500")]
+    assert built == []
+    for fam in families[:2]:
+        for i in fam.indices():
+            assert fam.at(i).signature() == fam.signature
+    assert built == [3, 4, 5, 6, 3, 4, 5]
 
 
 def test_family_index_bounds():

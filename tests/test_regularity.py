@@ -72,14 +72,14 @@ def test_density_values():
 def test_complete_bipartite_pair_is_regular():
     g = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
     v = is_epsilon_regular(g, range(4), range(4, 8), QUARTER)
-    assert v.regular and v.certified and v.mode == "exact"
+    assert v.regular
     assert v.base_density == 1
     assert v.witness is None
 
 
 def test_staircase_pair_is_irregular_with_frozen_witness():
     v = is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER)
-    assert not v.regular and v.certified and v.mode == "exact"
+    assert not v.regular
     assert v.base_density == Fraction(7, 12)
     assert v.witness == ((0, 1), (10, 11))
     assert v.witness_density == 0
@@ -93,27 +93,6 @@ def test_witness_validation_rules():
     assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, ((0, 99), (10, 11)))
     # a balanced sub-pair whose density matches the base is no witness
     assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, (LEFT, RIGHT))
-
-
-def test_heuristic_mode_on_large_pairs():
-    # 40 + 40 staircase exceeds the exact cap; irregularity must still certify
-    big = Graph.from_edges(80, [(i, 40 + j) for i in range(40) for j in range(40)
-                                if i >= j])
-    with pytest.raises(RegularityError):
-        is_epsilon_regular(big, range(40), range(40, 80), QUARTER)   # over the cap
-    v = is_epsilon_regular(big, range(40), range(40, 80), QUARTER, mode="heuristic")
-    assert v.mode == "heuristic"
-    assert not v.regular
-    assert v.certified    # irregular verdicts carry a re-checkable witness
-    assert validate_witness(big, range(40), range(40, 80), QUARTER, v.witness)
-
-
-def test_heuristic_regular_verdicts_are_uncertified():
-    g = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4)])
-    v = is_epsilon_regular(g, range(4), range(4, 8), QUARTER, mode="heuristic")
-    assert v.regular and not v.certified
-    with pytest.raises(RegularityError):
-        is_epsilon_regular(g, range(4), range(4, 8), QUARTER, mode="bogus")
 
 
 def test_exact_check_charges_its_subsets():
@@ -179,6 +158,15 @@ def test_partition_charges_its_pair_checks():
     assert regularity_partition(G16, QUARTER, budget=Budget(budget.used)).status == "regular"
     with pytest.raises(BudgetExceeded):
         regularity_partition(G16, QUARTER, budget=Budget(budget.used - 1))
+
+
+def test_exact_cap_bounds_the_parts():
+    stair = Graph.from_edges(32, [(i, 16 + j) for i in range(16) for j in range(16) if i >= j])
+    with pytest.raises(RegularityError):
+        is_epsilon_regular(stair, range(16), range(16, 32), QUARTER)   # over the cap of 15
+    for cap in (0, -1):
+        with pytest.raises(RegularityError):
+            regularity_partition(G16, QUARTER, exact_cap=cap)
 
 
 def test_partition_rejects_bad_eps_and_kmax():
