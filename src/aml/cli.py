@@ -280,6 +280,8 @@ def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
 
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     values = _parse_rational_list(args.g, "--g")
+    if args.k < 1:  # before _load_group builds an n*n addition table
+        raise gowers.GowersError("k must be >= 1")
     group = _load_group(args.group, len(values), budget)
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k

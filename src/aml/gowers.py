@@ -489,27 +489,3 @@ def decimal_root(value: Fraction, degree: int, digits: int = 20) -> str:
         ctx.prec = digits
         ctx.rounding = decimal.ROUND_HALF_EVEN
         return str(+root)
-
-
-def parse_grid_function(text: str, n: int, weights=()) -> GridFunction:
-    """Parse the grid-function file format: "function-table <arity>" followed
-    by n^arity rationals in lexicographic order."""
-    words = []
-    for raw in text.splitlines():
-        words.extend(raw.split("#", 1)[0].split())
-    if len(words) < 2 or words[0] != "function-table":
-        raise GowersError("grid function file must start with 'function-table <arity>'")
-    try:
-        arity = int(words[1])
-    except ValueError:
-        raise GowersError(f"bad arity {words[1]!r}") from None
-    need = n ** arity
-    rest = words[2:]
-    if len(rest) != need:
-        raise GowersError(f"function-table needs {need} values for n={n}, arity={arity}; "
-                          f"got {len(rest)}")
-    try:
-        values = tuple(Fraction(w) for w in rest)
-    except (ValueError, ZeroDivisionError) as e:
-        raise GowersError(f"bad rational in function-table: {e}") from None
-    return GridFunction(n, arity, values, tuple(weights))

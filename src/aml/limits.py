@@ -22,6 +22,8 @@ a set E and the successor map with wraparound.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -284,7 +286,11 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
 def banach_density(elements, n_hi: int, l_min: int = 1,
                    budget: Budget | None = None) -> Fraction:
     """max over windows n <= x < m inside [1, n_hi] with m - n >= l_min of
-    |E ∩ [n, m)| / (m - n), by exhaustive window scan.
+    |E ∩ [n, m)| / (m - n).
+
+    Only lengths l_min..2*l_min - 1 are scanned, by sliding: a longer window
+    splits into two of length at least l_min, one at least as dense as the
+    whole (Lin, Jiang & Chao, JCSS 2002).
 
     This is the density of the best window of length at least l_min — a
     lower bound for the upper Banach density of any extension of E.
@@ -296,20 +302,19 @@ def banach_density(elements, n_hi: int, l_min: int = 1,
         raise LimitError("l_min must be >= 1")
     if n_hi < l_min:
         raise LimitError("window [1, n_hi] shorter than l_min")
-    starts = n_hi + 1 - l_min
-    (budget or Budget()).charge(starts * (starts + 1) // 2)  # the windows scanned
-    prefix = [0] * (n_hi + 1)
-    for v in range(1, n_hi + 1):
-        prefix[v] = prefix[v - 1] + (v in e_set)
-    best_num, best_den = 0, 1
-    for n in range(1, n_hi + 1):
-        base = prefix[n - 1]
-        for m in range(n + l_min, n_hi + 2):
-            num = prefix[m - 1] - base
-            den = m - n
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    longest = min(2 * l_min - 1, n_hi)
+    lengths = longest - l_min + 1   # a length-l window starts at 1..n_hi + 1 - l
+    (budget or Budget()).charge(lengths * (n_hi + 1) - (l_min + longest) * lengths // 2)
+    has = e_set.__contains__
+    first = sum(1 for x in e_set if x < l_min)
+    best = Fraction(0)
+    for length in range(l_min, longest + 1):
+        first += has(length)   # |E ∩ [1, 1 + length)|
+        # sliding [lo, lo + length) one step gains lo + length and loses lo
+        slides = map(operator.sub, map(has, range(1 + length, n_hi + 1)),
+                     map(has, range(1, n_hi + 1 - length)))
+        best = max(best, Fraction(max(itertools.accumulate(slides, initial=first)), length))
+    return best
 
 
 def furstenberg_check(elements, n_hi: int, shifts,

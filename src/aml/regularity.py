@@ -1,16 +1,17 @@
 """Graph regularity toolkit in exact rational arithmetic.
 
 Provides edge densities over ordered pairs, exact epsilon-regular pair
-checking by subset enumeration below a part-size cap, a constructive
-energy-increment regularity partition, labeled hypergraph copy counting and
-minimum-removal, and the classical encoding of arithmetic progressions as a
-(k+1)-partite k-uniform hypergraph.
+checking (a degree-sequence certificate, else subset enumeration below a
+part-size cap), a constructive energy-increment regularity partition, labeled
+hypergraph copy counting by backtracking and minimum-removal, and the
+classical encoding of arithmetic progressions as a (k+1)-partite k-uniform
+hypergraph.
 
 A pair (U, U') is epsilon-regular when every V ⊆ U, V' ⊆ U' with
 |V| ≥ ε|U| and |V'| ≥ ε|U'| satisfies |d(U,U') − d(V,V')| < ε, where
 d(X, Y) = #{(x, y) ∈ X×Y : {x,y} an edge} / (|X||Y|) counts ordered pairs.
-Every verdict is certified: "regular" by the exhaustive search, and
-"irregular" by a witness pair that re-validates on its own.
+Every verdict is certified: "regular" by a degree-sequence certificate or
+the exhaustive search, "irregular" by a witness pair that re-validates alone.
 """
 
 from __future__ import annotations
@@ -152,36 +153,56 @@ def _scan_extremes(g: Graph, sub_a: tuple[int, ...], side_b: tuple[int, ...],
     degree-sorted order is an exact search over all subsets of the right side.
     """
     mask_a = _mask_of(sub_a)
-    la = len(sub_a)
-    by_deg = sorted(side_b, key=lambda v: (-g.degree_into(v, mask_a), v))
-    degs = [g.degree_into(v, mask_a) for v in by_deg]
-    hi = 0
-    prefix_hi = []
-    for dgr in degs:
-        hi += dgr
-        prefix_hi.append(hi)
-    lo = 0
-    prefix_lo = []
-    for dgr in reversed(degs):
-        lo += dgr
-        prefix_lo.append(lo)
-    for m in range(max(m_min, 1), len(side_b) + 1):
-        d_top = Fraction(prefix_hi[m - 1], la * m)
-        if d_top - d_base >= eps:
-            return tuple(sorted(by_deg[:m])), d_top
-        d_bot = Fraction(prefix_lo[m - 1], la * m)
-        if d_base - d_bot >= eps:
-            return tuple(sorted(by_deg[len(side_b) - m:])), d_bot
+    deg = {v: g.degree_into(v, mask_a) for v in side_b}
+    by_deg = sorted(side_b, key=lambda v: (-deg[v], v))
+    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
+    hi = lo = 0
+    for m in range(1, len(side_b) + 1):
+        hi += deg[by_deg[m - 1]]
+        lo += deg[by_deg[-m]]
+        cells = len(sub_a) * m
+        if m < m_min:
+            continue
+        if q * (hi * dd - dn * cells) >= p * cells * dd:   # hi/cells - d_base >= eps
+            return tuple(sorted(by_deg[:m])), Fraction(hi, cells)
+        if q * (dn * cells - lo * dd) >= p * cells * dd:
+            return tuple(sorted(by_deg[-m:])), Fraction(lo, cells)
     return None
+
+
+def _degree_certificate(g: Graph, u: tuple[int, ...], v: tuple[int, ...], d_base: Fraction,
+                        eps: Fraction, m_min_u: int, m_min_v: int) -> bool:
+    """True when degree sequences prove (U, V) eps-regular: with r the degrees
+    of U into V and c those of V into U, any X ⊆ U, Y ⊆ V of sizes s, t have
+    min(Σ top-s min(r, t), Σ top-t min(c, s)) >= e(X,Y) >=
+    max(Σ bottom-s max(0, r − (|V|−t)), Σ bottom-t max(0, c − (|U|−s))).
+    No witness exists if both bounds, over s·t, lie strictly within eps of
+    d_base for every qualifying (s, t); False leaves the pair undecided."""
+    a, b = len(u), len(v)
+    mask_u, mask_v = _mask_of(u), _mask_of(v)
+    rows = sorted((g.degree_into(x, mask_v) for x in u), reverse=True)
+    cols = sorted((g.degree_into(y, mask_u) for y in v), reverse=True)
+    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
+    for s in range(m_min_u, a + 1):
+        for t in range(m_min_v, b + 1):
+            top = min(sum(min(r, t) for r in rows[:s]), sum(min(c, s) for c in cols[:t]))
+            bottom = max(sum(max(0, r - b + t) for r in rows[a - s:]),
+                         sum(max(0, c - a + s) for c in cols[b - t:]))
+            cells = s * t
+            if q * max(top * dd - dn * cells, dn * cells - bottom * dd) >= p * cells * dd:
+                return False
+    return True
 
 
 def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
                        budget: Budget | None = None) -> RegularityVerdict:
     """Check epsilon-regularity of (U, U') exactly.
 
-    Enumerates every qualifying subset pair (left side by bitmask, right side
-    by exact degree-prefix scan) and either certifies regularity or returns a
-    violating witness; it requires both parts within ``exact_cap``.
+    Tries the uncharged degree-sequence certificate first.  If it cannot
+    settle the pair, enumerates every qualifying subset pair (left side by
+    bitmask, right side by exact degree-prefix scan) and either certifies
+    regularity or returns a violating witness; both parts must be within
+    ``exact_cap``.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -196,6 +217,8 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     d_base = density(g, u, v)
     m_min_u = max(1, _ceil_frac(eps * len(u)))
     m_min_v = max(1, _ceil_frac(eps * len(v)))
+    if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
+        return RegularityVerdict(True, d_base)
     # Enumerate subsets on the smaller side, scan the other exactly.
     left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
     m_min_l = m_min_u if not swapped else m_min_v
@@ -355,21 +378,30 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
 
 
 def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
+    """(assignment, image edges) for each map of the pattern's vertices into
+    the host's that sends every pattern edge onto a host edge, in
+    lexicographic order.  Backtracking tests each pattern edge once its
+    largest vertex is mapped; the charge is the worst case, all maps."""
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
     (budget or Budget()).charge(host.n ** pattern.n)
-    pat_edges = [tuple(sorted(e)) for e in pattern.edges]
-    for assignment in itertools.product(range(host.n), repeat=pattern.n):
-        used = []
-        ok = True
-        for e in pat_edges:
-            image = frozenset(assignment[w] for w in e)
-            if image not in host.edges:
-                ok = False
-                break
-            used.append(image)
-        if ok:
-            yield assignment, frozenset(used)
+    closing = [[] for _ in range(pattern.n)]   # pattern edges by their largest vertex
+    for e in pattern.edges:
+        closing[max(e)].append(e)
+    assignment, images, i = [-1] * pattern.n, [[]] * pattern.n, 0
+    while i >= 0:
+        assignment[i] += 1
+        if assignment[i] == host.n:   # every image of vertex i tried: back up
+            i -= 1
+            continue
+        images[i] = [frozenset(assignment[w] for w in e) for e in closing[i]]
+        if not host.edges.issuperset(images[i]):
+            continue
+        if i < pattern.n - 1:
+            i += 1
+            assignment[i] = -1
+        else:
+            yield tuple(assignment), frozenset(itertools.chain.from_iterable(images))
 
 
 def count_copies(pattern: Hypergraph, host: Hypergraph,
@@ -379,12 +411,6 @@ def count_copies(pattern: Hypergraph, host: Hypergraph,
     a map collapsing an edge never counts, since the image is too small to
     be an edge)."""
     return sum(1 for _ in _pattern_maps(pattern, host, budget))
-
-
-def count_copies_injective(pattern: Hypergraph, host: Hypergraph,
-                           budget: Budget | None = None) -> int:
-    return sum(1 for assignment, _ in _pattern_maps(pattern, host, budget)
-               if len(set(assignment)) == pattern.n)
 
 
 @dataclass(frozen=True)
@@ -606,14 +632,6 @@ def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def print_graph(g: Graph) -> str:
-    lines = [f"graph {g.n}"]
-    for e in sorted(g.edges, key=sorted):
-        u, v = sorted(e)
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
     lines = list(_data_words(text))
@@ -635,10 +653,3 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise RegularityError(f"line {lineno}: repeated vertex in edge")
         edge_sets.append(vs)
     return Hypergraph.from_edges(n, k, edge_sets)
-
-
-def print_hypergraph(h: Hypergraph) -> str:
-    lines = [f"hypergraph {h.n} {h.k}"]
-    for e in sorted(h.edges, key=sorted):
-        lines.append(" ".join(str(v) for v in sorted(e)))
-    return "\n".join(lines) + "\n"

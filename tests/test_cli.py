@@ -179,13 +179,13 @@ def test_gowers_over_budget_exits_4(capsys):
 
 
 def test_density_over_budget_exits_4(capsys):
-    # N = 10, Lmin = 2: windows start at 1..9, and 9 * 10 / 2 of them are scanned
+    # N = 10, Lmin = 2: only lengths 2 and 3 are scanned, 9 + 8 windows
     code, _, err = run(capsys, "density", "--E", EVENS, "--N", "10", "--Lmin", "2",
-                       "--budget", "44")
+                       "--budget", "16")
     assert code == 4
-    assert err == "budget error: enumeration budget exceeded: 45 work units > limit 44\n"
+    assert err == "budget error: enumeration budget exceeded: 17 work units > limit 16\n"
     code, out, _ = run(capsys, "density", "--E", EVENS, "--N", "10", "--Lmin", "2",
-                       "--budget", "45")
+                       "--budget", "17")
     assert (code, out) == (0, "banach density = 2/3\n")
 
 
@@ -446,6 +446,15 @@ def test_gowers_checks_the_values_before_building_a_table(capsys, monkeypatch, t
     monkeypatch.setattr(gowers.AbelianGroup, "from_table", staticmethod(built.append))
     code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
     assert (code, out, err) == (3, "", "error: --g needs 4 values for this group\n")
+    assert built == []
+
+
+def test_gowers_checks_k_before_building_a_table(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(gowers.AbelianGroup, "cyclic", staticmethod(built.append))
+    ones = ",".join(["1"] * 1000)
+    code, out, err = run(capsys, "gowers", "z1000", "--g", ones, "--k", "0", "--budget", "10")
+    assert (code, out, err) == (3, "", "semantic error: k must be >= 1\n")
     assert built == []
 
 

@@ -23,7 +23,6 @@ from aml.gowers import (
     gowers_norm_pow_derivative,
     gowers_norm_pow_subst,
     inner_product,
-    parse_grid_function,
     positivity_criterion,
 )
 from aml.semantics import Budget
@@ -398,18 +397,10 @@ def test_positivity_budget_reports_unknown():
     assert corr == "unknown"
 
 
-# -- display and parsing -------------------------------------------------------------------
+# -- display -------------------------------------------------------------------------------
 
 def test_decimal_root_frozen_strings():
     assert decimal_root(Fraction(1, 16), 4) == "0.50000000000000000000"
     assert decimal_root(Fraction(1, 2), 4) == "0.84089641525371454303"
     assert decimal_root(Fraction(1), 8) == "1"   # exact values print exactly
     assert decimal_root(Fraction(0), 4) == "0"
-
-
-def test_parse_grid_function():
-    f = parse_grid_function("# comment\nfunction-table 2\n1 -1 1/2 0\n", 2)
-    assert f.arity == 2
-    assert f.values == (1, -1, Fraction(1, 2), 0)
-    with pytest.raises(GowersError):
-        parse_grid_function("function-table 2\n1 2 3\n", 2)   # wrong count

@@ -1,8 +1,10 @@
 """Families of growing structures: truth profiles, measure limits, densities."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aml import limits
 from aml.limits import (
@@ -189,10 +191,42 @@ def test_banach_density_takes_the_best_window():
 def test_window_scan_and_shift_check_charge_their_loops():
     budget = Budget()
     banach_density([2, 4, 6, 8, 10], 10, 2, budget=budget)
-    assert budget.used == 9 * 10 // 2       # windows start at 1..9
+    assert budget.used == 9 + 8             # the windows of lengths 2 and 3
+    budget = Budget()
+    banach_density([2, 4, 6, 8, 10], 10, 8, budget=budget)
+    assert budget.used == 3 + 2 + 1         # lengths 8..10, all shorter than 2 * 8
+    # one window: no work proportional to the horizon beyond the windows
+    assert banach_density([1], 10 ** 12, 10 ** 12, budget=Budget(1)) == Fraction(1, 10 ** 12)
     budget = Budget()
     furstenberg_check([2, 4, 6, 8, 10], 10, [0, 2], budget=budget)
     assert budget.used == 10 * 2            # every point against every shift
+
+
+def _banach_density_reference(elements, n_hi, l_min):
+    """Every window [n, m) inside [1, n_hi] of length at least l_min."""
+    e_set = set(elements)
+    return max(Fraction(sum(x in e_set for x in range(n, m)), m - n)
+               for n in range(1, n_hi + 1) for m in range(n + l_min, n_hi + 2))
+
+
+def test_short_windows_match_the_full_scan_seeded():
+    rng = random.Random(11)
+    for _ in range(80):
+        n_hi = rng.randint(1, 40)
+        l_min = rng.randint(1, n_hi)
+        p = rng.random()
+        elements = [x for x in range(1, n_hi + 1) if rng.random() < p]
+        assert banach_density(elements, n_hi, l_min) == \
+            _banach_density_reference(elements, n_hi, l_min)
+
+
+@given(st.integers(1, 30).flatmap(lambda n_hi: st.tuples(
+    st.just(n_hi), st.integers(1, n_hi), st.sets(st.integers(1, n_hi)))))
+@settings(max_examples=100, deadline=None)
+def test_short_windows_match_the_full_scan(case):
+    n_hi, l_min, elements = case
+    assert banach_density(elements, n_hi, l_min) == \
+        _banach_density_reference(elements, n_hi, l_min)
 
 
 def test_banach_density_argument_checks():

@@ -1,26 +1,28 @@
 """Density, regular pairs, energy-increment partitions, copy counting, removal."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aml.regularity import (
     APEncoding,
     Graph,
     Hypergraph,
     RegularityError,
+    RegularityVerdict,
+    _degree_certificate,
+    _pattern_maps,
     ap_encode,
     count_copies,
-    count_copies_injective,
     density,
     is_epsilon_regular,
     parse_graph,
     parse_hypergraph,
     partition_energy,
-    print_graph,
-    print_hypergraph,
     regularity_partition,
     remove_copies,
     validate_witness,
@@ -108,6 +110,107 @@ def test_eps_out_of_range():
         is_epsilon_regular(C4, (0, 1), (2, 3), Fraction(3, 2))
 
 
+# The enumeration-only check with Fraction comparisons, as is_epsilon_regular
+# ran it before the degree certificate: the reference for the verdicts.
+
+def _scan_extremes_reference(g, sub_a, side_b, m_min, d_base, eps):
+    mask_a = sum(1 << x for x in sub_a)
+    la = len(sub_a)
+    by_deg = sorted(side_b, key=lambda v: (-g.degree_into(v, mask_a), v))
+    degs = [g.degree_into(v, mask_a) for v in by_deg]
+    prefix_hi = list(itertools.accumulate(degs))
+    prefix_lo = list(itertools.accumulate(reversed(degs)))
+    for m in range(max(m_min, 1), len(side_b) + 1):
+        d_top = Fraction(prefix_hi[m - 1], la * m)
+        if d_top - d_base >= eps:
+            return tuple(sorted(by_deg[:m])), d_top
+        d_bot = Fraction(prefix_lo[m - 1], la * m)
+        if d_base - d_bot >= eps:
+            return tuple(sorted(by_deg[len(side_b) - m:])), d_bot
+    return None
+
+
+def _m_min(eps, part):
+    """The least qualifying subset size, max(1, ⌈eps·|part|⌉)."""
+    return max(1, -(-eps.numerator * len(part) // eps.denominator))
+
+
+def _regular_by_enumeration(g, part_u, part_v, eps):
+    u, v = tuple(sorted(part_u)), tuple(sorted(part_v))
+    d_base = density(g, u, v)
+    m_min_u, m_min_v = _m_min(eps, u), _m_min(eps, v)
+    left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
+    m_min_l, m_min_r = (m_min_u, m_min_v) if not swapped else (m_min_v, m_min_u)
+    for bits in range(1, 1 << len(left)):
+        if bits.bit_count() < m_min_l:
+            continue
+        sub = tuple(left[i] for i in range(len(left)) if bits >> i & 1)
+        found = _scan_extremes_reference(g, sub, right, m_min_r, d_base, eps)
+        if found:
+            other, d_wit = found
+            return RegularityVerdict(False, d_base, (other, sub) if swapped else (sub, other),
+                                     d_wit)
+    return RegularityVerdict(True, d_base)
+
+
+def _pair_graph(rng, a, b, kind, same):
+    """A graph holding the pair (U, V), |U| = a, |V| = b: V = U when ``same``,
+    else the next b vertices.  "planted" pairs are complete (or, within one
+    part, empty) with about 5% of the pairs flipped; "random" ones are G(n, p)."""
+    n = a if same else a + b
+    p = rng.choice((0.2, 0.5, 0.8))
+    edges = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            planted = not same and x < a <= y
+            flip = rng.random() < (0.05 if kind == "planted" else p)
+            if flip != (kind == "planted" and planted):
+                edges.append((x, y))
+    u = tuple(range(a))
+    return Graph.from_edges(n, edges), u, u if same else tuple(range(a, a + b))
+
+
+EPS_CHOICES = (QUARTER, Fraction(1, 3), Fraction(1, 2))
+
+
+def _assert_matches_enumeration(g, u, v, eps):
+    """The certificate never calls an irregular pair regular, and the full
+    check returns the reference's verdict, witness and witness density."""
+    certified = _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u),
+                                    _m_min(eps, v))
+    want = _regular_by_enumeration(g, u, v, eps)
+    assert not certified or want.regular
+    assert is_epsilon_regular(g, u, v, eps) == want
+    return certified
+
+
+def test_certificate_and_check_match_enumeration_seeded():
+    rng = random.Random(2024)
+    certified = 0
+    for case in range(120):
+        a, b = rng.randint(1, 10), rng.randint(1, 10)
+        kind = ("planted", "random")[case % 2]
+        g, u, v = _pair_graph(rng, a, b, kind, same=case % 5 == 0)
+        certified += _assert_matches_enumeration(g, u, v, EPS_CHOICES[case % 3])
+    assert certified >= 20   # the certificate settles a good share of these pairs
+
+
+@given(st.integers(1, 10), st.integers(1, 10), st.sampled_from(("planted", "random")),
+       st.booleans(), st.sampled_from(EPS_CHOICES), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_certificate_and_check_match_enumeration(a, b, kind, same, eps, rng):
+    g, u, v = _pair_graph(rng, a, b, kind, same)
+    _assert_matches_enumeration(g, u, v, eps)
+
+
+def test_certified_pairs_charge_no_subsets():
+    complete = Graph.from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10)])
+    budget = Budget(0)
+    assert is_epsilon_regular(complete, range(10), range(10, 20), QUARTER,
+                              budget=budget).regular
+    assert budget.used == 0
+
+
 # -- partitions ------------------------------------------------------------------------
 
 G16 = parse_graph((DATA / "g16.graph").read_text())
@@ -177,6 +280,60 @@ def test_partition_rejects_bad_eps_and_kmax():
 
 
 # -- copy counting ------------------------------------------------------------------------
+
+def count_copies_injective(pattern, host):
+    return sum(1 for assignment, _ in _pattern_maps(pattern, host, None)
+               if len(set(assignment)) == pattern.n)
+
+
+def _pattern_maps_reference(pattern, host):
+    """Every assignment in lexicographic order, each pattern edge tested."""
+    pat_edges = [tuple(sorted(e)) for e in pattern.edges]
+    for assignment in itertools.product(range(host.n), repeat=pattern.n):
+        used = []
+        for e in pat_edges:
+            image = frozenset(assignment[w] for w in e)
+            if image not in host.edges:
+                break
+            used.append(image)
+        else:
+            yield assignment, frozenset(used)
+
+
+def _random_hypergraph(rng, n, k, p):
+    return Hypergraph.from_edges(n, k, [e for e in itertools.combinations(range(n), k)
+                                        if rng.random() < p])
+
+
+def test_map_stream_matches_product_reference_seeded():
+    rng = random.Random(7)
+    patterns = [TRIANGLE, TWO_TRIANGLES, Hypergraph.from_edges(2, 2, [(0, 1)]),
+                Hypergraph.from_edges(3, 2, [(1, 2)]), Hypergraph.from_edges(2, 2, []),
+                Hypergraph.from_edges(4, 3, [(0, 1, 3), (1, 2, 3)])]
+    for pattern in patterns:
+        for _ in range(4):
+            host = _random_hypergraph(rng, rng.randint(1, 7), pattern.k, rng.random())
+            if pattern.n > 4 and host.n > 5:
+                continue
+            assert list(_pattern_maps(pattern, host, None)) == \
+                list(_pattern_maps_reference(pattern, host))
+
+
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_map_stream_matches_product_reference(k, pattern_n, host_n, rng):
+    pattern_n = max(pattern_n, k)
+    pattern = _random_hypergraph(rng, pattern_n, k, rng.random())
+    host = _random_hypergraph(rng, host_n, k, rng.random())
+    assert list(_pattern_maps(pattern, host, None)) == \
+        list(_pattern_maps_reference(pattern, host))
+
+
+def test_copy_maps_charge_the_worst_case():
+    budget = Budget()
+    assert count_copies(TRIANGLE, TWO_TRIANGLES, budget=budget) == 12
+    assert budget.used == 6 ** 3
+
 
 def test_triangle_copies_in_itself():
     assert count_copies(TRIANGLE, TRIANGLE) == 6           # all vertex bijections
@@ -257,6 +414,18 @@ def test_ap_encode_budget():
 
 
 # -- file formats -------------------------------------------------------------------------------
+
+def print_graph(g):
+    lines = [f"graph {g.n}"]
+    lines += [" ".join(map(str, sorted(e))) for e in sorted(g.edges, key=sorted)]
+    return "\n".join(lines) + "\n"
+
+
+def print_hypergraph(h):
+    lines = [f"hypergraph {h.n} {h.k}"]
+    lines += [" ".join(map(str, sorted(e))) for e in sorted(h.edges, key=sorted)]
+    return "\n".join(lines) + "\n"
+
 
 def test_graph_file_round_trip():
     assert parse_graph(print_graph(G16)).adj == G16.adj
