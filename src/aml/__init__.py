@@ -8,7 +8,7 @@ counting/removal, arithmetic-progression encodings, and eventual-behavior
 profiles of structure sequences.
 """
 
-from .structures import DefinableSet, FiniteStructure, VFlag, measure, product_measure_check
+from .structures import DefinableSet, FiniteStructure, VFlag, measure
 from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall, Formula,
                      Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev,
                      free_vars, rank)
@@ -26,5 +26,5 @@ __all__ = [
     "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "check_probability",
     "evaluate", "expand_abbrev", "extension", "free_vars", "meas_holds", "measure",
     "naive_evaluate", "parse_formula", "parse_structure", "print_formula",
-    "print_structure", "product_measure_check", "rank",
+    "print_structure", "rank",
 ]

@@ -5,7 +5,14 @@ ap-encode, limit, density, furstenberg.  Flags on every subcommand: --budget
 (work units; the AML_BUDGET environment variable overrides the default) and
 --format {text,records}.  eval and limit also take --trace, check-axioms
 --seed.  main builds one Budget per run, and each layer charges it for its
-own enumeration just before running it (see semantics.Budget).
+own enumeration just before running it (see semantics.Budget).  eval,
+measure, check-axioms and limit table each formula once over its free
+variables (see semantics.Evaluator), so eval --trace lists each measure at
+every assignment of its free variables.
+
+Input files (structures, graphs, hypergraphs, families, element sets,
+groups) take '#' comments.  Format errors in graph, hypergraph, element-set
+and group files name the path and line.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -84,13 +91,28 @@ def _parse_rational_list(text: str, what: str) -> list[Fraction]:
         raise CliError(f"bad {what} {text!r}: expected rationals", EXIT_PARSE) from None
 
 
+def _file_ints(path: str, lines) -> list[int]:
+    """The integers on ``lines``, (line number, words) pairs of the file at
+    ``path``; a bad word is reported by its path and line."""
+    out = []
+    for lineno, words in lines:
+        for w in " ".join(words).replace(",", " ").split():
+            try:
+                out.append(int(w))
+            except ValueError:
+                raise CliError(f"{path}: line {lineno}: expected an integer, got {w!r}",
+                               EXIT_PARSE) from None
+    return out
+
+
 def _element_set(args_e: str, what: str = "--E") -> set[int]:
-    """An integer-set argument: inline integers, or a path to a file of them."""
+    """An integer-set argument: inline integers, or a path to a file of them
+    ('#' starts a comment)."""
     stripped = args_e.strip()
     head = stripped.replace(",", " ").split()
     if head and all(w.lstrip("-").isdigit() for w in head):
         return set(_parse_int_list(stripped, what))
-    return set(_parse_int_list(_read_file(stripped), what))
+    return set(_file_ints(stripped, regularity.data_lines(_read_file(stripped))))
 
 
 class _Out:
@@ -162,7 +184,9 @@ def _cmd_eval(args, out: _Out, budget: Budget) -> int:
     root = phi.body if isinstance(phi, Not) else phi
     summary = "true" if verdict else "false"
     if isinstance(root, Meas) and trace:
-        top = trace[-1]
+        # the root's entries come last, one per assignment of its free variables
+        free = sorted(free_vars(root))
+        top = trace[len(trace) - m.n ** len(free) + m.tuple_index(tuple(val[v] for v in free))]
         cmp = top.cmp.value
         if root is not phi:  # ~(m < q) reads as m >= q, ~(m <= q) as m > q
             cmp = (AbbrevCmp.GE if top.cmp is Cmp.LT else AbbrevCmp.GT).value
@@ -250,27 +274,26 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
 
 def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
     """A group argument: z<n> for the cyclic group, or a file whose content
-    is "group <n>" followed by n*n addition-table entries.  The group must
-    have ``order`` elements, which is checked before any table is built."""
+    is "group <n>" followed by n*n addition-table entries ('#' starts a
+    comment).  The group must have ``order`` elements, which is checked
+    before any table is built."""
     low = spec.strip().lower()
     if low.startswith("z") and low[1:].isdigit():
         n, entries = int(low[1:]), None
     else:
-        words = _read_file(spec).split()
-        if len(words) < 2 or words[0] != "group":
-            raise CliError(f"group file {spec!r} must start with 'group <n>'", EXIT_PARSE)
-        try:
-            n = int(words[1])
-            entries = [int(w) for w in words[2:]]
-        except ValueError:
-            raise CliError(f"bad group table in {spec!r}", EXIT_PARSE) from None
+        lines = list(regularity.data_lines(_read_file(spec)))
+        header = lines[0][1] if lines else []
+        if len(header) < 2 or header[0] != "group":
+            raise CliError(f"{spec}: line {lines[0][0] if lines else 1}: "
+                           f"expected 'group <n>'", EXIT_PARSE)
+        n, *entries = _file_ints(spec, [(lines[0][0], header[1:])] + lines[1:])
         if len(entries) != n * n:
-            raise CliError(f"group table needs {n * n} entries, got {len(entries)}",
+            raise CliError(f"{spec}: group table needs {n * n} entries, got {len(entries)}",
                            EXIT_PARSE)
     if order != n:
         raise CliError(f"--g needs {n} values for this group", EXIT_SEMANTIC)
     if entries is None:
-        return gowers.AbelianGroup.cyclic(n)
+        return gowers.AbelianGroup.cyclic(n, budget=budget)
     try:
         return gowers.AbelianGroup.from_table(
             [entries[i * n:(i + 1) * n] for i in range(n)], budget=budget)

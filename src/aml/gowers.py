@@ -57,9 +57,11 @@ class AbelianGroup:
     zero: int
 
     @staticmethod
-    def cyclic(n: int) -> "AbelianGroup":
+    def cyclic(n: int, budget: Budget | None = None) -> "AbelianGroup":
+        """Z_n; its n x n addition table is charged to ``budget`` first."""
         if n < 1:
             raise GowersError("group order must be positive")
+        (budget or Budget()).charge(n * n)
         table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
         return AbelianGroup(n, table, 0)
 

@@ -360,7 +360,8 @@ def parse_family(text: str, loader: Callable[[str], str] | None = None) -> Struc
         family interval <E-file> <i_lo> <i_hi>
 
     For interval families the E-file is read through ``loader`` (default:
-    the filesystem) and must contain whitespace-separated integers.
+    the filesystem) and must contain whitespace-separated integers ('#'
+    starts a comment).
     """
     words = []
     for raw in text.splitlines():
@@ -400,7 +401,8 @@ def parse_family(text: str, loader: Callable[[str], str] | None = None) -> Struc
         except OSError as e:
             raise LimitError(f"cannot read E-file {path!r}: {e}") from None
         try:
-            elements = {int(w) for w in e_text.split()}
+            elements = {int(w) for raw in e_text.splitlines()
+                        for w in raw.split("#", 1)[0].split()}
         except ValueError:
             raise LimitError(f"E-file {path!r} must contain integers") from None
         return interval_family(elements, i_lo, i_hi)

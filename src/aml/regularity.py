@@ -603,7 +603,9 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 # File formats
 
 
-def _data_words(text: str):
+def data_lines(text: str):
+    """(line number, words) for each line that has words once a '#' comment
+    is stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].split()
         if body:
@@ -612,7 +614,7 @@ def _data_words(text: str):
 
 def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     """Parse "graph <n>" followed by one "u v" edge per line."""
-    lines = list(_data_words(text))
+    lines = list(data_lines(text))
     if not lines or lines[0][1][0] != "graph" or len(lines[0][1]) != 2:
         raise RegularityError("graph file must start with 'graph <n>'")
     try:
@@ -634,7 +636,7 @@ def parse_graph(text: str, budget: Budget | None = None) -> Graph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
-    lines = list(_data_words(text))
+    lines = list(data_lines(text))
     if not lines or lines[0][1][0] != "hypergraph" or len(lines[0][1]) != 3:
         raise RegularityError("hypergraph file must start with 'hypergraph <n> <k>'")
     try:

@@ -12,19 +12,24 @@ Concrete finite structures carry flag DOT on every set, so both clauses
 reduce to exact rational comparisons; the three-valued clauses are exposed in
 :func:`meas_holds` so limit profiles can reuse them with PLUS/MINUS flags.
 
-Two evaluators are provided: :func:`evaluate` (memoized per formula node and
-relevant bindings, budget-metered) and :func:`naive_evaluate` (no caching at
-all, recomputing every extension by full tuple enumeration — the oracle the
-fast path is tested against).
+Two evaluators are provided.  :class:`Evaluator` (behind :func:`evaluate`
+and :func:`extension`) is the standard bottom-up relational-algebra model
+check (Immerman, *Descriptive Complexity*, 1999): each subformula is
+evaluated once, into a bitset over the assignments of its variables, and each
+measure compares an exact integer sum per fiber; it is budget-metered.
+:func:`naive_evaluate` walks the formula once per tuple with no sharing at
+all and recomputes every extension by full tuple enumeration: it is the
+oracle the set-at-a-time evaluator is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .structures import DefinableSet, FiniteStructure, VFlag
+from .structures import DefinableSet, FiniteStructure, VFlag, fiber_counts, fiber_sums
 from .syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
                      Implies, Meas, Not, Or, Term, Var, free_vars)
 
@@ -42,10 +47,11 @@ class BudgetExceeded(Exception):
 
 class Budget:
     """Work-unit meter shared by every layer.  Each enumeration charges its
-    size just before its loop: a measure constructor or extension n^k, a
-    quantifier n, a parsed structure or graph its declared size; the other
-    layers price their own loops next to them (Gowers cube terms, scanned
-    windows, pattern maps, regularity subsets, family members)."""
+    size just before it runs: a formula's table its number of bits (see
+    :class:`Evaluator`), an extension n^k, a parsed structure or graph its
+    declared size; the other layers price their own loops next to them
+    (Gowers cube terms, scanned windows, pattern maps, regularity subsets,
+    family members)."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
@@ -81,13 +87,56 @@ class MeasTraceEntry:
     verdict: bool
 
 
-class Evaluator:
-    """Memoizing evaluator over one structure.
+_ASCII01 = bytes.maketrans(b"\x00\x01", b"01")
 
-    Results are cached per (formula node, bindings of its free variables), so
-    re-evaluating a subformula across enumeration loops that do not touch its
-    free variables costs a dictionary lookup.  Caching never changes results —
-    the naive evaluator below is the oracle for that claim.
+
+def _bits(truths) -> int:
+    """The bitset whose bit i is the i-th of ``truths``."""
+    return int(bytes(truths)[::-1].translate(_ASCII01), 2)
+
+
+def _repeat_blocks(digits: str, block: int, count: int) -> str:
+    """Each ``block``-digit run of ``digits`` (a table written most significant
+    bit first) repeated ``count`` times in place."""
+    if block == 1:
+        return digits.translate({48: "0" * count, 49: "1" * count})
+    return "".join([digits[i:i + block] * count for i in range(0, len(digits), block)])
+
+
+def _any_fiber(bits: int, width: int, fibers: int) -> int:
+    """Bit j set iff some bit of ``bits`` in j*width .. (j+1)*width - 1 is set."""
+    # Window ORs of power-of-two spans laid end to end cover each fiber
+    # exactly, so fibers never mix; then keep every width-th bit.
+    acc = offset = 0
+    span, window, rest = 1, bits, width
+    while rest:
+        if rest & 1:
+            acc |= window >> offset
+            offset += span
+        rest >>= 1
+        if rest:
+            window |= window >> span
+            span *= 2
+    return int(format(acc, f"0{width * fibers}b")[width - 1::width], 2)
+
+
+class Evaluator:
+    """Set-at-a-time evaluator over one structure.
+
+    A subformula evaluated in a context (a tuple of distinct variables) is a
+    table: an int bitset over the context's assignments, in the lexicographic
+    order of ``DefinableSet``.  Atoms enumerate only their own variables and
+    are broadcast to the context by block replication; connectives are bit
+    operations.  A binder is tabled over its free variables (in context
+    order) followed by its bound ones, so its body's fibers are contiguous
+    blocks: a quantifier folds each fiber, a measure sums each fiber's
+    product weights as integers.  The innermost binder of a name wins.
+
+    Charges, made before the table is built: a quantifier n^(|free| + 1), a
+    measure over k variables n^(|free| + k), and a formula evaluated at the
+    top level n^|free| if it has free variables.  No table has more bits than
+    the charge enclosing it.  ``eval`` tables each top-level formula once and
+    then reads one bit per valuation.
     """
 
     def __init__(self, m: FiniteStructure, budget: Budget | None = None,
@@ -95,118 +144,140 @@ class Evaluator:
         self.m = m
         self.budget = budget or Budget(None)
         self.trace = trace
-        self._memo: dict[tuple, bool] = {}
-        self._fv: dict[int, tuple[str, ...]] = {}
-        self._pin: list[Formula] = []  # keep nodes alive while their id is a cache key
+        self._tops: dict[int, tuple[Formula, tuple[str, ...], int]] = {}
 
-    def _free(self, phi: Formula) -> tuple[str, ...]:
-        key = id(phi)
-        got = self._fv.get(key)
+    def eval(self, phi: Formula, val: dict[str, int]) -> bool:
+        """Whether phi holds when its free variables take the values in val."""
+        got = self._tops.get(id(phi))
         if got is None:
-            got = tuple(sorted(free_vars(phi)))
-            self._fv[key] = got
-            self._pin.append(phi)
-        return got
+            free = tuple(sorted(free_vars(phi)))
+            self._point(free, val)
+            if free:
+                self.budget.charge(self.m.n ** len(free))
+            got = self._tops[id(phi)] = (phi, free, self.table(phi, free, {}))
+        _, free, bits = got
+        return bool(bits >> self.m.tuple_index(self._point(free, val)) & 1)
 
-    def eval_term(self, t: Term, val: dict[str, int]) -> int:
+    def _point(self, free: tuple[str, ...], val: dict[str, int]) -> tuple[int, ...]:
+        for v in free:
+            if v not in val:
+                raise EvalError(f"unbound variable {v!r}")
+            if not 0 <= val[v] < self.m.n:
+                raise EvalError(f"binding {v}={val[v]} outside universe 0..{self.m.n - 1}")
+        return tuple(val[v] for v in free)
+
+    def table(self, phi: Formula, ctx: tuple[str, ...], env: dict[str, int]) -> int:
+        """phi's table over ``ctx``; its other free variables read ``env``."""
+        if isinstance(phi, (Equality, Atom)):
+            names = free_vars(phi)
+            own = tuple(v for v in ctx if v in names)
+            return self._broadcast(self._atom(phi, own, env), own, ctx)
+        if isinstance(phi, Not):
+            return self._full(ctx) ^ self.table(phi.body, ctx, env)
+        if isinstance(phi, And):
+            return self.table(phi.left, ctx, env) & self.table(phi.right, ctx, env)
+        if isinstance(phi, Or):
+            return self.table(phi.left, ctx, env) | self.table(phi.right, ctx, env)
+        if isinstance(phi, Implies):
+            return (self._full(ctx) ^ self.table(phi.left, ctx, env)) \
+                | self.table(phi.right, ctx, env)
+        if isinstance(phi, (Forall, Exists, Meas)):
+            bound = phi.vars if isinstance(phi, Meas) else (phi.var,)
+            names = free_vars(phi)
+            free = tuple(v for v in ctx if v in names)
+            n = self.m.n
+            self.budget.charge(n ** (len(free) + len(bound)))
+            inner = {v: a for v, a in env.items() if v not in bound}
+            body = self.table(phi.body, free + bound, inner)
+            fibers = n ** len(free)
+            if isinstance(phi, Meas):
+                bits = self._measure(phi, body, fibers)
+            elif isinstance(phi, Exists):
+                bits = _any_fiber(body, n, fibers)
+            else:  # forall = not exists not
+                full = (1 << fibers) - 1
+                bits = full ^ _any_fiber(body ^ ((1 << fibers * n) - 1), n, fibers)
+            return self._broadcast(bits, free, ctx)
+        raise EvalError(f"not a formula: {phi!r}")
+
+    def _full(self, ctx: tuple[str, ...]) -> int:
+        return (1 << self.m.n ** len(ctx)) - 1
+
+    def _broadcast(self, bits: int, own: tuple[str, ...], ctx: tuple[str, ...]) -> int:
+        """A table over ``own``, a subsequence of ``ctx``, as a table over
+        ``ctx``: each missing variable repeats the blocks below it n times."""
+        if len(own) == len(ctx):
+            return bits
+        n = self.m.n
+        digits = format(bits, f"0{n ** len(own)}b")
+        below = len(own)  # own variables after the current one
+        for v in ctx:
+            if v in own:
+                below -= 1
+            else:
+                digits = _repeat_blocks(digits, n ** below, n)
+        return int(digits, 2)
+
+    def _values(self, t: Term, own: tuple[str, ...], env: dict[str, int]) -> list[int]:
+        """The value of ``t`` at every assignment of ``own``, in order."""
+        n = self.m.n
+        size = n ** len(own)
         if isinstance(t, Var):
-            try:
-                return val[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
+            if t.name in env:
+                return [env[t.name]] * size
+            if t.name not in own:
+                raise EvalError(f"unbound variable {t.name!r}")
+            run = n ** (len(own) - 1 - own.index(t.name))
+            column: list[int] = []
+            for a in range(n):
+                column += [a] * run
+            return column * (size // len(column))
         if isinstance(t, Const):
             try:
-                return self.m.constants[t.name]
+                return [self.m.constants[t.name]] * size
             except KeyError:
                 raise EvalError(f"unknown constant {t.name!r}") from None
         if isinstance(t, Func):
             if t.name not in self.m.functions:
                 raise EvalError(f"unknown function {t.name!r}")
-            args = tuple(self.eval_term(a, val) for a in t.args)
-            arity = self.m.functions[t.name][0]
-            if len(args) != arity:
+            arity, results = self.m.functions[t.name]
+            if len(t.args) != arity:
                 raise EvalError(f"function {t.name!r} expects {arity} arguments")
-            return self.m.apply_function(t.name, args)
+            index = self._values(t.args[0], own, env)
+            for a in t.args[1:]:
+                index = [i * n + b for i, b in zip(index, self._values(a, own, env))]
+            return list(map(results.__getitem__, index))
         raise EvalError(f"not a term: {t!r}")
 
-    def eval(self, phi: Formula, val: dict[str, int]) -> bool:
+    def _atom(self, phi: Equality | Atom, own: tuple[str, ...], env: dict[str, int]) -> int:
         if isinstance(phi, Equality):
-            return self.eval_term(phi.left, val) == self.eval_term(phi.right, val)
-        if isinstance(phi, Atom):
-            if phi.name not in self.m.relations:
-                raise EvalError(f"unknown relation {phi.name!r}")
-            args = tuple(self.eval_term(a, val) for a in phi.args)
-            if len(args) != self.m.relations[phi.name][0]:
-                raise EvalError(f"relation {phi.name!r} arity mismatch")
-            return self.m.holds_relation(phi.name, args)
-        if isinstance(phi, Not):
-            return not self.eval(phi.body, val)
-        if isinstance(phi, And):
-            return self.eval(phi.left, val) and self.eval(phi.right, val)
-        if isinstance(phi, Or):
-            return self.eval(phi.left, val) or self.eval(phi.right, val)
-        if isinstance(phi, Implies):
-            return not self.eval(phi.left, val) or self.eval(phi.right, val)
-        if isinstance(phi, (Forall, Exists)):
-            fv = self._free(phi)
-            key = (id(phi),) + tuple(val[v] for v in fv)
-            got = self._memo.get(key)
-            if got is not None:
-                return got
-            self.budget.charge(self.m.n)
-            inner = dict(val)
-            result = isinstance(phi, Forall)
-            for a in range(self.m.n):
-                inner[phi.var] = a
-                r = self.eval(phi.body, inner)
-                if isinstance(phi, Forall):
-                    if not r:
-                        result = False
-                        break
-                else:
-                    if r:
-                        result = True
-                        break
-            self._memo[key] = result
-            return result
-        if isinstance(phi, Meas):
-            fv = self._free(phi)
-            key = (id(phi),) + tuple(val[v] for v in fv)
-            got = self._memo.get(key)
-            if got is not None:
-                if self.trace is None:
-                    return got
-                # fall through so traces stay complete
-            mu = self._measure_of_body(phi, val)
-            verdict = meas_holds(phi.cmp, mu, phi.threshold, VFlag.DOT)
-            self._memo[key] = verdict
-            return verdict
-        raise EvalError(f"not a formula: {phi!r}")
+            return _bits(map(operator.eq, self._values(phi.left, own, env),
+                             self._values(phi.right, own, env)))
+        if phi.name not in self.m.relations:
+            raise EvalError(f"unknown relation {phi.name!r}")
+        arity, tuples = self.m.relations[phi.name]
+        if len(phi.args) != arity:
+            raise EvalError(f"relation {phi.name!r} arity mismatch")
+        columns = [self._values(a, own, env) for a in phi.args]
+        rows = zip(*columns) if columns else [()] * self.m.n ** len(own)
+        return _bits(map(tuples.__contains__, rows))
 
-    def _measure_of_body(self, phi: Meas, val: dict[str, int]) -> Fraction:
+    def _measure(self, phi: Meas, body: int, fibers: int) -> int:
+        """Bit j set iff the j-th fiber of ``body`` satisfies the bound."""
         k = len(phi.vars)
-        self.budget.charge(self.m.n ** k)
-        inner = dict(val)
-        w0 = self.m.uniform_weight
-        count = 0
-        mu = Fraction(0)
-        for tup in itertools.product(range(self.m.n), repeat=k):
-            for v, a in zip(phi.vars, tup):
-                inner[v] = a
-            if self.eval(phi.body, inner):
-                count += 1
-                if w0 is None:
-                    prod = Fraction(1)
-                    for a in tup:
-                        prod *= self.m.weights[a]
-                    mu += prod
-        if w0 is not None:
-            mu = count * w0 ** k
+        sums = fiber_sums(self.m, body, k, fibers)
+        scale = self.m.integer_weights[1] ** k  # mu = sum / scale
+        num, den = phi.threshold.numerator * scale, phi.threshold.denominator
+        if phi.cmp is Cmp.LT:
+            verdicts = [s * den < num for s in sums]
+        else:
+            verdicts = [s * den <= num for s in sums]
         if self.trace is not None:
-            self.trace.append(MeasTraceEntry(phi.vars, phi.cmp, phi.threshold, count, mu,
-                                             VFlag.DOT,
-                                             meas_holds(phi.cmp, mu, phi.threshold, VFlag.DOT)))
-        return mu
+            counts = fiber_counts(body, self.m.n ** k, fibers)
+            for s, count, verdict in zip(sums, counts, verdicts):
+                self.trace.append(MeasTraceEntry(phi.vars, phi.cmp, phi.threshold, count,
+                                                 Fraction(s, scale), VFlag.DOT, verdict))
+        return _bits(verdicts)
 
 
 def evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None,
@@ -225,26 +296,17 @@ def extension(m: FiniteStructure, phi: Formula, xs: tuple[str, ...],
               params: dict[str, int] | None = None,
               budget: Budget | None = None) -> DefinableSet:
     """The definable set {a in M^|xs| : phi holds with xs := a}, with the
-    remaining free variables read from ``params``."""
+    remaining free variables read from ``params``; charged n^|xs|."""
     xs = tuple(xs)
     if len(set(xs)) != len(xs):
         raise EvalError(f"extension variables must be distinct, got {xs}")
-    params = dict(params or {})
+    params = {v: a for v, a in (params or {}).items() if v not in xs}
     missing = free_vars(phi) - set(xs) - set(params)
     if missing:
         raise EvalError(f"unbound free variables: {sorted(missing)}")
     ev = Evaluator(m, budget)
     ev.budget.charge(m.n ** len(xs))
-    bits = 0
-    idx = 0
-    val = dict(params)
-    for tup in itertools.product(range(m.n), repeat=len(xs)):
-        for v, a in zip(xs, tup):
-            val[v] = a
-        if ev.eval(phi, val):
-            bits |= 1 << idx
-        idx += 1
-    return DefinableSet(m, len(xs), bits)
+    return DefinableSet(m, len(xs), ev.table(phi, xs, params))
 
 
 # ---------------------------------------------------------------------------

@@ -287,18 +287,6 @@ def check_formula(phi: Formula, sig: Signature) -> None:
         raise TypeError(f"not a formula: {phi!r}")
 
 
-def subformulas(phi: Formula):
-    """Yield phi and all its subformulas, preorder."""
-    yield phi
-    if isinstance(phi, Not):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (And, Or, Implies)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, (Forall, Exists, Meas)):
-        yield from subformulas(phi.body)
-
-
 def rename_bound(phi: Formula, mapping: dict[str, str]) -> Formula:
     """Rename variables (free and bound alike) via ``mapping``; names not in
     the mapping are kept.  Used for capture-avoiding scheme instantiation and

@@ -3,6 +3,7 @@
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,6 +72,19 @@ def test_eval_trace(capsys):
     assert code == 0
     assert out.splitlines()[1] == \
         "  trace 0: m[x] <= 1/4: count 1, mu = 1/4, flag ⊙ -> true"
+
+
+def test_eval_summary_reads_the_bound_assignment(capsys):
+    # the open root is tabled for every x; the summary is the one at x=0
+    code, out, _ = run(capsys, "eval", Z4, "m[y] < 1/2 . add(x, y) = y", "--bind", "x=0",
+                       "--trace")
+    assert code == 0
+    assert out.splitlines() == [
+        "false (mu = 1, < 1/2, flag ⊙)",
+        "  trace 0: m[y] < 1/2: count 4, mu = 1, flag ⊙ -> false",
+        "  trace 1: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true",
+        "  trace 2: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true",
+        "  trace 3: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true"]
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -173,7 +187,8 @@ def test_gowers_over_budget_exits_4(capsys):
     code, out, err = run(capsys, "gowers", "z8", "--g", "1,2,3,4,5,6,7,8",
                          "--k", "3", "--budget", "10")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 4096 work units > limit 10\n"
+    # the z8 addition table is charged (8^2 units) before the cube
+    assert err == "budget error: enumeration budget exceeded: 64 work units > limit 10\n"
     code, _, _ = run(capsys, "gowers", "z2", "--g", "1,-1", "--k", "40")   # 2^41 terms
     assert code == 4
 
@@ -458,6 +473,32 @@ def test_gowers_checks_k_before_building_a_table(capsys, monkeypatch):
     assert built == []
 
 
+def test_gowers_charges_the_cyclic_table_before_building_it(capsys):
+    ones = ",".join(["1"] * 1000)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gowers", "z1000", "--g", ones, "--k", "1", "--budget", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 1000000 work units > limit 10\n"
+    assert peak < 4 * 10 ** 6               # building the 1000 x 1000 table peaks over 30 MB
+
+
+def test_group_files_take_comments_and_name_the_bad_line(capsys, tmp_path):
+    group = tmp_path / "z2.group"
+    group.write_text("# the cyclic group of order 2\ngroup 2  # order\n0 1\n1 0\n")
+    assert run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")[:2] == \
+        (0, "U^1 power = 0\nnorm approx 0\n")
+    group.write_text("# header missing\n0 1\n")
+    code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: {group}: line 2: expected 'group <n>'\n")
+    group.write_text("group 2\n0 1\n# swapped\n1 o\n")
+    code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: {group}: line 4: expected an integer, got 'o'\n")
+
+
 def test_group_files_charge_their_associativity_check(capsys, tmp_path):
     group = tmp_path / "klein.group"
     group.write_text("group 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
@@ -586,6 +627,21 @@ def test_furstenberg_output(capsys):
     assert out == ("cyclic density = 1/2, plain density = 2/5, "
                    "wraparound bound = 1/5\n"
                    "|cyclic - plain| <= bound: True\n")
+
+
+def test_set_files_take_comments_and_name_the_bad_line(capsys, tmp_path):
+    evens = tmp_path / "evens.set"
+    evens.write_text("# evens\n2 4 6  # small\n8, 10\n")
+    assert run(capsys, "density", "--E", str(evens), "--N", "10", "--Lmin", "2")[:2] == \
+        (0, "banach density = 2/3\n")
+    code, out, _ = run(capsys, "furstenberg", "--E", str(evens), "--N", "10", "--U", "0,2")
+    assert (code, out.splitlines()[-1]) == (0, "|cyclic - plain| <= bound: True")
+    evens.write_text("# evens\n2 4 6\n8 ten\n")
+    for argv in (["density", "--E", str(evens), "--N", "10"],
+                 ["furstenberg", "--E", str(evens), "--N", "10", "--U", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {evens}: line 3: "
+                                           f"expected an integer, got 'ten'\n")
 
 
 def test_furstenberg_records(capsys):

@@ -260,7 +260,7 @@ def test_parse_cyclic_family():
 
 def test_parse_interval_family_with_loader():
     fam = parse_family("family interval E.txt 2 6",
-                       loader=lambda path: "1 3 5")
+                       loader=lambda path: "# odd numbers\n1 3  # small\n5\n")
     assert fam.kind == "interval"
     assert fam.at(5).relations["E"][1] == frozenset({(0,), (2,), (4,)})
 

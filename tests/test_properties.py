@@ -52,7 +52,7 @@ def test_print_parse_round_trip(phi):
 @given(structures(), formulas(), st.integers(min_value=0, max_value=4),
        st.integers(min_value=0, max_value=4))
 @settings(max_examples=150, deadline=None)
-def test_memoized_evaluator_matches_naive(m, phi, a, b):
+def test_evaluator_matches_naive(m, phi, a, b):
     val = {"x": a % m.n, "y": b % m.n}
     assert evaluate(m, phi, val) == naive_evaluate(m, phi, val)
 

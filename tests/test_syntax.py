@@ -25,7 +25,6 @@ from aml.syntax import (
     free_vars,
     rank,
     rename_bound,
-    subformulas,
     term_vars,
 )
 
@@ -183,18 +182,6 @@ def test_check_formula_rejects_declared_name_as_var():
 
 
 # -- traversal helpers ----------------------------------------------------------
-
-def test_subformulas_covers_every_node():
-    m1 = Meas(("x",), Cmp.LT, HALF, PX)
-    phi = And(m1, Not(XEQY))
-    got = list(subformulas(phi))
-    assert phi in got
-    assert m1 in got
-    assert PX in got
-    assert Not(XEQY) in got
-    assert XEQY in got
-    assert len(got) == 5
-
 
 def test_rename_bound_leaves_free_occurrences():
     phi = Forall("x", RXY)
