@@ -10,9 +10,10 @@ measure, check-axioms and limit table each formula once over its free
 variables (see semantics.Evaluator), so eval --trace lists each measure at
 every assignment of its free variables.
 
-Input files (structures, graphs, hypergraphs, families, element sets,
-groups) take '#' comments.  Format errors in graph, hypergraph, element-set
-and group files name the path and line.
+Input files (structures, graphs, hypergraphs, families and their E-files,
+element sets, groups) are all read through parser.data_lines: '#' comments
+end with the line.  A format error in any of them, or a file that is not
+UTF-8, exits 2 as "error: <path>: line <L>: <message>" (see _parse_input).
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -32,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from . import axioms, gowers, limits, regularity
-from .parser import ParseError, parse_formula, parse_structure
+from .parser import DataWords, ParseError, parse_formula, parse_ints, parse_structure
 from .semantics import Budget, BudgetExceeded, EvalError, Evaluator, extension
 from .structures import FiniteStructure, VFlag, measure
 from .syntax import AbbrevCmp, Cmp, Meas, Not, free_vars
@@ -60,6 +61,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_PARSE) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text: {e}", EXIT_PARSE) from None
 
 
 def _formula_arg(text: str) -> str:
@@ -91,20 +94,6 @@ def _parse_rational_list(text: str, what: str) -> list[Fraction]:
         raise CliError(f"bad {what} {text!r}: expected rationals", EXIT_PARSE) from None
 
 
-def _file_ints(path: str, lines) -> list[int]:
-    """The integers on ``lines``, (line number, words) pairs of the file at
-    ``path``; a bad word is reported by its path and line."""
-    out = []
-    for lineno, words in lines:
-        for w in " ".join(words).replace(",", " ").split():
-            try:
-                out.append(int(w))
-            except ValueError:
-                raise CliError(f"{path}: line {lineno}: expected an integer, got {w!r}",
-                               EXIT_PARSE) from None
-    return out
-
-
 def _element_set(args_e: str, what: str = "--E") -> set[int]:
     """An integer-set argument: inline integers, or a path to a file of them
     ('#' starts a comment)."""
@@ -112,7 +101,20 @@ def _element_set(args_e: str, what: str = "--E") -> set[int]:
     head = stripped.replace(",", " ").split()
     if head and all(w.lstrip("-").isdigit() for w in head):
         return set(_parse_int_list(stripped, what))
-    return set(_file_ints(stripped, regularity.data_lines(_read_file(stripped))))
+    return set(_parse_input(parse_ints, stripped))
+
+
+def _parse_input(parse, path: str, **kwargs):
+    """Parse the file at ``path``; a format error exits 2 as "error: <path>:
+    line <L>: <message>" (a ParseError's line is found from its span)."""
+    text = _read_file(path)
+    try:
+        return parse(text, **kwargs)
+    except ParseError as e:
+        line = max(1, len(text[:e.span.start + 1].splitlines()))
+        raise CliError(f"{path}: line {line}: {e.message}", EXIT_PARSE) from None
+    except (regularity.RegularityError, limits.LimitError) as e:
+        raise CliError(f"{path}: {e}", EXIT_PARSE) from None
 
 
 class _Out:
@@ -141,7 +143,7 @@ class _Out:
 
 
 def _load_structure(path: str, budget: Budget) -> FiniteStructure:
-    return parse_structure(_read_file(path), budget=budget)
+    return _parse_input(parse_structure, path, budget=budget)
 
 
 def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
@@ -272,24 +274,29 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     return EXIT_OK if held == total else EXIT_FAIL
 
 
+def _group_table(text: str) -> list[int]:
+    """A group file: "group <n>" and then the n*n entries of its addition
+    table.  Returns n followed by the entries."""
+    d = DataWords(text)
+    head = d.words[:2]
+    n = int(head[1]) if len(head) == 2 and head[0] == "group" and head[1].isdecimal() else 0
+    if n < 1:
+        raise d.error("expected 'group <n>'", 0)
+    entries = d.ints(2)
+    if len(entries) != n * n:
+        raise d.error(f"group table needs {n * n} entries, got {len(entries)}", len(d.words) - 1)
+    return [n, *entries]
+
+
 def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
-    """A group argument: z<n> for the cyclic group, or a file whose content
-    is "group <n>" followed by n*n addition-table entries ('#' starts a
-    comment).  The group must have ``order`` elements, which is checked
-    before any table is built."""
+    """A group argument: z<n> for the cyclic group, or a group file ('#'
+    starts a comment).  The group must have ``order`` elements, which is
+    checked before any table is built."""
     low = spec.strip().lower()
     if low.startswith("z") and low[1:].isdigit():
         n, entries = int(low[1:]), None
     else:
-        lines = list(regularity.data_lines(_read_file(spec)))
-        header = lines[0][1] if lines else []
-        if len(header) < 2 or header[0] != "group":
-            raise CliError(f"{spec}: line {lines[0][0] if lines else 1}: "
-                           f"expected 'group <n>'", EXIT_PARSE)
-        n, *entries = _file_ints(spec, [(lines[0][0], header[1:])] + lines[1:])
-        if len(entries) != n * n:
-            raise CliError(f"{spec}: group table needs {n * n} entries, got {len(entries)}",
-                           EXIT_PARSE)
+        n, *entries = _parse_input(_group_table, spec)
     if order != n:
         raise CliError(f"--g needs {n} values for this group", EXIT_SEMANTIC)
     if entries is None:
@@ -320,14 +327,6 @@ def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     out.record("agree", agree)
     out.record("approx", approx)
     return EXIT_OK if agree else EXIT_FAIL
-
-
-def _parse_input(parse, path: str, **kwargs):
-    """Parse an input file, reporting its format errors as parse errors."""
-    try:
-        return parse(_read_file(path), **kwargs)
-    except regularity.RegularityError as e:
-        raise CliError(f"{path}: {e}", EXIT_PARSE) from None
 
 
 def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
@@ -396,15 +395,9 @@ def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_limit(args, out: _Out, budget: Budget) -> int:
-    base = os.path.dirname(os.path.abspath(args.family))
-
-    def loader(path: str) -> str:
-        return _read_file(path if os.path.isabs(path) else os.path.join(base, path))
-
-    try:
-        family = limits.parse_family(_read_file(args.family), loader=loader)
-    except limits.LimitError as e:
-        raise CliError(str(e), EXIT_PARSE) from None
+    base = os.path.dirname(os.path.abspath(args.family))  # E-file paths are relative to it
+    family = _parse_input(limits.parse_family, args.family,
+                          loader=lambda path: _parse_input(parse_ints, os.path.join(base, path)))
     if bool(args.sentence) == bool(args.phi):
         raise CliError("need exactly one of --sentence (truth profile) or "
                        "--phi with --target (limit measure)", EXIT_PARSE)

@@ -26,8 +26,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable
 
+from .parser import ParseError, data_lines, parse_ints
 from .semantics import Budget, Evaluator, extension
 from .structures import FiniteStructure, VFlag, measure
 from .syntax import Formula, Signature, free_vars
@@ -353,57 +355,49 @@ def furstenberg_check(elements, n_hi: int, shifts,
 # Family spec files
 
 
-def parse_family(text: str, loader: Callable[[str], str] | None = None) -> StructureFamily:
+def parse_family(text: str,
+                 loader: Callable[[str], Iterable[int]] | None = None) -> StructureFamily:
     """Parse a family spec:
 
         family cyclic <i_lo> <i_hi> [predicate <name> <rule-id>]...
         family interval <E-file> <i_lo> <i_hi>
 
-    For interval families the E-file is read through ``loader`` (default:
-    the filesystem) and must contain whitespace-separated integers ('#'
-    starts a comment).
+    The words may wrap across lines, and every format error names its line.
+    For interval families ``loader`` reads the E-file's integers (default:
+    ``parser.parse_ints`` on the file).
     """
-    words = []
-    for raw in text.splitlines():
-        words.extend(raw.split("#", 1)[0].split())
-    if len(words) < 2 or words[0] != "family":
-        raise LimitError("family file must start with 'family cyclic|interval'")
-    if words[1] == "cyclic":
-        if len(words) < 4:
-            raise LimitError("family cyclic needs <i_lo> <i_hi>")
-        try:
-            i_lo, i_hi = int(words[2]), int(words[3])
-        except ValueError:
-            raise LimitError("bad index bounds") from None
-        rest = words[4:]
+    located = [(lineno, w) for lineno, line in data_lines(text) for w in line]
+    words = [w for _, w in located]
+
+    def fail(message: str, i: int = 0):
+        raise LimitError(f"line {located[min(i, len(words) - 1)][0] if words else 1}: {message}")
+
+    kind = words[1] if len(words) > 1 and words[0] == "family" else None
+    usage = {"cyclic": "<i_lo> <i_hi>", "interval": "<E-file> <i_lo> <i_hi>"}.get(kind)
+    if usage is None:
+        fail("family file must start with 'family cyclic|interval'", 1)
+    first = 2 if kind == "cyclic" else 3
+    try:
+        i_lo, i_hi = int(words[first]), int(words[first + 1])
+    except (IndexError, ValueError):
+        fail(f"expected 'family {kind} {usage}'", first)
+    if kind == "interval" and len(words) != 5:
+        fail(f"expected 'family {kind} {usage}'", 5)
+    if kind == "cyclic":
         predicates = {}
-        while rest:
-            if rest[0] != "predicate" or len(rest) < 3:
-                raise LimitError(f"expected 'predicate <name> <rule-id>', "
-                                 f"got {' '.join(rest[:3])!r}")
-            predicates[rest[1]] = rest[2]
-            rest = rest[3:]
-        return cyclic_family(i_lo, i_hi, predicates)
-    if words[1] == "interval":
-        if len(words) != 5:
-            raise LimitError("family interval needs <E-file> <i_lo> <i_hi>")
-        path, lo_w, hi_w = words[2], words[3], words[4]
+        for i in range(4, len(words), 3):
+            if words[i] != "predicate" or len(words) < i + 3:
+                fail(f"expected 'predicate <name> <rule-id>', "
+                     f"got {' '.join(words[i:i + 3])!r}", i)
+            predicates[words[i + 1]] = words[i + 2]
+    else:
         try:
-            i_lo, i_hi = int(lo_w), int(hi_w)
-        except ValueError:
-            raise LimitError("bad index bounds") from None
-        if loader is None:
-            def loader(p):
-                with open(p, encoding="utf-8") as fh:
-                    return fh.read()
-        try:
-            e_text = loader(path)
-        except OSError as e:
-            raise LimitError(f"cannot read E-file {path!r}: {e}") from None
-        try:
-            elements = {int(w) for raw in e_text.splitlines()
-                        for w in raw.split("#", 1)[0].split()}
-        except ValueError:
-            raise LimitError(f"E-file {path!r} must contain integers") from None
-        return interval_family(elements, i_lo, i_hi)
-    raise LimitError(f"unknown family kind {words[1]!r}")
+            elements = set(loader(words[2]) if loader else
+                           parse_ints(Path(words[2]).read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError, ParseError) as e:
+            fail(f"cannot read E-file {words[2]!r}: {e}", 2)
+    try:
+        return (cyclic_family(i_lo, i_hi, predicates) if kind == "cyclic"
+                else interval_family(elements, i_lo, i_hi))
+    except LimitError as e:
+        fail(str(e))

@@ -1,4 +1,4 @@
-"""Concrete syntax: formula parser/printer and the structure file format.
+"""Concrete syntax: formulas, structure files, and the reader of every input file.
 
 Formula grammar (lowest to highest precedence; binders extend maximally to
 the right):
@@ -16,15 +16,17 @@ the right):
 
 ``>=`` / ``>`` measure bounds are expanded immediately (they abbreviate
 negated ``<`` / ``<=`` bounds), so parsed ASTs only contain LT/LE.  Every
-parse error carries a byte-offset span into the input, and nesting is capped
-at ``MAX_DEPTH`` levels.
+parse error carries a span of ``str`` indices (characters, not bytes) into
+the input, and nesting is capped at ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .semantics import Budget
 from .structures import FiniteStructure
@@ -374,6 +376,60 @@ def _print(phi: Formula, level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Input files
+#
+# Every input file (structures, graphs, hypergraphs, families, element sets,
+# groups) is read through data_lines: a '#' starts a comment that ends with
+# its line, and the rest of the line splits into words at whitespace.
+
+
+def data_lines(text: str):
+    """(line number, words) for each line of ``text`` that has words once a
+    '#' comment is stripped.  Lines are numbered from 1 and end at every
+    ``str.splitlines`` boundary."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words
+
+
+# A word, or a '#' comment running to the next str.splitlines boundary.
+_WORD_OR_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[^\s#]+")
+
+
+class DataWords:
+    """The words of an input file, in order, as data_lines splits them.  A
+    word's character span is worked out only when an error needs it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.words = [w for _, words in data_lines(text) for w in words]
+
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at word ``i``, or at the end of the text past the last."""
+        if i >= len(self.words):
+            return ParseError(message, SourceSpan(len(self.text), len(self.text)))
+        words = (m for m in _WORD_OR_COMMENT.finditer(self.text) if m[0][0] != "#")
+        return ParseError(message, SourceSpan(*next(islice(words, i, None)).span()))
+
+    def ints(self, start: int = 0) -> list[int]:
+        """The integers in words ``start`` on; commas separate them too."""
+        out = []
+        for i in range(start, len(self.words)):
+            for w in self.words[i].split(","):
+                if w:
+                    try:
+                        out.append(int(w))
+                    except ValueError:
+                        raise self.error(f"expected an integer, got {w!r}", i) from None
+        return out
+
+
+def parse_ints(text: str) -> list[int]:
+    """A file of integers (element sets, E-files): whitespace or commas between."""
+    return DataWords(text).ints()
+
+
 # Structure files
 #
 #   universe <n>
@@ -387,147 +443,113 @@ def _print(phi: Formula, level: int) -> str:
 #   ...
 #   end
 #
-# '#' starts a comment (to end of line).
+# Words are read as one flat list, so a table or a tuple may wrap across
+# lines.  Each table and relation body is converted in bulk; only when that
+# fails are its words checked one by one, to report the first bad word.
 
-
-@dataclass(frozen=True)
-class _Word:
-    text: str
-    span: SourceSpan
-
-
-def _words(text: str) -> list[_Word]:
-    out: list[_Word] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] != "#":
-            j += 1
-        out.append(_Word(text[i:j], SourceSpan(i, j)))
-        i = j
-    return out
-
-
-class _WordReader:
-    def __init__(self, text: str):
-        self.words = _words(text)
-        self.pos = 0
-        self.end = SourceSpan(len(text), len(text))
-
-    def peek(self) -> _Word | None:
-        return self.words[self.pos] if self.pos < len(self.words) else None
-
-    def next(self, what: str) -> _Word:
-        w = self.peek()
-        if w is None:
-            raise ParseError(f"expected {what}, found end of input", self.end)
-        self.pos += 1
-        return w
-
-    def next_int(self, what: str) -> tuple[int, SourceSpan]:
-        w = self.next(what)
-        try:
-            return int(w.text), w.span
-        except ValueError:
-            raise ParseError(f"expected {what}, found {w.text!r}", w.span) from None
-
-    def next_rational(self, what: str) -> tuple[Fraction, SourceSpan]:
-        w = self.next(what)
-        try:
-            return Fraction(w.text), w.span
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"expected {what}, found {w.text!r}", w.span) from None
+_DECLARATIONS = frozenset(("measure", "constant", "function", "relation", "end"))
 
 
 def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
-    r = _WordReader(text)
-    kw = r.next("'universe'")
-    if kw.text != "universe":
-        raise ParseError(f"structure file must start with 'universe', found {kw.text!r}", kw.span)
-    n, n_span = r.next_int("universe size")
+    d = DataWords(text)
+    words = d.words
+
+    def word(i: int, what: str) -> str:
+        if i >= len(words):
+            raise d.error(f"expected {what}, found end of input", i)
+        return words[i]
+
+    def integer(i: int, what: str) -> int:
+        try:
+            return int(word(i, what))
+        except ValueError:
+            raise d.error(f"expected {what}, found {words[i]!r}", i) from None
+
+    def elements(lo: int, hi: int, what) -> list[int]:
+        """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
+        try:
+            vals = list(map(int, words[lo:hi]))
+            if len(vals) == hi - lo and (not vals or (min(vals) >= 0 and max(vals) < n)):
+                return vals
+        except ValueError:
+            pass
+        for i in range(lo, hi):  # report the first bad word
+            v = integer(i, what(i - lo))
+            if not 0 <= v < n:
+                raise d.error(f"element {v} out of range [0, {n})", i)
+
+    def weight(i: int, j: int) -> Fraction:
+        try:
+            q = Fraction(word(j, f"weight {i}"))
+        except (ValueError, ZeroDivisionError):
+            raise d.error(f"expected weight {i}, found {words[j]!r}", j) from None
+        if q < 0:
+            raise d.error(f"weight {i} is negative", j)
+        return q
+
+    def declare(kind: str, i: int) -> tuple[str, int]:
+        """A new symbol's name at word i, and then a function's or relation's arity."""
+        name = word(i, f"{kind} name")
+        if name in constants or name in functions or name in relations:
+            raise d.error(f"symbol {name!r} is already declared", i)
+        if kind == "constant":
+            return name, 0
+        k = integer(i + 1, f"{kind} arity")
+        if k < 1:
+            raise d.error("arity must be positive", i + 1)
+        return name, k
+
+    kw = word(0, "'universe'")
+    if kw != "universe":
+        raise d.error(f"structure file must start with 'universe', found {kw!r}", 0)
+    n = integer(1, "universe size")
     if n < 1:
-        raise ParseError("universe must be nonempty", n_span)
+        raise d.error("universe must be nonempty", 1)
     (budget or Budget()).charge(n)  # before anything of size n is built
 
     weights: tuple[Fraction, ...] | None = None
     constants: dict[str, int] = {}
     functions: dict[str, tuple[int, tuple[int, ...]]] = {}
     relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]] = {}
-
-    def element(what: str) -> int:
-        v, span = r.next_int(what)
-        if not 0 <= v < n:
-            raise ParseError(f"element {v} out of range [0, {n})", span)
-        return v
-
-    while True:
-        w = r.peek()
-        if w is None:
-            break
-        if w.text == "measure":
-            r.next("'measure'")
-            mode = r.next("'counting' or 'weights'")
-            if mode.text == "counting":
-                weights = tuple(Fraction(1, n) for _ in range(n))
-            elif mode.text == "weights":
-                ws = []
-                for i in range(n):
-                    v, span = r.next_rational(f"weight {i}")
-                    if v < 0:
-                        raise ParseError(f"weight {i} is negative", span)
-                    ws.append(v)
-                weights = tuple(ws)
-            else:
-                raise ParseError(f"unknown measure mode {mode.text!r}", mode.span)
-        elif w.text == "constant":
-            r.next("'constant'")
-            name = r.next("constant name")
-            constants[name.text] = element(f"value of constant {name.text!r}")
-        elif w.text == "function":
-            r.next("'function'")
-            name = r.next("function name")
-            arity, a_span = r.next_int("function arity")
-            if arity < 1:
-                raise ParseError("arity must be positive", a_span)
-            table = []
-            for i in range(n ** arity):
-                nxt = r.peek()
-                if nxt is None or nxt.text in ("measure", "constant", "function",
-                                               "relation", "end"):
-                    raise ParseError(
-                        f"non-total function table for {name.text!r}: "
-                        f"expected {n ** arity} results, found {i}",
-                        nxt.span if nxt is not None else r.end)
-                table.append(element(f"result {i} of function {name.text!r}"))
-            functions[name.text] = (arity, tuple(table))
-        elif w.text == "relation":
-            r.next("'relation'")
-            name = r.next("relation name")
-            arity, a_span = r.next_int("relation arity")
-            if arity < 1:
-                raise ParseError("arity must be positive", a_span)
-            tuples: set[tuple[int, ...]] = set()
-            while True:
-                nxt = r.peek()
-                if nxt is None:
-                    raise ParseError(f"relation {name.text!r} is missing its 'end' line", r.end)
-                if nxt.text == "end":
-                    r.next("'end'")
-                    break
-                tuples.add(tuple(element(f"tuple entry for relation {name.text!r}")
-                                 for _ in range(arity)))
-            relations[name.text] = (arity, frozenset(tuples))
+    pos = 2
+    while pos < len(words):
+        w = words[pos]
+        if w == "measure":
+            mode = word(pos + 1, "'counting' or 'weights'")
+            if mode not in ("counting", "weights"):
+                raise d.error(f"unknown measure mode {mode!r}", pos + 1)
+            weights = (tuple(weight(i, pos + 2 + i) for i in range(n)) if mode == "weights"
+                       else (Fraction(1, n),) * n)
+            pos += 2 + (n if mode == "weights" else 0)
+        elif w == "constant":
+            name, _ = declare("constant", pos + 1)
+            constants[name], = elements(pos + 2, pos + 3, lambda j: f"value of constant {name!r}")
+            pos += 3
+        elif w == "function":
+            name, k = declare("function", pos + 1)
+            size, lo = n ** k, pos + 3
+            hi = min(lo + size, len(words))
+            if not _DECLARATIONS.isdisjoint(words[lo:hi]):  # the table stops short
+                hi = next(i for i in range(lo, hi) if words[i] in _DECLARATIONS)
+            table = elements(lo, hi, lambda j: f"result {j} of function {name!r}")
+            if len(table) < size:
+                raise d.error(f"non-total function table for {name!r}: "
+                              f"expected {size} results, found {len(table)}", hi)
+            functions[name] = (k, tuple(table))
+            pos = lo + size
+        elif w == "relation":
+            name, k = declare("relation", pos + 1)
+            what, lo = f"tuple entry for relation {name!r}", pos + 3
+            hi = words.index("end", lo) if "end" in words[lo:] else len(words)
+            body = elements(lo, hi, lambda j: what)
+            if (hi - lo) % k:
+                integer(hi, what)  # the 'end' or the end of input inside a tuple
+            if hi == len(words):
+                raise d.error(f"relation {name!r} is missing its 'end' line", hi)
+            relations[name] = (k, frozenset(zip(*[iter(body)] * k)))
+            pos = hi + 1
         else:
-            raise ParseError(f"unknown declaration {w.text!r}", w.span)
+            raise d.error(f"unknown declaration {w!r}", pos)
 
     try:
         return FiniteStructure(n, constants, functions, relations, weights or ())

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .parser import data_lines
 from .semantics import Budget
 
 
@@ -603,47 +604,23 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 # File formats
 
 
-def data_lines(text: str):
-    """(line number, words) for each line that has words once a '#' comment
-    is stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].split()
-        if body:
-            yield lineno, body
-
-
-def parse_graph(text: str, budget: Budget | None = None) -> Graph:
-    """Parse "graph <n>" followed by one "u v" edge per line."""
+def _parse_edges(text: str, kind: str, budget: Budget | None = None):
+    """n, k and the edges of a "graph <n>" or "hypergraph <n> <k>" file: one
+    edge per line, each k distinct vertices in [0, n) (k = 2 for a graph).
+    Every format error names its line."""
     lines = list(data_lines(text))
-    if not lines or lines[0][1][0] != "graph" or len(lines[0][1]) != 2:
-        raise RegularityError("graph file must start with 'graph <n>'")
+    lineno, header = lines[0] if lines else (1, [])
+    usage = "graph <n>" if kind == "graph" else "hypergraph <n> <k>"
+    fields = header[1:] if header[:1] == [kind] else []
     try:
-        n = int(lines[0][1][1])
-    except ValueError:
-        raise RegularityError(f"bad vertex count {lines[0][1][1]!r}") from None
-    (budget or Budget()).charge(n)  # before the n-vertex graph is built
-    pairs = []
-    for lineno, body in lines[1:]:
-        if len(body) != 2:
-            raise RegularityError(f"line {lineno}: expected 'u v', got {' '.join(body)!r}")
-        try:
-            u, v = int(body[0]), int(body[1])
-        except ValueError:
-            raise RegularityError(f"line {lineno}: bad vertex") from None
-        pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
-    lines = list(data_lines(text))
-    if not lines or lines[0][1][0] != "hypergraph" or len(lines[0][1]) != 3:
-        raise RegularityError("hypergraph file must start with 'hypergraph <n> <k>'")
-    try:
-        n, k = int(lines[0][1][1]), int(lines[0][1][2])
-    except ValueError:
-        raise RegularityError("bad hypergraph header") from None
-    edge_sets = []
+        n, k = map(int, fields if kind == "hypergraph" else fields + ["2"])
+    except ValueError:  # not a number, or a wrong count of them
+        n = k = 0
+    if n < 1 or k < 1:
+        raise RegularityError(f"line {lineno}: {kind} file must start with '{usage}' "
+                              f"(positive numbers)")
+    (budget or Budget()).charge(n)  # before an n-vertex graph is built
+    edges = []
     for lineno, body in lines[1:]:
         if len(body) != k:
             raise RegularityError(f"line {lineno}: expected {k} vertices")
@@ -651,7 +628,20 @@ def parse_hypergraph(text: str) -> Hypergraph:
             vs = [int(w) for w in body]
         except ValueError:
             raise RegularityError(f"line {lineno}: bad vertex") from None
-        if len(set(vs)) != k:
-            raise RegularityError(f"line {lineno}: repeated vertex in edge")
-        edge_sets.append(vs)
-    return Hypergraph.from_edges(n, k, edge_sets)
+        if len(set(vs)) != k or not all(0 <= v < n for v in vs):
+            raise RegularityError(f"line {lineno}: expected {k} distinct vertices "
+                                  f"in [0, {n}), got {' '.join(body)!r}")
+        edges.append(vs)
+    return n, k, edges
+
+
+def parse_graph(text: str, budget: Budget | None = None) -> Graph:
+    """Parse "graph <n>" followed by one "u v" edge per line."""
+    n, _, edges = _parse_edges(text, "graph", budget)
+    return Graph.from_edges(n, edges)
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
+    n, k, edges = _parse_edges(text, "hypergraph")
+    return Hypergraph.from_edges(n, k, edges)

@@ -183,6 +183,53 @@ def test_malformed_hypergraph_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_graph_and_hypergraph_headers_name_their_line(capsys, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("# no vertices\ngraph 0\n")
+    code, out, err = run(capsys, "regularity", str(bad), "--eps", "1/4")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 2: graph file must start with "
+                                       f"'graph <n>' (positive numbers)\n")
+    bad.write_text("hypergraph 3 2\n0 1\n1 3\n")
+    code, out, err = run(capsys, "hypergraph", TWOTRI, "--pattern", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}: line 3: expected 2 distinct vertices "
+                                       f"in [0, 3), got '1 3'\n")
+
+
+def test_structure_file_errors_name_the_path_and_line(capsys, tmp_path):
+    bad = tmp_path / "bad.struct"
+    bad.write_text("universe 2\nconstant e 0\n# table\nfunction f 1\n0 7\n")
+    code, out, err = run(capsys, "eval", str(bad), "e = e")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 5: element 7 out of range [0, 2)\n")
+    bad.write_text("universe 2\r\nrelation R 1\r\nend\r\n\r\nrelation R 2\r\nend\r\n")
+    code, out, err = run(capsys, "measure", str(bad), "x = x")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 5: symbol 'R' is already declared\n")
+    bad.write_text("universe 2\nfunction f 1\n0\n")    # the end of input: the last line
+    code, out, err = run(capsys, "eval", str(bad), "e = e")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 3: non-total function table "
+                                       f"for 'f': expected 2 results, found 1\n")
+
+
+def test_check_axioms_names_the_structure_file_that_failed(capsys, tmp_path):
+    bad = tmp_path / "bad.struct"
+    bad.write_text("universe 2\nconstant e 0\nconstant e 1\n")
+    code, out, err = run(capsys, "check-axioms", Z4, str(bad), "--count", "4")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 3: symbol 'e' is already declared\n")
+
+
+def test_files_that_are_not_utf8_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.struct"
+    bad.write_bytes(b"universe 2\n\xff\n")
+    code, out, err = run(capsys, "eval", str(bad), "e = e")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+    (tmp_path / "e.set").write_bytes(b"1 2\n\xfe\n")
+    fam = tmp_path / "e.fam"
+    fam.write_text("family interval e.set 1 5\n")
+    code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path / 'e.set'}: not UTF-8 text: ")
+
+
 def test_gowers_over_budget_exits_4(capsys):
     code, out, err = run(capsys, "gowers", "z8", "--g", "1,2,3,4,5,6,7,8",
                          "--k", "3", "--budget", "10")
@@ -299,7 +346,7 @@ def _graph_texts(draw):
 
 
 def _cmd(*parts):
-    """An argv strategy: each part is a string, a file (a ("file", text) pair,
+    """An argv strategy: each part is a string, a file (a ("file", text or bytes) pair,
     written out by the test) or a strategy drawing either or a list of them."""
     def flat(drawn):
         out = []
@@ -323,7 +370,8 @@ def _structure_texts(draw):
     lines = Path(Z4).read_text().splitlines()
     kept = lines[:draw(st.integers(min_value=0, max_value=len(lines)))]
     extra = draw(st.sampled_from(["", "universe 0", "universe -1", "measure weights 1 0",
-                                  "relation P 1", "0 9", "constant c 5"]))
+                                  "relation P 1", "0 9", "constant c 5",
+                                  "constant add 1", "function e 1\n0 1 2 3"]))  # redeclared
     return "\n".join(kept + [extra]) + "\n"
 
 
@@ -339,12 +387,13 @@ def _group_texts(draw):
 _INT = st.sampled_from(["0", "-1", "1", "2", "3", "12"])
 _LIST = st.lists(st.sampled_from(["0", "1", "-1", "2", "5", "1/2", "x", "1/0"]),
                  max_size=6).map(",".join)
-_SET = st.one_of(st.just(EVENS), _LIST)
+_NOT_UTF8 = _file(st.sampled_from([b"universe 2\n\xff\n", b"\xfe 1 2\n"]))
+_SET = st.one_of(st.just(EVENS), _LIST, _NOT_UTF8)
 _EPS = st.sampled_from(["1/4", "1/3", "0", "1", "2", "-1/2", "x", "1/0"])
 _FORMULA = st.sampled_from(["x = e", "e = e", "m[x] <= 1/2 . add(x, x) = e", "x = y",
                             "P(x)", "x ="])
-_STRUCTURE = _file(_structure_texts())
-_GRAPH = st.one_of(st.just(G16), _file(_graph_texts()))
+_STRUCTURE = st.one_of(_file(_structure_texts()), _NOT_UTF8)
+_GRAPH = st.one_of(st.just(G16), _file(_graph_texts()), _NOT_UTF8)
 _HYPERGRAPH = st.one_of(st.just(TRI), st.just(TWOTRI), _file(_graph_texts()))
 _FAMILY = _file(st.builds(
     "family {} {} {}{}\n".format,
@@ -381,7 +430,7 @@ def test_every_input_gets_a_contract_exit_code(tmp_path_factory, argv):
     for i, arg in enumerate(argv):
         if isinstance(arg, tuple):
             path = base / f"fuzz{i}"
-            path.write_text(arg[1])
+            (path.write_bytes if isinstance(arg[1], bytes) else path.write_text)(arg[1])
             argv[i] = str(path)
     assert _exit_code(argv + ["--budget", "20000"]) in range(5)
 
@@ -497,6 +546,14 @@ def test_group_files_take_comments_and_name_the_bad_line(capsys, tmp_path):
     group.write_text("group 2\n0 1\n# swapped\n1 o\n")
     code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
     assert (code, out, err) == (2, "", f"error: {group}: line 4: expected an integer, got 'o'\n")
+    for header in ("group 0", "group -1\n0"):
+        group.write_text(f"# bad order\n{header}\n")
+        code, out, err = run(capsys, "gowers", str(group), "--g", "1", "--k", "1")
+        assert (code, out, err) == (2, "", f"error: {group}: line 2: expected 'group <n>'\n")
+    group.write_text("group 2\n0 1\n1\n")
+    code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: {group}: line 3: group table needs 4 entries, "
+                                       f"got 3\n")
 
 
 def test_group_files_charge_their_associativity_check(capsys, tmp_path):
@@ -604,6 +661,28 @@ def test_limit_measure_records(capsys):
     assert lines[:5] == ["verdict=converged", "limit=0", "flag=+",
                          "lt=false", "le=false"]
     assert lines[5] == "mu.1=1" and lines[-1] == "mu.20=1/20"
+
+
+def test_family_and_e_file_errors_name_the_path_and_line(capsys, tmp_path):
+    fam = tmp_path / "bad.fam"
+    fam.write_text("family cyclic 1 5  # Z_1..Z_5\npredicate E\n")
+    code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
+    assert (code, out, err) == (2, "", f"error: {fam}: line 2: expected "
+                                       f"'predicate <name> <rule-id>', got 'predicate E'\n")
+    fam.write_text("# no kind\nfamily\n")
+    code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
+    assert (code, out, err) == (2, "", f"error: {fam}: line 2: family file must start "
+                                       f"with 'family cyclic|interval'\n")
+    evens = tmp_path / "evens.set"
+    evens.write_text("# evens\n2, 4, 6\n8 ten\n")
+    fam.write_text("family interval evens.set 1 10\n")
+    code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
+    assert (code, out, err) == (2, "", f"error: {evens}: line 3: "
+                                       f"expected an integer, got 'ten'\n")
+    evens.write_text("# evens\n2, 4, 6\n8 10\n")     # E-files take commas
+    code, out, _ = run(capsys, "limit", str(fam), "--phi", "E(x)", "--vars", "x",
+                       "--target", "1/2", "--format", "records")
+    assert (code, out.splitlines()[-1]) == (0, "mu.10=1/2")
 
 
 # -- density and furstenberg ----------------------------------------------------------------------

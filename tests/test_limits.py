@@ -17,7 +17,7 @@ from aml.limits import (
     parse_family,
     truth_profile,
 )
-from aml.parser import parse_formula
+from aml.parser import parse_formula, parse_ints
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import VFlag
 
@@ -260,7 +260,7 @@ def test_parse_cyclic_family():
 
 def test_parse_interval_family_with_loader():
     fam = parse_family("family interval E.txt 2 6",
-                       loader=lambda path: "# odd numbers\n1 3  # small\n5\n")
+                       loader=lambda path: parse_ints("# odd numbers\n1 3  # small\n5\n"))
     assert fam.kind == "interval"
     assert fam.at(5).relations["E"][1] == frozenset({(0,), (2,), (4,)})
 
@@ -272,4 +272,4 @@ def test_parse_family_errors():
         with pytest.raises(LimitError):
             parse_family(bad)
     with pytest.raises(LimitError):
-        parse_family("family interval E.txt 1 5", loader=lambda p: "one three")
+        parse_family("family interval E.txt 1 5", loader=lambda p: parse_ints("one three"))
