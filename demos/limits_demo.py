@@ -25,7 +25,7 @@ from aml.limits import (
 from aml.parser import parse_formula
 
 fam = cyclic_family(1, 24)
-print(f"Family: {fam.description}")
+print(f"Family: Z_i for i = {fam.i_lo}..{fam.i_hi}")
 
 print("\nTruth profiles over the family:")
 for text in ("exists x. ~(x = e)",            # needs at least 2 elements

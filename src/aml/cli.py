@@ -2,18 +2,21 @@
 
 Subcommands: eval, measure, check-axioms, gowers, regularity, hypergraph,
 ap-encode, limit, density, furstenberg.  Flags on every subcommand: --budget
-(work units; the AML_BUDGET environment variable overrides the default) and
---format {text,records}.  eval and limit also take --trace, check-axioms
---seed.  main builds one Budget per run, and each layer charges it for its
-own enumeration just before running it (see semantics.Budget).  eval,
-measure, check-axioms and limit table each formula once over its free
-variables (see semantics.Evaluator), so eval --trace lists each measure at
-every assignment of its free variables.
+(work units; without it main reads the AML_BUDGET environment variable on
+every call, then falls back to DEFAULT_BUDGET) and --format {text,records}.
+eval and limit also take --trace, check-axioms --seed.  The argument parser
+is built once per process.  main builds one Budget per run, and each layer
+charges it for its own enumeration just before running it (see
+semantics.Budget).  eval, measure, check-axioms and limit table each formula
+once over its free variables (see semantics.Evaluator), so eval --trace
+lists each measure at every assignment of its free variables.
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
-element sets, groups) are all read through parser.data_lines: '#' comments
-end with the line.  A format error in any of them, or a file that is not
-UTF-8, exits 2 as "error: <path>: line <L>: <message>" (see _parse_input).
+element sets, groups) are all read through parser.DataWords: '#' comments
+end with the line.  A format error in any of them is a ParseError located at
+a word; it, or a file that is not UTF-8, exits 2 as "error: <path>: line <L>:
+<message>" (see _parse_input).  RegularityError and LimitError are semantic
+errors (exit 3) wherever they arise.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -28,6 +31,7 @@ mismatched signature), 4 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -113,8 +117,6 @@ def _parse_input(parse, path: str, **kwargs):
     except ParseError as e:
         line = max(1, len(text[:e.span.start + 1].splitlines()))
         raise CliError(f"{path}: line {line}: {e.message}", EXIT_PARSE) from None
-    except (regularity.RegularityError, limits.LimitError) as e:
-        raise CliError(f"{path}: {e}", EXIT_PARSE) from None
 
 
 class _Out:
@@ -464,18 +466,14 @@ def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process, so it holds nothing read from the environment."""
     common = argparse.ArgumentParser(add_help=False)
-    env_budget = os.environ.get("AML_BUDGET")
-    default_budget = DEFAULT_BUDGET
-    if env_budget is not None:
-        try:
-            default_budget = int(env_budget)
-        except ValueError:
-            default_budget = -1  # validated after parsing, to report cleanly
-    common.add_argument("--budget", type=int, default=default_budget,
-                        help="enumeration budget in work units "
-                             "(default %(default)s; env AML_BUDGET overrides)")
+    common.add_argument("--budget", type=int,
+                        help="enumeration budget in work units (default: the "
+                             "AML_BUDGET environment variable, read on every "
+                             f"run, else {DEFAULT_BUDGET})")
     common.add_argument("--format", choices=("text", "records"), default="text")
 
     top = argparse.ArgumentParser(prog="aml", description=__doc__.splitlines()[0])
@@ -567,13 +565,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.budget <= 0:
+    limit = args.budget
+    if limit is None:  # AML_BUDGET is read on every call
+        try:
+            limit = int(os.environ.get("AML_BUDGET", DEFAULT_BUDGET))
+        except ValueError:
+            limit = 0
+    if limit <= 0:
         print("error: budget must be a positive integer "
               "(check --budget / AML_BUDGET)", file=sys.stderr)
         return EXIT_PARSE
     out = _Out(args.format)
     try:
-        code = args.func(args, out, Budget(args.budget))
+        code = args.func(args, out, Budget(limit))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -29,10 +29,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .parser import ParseError, data_lines, parse_ints
-from .semantics import Budget, Evaluator, extension
+from .parser import DataWords, ParseError, parse_ints
+from .semantics import Budget, Evaluator, extension, meas_holds
 from .structures import FiniteStructure, VFlag, measure
-from .syntax import Formula, Signature, free_vars
+from .syntax import Cmp, Formula, Signature, free_vars
 
 
 class LimitError(ValueError):
@@ -52,7 +52,6 @@ class StructureFamily:
     i_hi: int
     builder: Callable[[int], FiniteStructure]
     signature: Signature
-    description: str = ""
 
     def __post_init__(self):
         if self.i_lo > self.i_hi:
@@ -106,7 +105,7 @@ def cyclic_family(i_lo: int, i_hi: int,
 
     sig = Signature(constants=("e",), functions=(("add", 2),),
                     relations=tuple(sorted((name, 1) for name in predicates)))
-    return StructureFamily("cyclic", i_lo, i_hi, build, sig, f"Z_i for i = {i_lo}..{i_hi}")
+    return StructureFamily("cyclic", i_lo, i_hi, build, sig)
 
 
 def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
@@ -125,8 +124,7 @@ def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
         return FiniteStructure(i, {}, {"f": (1, succ)}, {"E": (1, members)})
 
     sig = Signature(functions=(("f", 1),), relations=(("E", 1),))
-    return StructureFamily("interval", i_lo, i_hi, build, sig,
-                           f"([1,i], E, successor) for i = {i_lo}..{i_hi}")
+    return StructureFamily("interval", i_lo, i_hi, build, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +212,6 @@ class LimitMeasure:
                 f"m<{self.target}: {self.lt_holds}, m<={self.target}: {self.le_holds}")
 
 
-def _boundary_verdicts(flag: VFlag) -> tuple[bool, bool]:
-    # At measure exactly r:  m < r holds only under MINUS;
-    #                        m <= r holds unless PLUS.
-    return flag is VFlag.MINUS, flag is not VFlag.PLUS
-
-
 def limit_measure(family: StructureFamily, phi: Formula, xs, r,
                   budget: Budget | None = None) -> LimitMeasure:
     """Track mu_i = measure of phi's extension over the tuple variables xs in
@@ -247,7 +239,7 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
     def result(verdict, limit, flag, note=""):
         lt = le = None
         if verdict == "converged":
-            lt, le = _boundary_verdicts(flag)
+            lt, le = meas_holds(Cmp.LT, r, r, flag), meas_holds(Cmp.LE, r, r, flag)
         return LimitMeasure(family.i_lo, family.i_hi, values, r, verdict,
                             limit, flag, lt, le, note)
 
@@ -362,42 +354,38 @@ def parse_family(text: str,
         family cyclic <i_lo> <i_hi> [predicate <name> <rule-id>]...
         family interval <E-file> <i_lo> <i_hi>
 
-    The words may wrap across lines, and every format error names its line.
-    For interval families ``loader`` reads the E-file's integers (default:
-    ``parser.parse_ints`` on the file).
+    The words may wrap across lines, and a format error is a ParseError at
+    the word it concerns.  For interval families ``loader`` reads the
+    E-file's integers (default: ``parser.parse_ints`` on the file).
     """
-    located = [(lineno, w) for lineno, line in data_lines(text) for w in line]
-    words = [w for _, w in located]
-
-    def fail(message: str, i: int = 0):
-        raise LimitError(f"line {located[min(i, len(words) - 1)][0] if words else 1}: {message}")
-
+    d = DataWords(text)
+    words = d.words
     kind = words[1] if len(words) > 1 and words[0] == "family" else None
     usage = {"cyclic": "<i_lo> <i_hi>", "interval": "<E-file> <i_lo> <i_hi>"}.get(kind)
     if usage is None:
-        fail("family file must start with 'family cyclic|interval'", 1)
+        raise d.error("family file must start with 'family cyclic|interval'", 1)
     first = 2 if kind == "cyclic" else 3
     try:
         i_lo, i_hi = int(words[first]), int(words[first + 1])
     except (IndexError, ValueError):
-        fail(f"expected 'family {kind} {usage}'", first)
+        raise d.error(f"expected 'family {kind} {usage}'", first) from None
     if kind == "interval" and len(words) != 5:
-        fail(f"expected 'family {kind} {usage}'", 5)
+        raise d.error(f"expected 'family {kind} {usage}'", 5)
     if kind == "cyclic":
         predicates = {}
         for i in range(4, len(words), 3):
             if words[i] != "predicate" or len(words) < i + 3:
-                fail(f"expected 'predicate <name> <rule-id>', "
-                     f"got {' '.join(words[i:i + 3])!r}", i)
+                raise d.error(f"expected 'predicate <name> <rule-id>', "
+                              f"got {' '.join(words[i:i + 3])!r}", i)
             predicates[words[i + 1]] = words[i + 2]
     else:
         try:
             elements = set(loader(words[2]) if loader else
                            parse_ints(Path(words[2]).read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError, ParseError) as e:
-            fail(f"cannot read E-file {words[2]!r}: {e}", 2)
+            raise d.error(f"cannot read E-file {words[2]!r}: {e}", 2) from None
     try:
         return (cyclic_family(i_lo, i_hi, predicates) if kind == "cyclic"
                 else interval_family(elements, i_lo, i_hi))
     except LimitError as e:
-        fail(str(e))
+        raise d.error(str(e), 0) from None

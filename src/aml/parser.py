@@ -379,31 +379,25 @@ def _print(phi: Formula, level: int) -> str:
 # Input files
 #
 # Every input file (structures, graphs, hypergraphs, families, element sets,
-# groups) is read through data_lines: a '#' starts a comment that ends with
-# its line, and the rest of the line splits into words at whitespace.
-
-
-def data_lines(text: str):
-    """(line number, words) for each line of ``text`` that has words once a
-    '#' comment is stripped.  Lines are numbered from 1 and end at every
-    ``str.splitlines`` boundary."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = raw.split("#", 1)[0].split()
-        if words:
-            yield lineno, words
-
+# groups) is read through DataWords: a '#' starts a comment that ends with
+# its line (at any str.splitlines boundary), and the rest of the line splits
+# into words at whitespace.  Every format error in one is a ParseError from
+# DataWords.error, located at a word.
 
 # A word, or a '#' comment running to the next str.splitlines boundary.
 _WORD_OR_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[^\s#]+")
 
 
 class DataWords:
-    """The words of an input file, in order, as data_lines splits them.  A
-    word's character span is worked out only when an error needs it."""
+    """The words of an input file, in order, and by line in ``rows`` (lines
+    without words are left out).  A word's character span is worked out
+    only when an error needs it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.words = [w for _, words in data_lines(text) for w in words]
+        lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+        self.rows = [words for words in lines if words]
+        self.words = [w for row in self.rows for w in row]
 
     def error(self, message: str, i: int) -> ParseError:
         """A ParseError at word ``i``, or at the end of the text past the last."""
@@ -527,14 +521,19 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             pos += 3
         elif w == "function":
             name, k = declare("function", pos + 1)
-            size, lo = n ** k, pos + 3
+            lo = pos + 3
+            # n^k, unless n^k >= 2^(k*(bits(n)-1)) is past both 2^64 and the
+            # words left: then the table is short whatever follows them
+            big = k * (n.bit_length() - 1) > max(64, (len(words) - lo).bit_length())
+            size = len(words) - lo + 1 if big else n ** k
             hi = min(lo + size, len(words))
             if not _DECLARATIONS.isdisjoint(words[lo:hi]):  # the table stops short
                 hi = next(i for i in range(lo, hi) if words[i] in _DECLARATIONS)
             table = elements(lo, hi, lambda j: f"result {j} of function {name!r}")
             if len(table) < size:
-                raise d.error(f"non-total function table for {name!r}: "
-                              f"expected {size} results, found {len(table)}", hi)
+                raise d.error(f"non-total function table for {name!r}: expected "
+                              f"{f'{n}^{k}' if big else size} results, "
+                              f"found {len(table)}", hi)
             functions[name] = (k, tuple(table))
             pos = lo + size
         elif w == "relation":

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .parser import data_lines
+from .parser import DataWords
 from .semantics import Budget
 
 
@@ -607,9 +607,9 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     """n, k and the edges of a "graph <n>" or "hypergraph <n> <k>" file: one
     edge per line, each k distinct vertices in [0, n) (k = 2 for a graph).
-    Every format error names its line."""
-    lines = list(data_lines(text))
-    lineno, header = lines[0] if lines else (1, [])
+    A format error is a ParseError at the first word of its line."""
+    d = DataWords(text)
+    header, *rows = d.rows or [[]]
     usage = "graph <n>" if kind == "graph" else "hypergraph <n> <k>"
     fields = header[1:] if header[:1] == [kind] else []
     try:
@@ -617,21 +617,22 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     except ValueError:  # not a number, or a wrong count of them
         n = k = 0
     if n < 1 or k < 1:
-        raise RegularityError(f"line {lineno}: {kind} file must start with '{usage}' "
-                              f"(positive numbers)")
+        raise d.error(f"{kind} file must start with '{usage}' (positive numbers)", 0)
     (budget or Budget()).charge(n)  # before an n-vertex graph is built
     edges = []
-    for lineno, body in lines[1:]:
+    first = len(header)  # the index of the row's first word
+    for body in rows:
         if len(body) != k:
-            raise RegularityError(f"line {lineno}: expected {k} vertices")
+            raise d.error(f"expected {k} vertices", first)
         try:
             vs = [int(w) for w in body]
         except ValueError:
-            raise RegularityError(f"line {lineno}: bad vertex") from None
+            raise d.error("bad vertex", first) from None
         if len(set(vs)) != k or not all(0 <= v < n for v in vs):
-            raise RegularityError(f"line {lineno}: expected {k} distinct vertices "
-                                  f"in [0, {n}), got {' '.join(body)!r}")
+            raise d.error(f"expected {k} distinct vertices in [0, {n}), "
+                          f"got {' '.join(body)!r}", first)
         edges.append(vs)
+        first += k
     return n, k, edges
 
 

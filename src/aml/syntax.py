@@ -289,8 +289,8 @@ def check_formula(phi: Formula, sig: Signature) -> None:
 
 def rename_bound(phi: Formula, mapping: dict[str, str]) -> Formula:
     """Rename variables (free and bound alike) via ``mapping``; names not in
-    the mapping are kept.  Used for capture-avoiding scheme instantiation and
-    for the bound-variable-renaming invariance tests."""
+    the mapping are kept.  Only the bound-variable-renaming invariance tests
+    use it; scheme instantiation does not."""
 
     def rt(t: Term) -> Term:
         if isinstance(t, Var):

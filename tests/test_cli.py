@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, records format, determinism."""
 
+import argparse
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aml import gowers
+from aml import cli, gowers
 from aml.cli import main
 from aml.parser import MAX_DEPTH
 
@@ -116,12 +117,41 @@ def test_budget_exhaustion_exits_4(capsys):
 
 
 def test_budget_env_variable(capsys, monkeypatch):
+    # the argument parser is built once, and AML_BUDGET is read on every call
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
     monkeypatch.setenv("AML_BUDGET", "5")
     code, _, err = run(capsys, "eval", Z4, "m[x,y] <= 1 . x = y")
     assert code == 4
+    parsers = len(built)
     monkeypatch.setenv("AML_BUDGET", "1000")
     code, _, _ = run(capsys, "eval", Z4, "m[x,y] <= 1 . x = y")
     assert code == 0
+    assert parsers > 0 and len(built) == parsers
+    cli._build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("env, argv", [("abc", []), ("0", []), ("", []), (None, ["--budget", "0"]),
+                                       (None, ["--budget", "-3"]), ("1000", ["--budget", "0"])])
+def test_a_bad_budget_exits_2(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("AML_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("AML_BUDGET", env)
+    code, out, err = run(capsys, "eval", Z4, "e = e", *argv)
+    assert (code, out, err) == (2, "", "error: budget must be a positive integer "
+                                       "(check --budget / AML_BUDGET)\n")
+
+
+def test_the_budget_flag_wins_over_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("AML_BUDGET", "abc")
+    assert run(capsys, "eval", Z4, "e = e", "--budget", "1000") == (0, "true\n", "")
 
 
 def test_missing_file_exits_2(capsys):
@@ -207,6 +237,10 @@ def test_structure_file_errors_name_the_path_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "eval", str(bad), "e = e")
     assert (code, out, err) == (2, "", f"error: {bad}: line 3: non-total function table "
                                        f"for 'f': expected 2 results, found 1\n")
+    bad.write_text("universe 2\nfunction f 20000\n0\n")  # 2^20000 is never computed
+    code, out, err = run(capsys, "eval", str(bad), "e = e")
+    assert (code, out, err) == (2, "", f"error: {bad}: line 3: non-total function table "
+                                       f"for 'f': expected 2^20000 results, found 1\n")
 
 
 def test_check_axioms_names_the_structure_file_that_failed(capsys, tmp_path):
@@ -371,7 +405,8 @@ def _structure_texts(draw):
     kept = lines[:draw(st.integers(min_value=0, max_value=len(lines)))]
     extra = draw(st.sampled_from(["", "universe 0", "universe -1", "measure weights 1 0",
                                   "relation P 1", "0 9", "constant c 5",
-                                  "constant add 1", "function e 1\n0 1 2 3"]))  # redeclared
+                                  "constant add 1", "function e 1\n0 1 2 3",  # redeclared
+                                  "function g 20000\n0"]))  # no file fills 4^20000
     return "\n".join(kept + [extra]) + "\n"
 
 

@@ -17,7 +17,7 @@ from aml.limits import (
     parse_family,
     truth_profile,
 )
-from aml.parser import parse_formula, parse_ints
+from aml.parser import ParseError, SourceSpan, parse_formula, parse_ints
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import VFlag
 
@@ -268,8 +268,9 @@ def test_parse_interval_family_with_loader():
 def test_parse_family_errors():
     for bad in ("", "family", "family cyclic 1", "family cyclic 1 x",
                 "family cyclic 1 5 predicate E", "family interval only 1",
-                "family bogus 1 5"):
-        with pytest.raises(LimitError):
+                "family bogus 1 5", "family cyclic 0 5", "family cyclic 5 1"):
+        with pytest.raises(ParseError):
             parse_family(bad)
-    with pytest.raises(LimitError):
+    with pytest.raises(ParseError) as e:
         parse_family("family interval E.txt 1 5", loader=lambda p: parse_ints("one three"))
+    assert e.value.span == SourceSpan(16, 21)  # at the E-file's name

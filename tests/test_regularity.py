@@ -27,6 +27,7 @@ from aml.regularity import (
     remove_copies,
     validate_witness,
 )
+from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
 
 DATA = Path(__file__).parent / "data"
@@ -447,7 +448,13 @@ def test_graph_header_is_charged_before_the_graph_is_built():
 
 
 def test_graph_parse_errors():
-    with pytest.raises(RegularityError):
-        parse_graph("graph 3\n0 3\n")
-    with pytest.raises(RegularityError):
+    # a format error is a ParseError at the first word of its line
+    with pytest.raises(ParseError) as e:
+        parse_graph("graph 3\n# edges\n0 3\n")
+    assert e.value.span == SourceSpan(16, 17)
+    with pytest.raises(ParseError) as e:
         parse_graph("not-a-graph 3\n")
+    assert e.value.span == SourceSpan(0, 11)
+    with pytest.raises(ParseError) as e:
+        parse_hypergraph("hypergraph 4 3\n0 1 2\n1 x 3\n")
+    assert (e.value.message, e.value.span) == ("bad vertex", SourceSpan(21, 22))
