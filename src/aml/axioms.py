@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .semantics import Budget, Evaluator
+# bench/tracer.py patches axioms.Evaluator by name, so the import stays
+from .semantics import Budget, Evaluator, extension  # noqa: F401
 from .structures import FiniteStructure
 from .syntax import (And, Atom, Cmp, Const, Equality, Forall, Formula, Func, Implies, Meas,
                      Not, Or, Signature, Var, free_vars)
@@ -287,18 +288,14 @@ class SoundnessReport:
 
 def check_instance(m: FiniteStructure, inst: SchemeInstance,
                    budget: Budget | None = None) -> SoundnessResult:
-    """Evaluate one instance; on failure, search the parameter valuations for
-    a concrete witness."""
-    import itertools
-
-    ev = Evaluator(m, budget)
-    val: dict[str, int] = {}
-    for assignment in itertools.product(range(m.n), repeat=len(inst.param_vars)):
-        for v, a in zip(inst.param_vars, assignment):
-            val[v] = a
-        if not ev.eval(inst.matrix, val):
-            return SoundnessResult(inst, False, dict(val))
-    return SoundnessResult(inst, True, None)
+    """Table the instance's matrix over its parameter valuations; on failure,
+    the first falsifying valuation in lexicographic order is the witness."""
+    k = len(inst.param_vars)
+    bits = extension(m, inst.matrix, inst.param_vars, budget=budget).bits
+    if bits == (1 << m.n ** k) - 1:
+        return SoundnessResult(inst, True, None)
+    first = (~bits & (bits + 1)).bit_length() - 1  # the lowest clear bit
+    return SoundnessResult(inst, False, dict(zip(inst.param_vars, m.index_tuple(first, k))))
 
 
 def check_soundness(m: FiniteStructure, instances,
@@ -395,10 +392,12 @@ def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
     scheme's own constructor); rationals are drawn with denominators <=
     denom_max, steered onto each scheme's side conditions, and include
     boundary values (zero thresholds where legal, t = qr +- 1/denom_max).
-    Charges ``budget`` one unit per instance before generating any."""
+    Charges ``budget`` max(1, the widest function arity) units per instance
+    before generating any, since a generated term has up to that many
+    arguments."""
     rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
     schemes = tuple(schemes)
-    (budget or Budget()).charge(count)
+    (budget or Budget()).charge(count * max([1, *(a for _, a in sig.functions)]))
     out: list[SchemeInstance] = []
     while len(out) < count:
         scheme = schemes[len(out) % len(schemes)] if rng.random() < 0.5 else rng.choice(schemes)

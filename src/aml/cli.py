@@ -7,9 +7,11 @@ every call, then falls back to DEFAULT_BUDGET) and --format {text,records}.
 eval and limit also take --trace, check-axioms --seed.  The argument parser
 is built once per process.  main builds one Budget per run, and each layer
 charges it for its own enumeration just before running it (see
-semantics.Budget).  eval, measure, check-axioms and limit table each formula
-once over its free variables (see semantics.Evaluator), so eval --trace
-lists each measure at every assignment of its free variables.
+semantics.Budget).  eval evaluates a formula at the --bind valuation, so
+eval --trace lists the measures decided at that valuation only (an inner
+measure once per assignment of its enclosing binders' variables), innermost
+first; measure, check-axioms and limit table each formula once over the
+variables they enumerate (see semantics.Evaluator).
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
@@ -103,7 +105,7 @@ def _element_set(args_e: str, what: str = "--E") -> set[int]:
     ('#' starts a comment)."""
     stripped = args_e.strip()
     head = stripped.replace(",", " ").split()
-    if head and all(w.lstrip("-").isdigit() for w in head):
+    if head and all(w.lstrip("-").isdecimal() for w in head):
         return set(_parse_int_list(stripped, what))
     return set(_parse_input(parse_ints, stripped))
 
@@ -179,18 +181,12 @@ def _cmd_eval(args, out: _Out, budget: Budget) -> int:
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     val = _parse_bindings(args.bind, m)
     trace: list = []
-    ev = Evaluator(m, budget=budget, trace=trace)
-    missing = free_vars(phi) - set(val)
-    if missing:
-        raise EvalError(f"unbound variables: {', '.join(sorted(missing))}")
-    verdict = ev.eval(phi, val)
+    verdict = Evaluator(m, budget=budget, trace=trace).eval(phi, val)
     out.record("verdict", verdict)
     root = phi.body if isinstance(phi, Not) else phi
     summary = "true" if verdict else "false"
-    if isinstance(root, Meas) and trace:
-        # the root's entries come last, one per assignment of its free variables
-        free = sorted(free_vars(root))
-        top = trace[len(trace) - m.n ** len(free) + m.tuple_index(tuple(val[v] for v in free))]
+    if isinstance(root, Meas):
+        top = trace[-1]  # the root measure is decided last
         cmp = top.cmp.value
         if root is not phi:  # ~(m < q) reads as m >= q, ~(m <= q) as m > q
             cmp = (AbbrevCmp.GE if top.cmp is Cmp.LT else AbbrevCmp.GT).value
@@ -295,7 +291,7 @@ def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
     starts a comment).  The group must have ``order`` elements, which is
     checked before any table is built."""
     low = spec.strip().lower()
-    if low.startswith("z") and low[1:].isdigit():
+    if low.startswith("z") and low[1:].isdecimal():
         n, entries = int(low[1:]), None
     else:
         n, *entries = _parse_input(_group_table, spec)

@@ -34,12 +34,14 @@ single exact division at the end.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .semantics import Budget
-from .structures import DefinableSet
+from .structures import (DefinableSet, check_weights, index_tuple, integer_table,
+                         product_weights, tuple_index)
 
 
 class GowersError(ValueError):
@@ -104,15 +106,13 @@ class AbelianGroup:
 # Grid functions
 
 
-def _as_fractions(values) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """A rational-valued function on M^arity, M = {0..n-1}, with per-element
     weights (default: normalized counting).  Values are stored flat in
-    lexicographic tuple order, leftmost coordinate most significant."""
+    lexicographic tuple order, leftmost coordinate most significant.  Every
+    integral against the product weight measure sums integers and divides
+    once (see ``structures.product_weights``)."""
 
     n: int
     arity: int
@@ -120,21 +120,14 @@ class GridFunction:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_fractions(self.values))
+        object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
         if len(self.values) != self.n ** self.arity:
             raise GowersError(f"need {self.n ** self.arity} values, got {len(self.values)}")
-        if not self.weights:
-            object.__setattr__(self, "weights", (Fraction(1, self.n),) * self.n)
-        else:
-            object.__setattr__(self, "weights", _as_fractions(self.weights))
-        if len(self.weights) != self.n:
-            raise GowersError("weight vector length must equal n")
-        if any(w < 0 for w in self.weights):
-            raise GowersError("weights must be nonnegative")
+        object.__setattr__(self, "weights", check_weights(self.weights, self.n))
 
     @staticmethod
     def from_values(values, arity: int, n: int | None = None, weights=()) -> "GridFunction":
-        values = _as_fractions(values)
+        values = tuple(values)
         if n is None:
             n = round(len(values) ** (1 / arity))
             while n ** arity < len(values):
@@ -156,38 +149,24 @@ class GridFunction:
             vals.append(g.values[s])
         return GridFunction(group.n, k, tuple(vals), g.weights)
 
-    def index(self, tup) -> int:
-        idx = 0
-        for a in tup:
-            idx = idx * self.n + a
-        return idx
-
     def value_at(self, tup) -> Fraction:
-        return self.values[self.index(tup)]
+        return self.values[tuple_index(tup, self.n)]
 
     @property
     def bound(self) -> Fraction:
         return max((abs(v) for v in self.values), default=Fraction(0))
 
+    @cached_property
+    def integer_product_weights(self) -> tuple[list[int], int]:
+        """(P, D): the i-th tuple's product weight is P[i] / D."""
+        ints, scale = integer_table(self.weights)
+        return product_weights(ints, self.arity), scale ** self.arity
+
     def mean(self) -> Fraction:
         """Integral of f against the product weight measure."""
-        total = Fraction(0)
-        for idx, v in enumerate(self.values):
-            if v:
-                total += v * self._weight_of_index(idx)
-        return total
-
-    def _weight_of_index(self, idx: int) -> Fraction:
-        prod = Fraction(1)
-        for _ in range(self.arity):
-            prod *= self.weights[idx % self.n]
-            idx //= self.n
-        return prod
-
-
-def _int_table(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * denom) for v in values], denom
+        vi, vden = integer_table(self.values)
+        pw, wden = self.integer_product_weights
+        return Fraction(sum(map(operator.mul, vi, pw)), vden * wden)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +185,7 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
     """||g||^{2^k} via the direct cube average over x and h_1..h_k."""
     _check_degree(group, g, k)
     (budget or Budget()).charge(group.n ** (k + 1))  # the cube's terms
-    gi, denom = _int_table(g.values)
+    gi, denom = integer_table(g.values)
     add = group.table
     n = group.n
     total = 0
@@ -226,7 +205,7 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
 def gowers_norm_pow_derivative(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
     """||g||^{2^k} via the derivative identity, recursing on g * g(. + h)."""
     _check_degree(group, g, k)
-    gi, denom = _int_table(g.values)
+    gi, denom = integer_table(g.values)
     add = group.table
     n = group.n
 
@@ -246,7 +225,7 @@ def gowers_norm_pow_subst(group: AbelianGroup, g: GridFunction, k: int) -> Fract
     Costs |G|^{2k} * 2^k; kept as the small-n reference that tests compare
     the other forms against."""
     _check_degree(group, g, k)
-    gi, denom = _int_table(g.values)
+    gi, denom = integer_table(g.values)
     add = group.table
     n = group.n
     zero = group.zero
@@ -268,8 +247,8 @@ def gowers_box_pow(f: GridFunction) -> Fraction:
     k = f.arity
     if k < 1:
         raise GowersError("arity must be >= 1")
-    fi, fden = _int_table(f.values)
-    wi, wden = _int_table(f.weights)
+    fi, fden = integer_table(f.values)
+    wi, wden = integer_table(f.weights)
     n = f.n
     live = [a for a in range(n) if wi[a]]
 
@@ -292,8 +271,8 @@ def dual_function(f: GridFunction) -> GridFunction:
     k = f.arity
     if k < 1:
         raise GowersError("arity must be >= 1")
-    fi, fden = _int_table(f.values)
-    wi, wden = _int_table(f.weights)
+    fi, fden = integer_table(f.values)
+    wi, wden = integer_table(f.weights)
     n = f.n
     live = [b for b in range(n) if wi[b]]
 
@@ -318,11 +297,10 @@ def inner_product(f: GridFunction, g: GridFunction) -> Fraction:
     """Integral of f*g against the product weight measure."""
     if (f.n, f.arity) != (g.n, g.arity) or f.weights != g.weights:
         raise GowersError("functions live on different measured grids")
-    total = Fraction(0)
-    for idx, (a, b) in enumerate(zip(f.values, g.values)):
-        if a and b:
-            total += a * b * f._weight_of_index(idx)
-    return total
+    fi, fden = integer_table(f.values)
+    gi, gden = integer_table(g.values)
+    pw, wden = f.integer_product_weights
+    return Fraction(sum(map(operator.mul, map(operator.mul, fi, gi), pw)), fden * gden * wden)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +366,17 @@ def cond_expect(f: GridFunction, algebra: FiniteAlgebra) -> GridFunction:
     mean of f; atoms of measure zero get value 0."""
     if (f.n, f.arity) != (algebra.n, algebra.arity):
         raise GowersError("function and algebra live on different grids")
+    vi, vden = integer_table(f.values)
+    pw, _ = f.integer_product_weights
     out = list(f.values)
     for atom in algebra.atoms:
-        num = Fraction(0)
-        den = Fraction(0)
-        bits = atom
-        idxs = []
+        idxs, bits = [], atom
         while bits:
             low = bits & -bits
-            idx = low.bit_length() - 1
-            idxs.append(idx)
-            w = f._weight_of_index(idx)
-            den += w
-            num += f.values[idx] * w
+            idxs.append(low.bit_length() - 1)
             bits ^= low
-        value = num / den if den else Fraction(0)
+        den = sum(pw[i] for i in idxs)
+        value = Fraction(sum(vi[i] * pw[i] for i in idxs), vden * den) if den else Fraction(0)
         for idx in idxs:
             out[idx] = value
     return GridFunction(f.n, f.arity, tuple(out), f.weights)
@@ -456,17 +430,14 @@ def positivity_criterion(f: GridFunction, atom_budget: int = 1 << 16):
     combos = f.n ** (len(subsets) * (k - 1))
     if combos > atom_budget:
         return first, "unknown"
-    corr: dict[tuple, Fraction] = {}
-    for idx, v in enumerate(f.values):
-        tup = []
-        rest = idx
-        for _ in range(k):
-            tup.append(rest % f.n)
-            rest //= f.n
-        tup.reverse()
-        sig = tuple(tuple(tup[i] for i in sorted(I)) for I in subsets)
+    vi, _ = integer_table(f.values)  # positive rescalings keep a sum's sign
+    pw, _ = f.integer_product_weights
+    corr: dict[tuple, int] = {}
+    for idx, v in enumerate(vi):
         if v:
-            corr[sig] = corr.get(sig, Fraction(0)) + v * f._weight_of_index(idx)
+            tup = index_tuple(idx, f.n, k)
+            sig = tuple(tuple(tup[i] for i in sorted(I)) for I in subsets)
+            corr[sig] = corr.get(sig, 0) + v * pw[idx]
     second = any(c != 0 for c in corr.values())
     return first, second
 

@@ -89,9 +89,9 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token("ident", text[i:j], SourceSpan(i, j)))
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], SourceSpan(i, j)))
             i = j
@@ -501,7 +501,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
         raise d.error("universe must be nonempty", 1)
     (budget or Budget()).charge(n)  # before anything of size n is built
 
-    weights: tuple[Fraction, ...] | None = None
+    weights: tuple[Fraction, ...] = ()  # normalized counting
     constants: dict[str, int] = {}
     functions: dict[str, tuple[int, tuple[int, ...]]] = {}
     relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]] = {}
@@ -512,8 +512,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             mode = word(pos + 1, "'counting' or 'weights'")
             if mode not in ("counting", "weights"):
                 raise d.error(f"unknown measure mode {mode!r}", pos + 1)
-            weights = (tuple(weight(i, pos + 2 + i) for i in range(n)) if mode == "weights"
-                       else (Fraction(1, n),) * n)
+            weights = tuple(weight(i, pos + 2 + i) for i in range(n)) if mode == "weights" else ()
             pos += 2 + (n if mode == "weights" else 0)
         elif w == "constant":
             name, _ = declare("constant", pos + 1)
@@ -551,7 +550,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             raise d.error(f"unknown declaration {w!r}", pos)
 
     try:
-        return FiniteStructure(n, constants, functions, relations, weights or ())
+        return FiniteStructure(n, constants, functions, relations, weights)
     except ValueError as e:
         raise ParseError(str(e), SourceSpan(0, len(text))) from None
 

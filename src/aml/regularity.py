@@ -423,9 +423,10 @@ class RemovalResult:
     within_bound: bool | None  # |removed| <= eps * n^k, when eps was given
 
 
-def _min_hitting_set(constraint_sets: list[frozenset]):
+def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget):
     """Exact minimum hitting set by branch and bound on the constraint with
-    the fewest remaining options."""
+    the fewest remaining options; each branch charges the constraints it
+    filters before filtering them."""
     best: list[frozenset | None] = [None]
 
     def lower_bound(remaining):
@@ -446,6 +447,7 @@ def _min_hitting_set(constraint_sets: list[frozenset]):
             return
         pivot = min(remaining, key=len)
         for edge in sorted(pivot, key=sorted):
+            budget.charge(len(remaining))
             nxt = [c for c in remaining if edge not in c]
             chosen.add(edge)
             search(nxt, chosen)
@@ -484,7 +486,7 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
                              None if eps is None else True)
     unique = sorted(set(copy_sets), key=lambda s: sorted(map(sorted, s)))
     if before <= bb_cap:
-        removed = _min_hitting_set(list(unique))
+        removed = _min_hitting_set(list(unique), budget or Budget())
         method = "branch-and-bound"
     else:
         removed = _greedy_hitting_set(list(unique))

@@ -15,8 +15,10 @@ reduce to exact rational comparisons; the three-valued clauses are exposed in
 Two evaluators are provided.  :class:`Evaluator` (behind :func:`evaluate`
 and :func:`extension`) is the standard bottom-up relational-algebra model
 check (Immerman, *Descriptive Complexity*, 1999): each subformula is
-evaluated once, into a bitset over the assignments of its variables, and each
-measure compares an exact integer sum per fiber; it is budget-metered.
+evaluated once, into a bitset over the assignments of the variables its
+enclosing binders enumerate (a valuation's variables stay fixed), and each
+measure compares an exact integer sum per fiber.  Each binder charges the
+budget for its table before building it; nothing is memoized between calls.
 :func:`naive_evaluate` walks the formula once per tuple with no sharing at
 all and recomputes every extension by full tuple enumeration: it is the
 oracle the set-at-a-time evaluator is tested against.
@@ -132,11 +134,12 @@ class Evaluator:
     blocks: a quantifier folds each fiber, a measure sums each fiber's
     product weights as integers.  The innermost binder of a name wins.
 
-    Charges, made before the table is built: a quantifier n^(|free| + 1), a
-    measure over k variables n^(|free| + k), and a formula evaluated at the
-    top level n^|free| if it has free variables.  No table has more bits than
-    the charge enclosing it.  ``eval`` tables each top-level formula once and
-    then reads one bit per valuation.
+    Charges, made before the table is built: a quantifier n^(|free| + 1) and
+    a measure over k variables n^(|free| + k), where |free| counts only the
+    binder's free variables that its context enumerates.  No table has more
+    bits than the charge enclosing it.  ``eval`` evaluates at the valuation:
+    it tables the formula over the empty context with the valuation as the
+    environment, so nothing is memoized between calls.
     """
 
     def __init__(self, m: FiniteStructure, budget: Budget | None = None,
@@ -144,27 +147,17 @@ class Evaluator:
         self.m = m
         self.budget = budget or Budget(None)
         self.trace = trace
-        self._tops: dict[int, tuple[Formula, tuple[str, ...], int]] = {}
 
     def eval(self, phi: Formula, val: dict[str, int]) -> bool:
         """Whether phi holds when its free variables take the values in val."""
-        got = self._tops.get(id(phi))
-        if got is None:
-            free = tuple(sorted(free_vars(phi)))
-            self._point(free, val)
-            if free:
-                self.budget.charge(self.m.n ** len(free))
-            got = self._tops[id(phi)] = (phi, free, self.table(phi, free, {}))
-        _, free, bits = got
-        return bool(bits >> self.m.tuple_index(self._point(free, val)) & 1)
-
-    def _point(self, free: tuple[str, ...], val: dict[str, int]) -> tuple[int, ...]:
-        for v in free:
-            if v not in val:
-                raise EvalError(f"unbound variable {v!r}")
+        free = free_vars(phi)
+        missing = free - set(val)
+        if missing:
+            raise EvalError(f"unbound variables: {', '.join(sorted(missing))}")
+        for v in sorted(free):
             if not 0 <= val[v] < self.m.n:
                 raise EvalError(f"binding {v}={val[v]} outside universe 0..{self.m.n - 1}")
-        return tuple(val[v] for v in free)
+        return bool(self.table(phi, (), val))
 
     def table(self, phi: Formula, ctx: tuple[str, ...], env: dict[str, int]) -> int:
         """phi's table over ``ctx``; its other free variables read ``env``."""
@@ -285,11 +278,7 @@ def evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None
              trace: list[MeasTraceEntry] | None = None) -> bool:
     """Evaluate ``phi`` in ``m`` under valuation ``val`` (must cover the free
     variables)."""
-    ev = Evaluator(m, budget, trace)
-    missing = free_vars(phi) - set(val or {})
-    if missing:
-        raise EvalError(f"unbound free variables: {sorted(missing)}")
-    return ev.eval(phi, dict(val or {}))
+    return Evaluator(m, budget, trace).eval(phi, dict(val or {}))
 
 
 def extension(m: FiniteStructure, phi: Formula, xs: tuple[str, ...],

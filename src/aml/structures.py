@@ -31,6 +31,47 @@ class VFlag(Enum):
     DOT = "."
 
 
+def check_weights(weights, n: int) -> tuple[Fraction, ...]:
+    """The unary weights of an n-element universe as rationals: normalized
+    counting when ``weights`` is empty, else n nonnegative values."""
+    if not weights:
+        return (Fraction(1, n),) * n
+    weights = tuple(map(Fraction, weights))
+    if len(weights) != n:
+        raise ValueError(f"weight vector has {len(weights)} entries, universe size is {n}")
+    if min(weights) < 0:
+        raise ValueError("weights must be nonnegative")
+    return weights
+
+
+def integer_table(values) -> tuple[tuple[int, ...], int]:
+    """(V, L) with values[i] = V[i] / L, L the lcm of the values' denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+def product_weights(ints, k: int) -> list[int]:
+    """ints[a_1] * ... * ints[a_k] for every a in M^k, in lexicographic order:
+    with the W of ``integer_weights``, each tuple's product weight times L^k."""
+    table = [1]
+    for _ in range(k):
+        table = [t * w for t in table for w in ints]
+    return table
+
+
+def tuple_index(tup, n: int) -> int:
+    """The lexicographic position of ``tup`` among the tuples over {0..n-1}."""
+    idx = 0
+    for a in tup:
+        idx = idx * n + a
+    return idx
+
+
+def index_tuple(idx: int, n: int, arity: int) -> tuple[int, ...]:
+    """The ``idx``-th tuple of {0..n-1}^arity in lexicographic order."""
+    return tuple(idx // n ** (arity - 1 - i) % n for i in range(arity))
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     n: int
@@ -44,25 +85,22 @@ class FiniteStructure:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("universe must be nonempty")
-        if not self.weights:
-            object.__setattr__(self, "weights", (Fraction(1, self.n),) * self.n)
-        if len(self.weights) != self.n:
-            raise ValueError(f"weight vector has {len(self.weights)} entries, universe size is {self.n}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        object.__setattr__(self, "weights", check_weights(self.weights, self.n))
+        n = self.n
         for name, e in self.constants.items():
-            if not 0 <= e < self.n:
+            if not 0 <= e < n:
                 raise ValueError(f"constant {name!r} = {e} out of range")
         for name, (arity, table) in self.functions.items():
-            if len(table) != self.n ** arity:
+            if len(table) != n ** arity:
                 raise ValueError(f"function {name!r} table is not total "
-                                 f"({len(table)} entries, need {self.n ** arity})")
-            if any(not 0 <= v < self.n for v in table):
+                                 f"({len(table)} entries, need {n ** arity})")
+            if not 0 <= min(table) <= max(table) < n:
                 raise ValueError(f"function {name!r} has out-of-range results")
         for name, (arity, tuples) in self.relations.items():
-            for tup in tuples:
-                if len(tup) != arity or any(not 0 <= v < self.n for v in tup):
-                    raise ValueError(f"relation {name!r} has an invalid tuple {tup}")
+            flat = list(itertools.chain.from_iterable(tuples)) or [0]  # [0]: no tuples
+            if any(map(arity.__ne__, map(len, tuples))) or not 0 <= min(flat) <= max(flat) < n:
+                bad = next(t for t in tuples if len(t) != arity or not all(0 <= v < n for v in t))
+                raise ValueError(f"relation {name!r} has an invalid tuple {bad}")
 
     # -- signature ---------------------------------------------------------
 
@@ -89,15 +127,10 @@ class FiniteStructure:
     @cached_property
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
         """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (scale // w.denominator) for w in self.weights), scale
+        return integer_table(self.weights)
 
     def apply_function(self, name: str, args: tuple[int, ...]) -> int:
-        arity, table = self.functions[name]
-        idx = 0
-        for a in args:
-            idx = idx * self.n + a
-        return table[idx]
+        return self.functions[name][1][tuple_index(args, self.n)]
 
     def holds_relation(self, name: str, args: tuple[int, ...]) -> bool:
         return args in self.relations[name][1]
@@ -105,17 +138,10 @@ class FiniteStructure:
     # -- tuple indexing ----------------------------------------------------
 
     def tuple_index(self, tup: tuple[int, ...]) -> int:
-        idx = 0
-        for a in tup:
-            idx = idx * self.n + a
-        return idx
+        return tuple_index(tup, self.n)
 
     def index_tuple(self, idx: int, arity: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(arity):
-            out.append(idx % self.n)
-            idx //= self.n
-        return tuple(reversed(out))
+        return index_tuple(idx, self.n, arity)
 
     def all_tuples(self, arity: int):
         return itertools.product(range(self.n), repeat=arity)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +90,7 @@ def term_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Const):
         return frozenset()
     if isinstance(t, Func):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
+        return frozenset().union(*map(term_vars, t.args))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -102,6 +100,23 @@ def term_vars(t: Term) -> frozenset[str]:
 
 class Formula:
     __slots__ = ()
+
+    @cached_property
+    def free_variables(self) -> frozenset[str]:
+        """The formula's free variables, computed once per node (see free_vars)."""
+        if isinstance(self, Equality):
+            return term_vars(self.left) | term_vars(self.right)
+        if isinstance(self, Atom):
+            return frozenset().union(*map(term_vars, self.args))
+        if isinstance(self, Not):
+            return self.body.free_variables
+        if isinstance(self, (And, Or, Implies)):
+            return self.left.free_variables | self.right.free_variables
+        if isinstance(self, (Forall, Exists)):
+            return self.body.free_variables - {self.var}
+        if isinstance(self, Meas):
+            return self.body.free_variables - set(self.vars)
+        raise TypeError(f"not a formula: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -219,22 +234,9 @@ def rank(phi: Formula) -> int:
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Equality):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, Atom):
-        out: frozenset[str] = frozenset()
-        for a in phi.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return free_vars(phi.body) - {phi.var}
-    if isinstance(phi, Meas):
-        return free_vars(phi.body) - set(phi.vars)
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    return phi.free_variables
 
 
 def check_formula(phi: Formula, sig: Signature) -> None:

@@ -3,7 +3,9 @@
 import argparse
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+import itertools
 from pathlib import Path
+import time
 import tracemalloc
 
 import pytest
@@ -76,16 +78,13 @@ def test_eval_trace(capsys):
 
 
 def test_eval_summary_reads_the_bound_assignment(capsys):
-    # the open root is tabled for every x; the summary is the one at x=0
+    # the open root is evaluated at x=0 only, so the trace has its one entry
     code, out, _ = run(capsys, "eval", Z4, "m[y] < 1/2 . add(x, y) = y", "--bind", "x=0",
                        "--trace")
     assert code == 0
     assert out.splitlines() == [
         "false (mu = 1, < 1/2, flag ⊙)",
-        "  trace 0: m[y] < 1/2: count 4, mu = 1, flag ⊙ -> false",
-        "  trace 1: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true",
-        "  trace 2: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true",
-        "  trace 3: m[y] < 1/2: count 0, mu = 0, flag ⊙ -> true"]
+        "  trace 0: m[y] < 1/2: count 4, mu = 1, flag ⊙ -> false"]
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -95,6 +94,15 @@ def test_parse_error_exits_2(capsys):
     assert code == 2
     assert err.startswith("parse error:")
     assert "4..6" in err                      # span of the offending token
+
+
+def test_non_decimal_digits_exit_2(capsys):
+    # '²'.isdigit() holds but int('²') fails: a number is decimal digits only
+    code, out, err = run(capsys, "eval", Z4, "m[x] <= ² . x = e")
+    assert (code, out, err) == (2, "", "parse error: unexpected character '²' (at 8..9)\n")
+    code, out, err = run(capsys, "gowers", "z²", "--g", "1", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read z²:")
 
 
 def test_semantic_error_exits_3(capsys):
@@ -503,9 +511,19 @@ def test_check_axioms_deterministic(capsys):
 
 
 def test_check_axioms_charges_its_count_before_generating(capsys):
+    # 4 for the universe, then 20000 instances times z4's widest arity, 2
     code, out, err = run(capsys, "check-axioms", Z4, "--count", "20000", "--budget", "100")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 20004 work units > limit 100\n"
+    assert err == "budget error: enumeration budget exceeded: 40004 work units > limit 100\n"
+
+
+def test_check_axioms_charges_a_huge_arity_before_generating(capsys, tmp_path):
+    # one table entry, but every generated term of f would have 10^6 arguments
+    huge = tmp_path / "huge.struct"
+    huge.write_text("universe 1\nfunction f 1000000\n0\n")
+    code, out, err = run(capsys, "check-axioms", str(huge), "--count", "1", "--budget", "1000")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 1000001 work units > limit 1000\n"
 
 
 def test_check_axioms_rejects_a_negative_count(capsys):
@@ -636,14 +654,30 @@ def test_hypergraph_count(capsys):
 
 
 def test_hypergraph_removal_enumerates_the_host_once(capsys):
-    # 6^3 = 216 maps for the removal, 216 more to recount the stripped host
+    # 6^3 = 216 maps for the removal, 9 copy sets filtered by the branch and
+    # bound (two sets at each of the root's 3 branches, then one at 3 more),
+    # 216 more maps to recount the stripped host
     argv = ("hypergraph", TWOTRI, "--pattern", TRI, "--remove")
-    code, out, err = run(capsys, *argv, "--budget", "431")
+    code, out, err = run(capsys, *argv, "--budget", "440")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 432 work units > limit 431\n"
-    code, out, _ = run(capsys, *argv, "--budget", "432")
+    assert err == "budget error: enumeration budget exceeded: 441 work units > limit 440\n"
+    code, out, _ = run(capsys, *argv, "--budget", "441")
     assert (code, out) == (0, "copies = 12\n"
                               "removed 2 edges (branch-and-bound); copies after = 0\n")
+
+
+def test_hypergraph_removal_search_is_metered(capsys, tmp_path):
+    # the 990 triangle copies of K11 send the exact search through an
+    # exponential tree; it must exit 4 once it has filtered 100000 copy sets
+    k11 = tmp_path / "k11.hg"
+    k11.write_text("hypergraph 11 2\n" + "".join(
+        f"{a} {b}\n" for a, b in itertools.combinations(range(11), 2)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hypergraph", str(k11), "--pattern", TRI, "--remove",
+                         "--budget", "100000")
+    assert (code, out) == (4, "")
+    assert err.startswith("budget error: enumeration budget exceeded:")
+    assert time.perf_counter() - start < 10
 
 
 def test_hypergraph_removal(capsys):

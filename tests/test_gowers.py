@@ -12,7 +12,6 @@ from aml.gowers import (
     FiniteAlgebra,
     GowersError,
     GridFunction,
-    _int_table,
     box_multiplication_check,
     cond_expect,
     coordinate_support,
@@ -26,6 +25,7 @@ from aml.gowers import (
     positivity_criterion,
 )
 from aml.semantics import Budget
+from aml.structures import integer_table
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
@@ -164,8 +164,8 @@ def test_norm_power_nonnegative_and_monotone_under_mean():
 
 def _box_pow_reference(f):
     k = f.arity
-    fi, fden = _int_table(f.values)
-    wi, wden = _int_table(f.weights)
+    fi, fden = integer_table(f.values)
+    wi, wden = integer_table(f.weights)
     n = f.n
     total = 0
     for h0 in itertools.product(range(n), repeat=k):
@@ -194,8 +194,8 @@ def _box_pow_reference(f):
 
 def _dual_reference(f):
     k = f.arity
-    fi, fden = _int_table(f.values)
-    wi, wden = _int_table(f.weights)
+    fi, fden = integer_table(f.values)
+    wi, wden = integer_table(f.weights)
     n = f.n
     out = []
     scale = Fraction(1, fden ** ((1 << k) - 1) * wden ** k)
@@ -367,6 +367,128 @@ def test_algebra_atoms_partition_the_grid():
     alg = FiniteAlgebra.from_generators(4, 1, [0b0011, 0b0101])
     assert sorted(alg.atoms) == [0b0001, 0b0010, 0b0100, 0b1000]
     assert alg.atom_of(2) == 0b0100
+
+
+# -- integrals against the product weight measure ------------------------------------------
+
+# The per-tuple Fraction loops the library used to integrate with, multiplying
+# a tuple's k weights for every term: the references its integer sums
+# (structures.product_weights, one division per result) are compared against.
+
+def _weight_of_index(f, idx):
+    prod = Fraction(1)
+    for _ in range(f.arity):
+        prod *= f.weights[idx % f.n]
+        idx //= f.n
+    return prod
+
+
+def _mean_reference(f):
+    total = Fraction(0)
+    for idx, v in enumerate(f.values):
+        if v:
+            total += v * _weight_of_index(f, idx)
+    return total
+
+
+def _inner_product_reference(f, g):
+    total = Fraction(0)
+    for idx, (a, b) in enumerate(zip(f.values, g.values)):
+        if a and b:
+            total += a * b * _weight_of_index(f, idx)
+    return total
+
+
+def _cond_expect_reference(f, algebra):
+    out = list(f.values)
+    for atom in algebra.atoms:
+        num = Fraction(0)
+        den = Fraction(0)
+        bits = atom
+        idxs = []
+        while bits:
+            low = bits & -bits
+            idx = low.bit_length() - 1
+            idxs.append(idx)
+            w = _weight_of_index(f, idx)
+            den += w
+            num += f.values[idx] * w
+            bits ^= low
+        value = num / den if den else Fraction(0)
+        for idx in idxs:
+            out[idx] = value
+    return GridFunction(f.n, f.arity, tuple(out), f.weights)
+
+
+def _positivity_reference(f, atom_budget=1 << 16):
+    k = f.arity
+    first = gowers_box_pow(f) > 0
+    subsets = [frozenset(c) for c in itertools.combinations(range(k), k - 1)]
+    if f.n ** (len(subsets) * (k - 1)) > atom_budget:
+        return first, "unknown"
+    corr = {}
+    for idx, v in enumerate(f.values):
+        tup = []
+        rest = idx
+        for _ in range(k):
+            tup.append(rest % f.n)
+            rest //= f.n
+        tup.reverse()
+        sig = tuple(tuple(tup[i] for i in sorted(I)) for I in subsets)
+        if v:
+            corr[sig] = corr.get(sig, Fraction(0)) + v * _weight_of_index(f, idx)
+    return first, any(c != 0 for c in corr.values())
+
+
+def _assert_integrals_match_references(f, g, generators):
+    algebra = FiniteAlgebra.from_generators(f.n, f.arity, generators)
+    assert f.mean() == _mean_reference(f)
+    assert inner_product(f, g) == _inner_product_reference(f, g)
+    assert cond_expect(f, algebra) == _cond_expect_reference(f, algebra)
+    assert positivity_criterion(f) == _positivity_reference(f)
+
+
+def test_integrals_match_references_seeded():
+    rng = random.Random(37)
+    for n in range(1, 5):
+        for arity in range(1, 4):
+            for weighted in (False, True):
+                for _ in range(4):
+                    size = n ** arity
+                    vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(size)]
+                    other = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(size)]
+                    weights = tuple(Fraction(rng.randint(0, 3), rng.randint(1, 4))
+                                    for _ in range(n)) if weighted else ()
+                    f = GridFunction(n, arity, tuple(vals), weights)
+                    g = GridFunction(n, arity, tuple(other), weights)
+                    generators = [rng.getrandbits(size) for _ in range(rng.randint(0, 3))]
+                    _assert_integrals_match_references(f, g, generators)
+
+
+def test_integrals_with_zero_weights_or_cancelling_terms_match_references():
+    # at arity 1 the one correlation is the mean, and it cancels here
+    cancel = GridFunction(2, 1, (1, -2), (Fraction(2, 3), Fraction(1, 3)))
+    assert positivity_criterion(cancel) == (False, False)
+    _assert_integrals_match_references(cancel, cancel, [0b01])
+    f = GridFunction(3, 2, tuple(Fraction(i % 5 - 2, 1 + i % 3) for i in range(9)),
+                     (Fraction(0), Fraction(1, 2), Fraction(0)))
+    _assert_integrals_match_references(f, f, [0b000111000, 0b010010010])
+    zero = GridFunction(2, 2, (1, -1, 2, 3), (Fraction(0), Fraction(0)))
+    assert zero.mean() == 0
+    assert cond_expect(zero, FiniteAlgebra.from_generators(2, 2, [])).values == (0,) * 4
+    _assert_integrals_match_references(zero, zero, [0b0110])
+
+
+@given(grid_functions(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integrals_match_references(f, data):
+    size = f.n ** f.arity
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    other = data.draw(st.lists(rationals, min_size=size, max_size=size))
+    generators = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << size) - 1),
+                                    max_size=3))
+    _assert_integrals_match_references(f, GridFunction(f.n, f.arity, tuple(other), f.weights),
+                                       generators)
 
 
 # -- positivity ------------------------------------------------------------------------------

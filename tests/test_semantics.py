@@ -210,12 +210,13 @@ def test_memoization_does_not_leak_between_valuations():
     phi = parse_formula("P(x)", Z4.signature())
     assert evaluate(Z4, phi, {"x": 0}) is True
     assert evaluate(Z4, phi, {"x": 1}) is False
-    # one Evaluator tables phi once, then reads one bit per valuation
+    # one Evaluator evaluates at each valuation in turn: x stays fixed, so
+    # each call tables the quantifier over y alone
     budget = Budget()
     one = Evaluator(Z4, budget)
     phi = parse_formula("exists y . R(x, y) & P(y)", Z4.signature())
     assert [one.eval(phi, {"x": a}) for a in range(4)] == [False, True, False, False]
-    assert budget.used == 4 + 4 ** 2        # the top-level table, then the quantifier
+    assert budget.used == 4 * 4
     with pytest.raises(EvalError):
         one.eval(phi, {"x": 4})
 
@@ -381,10 +382,11 @@ def test_extension_matches_the_oracle_seeded():
 
 
 def test_binders_charge_their_tables_first():
-    # a quantifier n^(|free| + 1), a measure n^(|free| + k), an open top level n^|free|
+    # a quantifier n^(|free| + 1), a measure n^(|free| + k); a valuation's
+    # variables are fixed, so they do not count among |free|
     cases = [("forall x . m[y] <= 1/4 . R(x, y)", {}, 4 + 4 ** 2),
-             ("exists y . R(x, y)", {"x": 0}, 4 + 4 ** 2),
-             ("m[y,z] <= 1/2 . R(x, y) & R(y, z)", {"x": 1}, 4 + 4 ** 3),
+             ("exists y . R(x, y)", {"x": 0}, 4),
+             ("m[y,z] <= 1/2 . R(x, y) & R(y, z)", {"x": 1}, 4 ** 2),
              ("m[x] <= 1 . exists y . R(x, y)", {}, 4 + 4 ** 2)]
     for text, val, units in cases:
         budget = Budget()
