@@ -13,9 +13,8 @@ from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall,
                      Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev,
                      free_vars, rank)
 from .semantics import (Budget, BudgetExceeded, EvalError, check_continuity,
-                        check_probability, evaluate, extension, meas_holds, naive_evaluate)
-from .parser import (ParseError, SourceSpan, parse_formula, parse_structure, print_formula,
-                     print_structure)
+                        check_probability, evaluate, extension, meas_holds)
+from .parser import ParseError, SourceSpan, parse_formula, parse_structure, print_formula
 
 __version__ = "0.1.0"
 
@@ -25,6 +24,5 @@ __all__ = [
     "Formula", "Func", "Implies", "Meas", "Not", "Or", "ParseError", "Signature",
     "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "check_probability",
     "evaluate", "expand_abbrev", "extension", "free_vars", "meas_holds", "measure",
-    "naive_evaluate", "parse_formula", "parse_structure", "print_formula",
-    "print_structure", "rank",
+    "parse_formula", "parse_structure", "print_formula", "rank",
 ]

@@ -503,7 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gowers", parents=[common],
                        help="uniformity norm power of a group function")
     p.add_argument("group", help="z<n> for a cyclic group, or a group file")
-    p.add_argument("--g", required=True, help="function values, e.g. 1,-1")
+    p.add_argument("--g", required=True,
+                   help="function values, e.g. --g=-1,1,-1,1 (with '=', a leading "
+                        "minus is not read as an option)")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_gowers)
 

@@ -41,7 +41,7 @@ from functools import cached_property
 
 from .semantics import Budget
 from .structures import (DefinableSet, check_weights, index_tuple, integer_table,
-                         product_weights, tuple_index)
+                         product_weights)
 
 
 class GowersError(ValueError):
@@ -148,9 +148,6 @@ class GridFunction:
                 s = group.add(s, a)
             vals.append(g.values[s])
         return GridFunction(group.n, k, tuple(vals), g.weights)
-
-    def value_at(self, tup) -> Fraction:
-        return self.values[tuple_index(tup, self.n)]
 
     @property
     def bound(self) -> Fraction:
@@ -339,12 +336,6 @@ class FiniteAlgebra:
                     nxt.append(outside)
             atoms = nxt
         return FiniteAlgebra(n, arity, tuple(atoms), tuple(gens))
-
-    def atom_of(self, idx: int) -> int:
-        for a in self.atoms:
-            if a >> idx & 1:
-                return a
-        raise GowersError(f"index {idx} not covered by the atoms")
 
 
 def coordinate_support(bits: int, n: int, arity: int) -> frozenset[int]:

@@ -320,15 +320,6 @@ def _height(phi: Formula) -> int:
     return best
 
 
-def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    out = p.term()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Printer (canonical form; parse_formula(print_formula(phi)) == phi)
 
@@ -553,26 +544,3 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
         return FiniteStructure(n, constants, functions, relations, weights)
     except ValueError as e:
         raise ParseError(str(e), SourceSpan(0, len(text))) from None
-
-
-def print_structure(m: FiniteStructure) -> str:
-    """Write a structure back into the file format (round-trips through
-    parse_structure)."""
-    lines = [f"universe {m.n}"]
-    if m.uniform_weight == Fraction(1, m.n):
-        lines.append("measure counting")
-    else:
-        lines.append("measure weights " + " ".join(str(w) for w in m.weights))
-    for name in sorted(m.constants):
-        lines.append(f"constant {name} {m.constants[name]}")
-    for name in sorted(m.functions):
-        arity, table = m.functions[name]
-        lines.append(f"function {name} {arity}")
-        lines.append(" ".join(str(v) for v in table))
-    for name in sorted(m.relations):
-        arity, tuples = m.relations[name]
-        lines.append(f"relation {name} {arity}")
-        for tup in sorted(tuples):
-            lines.append(" ".join(str(v) for v in tup))
-        lines.append("end")
-    return "\n".join(lines) + "\n"

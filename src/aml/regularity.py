@@ -64,9 +64,6 @@ class Graph:
     def from_edges(n: int, pairs) -> "Graph":
         return Graph(n, frozenset(frozenset(p) for p in pairs))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def degree_into(self, v: int, mask: int) -> int:
         return (self.adj[v] & mask).bit_count()
 
@@ -199,11 +196,11 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
                        budget: Budget | None = None) -> RegularityVerdict:
     """Check epsilon-regularity of (U, U') exactly.
 
-    Tries the uncharged degree-sequence certificate first.  If it cannot
-    settle the pair, enumerates every qualifying subset pair (left side by
-    bitmask, right side by exact degree-prefix scan) and either certifies
-    regularity or returns a violating witness; both parts must be within
-    ``exact_cap``.
+    Tries the degree-sequence certificate first, charging its (s, t) cells
+    times |U| + |U'| before it scans them.  If it cannot settle the pair,
+    enumerates every qualifying subset pair (left side by bitmask, right side
+    by exact degree-prefix scan) and either certifies regularity or returns a
+    violating witness; both parts must be within ``exact_cap``.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -218,13 +215,15 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     d_base = density(g, u, v)
     m_min_u = max(1, _ceil_frac(eps * len(u)))
     m_min_v = max(1, _ceil_frac(eps * len(v)))
+    budget = budget or Budget()
+    budget.charge((len(u) - m_min_u + 1) * (len(v) - m_min_v + 1) * (len(u) + len(v)))
     if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
         return RegularityVerdict(True, d_base)
     # Enumerate subsets on the smaller side, scan the other exactly.
     left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
     m_min_l = m_min_u if not swapped else m_min_v
     m_min_r = m_min_v if not swapped else m_min_u
-    (budget or Budget()).charge(1 << len(left))  # one unit per subset
+    budget.charge(1 << len(left))  # one unit per subset
     for bits in range(1, 1 << len(left)):
         if bits.bit_count() < m_min_l:
             continue

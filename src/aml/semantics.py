@@ -12,21 +12,18 @@ Concrete finite structures carry flag DOT on every set, so both clauses
 reduce to exact rational comparisons; the three-valued clauses are exposed in
 :func:`meas_holds` so limit profiles can reuse them with PLUS/MINUS flags.
 
-Two evaluators are provided.  :class:`Evaluator` (behind :func:`evaluate`
-and :func:`extension`) is the standard bottom-up relational-algebra model
-check (Immerman, *Descriptive Complexity*, 1999): each subformula is
-evaluated once, into a bitset over the assignments of the variables its
-enclosing binders enumerate (a valuation's variables stay fixed), and each
-measure compares an exact integer sum per fiber.  Each binder charges the
-budget for its table before building it; nothing is memoized between calls.
-:func:`naive_evaluate` walks the formula once per tuple with no sharing at
-all and recomputes every extension by full tuple enumeration: it is the
-oracle the set-at-a-time evaluator is tested against.
+:class:`Evaluator` (behind :func:`evaluate` and :func:`extension`) is the
+standard bottom-up relational-algebra model check (Immerman, *Descriptive
+Complexity*, 1999): each subformula is evaluated once, into a bitset over the
+assignments of the variables its enclosing binders enumerate (a valuation's
+variables stay fixed), and each measure compares an exact integer sum per
+fiber.  Each binder charges the budget for its table before building it;
+nothing is memoized between calls.  The naive per-tuple oracle it is tested
+against lives in the test suite (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,57 +293,6 @@ def extension(m: FiniteStructure, phi: Formula, xs: tuple[str, ...],
     ev = Evaluator(m, budget)
     ev.budget.charge(m.n ** len(xs))
     return DefinableSet(m, len(xs), ev.table(phi, xs, params))
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: no memoization, no sharing, full re-enumeration.
-
-
-def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None) -> bool:
-    val = dict(val or {})
-
-    def term(t: Term) -> int:
-        if isinstance(t, Var):
-            if t.name not in val:
-                raise EvalError(f"unbound variable {t.name!r}")
-            return val[t.name]
-        if isinstance(t, Const):
-            if t.name not in m.constants:
-                raise EvalError(f"unknown constant {t.name!r}")
-            return m.constants[t.name]
-        if isinstance(t, Func):
-            return m.apply_function(t.name, tuple(term(a) for a in t.args))
-        raise EvalError(f"not a term: {t!r}")
-
-    if isinstance(phi, Equality):
-        return term(phi.left) == term(phi.right)
-    if isinstance(phi, Atom):
-        return m.holds_relation(phi.name, tuple(term(a) for a in phi.args))
-    if isinstance(phi, Not):
-        return not naive_evaluate(m, phi.body, val)
-    if isinstance(phi, And):
-        return naive_evaluate(m, phi.left, val) and naive_evaluate(m, phi.right, val)
-    if isinstance(phi, Or):
-        return naive_evaluate(m, phi.left, val) or naive_evaluate(m, phi.right, val)
-    if isinstance(phi, Implies):
-        return (not naive_evaluate(m, phi.left, val)) or naive_evaluate(m, phi.right, val)
-    if isinstance(phi, Forall):
-        return all(naive_evaluate(m, phi.body, {**val, phi.var: a}) for a in range(m.n))
-    if isinstance(phi, Exists):
-        return any(naive_evaluate(m, phi.body, {**val, phi.var: a}) for a in range(m.n))
-    if isinstance(phi, Meas):
-        mu = Fraction(0)
-        for tup in itertools.product(range(m.n), repeat=len(phi.vars)):
-            inner = dict(val)
-            for v, a in zip(phi.vars, tup):
-                inner[v] = a
-            if naive_evaluate(m, phi.body, inner):
-                prod = Fraction(1)
-                for a in tup:
-                    prod *= m.weights[a]
-                mu += prod
-        return meas_holds(phi.cmp, mu, phi.threshold, VFlag.DOT)
-    raise EvalError(f"not a formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------

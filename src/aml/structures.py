@@ -114,16 +114,6 @@ class FiniteStructure:
 
     # -- weights -----------------------------------------------------------
 
-    @property
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    @property
-    def uniform_weight(self) -> Fraction | None:
-        """The common weight if all elements weigh the same, else None."""
-        w0 = self.weights[0]
-        return w0 if all(w == w0 for w in self.weights) else None
-
     @cached_property
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
         """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
@@ -143,16 +133,7 @@ class FiniteStructure:
     def index_tuple(self, idx: int, arity: int) -> tuple[int, ...]:
         return index_tuple(idx, self.n, arity)
 
-    def all_tuples(self, arity: int):
-        return itertools.product(range(self.n), repeat=arity)
-
     # -- definable sets ----------------------------------------------------
-
-    def empty_set(self, arity: int) -> "DefinableSet":
-        return DefinableSet(self, arity, 0)
-
-    def full_set(self, arity: int) -> "DefinableSet":
-        return DefinableSet(self, arity, (1 << self.n ** arity) - 1)
 
     def set_of(self, arity: int, tuples) -> "DefinableSet":
         bits = 0
@@ -182,12 +163,6 @@ class DefinableSet:
         if self.bits < 0 or self.bits >> size:
             raise ValueError("bitset out of range for this arity")
 
-    def _check_same(self, other: "DefinableSet") -> None:
-        if self.structure is not other.structure and self.structure != other.structure:
-            raise ValueError("sets belong to different structures")
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
     def __contains__(self, tup) -> bool:
         return bool(self.bits >> self.structure.tuple_index(tuple(tup)) & 1)
 
@@ -200,46 +175,6 @@ class DefinableSet:
             low = bits & -bits
             yield self.structure.index_tuple(low.bit_length() - 1, self.arity)
             bits ^= low
-
-    def union(self, other: "DefinableSet") -> "DefinableSet":
-        self._check_same(other)
-        return DefinableSet(self.structure, self.arity, self.bits | other.bits)
-
-    def intersection(self, other: "DefinableSet") -> "DefinableSet":
-        self._check_same(other)
-        return DefinableSet(self.structure, self.arity, self.bits & other.bits)
-
-    def difference(self, other: "DefinableSet") -> "DefinableSet":
-        self._check_same(other)
-        return DefinableSet(self.structure, self.arity, self.bits & ~other.bits)
-
-    def complement(self) -> "DefinableSet":
-        full = (1 << self.structure.n ** self.arity) - 1
-        return DefinableSet(self.structure, self.arity, full & ~self.bits)
-
-    def product(self, other: "DefinableSet") -> "DefinableSet":
-        """Cartesian product A x B as a set of arity |A|+|B|."""
-        if self.structure is not other.structure and self.structure != other.structure:
-            raise ValueError("sets belong to different structures")
-        shift = other.structure.n ** other.arity
-        bits = 0
-        a = self.bits
-        while a:
-            low = a & -a
-            i = low.bit_length() - 1
-            bits |= other.bits << i * shift
-            a ^= low
-        return DefinableSet(self.structure, self.arity + other.arity, bits)
-
-    def slice_prefix(self, prefix: tuple[int, ...]) -> "DefinableSet":
-        """The fiber {b : prefix + b in A} as a set of arity |A| - |prefix|."""
-        rest = self.arity - len(prefix)
-        if rest < 0:
-            raise ValueError("prefix longer than arity")
-        block = self.structure.n ** rest
-        start = self.structure.tuple_index(prefix) * block
-        bits = self.bits >> start & (1 << block) - 1
-        return DefinableSet(self.structure, rest, bits)
 
 
 _BYTE01 = bytes.maketrans(b"01", b"\x00\x01")

@@ -237,89 +237,3 @@ def free_vars(phi: Formula) -> frozenset[str]:
     if not isinstance(phi, Formula):
         raise TypeError(f"not a formula: {phi!r}")
     return phi.free_variables
-
-
-def check_formula(phi: Formula, sig: Signature) -> None:
-    """Validate every symbol use in ``phi`` against ``sig`` (arity and kind).
-
-    Raises ValueError on the first violation.
-    """
-
-    def check_term(t: Term) -> None:
-        if isinstance(t, Var):
-            if sig.is_constant(t.name) or sig.function_arity(t.name) is not None \
-                    or sig.relation_arity(t.name) is not None:
-                raise ValueError(f"{t.name!r} is a declared symbol, not a variable")
-        elif isinstance(t, Const):
-            if not sig.is_constant(t.name):
-                raise ValueError(f"unknown constant {t.name!r}")
-        elif isinstance(t, Func):
-            arity = sig.function_arity(t.name)
-            if arity is None:
-                raise ValueError(f"unknown function {t.name!r}")
-            if arity != len(t.args):
-                raise ValueError(
-                    f"function {t.name!r} expects {arity} arguments, got {len(t.args)}")
-            for a in t.args:
-                check_term(a)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-
-    if isinstance(phi, Equality):
-        check_term(phi.left)
-        check_term(phi.right)
-    elif isinstance(phi, Atom):
-        arity = sig.relation_arity(phi.name)
-        if arity is None:
-            raise ValueError(f"unknown relation {phi.name!r}")
-        if arity != len(phi.args):
-            raise ValueError(f"relation {phi.name!r} expects {arity} arguments, got {len(phi.args)}")
-        for a in phi.args:
-            check_term(a)
-    elif isinstance(phi, Not):
-        check_formula(phi.body, sig)
-    elif isinstance(phi, (And, Or, Implies)):
-        check_formula(phi.left, sig)
-        check_formula(phi.right, sig)
-    elif isinstance(phi, (Forall, Exists)):
-        check_formula(phi.body, sig)
-    elif isinstance(phi, Meas):
-        check_formula(phi.body, sig)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-
-
-def rename_bound(phi: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename variables (free and bound alike) via ``mapping``; names not in
-    the mapping are kept.  Only the bound-variable-renaming invariance tests
-    use it; scheme instantiation does not."""
-
-    def rt(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(mapping.get(t.name, t.name))
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, Func):
-            return Func(t.name, tuple(rt(a) for a in t.args))
-        raise TypeError(f"not a term: {t!r}")
-
-    if isinstance(phi, Equality):
-        return Equality(rt(phi.left), rt(phi.right))
-    if isinstance(phi, Atom):
-        return Atom(phi.name, tuple(rt(a) for a in phi.args))
-    if isinstance(phi, Not):
-        return Not(rename_bound(phi.body, mapping))
-    if isinstance(phi, And):
-        return And(rename_bound(phi.left, mapping), rename_bound(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(rename_bound(phi.left, mapping), rename_bound(phi.right, mapping))
-    if isinstance(phi, Implies):
-        return Implies(rename_bound(phi.left, mapping), rename_bound(phi.right, mapping))
-    if isinstance(phi, Forall):
-        return Forall(mapping.get(phi.var, phi.var), rename_bound(phi.body, mapping))
-    if isinstance(phi, Exists):
-        return Exists(mapping.get(phi.var, phi.var), rename_bound(phi.body, mapping))
-    if isinstance(phi, Meas):
-        return Meas(tuple(mapping.get(v, v) for v in phi.vars), phi.cmp, phi.threshold,
-                    rename_bound(phi.body, mapping))
-    raise TypeError(f"not a formula: {phi!r}")

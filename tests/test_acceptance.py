@@ -11,9 +11,10 @@ from fractions import Fraction
 
 from aml import axioms, gowers, limits, regularity, semantics
 from aml.parser import ParseError, parse_formula, print_formula
-from aml.semantics import evaluate, naive_evaluate
+from aml.semantics import evaluate
 from aml.structures import FiniteStructure, VFlag
 from aml.syntax import Cmp, Meas, Signature
+from oracle import naive_evaluate
 
 SIG = axioms.TEST_SIGNATURE
 

@@ -23,7 +23,7 @@ from aml.axioms import (
 from aml.parser import parse_formula, print_formula
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import FiniteStructure
-from aml.syntax import Signature, free_vars
+from aml.syntax import Signature, free_vars, rank
 
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
@@ -290,11 +290,10 @@ def test_random_structure_shapes():
 
 
 def test_random_formula_respects_signature_and_rank():
-    from aml.syntax import check_formula, rank
     rng = random.Random(9)
     other = Signature(constants=("c", "d"), functions=(("g", 2),),
                       relations=(("Q", 3),))
     for _ in range(60):
         phi = random_formula(rng, ("x", "y"), depth=3, rank_budget=2, sig=other)
-        check_formula(phi, other)
+        assert parse_formula(print_formula(phi), other) == phi
         assert rank(phi) <= 2

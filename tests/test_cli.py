@@ -545,6 +545,16 @@ def test_gowers_character(capsys):
     assert out == "U^2 power = 1\nnorm approx 1\n"
 
 
+def test_gowers_takes_a_leading_minus_after_equals(capsys):
+    code, out, _ = run(capsys, "gowers", "z4", "--g=-1,1,-1,1", "--k", "2")
+    assert (code, out) == (0, "U^2 power = 1\nnorm approx 1\n")
+    # spaced, argparse reads "-1,1,-1,1" as an option and --g as missing its value
+    with pytest.raises(SystemExit) as ex:
+        main(["gowers", "z4", "--g", "-1,1,-1,1", "--k", "2"])
+    assert ex.value.code == 2
+    assert "argument --g: expected one argument" in capsys.readouterr().err
+
+
 def test_gowers_records_with_agreement(capsys):
     code, out, _ = run(capsys, "gowers", "z4", "--g", "1,0,0,0", "--k", "2",
                        "--format", "records")
@@ -644,6 +654,20 @@ def test_regularity_rejects_a_cap_below_one(capsys):
     code, out, err = run(capsys, "regularity", G16, "--eps", "1/4", "--cap", "0")
     assert (code, out) == (3, "")
     assert err == "semantic error: the exact part-size cap must be at least 1, got 0\n"
+
+
+def test_regularity_degree_certificate_is_metered(capsys, tmp_path):
+    # K200 as one part of 200: the certificate would scan 151 x 151 cells over
+    # 400 degrees each, so it is charged 9120400 units before it starts
+    k200 = tmp_path / "k200.graph"
+    k200.write_text("graph 200\n" + "".join(
+        f"{a} {b}\n" for a, b in itertools.combinations(range(200), 2)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "regularity", str(k200), "--eps", "1/4", "--cap", "200",
+                         "--budget", "100000")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 9120600 work units > limit 100000\n"
+    assert time.perf_counter() - start < 1
 
 
 # -- hypergraph -------------------------------------------------------------------------------

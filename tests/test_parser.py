@@ -13,13 +13,11 @@ from aml.parser import (
     SourceSpan,
     parse_formula,
     parse_structure,
-    parse_term,
     print_formula,
-    print_structure,
     print_term,
     tokenize,
 )
-from aml.semantics import Budget, BudgetExceeded, evaluate, naive_evaluate
+from aml.semantics import Budget, BudgetExceeded, evaluate
 from aml.structures import FiniteStructure
 from aml.syntax import (
     And,
@@ -37,6 +35,7 @@ from aml.syntax import (
     Signature,
     Var,
 )
+from oracle import naive_evaluate
 
 SIG = Signature(constants=("e",), functions=(("f", 1), ("mul", 2)),
                 relations=(("P", 1), ("R", 2)))
@@ -69,15 +68,9 @@ def test_tokenize_rejects_stray_characters():
 
 # -- terms ----------------------------------------------------------------------
 
-def test_parse_term_shapes():
-    assert parse_term("x", SIG) == Var("x")
-    assert parse_term("e", SIG) == Const("e")
-    assert parse_term("mul(f(x), e)", SIG) == Func("mul", (Func("f", (Var("x"),)), Const("e")))
-
-
 def test_print_term_round_trip():
     t = Func("mul", (Func("f", (Var("x"),)), Const("e")))
-    assert parse_term(print_term(t), SIG) == t
+    assert parse_formula(print_term(t) + " = e", SIG) == Equality(t, Const("e"))
 
 
 # -- formula grammar ---------------------------------------------------------------
@@ -143,7 +136,11 @@ BAD_INPUTS = [
     "m[x,x] < 1. P(x)",   # repeated measure variable
     "m[x] < . P(x)",      # missing threshold
     "R(x)",               # wrong arity
+    "mul(x) = e",         # wrong function arity
     "Q(x)",               # unknown relation
+    "g(x) = e",           # unknown function
+    "forall e . P(e)",    # declared constant as a variable
+    "m[mul] < 1/2 . P(x)",  # declared function as a variable
     "P(x) &",             # dangling connective
     "m[x] < -1 . P(x)",   # negative threshold
     "(P(x)",              # unclosed paren
@@ -252,20 +249,13 @@ def test_parse_structure_fields():
     assert m.functions["f"] == (1, (1, 2, 3, 0))
     assert m.relations["P"] == (1, frozenset({(0,), (2,)}))
     assert m.relations["R"] == (2, frozenset({(0, 1), (1, 2)}))
-    assert m.uniform_weight == Fraction(1, 4)
-
-
-def test_structure_round_trip():
-    m = parse_structure(STRUCT_TEXT)
-    assert parse_structure(print_structure(m)) == m
+    assert m.weights == (Fraction(1, 4),) * 4
 
 
 def test_weighted_structure():
     m = parse_structure("universe 2\nmeasure weights 1/3 2/3\n")
     assert m.weights == (Fraction(1, 3), Fraction(2, 3))
-    assert m.total_mass == 1
-    assert m.uniform_weight is None
-    assert parse_structure(print_structure(m)) == m
+    assert sum(m.weights) == 1
 
 
 def test_universe_size_is_charged_before_the_structure_is_built():

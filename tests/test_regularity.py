@@ -56,8 +56,8 @@ def test_graph_rejects_self_loops_and_range():
 
 
 def test_graph_adjacency_is_symmetric():
-    assert HALF.has_edge(3, 8) and HALF.has_edge(8, 3)   # 3 >= 2
-    assert not HALF.has_edge(2, 9)                        # 2 < 3
+    assert HALF.adj[3] >> 8 & 1 and HALF.adj[8] >> 3 & 1  # 3 >= 2
+    assert not HALF.adj[2] >> 9 & 1                        # 2 < 3
     assert HALF.degree_into(6, (1 << 6) - 1) == 6         # right vertex 6: all of left
 
 
@@ -101,9 +101,11 @@ def test_witness_validation_rules():
 def test_exact_check_charges_its_subsets():
     budget = Budget()
     is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=budget)
-    assert budget.used == 1 << 6            # subsets of the 6-vertex side
+    # the certificate's 5 x 5 cells (sizes 2..6) times 6 + 6, then the subsets
+    # of the 6-vertex side
+    assert budget.used == 5 * 5 * 12 + (1 << 6)
     with pytest.raises(BudgetExceeded):
-        is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=Budget(63))
+        is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=Budget(5 * 5 * 12 + 63))
 
 
 def test_eps_out_of_range():
@@ -206,10 +208,13 @@ def test_certificate_and_check_match_enumeration(a, b, kind, same, eps, rng):
 
 def test_certified_pairs_charge_no_subsets():
     complete = Graph.from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10)])
-    budget = Budget(0)
+    budget = Budget(8 * 8 * 20)  # the certificate's cells (sizes 3..10) times 10 + 10
     assert is_epsilon_regular(complete, range(10), range(10, 20), QUARTER,
                               budget=budget).regular
-    assert budget.used == 0
+    assert budget.used == 8 * 8 * 20
+    with pytest.raises(BudgetExceeded):
+        is_epsilon_regular(complete, range(10), range(10, 20), QUARTER,
+                           budget=Budget(8 * 8 * 20 - 1))
 
 
 # -- partitions ------------------------------------------------------------------------

@@ -20,11 +20,9 @@ from aml.syntax import (
     Or,
     Signature,
     Var,
-    check_formula,
     expand_abbrev,
     free_vars,
     rank,
-    rename_bound,
     term_vars,
 )
 
@@ -148,50 +146,3 @@ def test_ge_expands_to_negated_strict():
 def test_gt_expands_to_negated_weak():
     got = expand_abbrev(("x", "y"), ">", Fraction(1, 3), RXY)
     assert got == Not(Meas(("x", "y"), Cmp.LE, Fraction(1, 3), RXY))
-
-
-# -- well-formedness against a signature ---------------------------------------
-
-def test_check_formula_accepts_well_formed():
-    phi = Forall("x", Implies(PX, Meas(("y",), Cmp.LE, HALF,
-                                       Atom("R", (X, Func("f", (Y,)))))))
-    check_formula(phi, SIG)
-
-
-def test_check_formula_rejects_unknown_symbols():
-    with pytest.raises(ValueError):
-        check_formula(Atom("Q", (X,)), SIG)
-    with pytest.raises(ValueError):
-        check_formula(Equality(Const("c"), X), SIG)
-    with pytest.raises(ValueError):
-        check_formula(Equality(Func("g", (X,)), X), SIG)
-
-
-def test_check_formula_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        check_formula(Atom("P", (X, Y)), SIG)
-    with pytest.raises(ValueError):
-        check_formula(Equality(Func("mul", (X,)), X), SIG)
-
-
-def test_check_formula_rejects_declared_name_as_var():
-    with pytest.raises(ValueError):
-        check_formula(Equality(Var("e"), X), SIG)
-    with pytest.raises(ValueError):
-        check_formula(Atom("P", (Var("mul"),)), SIG)
-
-
-# -- traversal helpers ----------------------------------------------------------
-
-def test_rename_bound_leaves_free_occurrences():
-    phi = Forall("x", RXY)
-    out = rename_bound(phi, {"x": "u"})
-    assert out == Forall("u", Atom("R", (Var("u"), Y)))
-    assert free_vars(out) == {"y"}
-
-
-def test_rename_bound_inside_measure():
-    phi = Meas(("x",), Cmp.LE, HALF, And(PX, Atom("P", (Y,))))
-    out = rename_bound(phi, {"x": "z"})
-    assert out == Meas(("z",), Cmp.LE, HALF,
-                       And(Atom("P", (Var("z"),)), Atom("P", (Y,))))
