@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-# bench/tracer.py patches axioms.Evaluator by name, so the import stays
-from .semantics import Budget, Evaluator, extension  # noqa: F401
+from .semantics import Budget, Evaluator
 from .structures import FiniteStructure
 from .syntax import (And, Atom, Cmp, Const, Equality, Forall, Formula, Func, Implies, Meas,
                      Not, Or, Signature, Var, free_vars)
@@ -286,12 +285,14 @@ class SoundnessReport:
         return out
 
 
-def check_instance(m: FiniteStructure, inst: SchemeInstance,
-                   budget: Budget | None = None) -> SoundnessResult:
-    """Table the instance's matrix over its parameter valuations; on failure,
-    the first falsifying valuation in lexicographic order is the witness."""
+def check_instance(ev: Evaluator, inst: SchemeInstance) -> SoundnessResult:
+    """Table the instance's matrix over its parameter valuations in ``ev``'s
+    structure, charged n^k first as an extension is; on failure, the first
+    falsifying valuation in lexicographic order is the witness."""
+    m = ev.m
     k = len(inst.param_vars)
-    bits = extension(m, inst.matrix, inst.param_vars, budget=budget).bits
+    ev.budget.charge(m.n ** k)
+    bits = ev.table(inst.matrix, inst.param_vars, {})
     if bits == (1 << m.n ** k) - 1:
         return SoundnessResult(inst, True, None)
     first = (~bits & (bits + 1)).bit_length() - 1  # the lowest clear bit
@@ -300,7 +301,10 @@ def check_instance(m: FiniteStructure, inst: SchemeInstance,
 
 def check_soundness(m: FiniteStructure, instances,
                     budget: Budget | None = None) -> SoundnessReport:
-    return SoundnessReport(tuple(check_instance(m, inst, budget) for inst in instances))
+    """Check every instance in ``m`` through one evaluator, so an atom tabled
+    for one instance is reused by the next (see Evaluator)."""
+    ev = Evaluator(m, budget)
+    return SoundnessReport(tuple(check_instance(ev, inst) for inst in instances))
 
 
 # ---------------------------------------------------------------------------
@@ -328,44 +332,47 @@ TEST_SIGNATURE = Signature(constants=("e",), functions=(("f", 1),),
                            relations=(("P", 1), ("R", 2)))
 
 
+# What random_formula's nodes are drawn from: atoms alone at depth 0, measures
+# only while the rank budget lasts, at twice the weight of each connective.
+_ATOMS_ONLY = ("atom",)
+_CONNECTIVES = _ATOMS_ONLY + ("not", "and", "or", "implies")
+_WITH_MEASURES = _CONNECTIVES + ("meas", "meas")
+_BINARY = {"and": And, "or": Or, "implies": Implies}
+
+
 def random_formula(rng: random.Random, vars_allowed: tuple[str, ...], depth: int = 2,
                    rank_budget: int = 1, sig: Signature = TEST_SIGNATURE) -> Formula:
     """A random formula over the given signature with free variables among
     ``vars_allowed``, connective depth <= depth, measure-nesting <= rank_budget."""
     if not vars_allowed and not sig.constants:
         raise ValueError("need a variable or a constant to build terms")
+    constants, functions = sig.constants, sig.functions
+    atoms: list = [("eq",)] + [("rel", nm, ar) for nm, ar in sig.relations]
+
+    def t(vars_now: tuple[str, ...], fuel: int = 1):
+        v = rng.random()
+        if vars_now and (v < 0.6 or (not constants and (not functions or fuel == 0))):
+            return Var(rng.choice(vars_now))
+        if constants and (v < 0.8 or not functions or fuel == 0):
+            return Const(rng.choice(constants))
+        if functions and fuel > 0:
+            name, arity = rng.choice(functions)
+            return Func(name, tuple(t(vars_now, fuel - 1) for _ in range(arity)))
+        return Var(rng.choice(vars_now)) if vars_now else Const(constants[0])
 
     def gen(vars_now: tuple[str, ...], d: int, rk: int) -> Formula:
-        def t(fuel: int = 1):
-            v = rng.random()
-            if vars_now and (v < 0.6 or (not sig.constants and (not sig.functions
-                                                                or fuel == 0))):
-                return Var(rng.choice(vars_now))
-            if sig.constants and (v < 0.8 or not sig.functions or fuel == 0):
-                return Const(rng.choice(sig.constants))
-            if sig.functions and fuel > 0:
-                name, arity = rng.choice(sig.functions)
-                return Func(name, tuple(t(fuel - 1) for _ in range(arity)))
-            return Var(rng.choice(vars_now)) if vars_now else Const(sig.constants[0])
-
-        choices = ["atom"]
-        if d > 0:
-            choices += ["not", "and", "or", "implies"]
-        if rk > 0 and d > 0:
-            choices += ["meas", "meas"]
-        pick = rng.choice(choices)
+        pick = rng.choice(_ATOMS_ONLY if d <= 0 else _WITH_MEASURES if rk > 0 else _CONNECTIVES)
         if pick == "atom":
-            options: list = [("eq",)] + [("rel", nm, ar) for nm, ar in sig.relations]
-            chosen = rng.choice(options)
+            chosen = rng.choice(atoms)
             if chosen[0] == "rel":
-                return Atom(chosen[1], tuple(t() for _ in range(chosen[2])))
-            return Equality(t(), t())
+                return Atom(chosen[1], tuple(t(vars_now) for _ in range(chosen[2])))
+            return Equality(t(vars_now), t(vars_now))
         if pick == "not":
             return Not(gen(vars_now, d - 1, rk))
-        if pick in ("and", "or", "implies"):
+        if pick != "meas":
             left = gen(vars_now, d - 1, rk)
             right = gen(vars_now, d - 1, rk)
-            return {"and": And, "or": Or, "implies": Implies}[pick](left, right)
+            return _BINARY[pick](left, right)
         fresh = f"w{rng.randint(0, 999)}"
         while fresh in vars_now:
             fresh = f"w{rng.randint(0, 999)}"

@@ -17,9 +17,10 @@ standard bottom-up relational-algebra model check (Immerman, *Descriptive
 Complexity*, 1999): each subformula is evaluated once, into a bitset over the
 assignments of the variables its enclosing binders enumerate (a valuation's
 variables stay fixed), and each measure compares an exact integer sum per
-fiber.  Each binder charges the budget for its table before building it;
-nothing is memoized between calls.  The naive per-tuple oracle it is tested
-against lives in the test suite (``tests/oracle.py``).
+fiber.  Each binder charges the budget for its table before building it.
+The one thing kept between calls is the table of an atom over a context that
+holds all of its variables (see :class:`Evaluator`).  The naive per-tuple
+oracle it is tested against lives in the test suite (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -136,7 +137,15 @@ class Evaluator:
     binder's free variables that its context enumerates.  No table has more
     bits than the charge enclosing it.  ``eval`` evaluates at the valuation:
     it tables the formula over the empty context with the valuation as the
-    environment, so nothing is memoized between calls.
+    environment.
+
+    An atom whose variables all lie in the context reads no environment, so
+    its table is kept, keyed by (atom, context), for as long as the
+    evaluator lives, and later calls reuse it: ``check_soundness`` shares one
+    evaluator across all of a structure's instances.  Nothing else is kept
+    between calls.  Atoms are never charged, so reuse changes no charge; each
+    kept table is no larger than a charge already made, so what is kept grows
+    with the budget used.
     """
 
     def __init__(self, m: FiniteStructure, budget: Budget | None = None,
@@ -144,6 +153,8 @@ class Evaluator:
         self.m = m
         self.budget = budget or Budget(None)
         self.trace = trace
+        # (atom, ctx) -> the atom's table over ctx, for atoms that read no env
+        self._atoms: dict[tuple[Equality | Atom, tuple[str, ...]], int] = {}
 
     def eval(self, phi: Formula, val: dict[str, int]) -> bool:
         """Whether phi holds when its free variables take the values in val."""
@@ -158,37 +169,58 @@ class Evaluator:
 
     def table(self, phi: Formula, ctx: tuple[str, ...], env: dict[str, int]) -> int:
         """phi's table over ``ctx``; its other free variables read ``env``."""
-        if isinstance(phi, (Equality, Atom)):
-            names = free_vars(phi)
-            own = tuple(v for v in ctx if v in names)
-            return self._broadcast(self._atom(phi, own, env), own, ctx)
-        if isinstance(phi, Not):
-            return self._full(ctx) ^ self.table(phi.body, ctx, env)
-        if isinstance(phi, And):
-            return self.table(phi.left, ctx, env) & self.table(phi.right, ctx, env)
-        if isinstance(phi, Or):
-            return self.table(phi.left, ctx, env) | self.table(phi.right, ctx, env)
-        if isinstance(phi, Implies):
-            return (self._full(ctx) ^ self.table(phi.left, ctx, env)) \
-                | self.table(phi.right, ctx, env)
-        if isinstance(phi, (Forall, Exists, Meas)):
-            bound = phi.vars if isinstance(phi, Meas) else (phi.var,)
-            names = free_vars(phi)
-            free = tuple(v for v in ctx if v in names)
-            n = self.m.n
-            self.budget.charge(n ** (len(free) + len(bound)))
-            inner = {v: a for v, a in env.items() if v not in bound}
-            body = self.table(phi.body, free + bound, inner)
-            fibers = n ** len(free)
-            if isinstance(phi, Meas):
-                bits = self._measure(phi, body, fibers)
-            elif isinstance(phi, Exists):
-                bits = _any_fiber(body, n, fibers)
-            else:  # forall = not exists not
-                full = (1 << fibers) - 1
-                bits = full ^ _any_fiber(body ^ ((1 << fibers * n) - 1), n, fibers)
-            return self._broadcast(bits, free, ctx)
-        raise EvalError(f"not a formula: {phi!r}")
+        rule = self._RULES.get(type(phi))
+        if rule is None:
+            raise EvalError(f"not a formula: {phi!r}")
+        return rule(self, phi, ctx, env)
+
+    def _table_atom(self, phi: Equality | Atom, ctx: tuple[str, ...],
+                    env: dict[str, int]) -> int:
+        names = phi.free_variables
+        kept = names.issubset(ctx)  # then the table reads no env
+        bits = self._atoms.get((phi, ctx)) if kept else None
+        if bits is None:
+            own = tuple(filter(names.__contains__, ctx))
+            bits = self._broadcast(self._atom(phi, own, env), own, ctx)
+            if kept:
+                self._atoms[phi, ctx] = bits
+        return bits
+
+    def _table_not(self, phi: Not, ctx: tuple[str, ...], env: dict[str, int]) -> int:
+        return self._full(ctx) ^ self.table(phi.body, ctx, env)
+
+    def _table_and(self, phi: And, ctx: tuple[str, ...], env: dict[str, int]) -> int:
+        return self.table(phi.left, ctx, env) & self.table(phi.right, ctx, env)
+
+    def _table_or(self, phi: Or, ctx: tuple[str, ...], env: dict[str, int]) -> int:
+        return self.table(phi.left, ctx, env) | self.table(phi.right, ctx, env)
+
+    def _table_implies(self, phi: Implies, ctx: tuple[str, ...], env: dict[str, int]) -> int:
+        return (self._full(ctx) ^ self.table(phi.left, ctx, env)) \
+            | self.table(phi.right, ctx, env)
+
+    def _table_binder(self, phi: Forall | Exists | Meas, ctx: tuple[str, ...],
+                      env: dict[str, int]) -> int:
+        bound = phi.vars if type(phi) is Meas else (phi.var,)
+        names = phi.free_variables
+        free = tuple(filter(names.__contains__, ctx))
+        n = self.m.n
+        self.budget.charge(n ** (len(free) + len(bound)))
+        inner = {v: a for v, a in env.items() if v not in bound} if env else env
+        body = self.table(phi.body, free + bound, inner)
+        fibers = n ** len(free)
+        if type(phi) is Meas:
+            bits = self._measure(phi, body, fibers)
+        elif type(phi) is Exists:
+            bits = _any_fiber(body, n, fibers)
+        else:  # forall = not exists not
+            full = (1 << fibers) - 1
+            bits = full ^ _any_fiber(body ^ ((1 << fibers * n) - 1), n, fibers)
+        return self._broadcast(bits, free, ctx)
+
+    _RULES = {Equality: _table_atom, Atom: _table_atom, Not: _table_not, And: _table_and,
+              Or: _table_or, Implies: _table_implies, Forall: _table_binder,
+              Exists: _table_binder, Meas: _table_binder}
 
     def _full(self, ctx: tuple[str, ...]) -> int:
         return (1 << self.m.n ** len(ctx)) - 1
@@ -199,6 +231,11 @@ class Evaluator:
         if len(own) == len(ctx):
             return bits
         n = self.m.n
+        if ctx[len(ctx) - len(own):] == own:
+            # the missing variables are outermost: the whole table repeats,
+            # once per block of a repunit in base 2^(n^|own|)
+            block = n ** len(own)
+            return bits * (((1 << n ** len(ctx)) - 1) // ((1 << block) - 1))
         digits = format(bits, f"0{n ** len(own)}b")
         below = len(own)  # own variables after the current one
         for v in ctx:

@@ -119,12 +119,6 @@ class FiniteStructure:
         """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
         return integer_table(self.weights)
 
-    def apply_function(self, name: str, args: tuple[int, ...]) -> int:
-        return self.functions[name][1][tuple_index(args, self.n)]
-
-    def holds_relation(self, name: str, args: tuple[int, ...]) -> bool:
-        return args in self.relations[name][1]
-
     # -- tuple indexing ----------------------------------------------------
 
     def tuple_index(self, tup: tuple[int, ...]) -> int:
@@ -132,14 +126,6 @@ class FiniteStructure:
 
     def index_tuple(self, idx: int, arity: int) -> tuple[int, ...]:
         return index_tuple(idx, self.n, arity)
-
-    # -- definable sets ----------------------------------------------------
-
-    def set_of(self, arity: int, tuples) -> "DefinableSet":
-        bits = 0
-        for tup in tuples:
-            bits |= 1 << self.tuple_index(tup)
-        return DefinableSet(self, arity, bits)
 
     # -- constructors ------------------------------------------------------
 

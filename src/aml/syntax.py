@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +98,15 @@ def term_vars(t: Term) -> frozenset[str]:
 
 
 class Formula:
-    __slots__ = ()
+    """A formula node.  Each node's free variables are computed once, when
+    it is built, from its children's (see free_vars); they are an attribute,
+    not a field, so they take no part in equality, hashing or repr."""
 
-    @cached_property
-    def free_variables(self) -> frozenset[str]:
-        """The formula's free variables, computed once per node (see free_vars)."""
-        if isinstance(self, Equality):
-            return term_vars(self.left) | term_vars(self.right)
-        if isinstance(self, Atom):
-            return frozenset().union(*map(term_vars, self.args))
-        if isinstance(self, Not):
-            return self.body.free_variables
-        if isinstance(self, (And, Or, Implies)):
-            return self.left.free_variables | self.right.free_variables
-        if isinstance(self, (Forall, Exists)):
-            return self.body.free_variables - {self.var}
-        if isinstance(self, Meas):
-            return self.body.free_variables - set(self.vars)
-        raise TypeError(f"not a formula: {self!r}")
+    __slots__ = ()
+    free_variables: frozenset[str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_variables", _FREE[type(self)](self))
 
 
 @dataclass(frozen=True)
@@ -197,6 +187,25 @@ class Meas(Formula):
             raise ValueError(f"measure threshold must be nonnegative, got {self.threshold}")
         if not isinstance(self.cmp, Cmp):
             raise ValueError(f"cmp must be Cmp.LT or Cmp.LE, got {self.cmp!r}")
+        super().__post_init__()
+
+
+def _union(f: Formula) -> frozenset[str]:
+    return f.left.free_variables | f.right.free_variables
+
+
+# Each node type's free variables, from its children's.
+_FREE = {
+    Equality: lambda f: term_vars(f.left) | term_vars(f.right),
+    Atom: lambda f: frozenset().union(*map(term_vars, f.args)),
+    Not: lambda f: f.body.free_variables,
+    And: _union,
+    Or: _union,
+    Implies: _union,
+    Forall: lambda f: f.body.free_variables - {f.var},
+    Exists: lambda f: f.body.free_variables - {f.var},
+    Meas: lambda f: f.body.free_variables.difference(f.vars),
+}
 
 
 def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: AbbrevCmp | str,

@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 
 from aml.semantics import EvalError, meas_holds
-from aml.structures import FiniteStructure, VFlag
+from aml.structures import FiniteStructure, VFlag, tuple_index
 from aml.syntax import (And, Atom, Const, Equality, Exists, Forall, Formula, Func, Implies,
                         Meas, Not, Or, Term, Var)
 
@@ -29,13 +29,13 @@ def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None 
                 raise EvalError(f"unknown constant {t.name!r}")
             return m.constants[t.name]
         if isinstance(t, Func):
-            return m.apply_function(t.name, tuple(term(a) for a in t.args))
+            return m.functions[t.name][1][tuple_index([term(a) for a in t.args], m.n)]
         raise EvalError(f"not a term: {t!r}")
 
     if isinstance(phi, Equality):
         return term(phi.left) == term(phi.right)
     if isinstance(phi, Atom):
-        return m.holds_relation(phi.name, tuple(term(a) for a in phi.args))
+        return tuple(term(a) for a in phi.args) in m.relations[phi.name][1]
     if isinstance(phi, Not):
         return not naive_evaluate(m, phi.body, val)
     if isinstance(phi, And):

@@ -93,10 +93,10 @@ def test_criterion_03_group_centralizers():
 
     def check_group(m):
         nonlocal checked
+        mul = m.functions["mul"][1]
         for g in range(m.n):
             centralizer = sum(1 for x in range(m.n)
-                              if m.apply_function("mul", (x, g))
-                              == m.apply_function("mul", (g, x)))
+                              if mul[x * m.n + g] == mul[g * m.n + x])
             for r in thresholds:
                 claim = Meas(("x",), Cmp.LT, r, body)
                 assert evaluate(m, claim, {"g": g}) == (centralizer < r * m.n)

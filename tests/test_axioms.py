@@ -21,7 +21,7 @@ from aml.axioms import (
     random_structure,
 )
 from aml.parser import parse_formula, print_formula
-from aml.semantics import Budget, BudgetExceeded
+from aml.semantics import Budget, BudgetExceeded, Evaluator, extension
 from aml.structures import FiniteStructure
 from aml.syntax import Signature, free_vars, rank
 
@@ -224,14 +224,47 @@ def test_soundness_failure_reports_witness():
     # not a law: "P holds everywhere" — Z4 falsifies it at x=1
     bogus = SchemeInstance("bogus", PX, ("x",),
                            parse_formula("forall x . P(x)", SIG))
-    result = check_instance(Z4, bogus)
+    result = check_instance(Evaluator(Z4), bogus)
     assert not result.holds
     assert result.witness is not None
-    assert not Z4.holds_relation("P", (result.witness["x"],))
+    assert (result.witness["x"],) not in Z4.relations["P"][1]
     report = check_soundness(Z4, [bogus])
     assert not report.all_hold
     assert report.failures == (result,)
     assert "FAILS" in report.lines()[0]
+
+
+def test_check_soundness_charges_are_pinned():
+    # pinned with one evaluator per instance, before check_soundness shared
+    # one per structure: atoms are never charged, so sharing moves no charge
+    rng = random.Random(1)
+    used, weighted = [], set()
+    for _ in range(6):
+        m = random_structure(rng)
+        budget = Budget()
+        report = check_soundness(m, generate_instances(rng.randrange(1 << 32), 24, sig=SIG),
+                                 budget)
+        assert report.all_hold
+        used.append(budget.used)
+        weighted.add(m.weights != (Fraction(1, m.n),) * m.n)
+    assert weighted == {False, True}
+    assert used == [1242, 2564, 7092, 3589, 27468, 3606]
+
+
+def test_shared_evaluator_matches_a_fresh_extension_per_instance():
+    bogus = SchemeInstance("bogus", PX, ("x",), parse_formula("forall x . P(x)", SIG))
+    rng = random.Random(4)
+    failed = 0
+    for m in [Z4, WEIGHTED] + [random_structure(rng) for _ in range(8)]:
+        instances = generate_instances(rng.randrange(1 << 32), 24, sig=SIG) + [bogus]
+        for inst, got in zip(instances, check_soundness(m, instances).results):
+            k = len(inst.param_vars)
+            bits = extension(m, inst.matrix, inst.param_vars).bits
+            witness = next((dict(zip(inst.param_vars, m.index_tuple(i, k)))
+                            for i in range(m.n ** k) if not bits >> i & 1), None)
+            assert (got.holds, got.witness) == (witness is None, witness), inst.describe()
+            failed += not got.holds
+    assert failed
 
 
 def test_check_soundness_budget_propagates():

@@ -35,7 +35,7 @@ def test_cyclic_family_builds_groups():
     m = CYCLIC.at(5)
     assert m.n == 5
     assert m.constants == {"e": 0}
-    assert m.apply_function("add", (3, 4)) == 2
+    assert m.functions["add"][1][3 * 5 + 4] == 2
     assert list(CYCLIC.indices()) == list(range(1, 31))
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from aml.axioms import (SchemeInstance, check_instance, generate_instances, random_formula,
-                        random_structure)
+from aml.axioms import (SchemeInstance, check_instance, check_soundness, generate_instances,
+                        random_formula, random_structure)
 from aml.parser import parse_formula
 from aml.semantics import (
     Budget,
@@ -21,7 +21,8 @@ from aml.semantics import (
     extension,
     meas_holds,
 )
-from aml.structures import DefinableSet, FiniteStructure, VFlag, fiber_sums, measure
+from aml.structures import (DefinableSet, FiniteStructure, VFlag, fiber_sums, index_tuple,
+                            measure, tuple_index)
 from aml.syntax import (And, Atom, Cmp, Equality, Exists, Forall, Func, Implies, Meas, Not, Or,
                         Signature, Var, free_vars)
 from oracle import naive_evaluate
@@ -320,6 +321,7 @@ def test_scheme_verdicts_and_witnesses_match_the_oracle_seeded():
         m = random_structure(rng)
         seen["zero weight"] |= 0 in m.weights
         cases = generate_instances(rng.randrange(1 << 32), 6, sig=m.signature())
+        ev = Evaluator(m)  # shared by the structure's instances, as check_soundness does
         for text in _EXTRA_MATRICES:
             phi = parse_formula(text, m.signature())
             cases.append(SchemeInstance("extra", phi, tuple(sorted(free_vars(phi))), phi))
@@ -334,7 +336,7 @@ def test_scheme_verdicts_and_witnesses_match_the_oracle_seeded():
                 for s in subformulas(phi))
             seen["function term"] |= _has_function_term(phi)
             seen["open with bindings"] |= bool(inst.param_vars)
-            got = check_instance(m, inst)
+            got = check_instance(ev, inst)
             assert (got.holds, got.witness) == _check_instance_naive(m, inst), phi
             digest.update(f"{got.holds} {got.witness}\n".encode())
     assert all(seen.values()), seen
@@ -422,3 +424,50 @@ def test_weighted_trace_counts_tuples_and_sums_weights():
     assert evaluate(m, parse_formula("m[x,y] <= 25/36 . P(x) & P(y)", m.signature()),
                     trace=trace)
     assert [(e.count, e.mu, e.verdict) for e in trace] == [(9, Fraction(25, 36), True)]
+
+
+def _broadcast_reference(bits, own, ctx, n):
+    """Bit i of the table over ``ctx`` is the bit of ``bits`` at the own
+    variables' values in the i-th assignment of ``ctx``."""
+    out = 0
+    for i in range(n ** len(ctx)):
+        value = dict(zip(ctx, index_tuple(i, n, len(ctx))))
+        out |= (bits >> tuple_index([value[v] for v in own], n) & 1) << i
+    return out
+
+
+def test_broadcast_matches_the_per_index_reference():
+    # every ordered ctx of up to four variables and every own subsequence of
+    # it: own a suffix of ctx takes the repunit product, the rest the digit path
+    rng = random.Random(12)
+    suffixes = others = 0
+    for n in range(1, 5):
+        ev = Evaluator(FiniteStructure.counting(n))
+        for size in range(5):
+            for ctx in itertools.permutations("wxyz", size):
+                for mask in range(1 << size):
+                    own = tuple(v for i, v in enumerate(ctx) if mask >> i & 1)
+                    bits = rng.getrandbits(n ** len(own))
+                    suffixes += ctx[size - len(own):] == own
+                    others += ctx[size - len(own):] != own
+                    assert ev._broadcast(bits, own, ctx) == \
+                        _broadcast_reference(bits, own, ctx, n), (n, own, ctx)
+    assert suffixes and others
+
+
+def test_atom_tables_stay_with_their_structure_and_valuation():
+    def structure(p):
+        return FiniteStructure.counting(2, {"e": 0}, {"f": (1, (1, 0))},
+                                        {"P": (1, frozenset(p)),
+                                         "R": (2, frozenset({(0, 1)}))})
+    a, b = structure({(0,)}), structure({(1,)})
+    px, rxy = parse_formula("P(x)", SIG), parse_formula("R(x, y)", SIG)
+    ev_a, ev_b = Evaluator(a), Evaluator(b)
+    assert [ev_a.table(px, ("x",), {}), ev_b.table(px, ("x",), {})] == [0b01, 0b10]
+    assert [ev_a.table(px, ("x",), {}), ev_b.table(px, ("x",), {})] == [0b01, 0b10]
+    # an atom that reads the environment is tabled afresh at each valuation
+    assert [ev_a.table(rxy, ("y",), {"x": x}) for x in (0, 1, 0)] == [0b10, 0, 0b10]
+    # the same instance checked on each structure in turn gets each one's witness
+    bogus = SchemeInstance("bogus", px, ("x",), parse_formula("forall x . P(x)", SIG))
+    assert [check_soundness(m, [bogus]).results[0].witness for m in (a, b, a)] == \
+        [{"x": 1}, {"x": 0}, {"x": 1}]

@@ -1,5 +1,6 @@
 """Formula AST invariants: signatures, free variables, rank, abbreviations."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,21 @@ def test_free_vars_connectives():
     assert free_vars(And(PX, Atom("P", (Y,)))) == {"x", "y"}
     assert free_vars(Implies(Forall("x", PX), PX)) == {"x"}
     assert free_vars(Not(XEQY)) == {"x", "y"}
+
+
+def test_free_variables_are_set_at_construction_outside_the_fields():
+    def build():
+        return Meas(("x",), Cmp.LT, HALF, And(RXY, Forall("y", Atom("P", (Y,)))))
+    a, b = build(), build()
+    assert a is not b
+    assert "free_variables" in vars(a)  # computed eagerly, before any read
+    assert a == b and hash(a) == hash(b)
+    assert a.free_variables == {"y"}
+    assert "free_variables" not in repr(a)
+    assert [f.name for f in dataclasses.fields(a)] == ["vars", "cmp", "threshold", "body"]
+    assert dataclasses.replace(a, vars=("y",)).free_variables == {"x"}
+    assert dataclasses.replace(a, body=PX).free_variables == frozenset()
+    assert dataclasses.replace(a, vars=("x", "y")).free_variables == frozenset()
 
 
 # -- rank --------------------------------------------------------------------
