@@ -12,11 +12,17 @@ A pair (U, U') is epsilon-regular when every V ⊆ U, V' ⊆ U' with
 d(X, Y) = #{(x, y) ∈ X×Y : {x,y} an edge} / (|X||Y|) counts ordered pairs.
 Every verdict is certified: "regular" by a degree-sequence certificate or
 the exhaustive search, "irregular" by a witness pair that re-validates alone.
+The certificate sorts the degrees once and reads each (|V|, |V'|) cell's
+bounds off prefix sums and count arrays, so a cell costs O(1).  A pair of
+parts too small to hold any proper qualifying subset is regular outright, and
+the partition survey settles it without a check.  Partition energies are one
+integer sum over a common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,10 +32,6 @@ from .semantics import Budget
 
 class RegularityError(ValueError):
     pass
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +104,15 @@ def _mask_of(vertices) -> int:
 
 
 def density(g: Graph, part_u, part_v) -> Fraction:
-    """d(U, U'): ordered-pair edge density between two vertex sets."""
+    """d(U, U'): ordered-pair edge density between two vertex sets, each
+    nonempty and without a repeated vertex."""
     u = tuple(part_u)
     v = tuple(part_v)
     if not u or not v:
         raise RegularityError("density needs nonempty vertex sets")
     mask_v = _mask_of(v)
+    if _mask_of(u).bit_count() != len(u) or mask_v.bit_count() != len(v):
+        raise RegularityError("density needs vertex sets without repeated vertices")
     count = sum(g.degree_into(x, mask_v) for x in u)
     return Fraction(count, len(u) * len(v))
 
@@ -129,11 +134,13 @@ class RegularityVerdict:
 
 def validate_witness(g: Graph, part_u, part_v, eps: Fraction,
                      witness) -> bool:
-    """Re-check an irregularity witness from scratch: size thresholds and a
-    density deviation of at least eps."""
+    """Re-check an irregularity witness from scratch: sets of distinct
+    vertices, size thresholds and a density deviation of at least eps."""
     u = tuple(part_u)
     v = tuple(part_v)
     a, b = witness
+    if len(set(a)) != len(a) or len(set(b)) != len(b):
+        return False
     if not set(a) <= set(u) or not set(b) <= set(v):
         return False
     if len(a) < eps * len(u) or len(b) < eps * len(v):
@@ -141,31 +148,54 @@ def validate_witness(g: Graph, part_u, part_v, eps: Fraction,
     return abs(density(g, a, b) - density(g, u, v)) >= eps
 
 
-def _scan_extremes(g: Graph, sub_a: tuple[int, ...], side_b: tuple[int, ...],
-                   m_min: int, d_base: Fraction, eps: Fraction):
+def _least_qualifying(eps: Fraction, size: int) -> int:
+    """The least qualifying subset size of a part, max(1, ⌈eps·size⌉)."""
+    return max(1, -(-eps.numerator * size // eps.denominator))
+
+
+def _deviation_test(d_base: Fraction, eps: Fraction) -> tuple[int, int, int]:
+    """(scale, hi, lo) with e/c at least eps from d_base exactly when
+    scale·e >= hi·c or scale·e <= lo·c, in integers."""
+    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
+    return q * dd, q * dn + p * dd, q * dn - p * dd
+
+
+def _scan_extremes(g: Graph, sub_a: list[int], side_b: tuple[int, ...],
+                   m_min: int, test: tuple[int, int, int]):
     """For a fixed left set A, find a right subset B (|B| >= m_min) whose
-    density against A deviates from d_base by >= eps, if one exists.
+    density against A deviates by >= eps from the base density of ``test``
+    (see :func:`_deviation_test`), if one exists.
 
     For each size m the extreme densities are attained by the m vertices of
     largest (resp. smallest) degree into A, so scanning prefixes of the
     degree-sorted order is an exact search over all subsets of the right side.
     """
-    mask_a = _mask_of(sub_a)
-    deg = {v: g.degree_into(v, mask_a) for v in side_b}
-    by_deg = sorted(side_b, key=lambda v: (-deg[v], v))
-    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
+    mask_a, adj = _mask_of(sub_a), g.adj
+    by_deg = sorted([(-(adj[y] & mask_a).bit_count(), y) for y in side_b])
+    scale, hi_k, lo_k = test
     hi = lo = 0
     for m in range(1, len(side_b) + 1):
-        hi += deg[by_deg[m - 1]]
-        lo += deg[by_deg[-m]]
-        cells = len(sub_a) * m
+        hi -= by_deg[m - 1][0]
+        lo -= by_deg[-m][0]
         if m < m_min:
             continue
-        if q * (hi * dd - dn * cells) >= p * cells * dd:   # hi/cells - d_base >= eps
-            return tuple(sorted(by_deg[:m])), Fraction(hi, cells)
-        if q * (dn * cells - lo * dd) >= p * cells * dd:
-            return tuple(sorted(by_deg[-m:])), Fraction(lo, cells)
+        cells = len(sub_a) * m
+        if scale * hi >= hi_k * cells:
+            return tuple(sorted(y for _, y in by_deg[:m])), Fraction(hi, cells)
+        if scale * lo <= lo_k * cells:
+            return tuple(sorted(y for _, y in by_deg[-m:])), Fraction(lo, cells)
     return None
+
+
+def _prefix_and_counts(degrees: list[int], top: int):
+    """Prefix sums of ``degrees`` (sorted descending) and ge[x] = #{d >= x}
+    for x in 0..top + 1."""
+    ge = [0] * (top + 2)
+    for d in degrees:
+        ge[d] += 1
+    for x in range(top, -1, -1):
+        ge[x] += ge[x + 1]
+    return list(itertools.accumulate(degrees, initial=0)), ge
 
 
 def _degree_certificate(g: Graph, u: tuple[int, ...], v: tuple[int, ...], d_base: Fraction,
@@ -175,19 +205,35 @@ def _degree_certificate(g: Graph, u: tuple[int, ...], v: tuple[int, ...], d_base
     min(Σ top-s min(r, t), Σ top-t min(c, s)) >= e(X,Y) >=
     max(Σ bottom-s max(0, r − (|V|−t)), Σ bottom-t max(0, c − (|U|−s))).
     No witness exists if both bounds, over s·t, lie strictly within eps of
-    d_base for every qualifying (s, t); False leaves the pair undecided."""
+    d_base for every qualifying (s, t); False leaves the pair undecided.
+
+    With r sorted descending, its prefix sums P and ge[x] = #{r >= x}, the
+    top-s sum is k·t + P[s] − P[k] for k = min(s, ge[t]), and the bottom-s
+    sum is P[h] − P[|U|−s] − (h − |U| + s)(|V|−t) for h = ge[|V|−t+1] when
+    h > |U| − s, else 0 (likewise for c), so each cell costs O(1)."""
     a, b = len(u), len(v)
     mask_u, mask_v = _mask_of(u), _mask_of(v)
     rows = sorted((g.degree_into(x, mask_v) for x in u), reverse=True)
     cols = sorted((g.degree_into(y, mask_u) for y in v), reverse=True)
-    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
+    row_sum, row_ge = _prefix_and_counts(rows, b)
+    col_sum, col_ge = _prefix_and_counts(cols, a)
+    scale, hi, lo = _deviation_test(d_base, eps)
     for s in range(m_min_u, a + 1):
+        rs, rest_u, col_top_k = row_sum[s], a - s, col_ge[s]
+        col_low = col_ge[rest_u + 1]
         for t in range(m_min_v, b + 1):
-            top = min(sum(min(r, t) for r in rows[:s]), sum(min(c, s) for c in cols[:t]))
-            bottom = max(sum(max(0, r - b + t) for r in rows[a - s:]),
-                         sum(max(0, c - a + s) for c in cols[b - t:]))
+            k = min(s, row_ge[t])
+            top = k * t + rs - row_sum[k]
+            k = min(t, col_top_k)
+            top = min(top, k * s + col_sum[t] - col_sum[k])
+            rest_v = b - t
+            h = row_ge[rest_v + 1]
+            bottom = row_sum[h] - row_sum[rest_u] - (h - rest_u) * rest_v if h > rest_u else 0
+            if col_low > rest_v:
+                bottom = max(bottom, col_sum[col_low] - col_sum[rest_v]
+                             - (col_low - rest_v) * rest_u)
             cells = s * t
-            if q * max(top * dd - dn * cells, dn * cells - bottom * dd) >= p * cells * dd:
+            if scale * top >= hi * cells or scale * bottom <= lo * cells:
                 return False
     return True
 
@@ -213,8 +259,7 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
         raise RegularityError(f"exact check caps part sizes at {exact_cap}; "
                               f"got {len(u)} and {len(v)}")
     d_base = density(g, u, v)
-    m_min_u = max(1, _ceil_frac(eps * len(u)))
-    m_min_v = max(1, _ceil_frac(eps * len(v)))
+    m_min_u, m_min_v = _least_qualifying(eps, len(u)), _least_qualifying(eps, len(v))
     budget = budget or Budget()
     budget.charge((len(u) - m_min_u + 1) * (len(v) - m_min_v + 1) * (len(u) + len(v)))
     if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
@@ -224,14 +269,15 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     m_min_l = m_min_u if not swapped else m_min_v
     m_min_r = m_min_v if not swapped else m_min_u
     budget.charge(1 << len(left))  # one unit per subset
+    test = _deviation_test(d_base, eps)
     for bits in range(1, 1 << len(left)):
         if bits.bit_count() < m_min_l:
             continue
-        sub = tuple(left[i] for i in range(len(left)) if bits >> i & 1)
-        found = _scan_extremes(g, sub, right, m_min_r, d_base, eps)
+        sub = [x for i, x in enumerate(left) if bits >> i & 1]
+        found = _scan_extremes(g, sub, right, m_min_r, test)
         if found:
             other, d_wit = found
-            wit = (other, sub) if swapped else (sub, other)
+            wit = (other, tuple(sub)) if swapped else (tuple(sub), other)
             return RegularityVerdict(False, d_base, wit, d_wit)
     return RegularityVerdict(True, d_base)
 
@@ -260,17 +306,22 @@ class Partition:
 
 def partition_energy(g: Graph, parts) -> Fraction:
     """Mean-square edge density: sum over ordered part pairs (i,j), including
-    i = j, of (|U_i||U_j| / n^2) * d(U_i, U_j)^2."""
-    parts = [tuple(p) for p in parts]
-    n = g.n
+    i = j, of (|U_i||U_j| / n^2) * d(U_i, U_j)^2.
+
+    Each part's edge counts e(U_i, U_j) come from one pass over its vertices,
+    and with L = lcm |U_i| the energy is Σ e² (L/|U_i|)(L/|U_j|) / (L n)²,
+    one integer sum."""
     masks = [_mask_of(p) for p in parts]
-    total = Fraction(0)
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            e = sum(g.degree_into(x, masks[j]) for x in p)
-            if e:
-                total += Fraction(e * e, len(p) * len(q) * n * n)
-    return total
+    lcm = math.lcm(*map(len, parts))
+    scales = [lcm // len(p) for p in parts]
+    total = 0
+    for p, scale in zip(parts, scales):
+        counts = [0] * len(parts)
+        for x in p:
+            adj = g.adj[x]
+            counts = [e + (adj & m).bit_count() for e, m in zip(counts, masks)]
+        total += scale * sum(e * e * s for e, s in zip(counts, scales))
+    return Fraction(total, (lcm * g.n) ** 2)
 
 
 @dataclass(frozen=True)
@@ -300,8 +351,16 @@ def _survey(g: Graph, parts, eps, exact_cap, budget):
     ordered-pair mass of irregular pairs)."""
     irregular = []
     mass = 0
+    # parts no larger than their least qualifying size ⌈ε|U|⌉: only the pair
+    # itself qualifies, so a pair of two of them is regular; it is charged
+    # the certificate's one cell, |U| + |U'|
+    whole = [_least_qualifying(eps, len(p)) == len(p) for p in parts]
     for i in range(len(parts)):
         for j in range(i, len(parts)):
+            if whole[i] and whole[j]:
+                if budget is not None:
+                    budget.charge(len(parts[i]) + len(parts[j]))
+                continue
             verdict = is_epsilon_regular(g, parts[i], parts[j], eps,
                                          exact_cap=exact_cap, budget=budget)
             if not verdict.regular:
@@ -330,7 +389,7 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
     if exact_cap < 1:
         raise RegularityError(f"the exact part-size cap must be at least 1, got {exact_cap}")
     n = g.n
-    pieces = _ceil_frac(Fraction(n, exact_cap))
+    pieces = -(-n // exact_cap)
     if pieces > k_max:
         raise RegularityError(f"need at least {pieces} parts to start "
                               f"but k_max={k_max}")

@@ -670,6 +670,20 @@ def test_regularity_degree_certificate_is_metered(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+def test_regularity_certificate_settles_k300_in_seconds(capsys, tmp_path):
+    # K300 as one part of 300: 226 x 226 certificate cells, each read off
+    # prefix sums of the sorted degrees, settle the pair as regular
+    k300 = tmp_path / "k300.graph"
+    k300.write_text("graph 300\n" + "".join(
+        f"{a} {b}\n" for a, b in itertools.combinations(range(300), 2)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "regularity", str(k300), "--eps", "1/4", "--cap", "300",
+                       "--budget", "100000000", "--format", "records")
+    assert code == 0
+    assert "status=regular\n" in out
+    assert time.perf_counter() - start < 5
+
+
 # -- hypergraph -------------------------------------------------------------------------------
 
 def test_hypergraph_count(capsys):

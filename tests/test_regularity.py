@@ -29,6 +29,7 @@ from aml.regularity import (
 )
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
+from oracle import degree_certificate_by_scan, partition_energy_by_fractions
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +71,16 @@ def test_density_values():
         density(C4, (), (0,))
 
 
+def test_density_rejects_repeated_vertices():
+    # (5,) against (6, 6) would count the edge 5-6 once over 1 x 2 cells
+    with pytest.raises(RegularityError):
+        density(HALF, (5,), (6, 6))
+    with pytest.raises(RegularityError):
+        density(HALF, (5, 5), (6,))
+    with pytest.raises(RegularityError):
+        is_epsilon_regular(HALF, (0, 0, 1), RIGHT, QUARTER)
+
+
 # -- regular pairs -----------------------------------------------------------------
 
 def test_complete_bipartite_pair_is_regular():
@@ -96,6 +107,10 @@ def test_witness_validation_rules():
     assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, ((0, 99), (10, 11)))
     # a balanced sub-pair whose density matches the base is no witness
     assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, (LEFT, RIGHT))
+    # ({0}, {11}) is below the 6/4 size threshold, however often a vertex repeats
+    assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, ((0, 0), (11, 11)))
+    assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, ((0, 1, 1), (10, 11)))
+    assert not validate_witness(HALF, LEFT, RIGHT, QUARTER, ((0, 1), (11, 11)))
 
 
 def test_exact_check_charges_its_subsets():
@@ -106,6 +121,18 @@ def test_exact_check_charges_its_subsets():
     assert budget.used == 5 * 5 * 12 + (1 << 6)
     with pytest.raises(BudgetExceeded):
         is_epsilon_regular(HALF, LEFT, RIGHT, QUARTER, budget=Budget(5 * 5 * 12 + 63))
+
+
+def test_singleton_pair_is_charged_its_one_cell():
+    budget = Budget()
+    assert is_epsilon_regular(C4, (0,), (1,), QUARTER, budget=budget).regular
+    assert budget.used == 2
+    # the survey settles singleton pairs without a check, at the same charge:
+    # three pairs of the two one-vertex parts
+    budget = Budget()
+    res = regularity_partition(Graph.from_edges(2, [(0, 1)]), QUARTER, exact_cap=1,
+                               budget=budget)
+    assert (res.status, res.irregular_pairs, budget.used) == ("regular", (), 3 * 2)
 
 
 def test_eps_out_of_range():
@@ -206,6 +233,36 @@ def test_certificate_and_check_match_enumeration(a, b, kind, same, eps, rng):
     _assert_matches_enumeration(g, u, v, eps)
 
 
+def _certified_by_scan(g, u, v, eps):
+    return degree_certificate_by_scan(g, u, v, density(g, u, v), eps, _m_min(eps, u),
+                                      _m_min(eps, v))
+
+
+CERTIFICATE_EPS = (Fraction(1, 2), Fraction(1, 3), QUARTER, Fraction(1, 5), Fraction(1, 8))
+
+
+def test_certificate_matches_the_cell_by_cell_scan_seeded():
+    rng = random.Random(31)
+    certified = 0
+    for case in range(400):
+        a, b = rng.randint(1, 14), rng.randint(1, 14)
+        g, u, v = _pair_graph(rng, a, b, ("planted", "random")[case % 2], same=case % 3 == 0)
+        eps = CERTIFICATE_EPS[case % 5]
+        got = _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u), _m_min(eps, v))
+        assert got == _certified_by_scan(g, u, v, eps), (case, a, b, eps)
+        certified += got
+    assert 50 <= certified <= 350   # both verdicts are well represented
+
+
+@given(st.integers(1, 14), st.integers(1, 14), st.sampled_from(("planted", "random")),
+       st.booleans(), st.sampled_from(CERTIFICATE_EPS), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_certificate_matches_the_cell_by_cell_scan(a, b, kind, same, eps, rng):
+    g, u, v = _pair_graph(rng, a, b, kind, same)
+    assert _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u),
+                               _m_min(eps, v)) == _certified_by_scan(g, u, v, eps)
+
+
 def test_certified_pairs_charge_no_subsets():
     complete = Graph.from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10)])
     budget = Budget(8 * 8 * 20)  # the certificate's cells (sizes 3..10) times 10 + 10
@@ -226,6 +283,19 @@ def test_partition_energy_of_frozen_graph():
     chunks = [tuple(range(0, 8)), tuple(range(8, 16))]
     assert partition_energy(G16, [tuple(range(16))]) <= \
         partition_energy(G16, chunks)   # refinement never loses energy
+    assert partition_energy(G16, chunks) == partition_energy_by_fractions(G16, chunks)
+
+
+def test_partition_energy_matches_the_fraction_sum_seeded():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 24)
+        g = Graph.from_edges(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                                 if rng.random() < rng.random()])
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        parts = [p for p in (tuple(x for x in range(n) if labels[x] == i)
+                             for i in range(n)) if p]
+        assert partition_energy(g, parts) == partition_energy_by_fractions(g, parts)
 
 
 def test_regularity_partition_frozen_run():
@@ -259,6 +329,20 @@ def test_partition_invariants_on_seeded_graphs():
                                     res.partition.parts[j], eps, w)
         if res.status == "regular":
             assert res.irregular_mass <= eps * n * n
+
+
+@pytest.mark.parametrize("g, eps, cap, used, shape", [
+    (G16, QUARTER, 15, 4334, ("regular", 2, 16)),
+    (_pair_graph(random.Random(5), 15, 15, "planted", False)[0], QUARTER, 10, 16536,
+     ("regular", 2, 27)),
+    (_pair_graph(random.Random(6), 18, 18, "random", False)[0], Fraction(1, 3), 12, 40574,
+     ("regular", 2, 36)),
+], ids=["g16", "planted", "random"])
+def test_partition_charge_is_pinned(g, eps, cap, used, shape):
+    budget = Budget()
+    res = regularity_partition(g, eps, exact_cap=cap, budget=budget)
+    assert (res.status, res.rounds, len(res.partition.parts)) == shape
+    assert budget.used == used
 
 
 def test_partition_charges_its_pair_checks():
