@@ -3,9 +3,9 @@
 Provides edge densities over ordered pairs, exact epsilon-regular pair
 checking (a degree-sequence certificate, else subset enumeration below a
 part-size cap), a constructive energy-increment regularity partition, labeled
-hypergraph copy counting by backtracking and minimum-removal, and the
-classical encoding of arithmetic progressions as a (k+1)-partite k-uniform
-hypergraph.
+hypergraph copy counting by link-mask backtracking and minimum-removal, and
+the classical encoding of arithmetic progressions as a (k+1)-partite
+k-uniform hypergraph.
 
 A pair (U, U') is epsilon-regular when every V ⊆ U, V' ⊆ U' with
 |V| ≥ ε|U| and |V'| ≥ ε|U'| satisfies |d(U,U') − d(V,V')| < ε, where
@@ -44,11 +44,14 @@ class Graph:
 
     n: int
     edges: frozenset[frozenset[int]]
+    # bitmask rows; given only by parse_graph, built with edges it has checked
     adj: tuple[int, ...] = field(compare=False, default=())
 
     def __post_init__(self):
         if self.n < 1:
             raise RegularityError("graph needs at least one vertex")
+        if self.adj:
+            return
         adj = [0] * self.n
         for e in self.edges:
             if len(e) != 2:
@@ -242,8 +245,8 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
                        budget: Budget | None = None) -> RegularityVerdict:
     """Check epsilon-regularity of (U, U') exactly.
 
-    Tries the degree-sequence certificate first, charging its (s, t) cells
-    times |U| + |U'| before it scans them.  If it cannot settle the pair,
+    Charges the degree-sequence certificate's (s, t) cells times |U| + |U'|,
+    then tries it, unless a part is one vertex.  If it cannot settle the pair,
     enumerates every qualifying subset pair (left side by bitmask, right side
     by exact degree-prefix scan) and either certifies regularity or returns a
     violating witness; both parts must be within ``exact_cap``.
@@ -262,13 +265,16 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     m_min_u, m_min_v = _least_qualifying(eps, len(u)), _least_qualifying(eps, len(v))
     budget = budget or Budget()
     budget.charge((len(u) - m_min_u + 1) * (len(v) - m_min_v + 1) * (len(u) + len(v)))
-    if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
-        return RegularityVerdict(True, d_base)
-    # Enumerate subsets on the smaller side, scan the other exactly.
+    # Enumerate subsets on the smaller side, scan the other exactly.  With one
+    # vertex there the certificate's bounds are exact, so its one scan decides
+    # the pair, charged its 2 subsets when the certificate would fail: on a witness.
     left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
+    if len(left) > 1:
+        if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
+            return RegularityVerdict(True, d_base)
+        budget.charge(1 << len(left))  # one unit per subset
     m_min_l = m_min_u if not swapped else m_min_v
     m_min_r = m_min_v if not swapped else m_min_u
-    budget.charge(1 << len(left))  # one unit per subset
     test = _deviation_test(d_base, eps)
     for bits in range(1, 1 << len(left)):
         if bits.bit_count() < m_min_l:
@@ -276,6 +282,8 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
         sub = [x for i, x in enumerate(left) if bits >> i & 1]
         found = _scan_extremes(g, sub, right, m_min_r, test)
         if found:
+            if len(left) == 1:
+                budget.charge(2)
             other, d_wit = found
             wit = (other, tuple(sub)) if swapped else (tuple(sub), other)
             return RegularityVerdict(False, d_base, wit, d_wit)
@@ -436,31 +444,67 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
 # Copy counting and removal
 
 
-def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
-    """(assignment, image edges) for each map of the pattern's vertices into
-    the host's that sends every pattern edge onto a host edge, in
-    lexicographic order.  Backtracking tests each pattern edge once its
-    largest vertex is mapped; the charge is the worst case, all maps."""
+def _links(h: Hypergraph) -> dict[tuple[int, ...], int]:
+    """Each (k−1)-face of an edge of ``h``, a sorted tuple, mapped to the
+    bitmask of the vertices that complete it to an edge."""
+    links: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        t = tuple(sorted(e))
+        for i, v in enumerate(t):
+            face = t[:i] + t[i + 1:]
+            links[face] = links.get(face, 0) | 1 << v
+    return links
+
+
+def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
+    """(assignment, mask) for each map of the pattern's vertices but the last
+    that sends their edges onto host edges, in lexicographic order; ``mask``
+    holds the last vertex's images that complete it.  A vertex's candidates
+    are the AND of the host links of the other images of the edges it is the
+    largest vertex of (a collapsed face is no key), else every host vertex.
+    ``assignment`` is reused.  The charge is the worst case, all maps."""
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
     (budget or Budget()).charge(host.n ** pattern.n)
-    closing = [[] for _ in range(pattern.n)]   # pattern edges by their largest vertex
+    links, every = _links(host), (1 << host.n) - 1
+    faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
-        closing[max(e)].append(e)
-    assignment, images, i = [-1] * pattern.n, [[]] * pattern.n, 0
-    while i >= 0:
-        assignment[i] += 1
-        if assignment[i] == host.n:   # every image of vertex i tried: back up
-            i -= 1
-            continue
-        images[i] = [frozenset(assignment[w] for w in e) for e in closing[i]]
-        if not host.edges.issuperset(images[i]):
-            continue
-        if i < pattern.n - 1:
-            i += 1
-            assignment[i] = -1
-        else:
-            yield tuple(assignment), frozenset(itertools.chain.from_iterable(images))
+        faces[max(e)].append(sorted(e)[:-1])
+    assignment, last = [0] * pattern.n, pattern.n - 1
+
+    def extend(i: int):
+        mask = every
+        for face in faces[i]:
+            mask &= links.get(tuple(sorted([assignment[w] for w in face])), 0)
+        if i == last:
+            if mask:
+                yield assignment, mask
+            return
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            assignment[i] = low.bit_length() - 1
+            yield from extend(i + 1)
+
+    yield from extend(0)
+
+
+def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
+    """(assignment, image edges) for each map of the pattern's vertices into
+    the host's that sends every pattern edge onto a host edge, in
+    lexicographic order: each mask of :func:`_partial_maps` expanded, with the
+    images of edges closed earlier built once per partial map."""
+    last = pattern.n - 1
+    early = [e for e in pattern.edges if max(e) < last]
+    closing = [sorted(e)[:-1] for e in pattern.edges if max(e) == last]
+    for assignment, mask in _partial_maps(pattern, host, budget):
+        prefix = tuple(assignment[:last])
+        images = [frozenset(assignment[w] for w in e) for e in early]
+        faces = [[assignment[w] for w in face] for face in closing]
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            mask ^= 1 << v
+            yield prefix + (v,), frozenset(images + [frozenset(f + [v]) for f in faces])
 
 
 def count_copies(pattern: Hypergraph, host: Hypergraph,
@@ -468,8 +512,8 @@ def count_copies(pattern: Hypergraph, host: Hypergraph,
     """Number of labeled maps from the pattern's vertices into the host such
     that every pattern edge lands on a host edge (injectivity not required;
     a map collapsing an edge never counts, since the image is too small to
-    be an edge)."""
-    return sum(1 for _ in _pattern_maps(pattern, host, budget))
+    be an edge): the last vertex's images are counted, not enumerated."""
+    return sum(mask.bit_count() for _, mask in _partial_maps(pattern, host, budget))
 
 
 @dataclass(frozen=True)
@@ -589,8 +633,12 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     Parts X_1..X_k are copies of [1,n]; X_{k+1} is a copy of [1, k^2 n].
     The k-set omitting X_{k+1} is an edge iff sum of i*x_i lies in A; the
     k-set omitting X_i is an edge iff sum over j≠i of (j−i)*x_j + i*x_{k+1}
-    lies in A.  Both counters below are computed independently and compared.
+    lies in A.  Each family is built by solving its sum for one coordinate,
+    x_1 or x_{k+1}, for each a ∈ A.  Both counters below are computed
+    independently, from the hypergraph and from A, and compared.
     """
+    if n < 1:
+        raise RegularityError("n must be >= 1")
     a_set = frozenset(elements)
     if not all(1 <= x <= n for x in a_set):
         raise RegularityError("elements must lie in [1, n]")
@@ -600,61 +648,59 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     n_vertices = k * n + big
     (budget or Budget()).charge(n ** k * big)
 
+    # (part solved for, its coefficient, its largest value, (part, coefficient)
+    # of the k − 1 others) for each edge family
+    families = [(1, 1, n, [(j, j) for j in range(2, k + 1)])]
+    families += [(k + 1, i, big, [(j, j - i) for j in range(1, k + 1) if j != i])
+                 for i in range(1, k + 1)]
     edges = set()
-    # edge omitting X_{k+1}: values x_1..x_k with sum i*x_i in A
-    for xs in itertools.product(range(1, n + 1), repeat=k):
-        if sum(i * x for i, x in zip(range(1, k + 1), xs)) in a_set:
-            edges.add(frozenset(_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)))
-    # edge omitting X_i: values x_j (j != i) and x_{k+1}
-    for i in range(1, k + 1):
-        others = [j for j in range(1, k + 1) if j != i]
+    for solved, coeff, top, others in families:
         for xs in itertools.product(range(1, n + 1), repeat=k - 1):
-            partial = sum((j - i) * x for j, x in zip(others, xs))
-            for x_last in range(1, big + 1):
-                if partial + i * x_last in a_set:
-                    e = {_ap_vertex(j, x, n) for j, x in zip(others, xs)}
-                    e.add(_ap_vertex(k + 1, x_last, n))
-                    edges.add(frozenset(e))
+            partial = sum(c * x for (_, c), x in zip(others, xs))
+            rest = [_ap_vertex(j, x, n) for (j, _), x in zip(others, xs)]
+            for a in a_set:
+                x, r = divmod(a - partial, coeff)
+                if not r and 1 <= x <= top:
+                    edges.add(frozenset(rest + [_ap_vertex(solved, x, n)]))
     hg = Hypergraph(n_vertices, k, frozenset(edges))
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
 
-    # Counter one: enumerate partite tuples, test all k+1 edges.
+    # Counter one, from hg alone: for each edge avoiding X_{k+1}, the X_{k+1}
+    # vertices completing all k of its faces, and whether x_{k+1} = sum x_i
+    # (at bit sum x_i − 1 past k·n) is one of them.
+    links = _links(hg)
     total = trivial = 0
-    for xs in itertools.product(range(1, n + 1), repeat=k):
-        base = [_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)]
-        if frozenset(base) not in hg.edges:
+    for e in hg.edges:
+        t = tuple(sorted(e))
+        if t[-1] >= k * n:
             continue
-        for x_last in range(1, big + 1):
-            v_last = _ap_vertex(k + 1, x_last, n)
-            ok = True
-            for i in range(k):
-                e = frozenset(base[:i] + base[i + 1:] + [v_last])
-                if e not in hg.edges:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-                if x_last == sum(xs):
-                    trivial += 1
+        common = links[t[1:]]
+        for i in range(1, k):
+            common &= links[t[:i] + t[i + 1:]]
+        common >>= k * n
+        total += common.bit_count()
+        trivial += common >> (sum(t) - n * k * (k - 1) // 2 + k - 1) & 1
     copy_count = total - trivial
 
     # Counter two: direct AP enumeration with the representation multiplicity
-    # r(a, d) = #{x in [1,n]^k : sum i*x_i = a and sum x_i + d in [1, k^2 n]}.
-    reps: dict[int, list[int]] = {}
-    for xs in itertools.product(range(1, n + 1), repeat=k):
-        a_val = sum(i * x for i, x in zip(range(1, k + 1), xs))
-        reps.setdefault(a_val, []).append(sum(xs))
+    # r(a, d) = #{x in [1,n]^k : sum i*x_i = a and sum x_i + d in [1, k^2 n]},
+    # from the number of x with each (sum i*x_i, sum x_i), a coordinate at a
+    # time; a weighted sum past n stays past it, so it is dropped.
+    reps = {(0, 0): 1}
+    for i in range(1, k + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (w, s), c in reps.items():
+            for x in range(1, min(n, (n - w) // i) + 1):
+                key = (w + i * x, s + x)
+                nxt[key] = nxt.get(key, 0) + c
+        reps = nxt
     direct = 0
-    for a_val in sorted(a_set):
-        for d in range(-big, big + 1):
-            if d == 0:
-                continue
-            if any(a_val + i * d not in a_set for i in range(1, k + 1)):
-                continue
-            for s in reps.get(a_val, ()):
-                if 1 <= s + d <= big:
-                    direct += 1
+    for (a_val, s), c in reps.items():
+        if a_val in a_set:   # a + d must lie in A ⊆ [1, n]
+            direct += c * sum(1 for d in range(1 - a_val, n + 1 - a_val)
+                              if d and 1 <= s + d <= big
+                              and all(a_val + i * d in a_set for i in range(1, k + 1)))
 
     return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
                       direct, copy_count == direct)
@@ -688,7 +734,7 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
             vs = [int(w) for w in body]
         except ValueError:
             raise d.error("bad vertex", first) from None
-        if len(set(vs)) != k or not all(0 <= v < n for v in vs):
+        if len(set(vs)) != k or min(vs) < 0 or max(vs) >= n:
             raise d.error(f"expected {k} distinct vertices in [0, {n}), "
                           f"got {' '.join(body)!r}", first)
         edges.append(vs)
@@ -698,8 +744,12 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
 
 def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     """Parse "graph <n>" followed by one "u v" edge per line."""
-    n, _, edges = _parse_edges(text, "graph", budget)
-    return Graph.from_edges(n, edges)
+    n, _, pairs = _parse_edges(text, "graph", budget)
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, frozenset(map(frozenset, pairs)), tuple(adj))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

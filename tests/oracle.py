@@ -6,13 +6,15 @@ re-enumerates its tuples, and every measure sums one Fraction product weight
 per satisfying tuple.  ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
+``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
+value of x_{k+1} for each edge family and counter.
 """
 
 import itertools
 from fractions import Fraction
 
-from aml.regularity import Graph
-from aml.semantics import EvalError, meas_holds
+from aml.regularity import APEncoding, Graph, Hypergraph, RegularityError, _ap_vertex
+from aml.semantics import Budget, EvalError, meas_holds
 from aml.structures import FiniteStructure, VFlag, tuple_index
 from aml.syntax import (And, Atom, Const, Equality, Exists, Forall, Formula, Func, Implies,
                         Meas, Not, Or, Term, Var)
@@ -97,3 +99,76 @@ def partition_energy_by_fractions(g: Graph, parts) -> Fraction:
             e = sum(g.degree_into(x, mask) for x in p)
             total += Fraction(e * e, len(p) * len(q) * g.n * g.n)
     return total
+
+
+def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) -> APEncoding:
+    """``aml.regularity.ap_encode`` by scanning: each edge family tries every
+    x_{k+1} in [1, k²n], counter one tests all k + 1 edges of every partite
+    tuple, and counter two enumerates [1, n]^k for the multiplicities."""
+    a_set = frozenset(elements)
+    if not all(1 <= x <= n for x in a_set):
+        raise RegularityError("elements must lie in [1, n]")
+    if k < 1:
+        raise RegularityError("k must be >= 1")
+    big = k * k * n
+    n_vertices = k * n + big
+    (budget or Budget()).charge(n ** k * big)
+
+    edges = set()
+    # edge omitting X_{k+1}: values x_1..x_k with sum i*x_i in A
+    for xs in itertools.product(range(1, n + 1), repeat=k):
+        if sum(i * x for i, x in zip(range(1, k + 1), xs)) in a_set:
+            edges.add(frozenset(_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)))
+    # edge omitting X_i: values x_j (j != i) and x_{k+1}
+    for i in range(1, k + 1):
+        others = [j for j in range(1, k + 1) if j != i]
+        for xs in itertools.product(range(1, n + 1), repeat=k - 1):
+            partial = sum((j - i) * x for j, x in zip(others, xs))
+            for x_last in range(1, big + 1):
+                if partial + i * x_last in a_set:
+                    e = {_ap_vertex(j, x, n) for j, x in zip(others, xs)}
+                    e.add(_ap_vertex(k + 1, x_last, n))
+                    edges.add(frozenset(e))
+    hg = Hypergraph(n_vertices, k, frozenset(edges))
+    parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
+        (tuple(range(k * n, k * n + big)),)
+
+    # Counter one: enumerate partite tuples, test all k+1 edges.
+    total = trivial = 0
+    for xs in itertools.product(range(1, n + 1), repeat=k):
+        base = [_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)]
+        if frozenset(base) not in hg.edges:
+            continue
+        for x_last in range(1, big + 1):
+            v_last = _ap_vertex(k + 1, x_last, n)
+            ok = True
+            for i in range(k):
+                e = frozenset(base[:i] + base[i + 1:] + [v_last])
+                if e not in hg.edges:
+                    ok = False
+                    break
+            if ok:
+                total += 1
+                if x_last == sum(xs):
+                    trivial += 1
+    copy_count = total - trivial
+
+    # Counter two: direct AP enumeration with the representation multiplicity
+    # r(a, d) = #{x in [1,n]^k : sum i*x_i = a and sum x_i + d in [1, k^2 n]}.
+    reps: dict[int, list[int]] = {}
+    for xs in itertools.product(range(1, n + 1), repeat=k):
+        a_val = sum(i * x for i, x in zip(range(1, k + 1), xs))
+        reps.setdefault(a_val, []).append(sum(xs))
+    direct = 0
+    for a_val in sorted(a_set):
+        for d in range(-big, big + 1):
+            if d == 0:
+                continue
+            if any(a_val + i * d not in a_set for i in range(1, k + 1)):
+                continue
+            for s in reps.get(a_val, ()):
+                if 1 <= s + d <= big:
+                    direct += 1
+
+    return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
+                      direct, copy_count == direct)

@@ -718,6 +718,20 @@ def test_hypergraph_removal_search_is_metered(capsys, tmp_path):
     assert time.perf_counter() - start < 10
 
 
+def test_k4_copies_in_k40_are_counted_quickly(capsys, tmp_path):
+    # 40·39·38·37 labeled copies: the last vertex's images are counted off a
+    # link mask, not tried one map at a time
+    k40, k4 = tmp_path / "k40.hg", tmp_path / "k4.hg"
+    for path, n in ((k40, 40), (k4, 4)):
+        path.write_text(f"hypergraph {n} 2\n" + "".join(
+            f"{a} {b}\n" for a, b in itertools.combinations(range(n), 2)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hypergraph", str(k40), "--pattern", str(k4),
+                       "--budget", "100000000")
+    assert (code, out) == (0, "copies = 2193360\n")
+    assert time.perf_counter() - start < 2
+
+
 def test_hypergraph_removal(capsys):
     code, out, _ = run(capsys, "hypergraph", TWOTRI, "--pattern", TRI,
                        "--remove", "--eps", "1/10")
@@ -744,6 +758,14 @@ def test_ap_encode_verified(capsys):
     assert out == ("hypergraph: 18 vertices, 9 edges, parts 3/3/12\n"
                    "copies with nonzero difference = 1; "
                    "direct AP count = 1; verified\n")
+
+
+def test_ap_encode_rejects_n_below_1_by_name(capsys, tmp_path):
+    empty = tmp_path / "empty.set"
+    empty.write_text("# no elements\n")
+    for elements in (str(empty), "1,2"):
+        code, out, err = run(capsys, "ap-encode", "--A", elements, "--n", "0", "--k", "2")
+        assert (code, out, err) == (3, "", "semantic error: n must be >= 1\n")
 
 
 # -- limit --------------------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from aml.regularity import (
 )
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
-from oracle import degree_certificate_by_scan, partition_energy_by_fractions
+from oracle import ap_encode_by_scan, degree_certificate_by_scan, partition_energy_by_fractions
 
 DATA = Path(__file__).parent / "data"
 
@@ -133,6 +133,22 @@ def test_singleton_pair_is_charged_its_one_cell():
     res = regularity_partition(Graph.from_edges(2, [(0, 1)]), QUARTER, exact_cap=1,
                                budget=budget)
     assert (res.status, res.irregular_pairs, budget.used) == ("regular", (), 3 * 2)
+
+
+def test_singleton_side_is_decided_by_its_one_scan():
+    # vertex 0 of the staircase sees only 6; the certificate's 5 cells (sizes
+    # 1 x 2..6) times 1 + 6, then the 2 subsets of the one-vertex side, charged
+    # only because the scan finds a witness
+    for u, v, swapped in (((0,), RIGHT, False), (RIGHT, (0,), True)):
+        budget = Budget()
+        verdict = is_epsilon_regular(HALF, u, v, QUARTER, budget=budget)
+        assert verdict == _regular_by_enumeration(HALF, u, v, QUARTER)
+        assert verdict.witness == (((6, 7), (0,)) if swapped else ((0,), (6, 7)))
+        assert budget.used == 5 * 7 + 2
+        with pytest.raises(BudgetExceeded):
+            is_epsilon_regular(HALF, u, v, QUARTER, budget=Budget(5 * 7 + 1))
+    budget = Budget(5 * 7)   # vertex 5 sees all of the right side: regular, no subsets
+    assert is_epsilon_regular(HALF, (5,), RIGHT, QUARTER, budget=budget).regular
 
 
 def test_eps_out_of_range():
@@ -395,18 +411,26 @@ def _random_hypergraph(rng, n, k, p):
                                         if rng.random() < p])
 
 
+def _assert_maps_match_the_reference(pattern, host):
+    """The map stream is the reference's, and count_copies its length."""
+    want = list(_pattern_maps_reference(pattern, host))
+    assert list(_pattern_maps(pattern, host, None)) == want
+    assert count_copies(pattern, host) == len(want)
+
+
 def test_map_stream_matches_product_reference_seeded():
     rng = random.Random(7)
     patterns = [TRIANGLE, TWO_TRIANGLES, Hypergraph.from_edges(2, 2, [(0, 1)]),
                 Hypergraph.from_edges(3, 2, [(1, 2)]), Hypergraph.from_edges(2, 2, []),
+                Hypergraph.from_edges(3, 2, [(0, 1)]), Hypergraph.from_edges(1, 1, [(0,)]),
+                Hypergraph.from_edges(3, 1, [(0,), (2,)]),
                 Hypergraph.from_edges(4, 3, [(0, 1, 3), (1, 2, 3)])]
     for pattern in patterns:
         for _ in range(4):
             host = _random_hypergraph(rng, rng.randint(1, 7), pattern.k, rng.random())
             if pattern.n > 4 and host.n > 5:
                 continue
-            assert list(_pattern_maps(pattern, host, None)) == \
-                list(_pattern_maps_reference(pattern, host))
+            _assert_maps_match_the_reference(pattern, host)
 
 
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6), st.randoms(use_true_random=False))
@@ -415,8 +439,7 @@ def test_map_stream_matches_product_reference(k, pattern_n, host_n, rng):
     pattern_n = max(pattern_n, k)
     pattern = _random_hypergraph(rng, pattern_n, k, rng.random())
     host = _random_hypergraph(rng, host_n, k, rng.random())
-    assert list(_pattern_maps(pattern, host, None)) == \
-        list(_pattern_maps_reference(pattern, host))
+    _assert_maps_match_the_reference(pattern, host)
 
 
 def test_copy_maps_charge_the_worst_case():
@@ -444,6 +467,44 @@ def test_no_copies_in_triangle_free_host():
 def test_copy_count_budget():
     with pytest.raises(BudgetExceeded):
         count_copies(TRIANGLE, TWO_TRIANGLES, budget=Budget(3))
+
+
+K4 = Hypergraph.from_edges(4, 2, list(itertools.combinations(range(4), 2)))
+PATH3 = Hypergraph.from_edges(4, 3, [(0, 1, 3), (1, 2, 3)])
+
+
+def _copy_hosts():
+    rng = random.Random(11)
+    return [_random_hypergraph(rng, 9, 2, 0.5), _random_hypergraph(rng, 12, 2, 0.35),
+            _random_hypergraph(rng, 7, 3, 0.3)]
+
+
+def _removal(pattern, host, **kw):
+    r = remove_copies(pattern, host, **kw)
+    return r.copies_before, len(r.removed), r.method, r.copies_after
+
+
+def _ap_counts(elements, n, k, budget):
+    e = ap_encode(elements, n, k, budget=budget)
+    return e.total_copies, e.trivial_copies, e.direct_ap_count
+
+
+@pytest.mark.parametrize("run, used, result", [
+    (lambda b, h: count_copies(TRIANGLE, h[0], budget=b), 729, 54),
+    (lambda b, h: count_copies(K4, h[1], budget=b), 20736, 72),
+    (lambda b, h: count_copies(PATH3, h[2], budget=b), 2401, 196),
+    (lambda b, h: _removal(TRIANGLE, h[0], budget=b), 1614, (54, 4, "branch-and-bound", 0)),
+    (lambda b, h: _removal(K4, h[1], budget=b), 41496, (72, 1, "branch-and-bound", 0)),
+    (lambda b, h: _removal(PATH3, h[2], budget=b), 5075, (196, 14, "branch-and-bound", 0)),
+    (lambda b, h: _removal(TRIANGLE, h[0], bb_cap=1, budget=b), 1458, (54, 4, "greedy", 0)),
+    (lambda b, h: _ap_counts({1, 3, 4, 5, 7, 8}, 8, 2, b), 2048, (22, 10, 12)),
+    (lambda b, h: _ap_counts(set(range(1, 8)), 7, 3, b), 21609, (5, 2, 3)),
+], ids=["count-k3", "count-k4", "count-3uniform", "remove-k3", "remove-k4",
+        "remove-3uniform", "remove-greedy", "ap-k2", "ap-k3"])
+def test_copy_and_encoding_charges_are_pinned(run, used, result):
+    budget = Budget()
+    assert run(budget, _copy_hosts()) == result
+    assert budget.used == used
 
 
 # -- removal --------------------------------------------------------------------------------
@@ -498,6 +559,33 @@ def test_ap_encoding_agrees_across_subsets():
             assert enc.copy_ap_count == enc.direct_ap_count
 
 
+def _assert_encoding_matches_the_scan(elements, n, k):
+    got, want = ap_encode(elements, n, k), ap_encode_by_scan(elements, n, k)
+    assert got == want and got.hypergraph.edges == want.hypergraph.edges
+    assert got.verified
+
+
+def test_ap_encoding_matches_the_scan_seeded():
+    rng = random.Random(41)
+    for case in range(120):
+        n, k = rng.randint(1, 8), case % 4 + 1
+        p = (0, 0.3, 0.6, 1)[case // 4 % 4]
+        _assert_encoding_matches_the_scan({x for x in range(1, n + 1) if rng.random() < p}, n, k)
+
+
+@given(st.integers(1, 8), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ap_encoding_matches_the_scan(n, k, data):
+    elements = data.draw(st.sets(st.integers(1, n)))
+    _assert_encoding_matches_the_scan(elements, n, k)
+
+
+def test_ap_encode_checks_n_first():
+    for elements in (set(), {1, 2}):
+        with pytest.raises(RegularityError, match=r"^n must be >= 1$"):
+            ap_encode(elements, 0, 2)
+
+
 def test_ap_encode_budget():
     with pytest.raises(BudgetExceeded):
         ap_encode({1, 2, 3, 4, 5}, 5, 2, budget=Budget(10))
@@ -520,6 +608,17 @@ def print_hypergraph(h):
 def test_graph_file_round_trip():
     assert parse_graph(print_graph(G16)).adj == G16.adj
     assert print_graph(G16) == (DATA / "g16.graph").read_text()
+
+
+def test_parsed_graph_matches_the_checked_construction():
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(1, 20)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < 0.3]
+        pairs += [(y, x) for x, y in pairs[:3]]   # a repeated edge, reversed
+        text = f"graph {n}\n" + "".join(f"{x} {y}\n" for x, y in pairs)
+        g, want = parse_graph(text), Graph.from_edges(n, pairs)
+        assert (g, g.adj) == (want, want.adj)
 
 
 def test_hypergraph_file_round_trip():
