@@ -12,7 +12,8 @@ Scheme groups:
 Every scheme is one row of SCHEMES: its group, the shape of its bound tuples,
 the formulas and rationals it reads, the rationals that must be positive, and
 its law.  `instantiate` substitutes formulae and rationals into a row,
-validates the side conditions, and returns the universally closed sentence;
+validates the side conditions, and returns the law's matrix with its free
+parameters, whose universal closure is the instance's sentence;
 `generate_instances` draws the substitutions.
 
 Side conditions.  Some come written into the law itself (coherence-b needs
@@ -47,10 +48,12 @@ class SchemeInstance:
     scheme: str
     matrix: Formula                 # the law with parameters still free
     param_vars: tuple[str, ...]     # z-bar: the universally closed parameters
-    sentence: Formula               # universal closure of the matrix
     params: dict[str, Fraction] = field(default_factory=dict)
-    phi: Formula | None = None
-    psi: Formula | None = None
+
+    @property
+    def sentence(self) -> Formula:
+        """The universal closure of the matrix over ``param_vars``."""
+        return _forall(self.param_vars, self.matrix)
 
     def describe(self) -> str:
         from .parser import print_formula
@@ -161,7 +164,7 @@ class Scheme:
 
     group: str
     shape: str
-    formulas: tuple[str, ...]   # the formulas the law reads, kept on the instance
+    formulas: tuple[str, ...]   # the formulas the law reads
     params: tuple[str, ...]     # the rationals the law reads, recorded in `params`
     positive: tuple[str, ...]   # rationals that must be > 0 on exact-measure structures
     law: Callable[..., Formula]
@@ -248,9 +251,7 @@ def instantiate(scheme: str, *, xs=None, ys=("y",), phi=None, psi=None, sigma=No
             f"exact-measure structures, got {', '.join(f'{p}={params[p]}' for p in s.positive)}")
     matrix = s.law(scheme, s.ops, xs, ys, phi, psi, *rats)
     zs = tuple(sorted(free_vars(matrix)))
-    return SchemeInstance(scheme, matrix, zs, _forall(zs, matrix), params,
-                          phi if "phi" in s.formulas else None,
-                          psi if "psi" in s.formulas else None)
+    return SchemeInstance(scheme, matrix, zs, params)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,10 @@ def _group_table(text: str) -> list[int]:
     table.  Returns n followed by the entries."""
     d = DataWords(text)
     head = d.words[:2]
-    n = int(head[1]) if len(head) == 2 and head[0] == "group" and head[1].isdecimal() else 0
+    try:
+        n = int(head[1]) if len(head) == 2 and head[0] == "group" and head[1].isdecimal() else 0
+    except ValueError:  # more digits than the interpreter converts
+        n = 0
     if n < 1:
         raise d.error("expected 'group <n>'", 0)
     entries = d.ints(2)
@@ -292,7 +295,11 @@ def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
     checked before any table is built."""
     low = spec.strip().lower()
     if low.startswith("z") and low[1:].isdecimal():
-        n, entries = int(low[1:]), None
+        try:
+            n, entries = int(low[1:]), None
+        except ValueError:  # more digits than the interpreter converts
+            raise CliError(f"bad group z<n>: an order of {len(low) - 1} digits is too long",
+                           EXIT_PARSE) from None
     else:
         n, *entries = _parse_input(_group_table, spec)
     if order != n:
@@ -585,8 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as e:
         print(f"budget error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (EvalError, gowers.GowersError, regularity.RegularityError, limits.LimitError,
-            axioms.SideConditionError, ValueError) as e:
+    except (EvalError, ValueError) as e:  # the layers' own errors are ValueErrors
         print(f"semantic error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
     out.flush()

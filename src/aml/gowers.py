@@ -181,7 +181,8 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
                     budget: Budget | None = None) -> Fraction:
     """||g||^{2^k} via the direct cube average over x and h_1..h_k."""
     _check_degree(group, g, k)
-    (budget or Budget()).charge(group.n ** (k + 1))  # the cube's terms
+    # n^(k+1) terms of 2^k corners each: n·(2n)^k, its exponent k from input
+    (budget or Budget()).charge_power(2 * group.n, k, group.n)
     gi, denom = integer_table(g.values)
     add = group.table
     n = group.n

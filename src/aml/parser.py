@@ -231,14 +231,22 @@ class _Parser:
         return t.text
 
     def rational(self) -> Fraction:
-        num = self.expect("int")
+        num = self.integer()
         if self.peek().kind == "/":
             self.next()
-            den = self.expect("int")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.span)
-            return Fraction(int(num.text), int(den.text))
-        return Fraction(int(num.text))
+            span = self.peek().span
+            den = self.integer()
+            if den == 0:
+                raise ParseError("zero denominator", span)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def integer(self) -> int:
+        t = self.expect("int")
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(f"integer of {len(t.text)} digits is too long", t.span) from None
 
     def atom(self) -> Formula:
         t = self.peek()

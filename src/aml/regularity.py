@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .parser import DataWords
@@ -40,59 +40,61 @@ class RegularityError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on 0..n-1: bit v of adj[u] is set when {u, v}
+    is an edge.  Edges from outside are checked by from_edges and parse_graph."""
 
     n: int
-    edges: frozenset[frozenset[int]]
-    # bitmask rows; given only by parse_graph, built with edges it has checked
-    adj: tuple[int, ...] = field(compare=False, default=())
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise RegularityError("graph needs at least one vertex")
-        if self.adj:
-            return
-        adj = [0] * self.n
-        for e in self.edges:
-            if len(e) != 2:
-                raise RegularityError(f"edge {sorted(e)} is not an unordered pair")
-            u, v = sorted(e)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise RegularityError(f"edge {sorted(e)} out of range")
-            if u == v:
-                raise RegularityError(f"self-loop at {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(adj))
+    adj: tuple[int, ...]
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        return Graph(n, frozenset(frozenset(p) for p in pairs))
+        """The graph on 0..n-1 whose edges are ``pairs``, each checked to be
+        two distinct vertices in range."""
+        if n < 1:
+            raise RegularityError("graph needs at least one vertex")
+        pairs = [sorted(frozenset(p)) for p in pairs]
+        for e in pairs:
+            if len(e) != 2:
+                raise RegularityError(f"edge {e} is not an unordered pair")
+            if e[0] < 0 or e[1] >= n:
+                raise RegularityError(f"edge {e} out of range")
+        return Graph(n, _adjacency(n, pairs))
 
     def degree_into(self, v: int, mask: int) -> int:
         return (self.adj[v] & mask).bit_count()
 
 
+def _adjacency(n: int, pairs) -> tuple[int, ...]:
+    """The adjacency masks of the graph on 0..n-1 with the given checked pairs."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
-    """k-uniform hypergraph: edges are k-element subsets of 0..n-1."""
+    """k-uniform hypergraph: edges are k-element subsets of 0..n-1.  Edges
+    from outside are checked by from_edges and parse_hypergraph."""
 
     n: int
     k: int
     edges: frozenset[frozenset[int]]
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise RegularityError("need n >= 1 and k >= 1")
-        for e in self.edges:
-            if len(e) != self.k:
-                raise RegularityError(f"edge {sorted(e)} is not a {self.k}-set")
-            if not all(0 <= v < self.n for v in e):
-                raise RegularityError(f"edge {sorted(e)} out of range")
-
     @staticmethod
     def from_edges(n: int, k: int, edge_sets) -> "Hypergraph":
-        return Hypergraph(n, k, frozenset(frozenset(e) for e in edge_sets))
+        """The hypergraph whose edges are ``edge_sets``, each checked to be k
+        vertices in range."""
+        if n < 1 or k < 1:
+            raise RegularityError("need n >= 1 and k >= 1")
+        edges = frozenset(frozenset(e) for e in edge_sets)
+        for e in edges:
+            if len(e) != k:
+                raise RegularityError(f"edge {sorted(e)} is not a {k}-set")
+            if not all(0 <= v < n for v in e):
+                raise RegularityError(f"edge {sorted(e)} out of range")
+        return Hypergraph(n, k, edges)
 
 
 def _mask_of(vertices) -> int:
@@ -465,7 +467,7 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     ``assignment`` is reused.  The charge is the worst case, all maps."""
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
-    (budget or Budget()).charge(host.n ** pattern.n)
+    (budget or Budget()).charge_power(host.n, pattern.n)
     links, every = _links(host), (1 << host.n) - 1
     faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
@@ -646,7 +648,7 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
         raise RegularityError("k must be >= 1")
     big = k * k * n
     n_vertices = k * n + big
-    (budget or Budget()).charge(n ** k * big)
+    (budget or Budget()).charge_power(n, k, big)
 
     # (part solved for, its coefficient, its largest value, (part, coefficient)
     # of the k − 1 others) for each edge family
@@ -745,14 +747,10 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
 def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     """Parse "graph <n>" followed by one "u v" edge per line."""
     n, _, pairs = _parse_edges(text, "graph", budget)
-    adj = [0] * n
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, frozenset(map(frozenset, pairs)), tuple(adj))
+    return Graph(n, _adjacency(n, pairs))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
     n, k, edges = _parse_edges(text, "hypergraph")
-    return Hypergraph.from_edges(n, k, edges)
+    return Hypergraph(n, k, frozenset(map(frozenset, edges)))

@@ -39,8 +39,18 @@ class EvalError(Exception):
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, used: int, limit: int):
-        super().__init__(f"enumeration budget exceeded: {used} work units > limit {limit}")
+    """A charge took ``used`` units past ``limit``.  A count too long to print
+    in decimal is shown by its size, as 2^b or more.  A power refused by its
+    exponent alone (see Budget.charge_power) is ``shown`` as its own lower
+    bound, and ``used`` stays at the units charged before it."""
+
+    def __init__(self, used: int, limit: int, shown: str | None = None):
+        if shown is None:
+            try:
+                shown = str(used)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                shown = f"2^{used.bit_length() - 1} or more"
+        super().__init__(f"enumeration budget exceeded: {shown} work units > limit {limit}")
         self.used = used
         self.limit = limit
 
@@ -50,7 +60,7 @@ class Budget:
     size just before it runs: a formula's table its number of bits (see
     :class:`Evaluator`), an extension n^k, a parsed structure or graph its
     declared size; the other layers price their own loops next to them
-    (Gowers cube terms, scanned windows, pattern maps, regularity subsets,
+    (Gowers cube corners, scanned windows, pattern maps, regularity subsets,
     family members)."""
 
     def __init__(self, limit: int | None = None):
@@ -61,6 +71,15 @@ class Budget:
         self.used += units
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceeded(self.used, self.limit)
+
+    def charge_power(self, base: int, exp: int, times: int = 1) -> None:
+        """Charge times·base^exp for an exponent read from input.  With
+        base >= 2 and times >= 1, an exponent past the limit's bit length alone
+        passes the limit, so it trips without the power being built."""
+        if self.limit is not None and base >= 2 and times >= 1 \
+                and exp > self.limit.bit_length():
+            raise BudgetExceeded(self.used, self.limit, f"2^{exp} or more")
+        self.charge(times * base ** exp)
 
 
 def meas_holds(cmp: Cmp, mu: Fraction, r: Fraction, flag: VFlag) -> bool:

@@ -1,5 +1,6 @@
 """Measure-law schemes: instantiation, side conditions, soundness checking."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -220,10 +221,15 @@ def test_generated_instances_hold_per_group():
         hold_on(Z4, instances)
 
 
+def test_an_instance_holds_its_matrix_and_parameters_only():
+    assert [f.name for f in dataclasses.fields(SchemeInstance)] == \
+        ["scheme", "matrix", "param_vars", "params"]
+
+
 def test_soundness_failure_reports_witness():
     # not a law: "P holds everywhere" — Z4 falsifies it at x=1
-    bogus = SchemeInstance("bogus", PX, ("x",),
-                           parse_formula("forall x . P(x)", SIG))
+    bogus = SchemeInstance("bogus", PX, ("x",))
+    assert bogus.sentence == parse_formula("forall x . P(x)", SIG)
     result = check_instance(Evaluator(Z4), bogus)
     assert not result.holds
     assert result.witness is not None
@@ -252,7 +258,7 @@ def test_check_soundness_charges_are_pinned():
 
 
 def test_shared_evaluator_matches_a_fresh_extension_per_instance():
-    bogus = SchemeInstance("bogus", PX, ("x",), parse_formula("forall x . P(x)", SIG))
+    bogus = SchemeInstance("bogus", PX, ("x",))
     rng = random.Random(4)
     failed = 0
     for m in [Z4, WEIGHTED] + [random_structure(rng) for _ in range(8)]:

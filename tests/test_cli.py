@@ -347,6 +347,71 @@ def test_declared_sizes_are_charged_before_allocation(capsys, tmp_path):
     assert (code, out) == (4, "")
 
 
+def test_gowers_cube_charges_its_corners(capsys):
+    # z2 at k = 14: 4 units for the table, then 2^15 terms of 2^14 corners each
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gowers", "z2", "--g=1,-1", "--k", "14", "--budget", "100000")
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"{4 + 2 ** 15 * 2 ** 14} work units > limit 100000\n")
+    # z1 at k = 22 has one term but 2^22 corners
+    code, out, err = run(capsys, "gowers", "z1", "--g=1", "--k", "22", "--budget", "2")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 2^22 or more work units > limit 2\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_exponents_read_from_input_trip_the_budget_unbuilt(capsys, tmp_path):
+    # each power has an input integer for exponent, far past the limit's
+    # 24 bits, so it trips the budget without being built or printed
+    host, pattern = tmp_path / "host.hg", tmp_path / "pattern.hg"
+    host.write_text("hypergraph 20 1\n0\n")
+    pattern.write_text(f"hypergraph {10 ** 9} 1\n0\n")
+    for argv, exponent in [(["gowers", "z3", "--g=1,1,1", "--k", "10000"], 10000),
+                           (["ap-encode", "--A", "1,2", "--n", "3", "--k", "20000"], 20000),
+                           (["hypergraph", str(host), "--pattern", str(pattern)], 10 ** 9)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err == ("budget error: enumeration budget exceeded: "
+                       f"2^{exponent} or more work units > limit {10 ** 7}\n")
+        assert time.perf_counter() - start < 1, argv
+    code, out, err = run(capsys, "hypergraph", str(host), "--pattern", str(pattern),
+                         "--budget", "10")
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"2^{10 ** 9} or more work units > limit 10\n")
+
+
+def test_a_charge_too_long_to_print_exits_4(capsys, digit_limit):
+    # 4^k for k measured variables has more than digit_limit digits
+    k = 2 * digit_limit
+    code, out, err = run(capsys, "measure", Z4, "x0 = x0",
+                         "--vars", ",".join(f"x{i}" for i in range(k)))
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"2^{2 * k} or more work units > limit {10 ** 7}\n")
+
+
+def test_integers_too_long_to_read_exit_2(capsys, tmp_path, digit_limit):
+    digits = "1" * (digit_limit + 1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", Z4, f"m[x] < {digits} . x = x")
+    assert (code, out, err) == (2, "", f"parse error: integer of {len(digits)} digits is too "
+                                       f"long (at 7..{7 + len(digits)})\n")
+    code, out, err = run(capsys, "eval", Z4, f"m[x] < 1/{digits} . x = x")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: integer of {len(digits)} digits is too long (at 9..")
+    group = tmp_path / "big.group"
+    group.write_text(f"# order past the limit\ngroup {digits}\n0\n")
+    code, out, err = run(capsys, "gowers", str(group), "--g=1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: {group}: line 2: expected 'group <n>'\n")
+    code, out, err = run(capsys, "gowers", f"z{digits}", "--g=1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: bad group z<n>: an order of {len(digits)} "
+                                       f"digits is too long\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_limit_charges_each_family_member(capsys, tmp_path):
     # Z_1..Z_600 need sum(i + i^2) > 7 * 10^7 units for universes and add tables
     fam = tmp_path / "big.fam"

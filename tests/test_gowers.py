@@ -136,7 +136,7 @@ def test_both_norm_forms_agree():
 def test_cube_form_charges_its_terms():
     budget = Budget()
     gowers_norm_pow(Z4, GridFunction.from_values([1, -1, 1, -1], 1), 2, budget=budget)
-    assert budget.used == 4 ** 3
+    assert budget.used == 4 ** 3 * 2 ** 2     # n^(k+1) terms of 2^k corners each
 
 
 def test_norm_power_nonnegative_and_monotone_under_mean():

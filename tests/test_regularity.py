@@ -1,5 +1,6 @@
 """Density, regular pairs, energy-increment partitions, copy counting, removal."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aml import regularity
 from aml.regularity import (
     APEncoding,
     Graph,
@@ -54,6 +56,26 @@ def test_graph_rejects_self_loops_and_range():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(RegularityError):
         Graph.from_edges(3, [(0, 3)])
+
+
+def test_graph_is_its_adjacency_masks():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+    assert C4 == Graph(4, (0b1010, 0b0101, 0b1010, 0b0101))
+    with pytest.raises(RegularityError, match=r"^graph needs at least one vertex$"):
+        Graph.from_edges(0, [])
+    with pytest.raises(RegularityError, match=r"^edge \[0, 1, 2\] is not an unordered pair$"):
+        Graph.from_edges(3, [(0, 1), (0, 1, 2)])
+
+
+def test_hypergraph_from_edges_checks_every_edge():
+    for n, k, edges, message in [(0, 2, [], r"need n >= 1 and k >= 1"),
+                                 (3, 0, [], r"need n >= 1 and k >= 1"),
+                                 (3, 2, [(0, 1), (2,)], r"edge \[2\] is not a 2-set"),
+                                 (3, 2, [(1, 1)], r"edge \[1\] is not a 2-set"),
+                                 (3, 2, [(0, 3)], r"edge \[0, 3\] out of range"),
+                                 (3, 2, [(-1, 0)], r"edge \[-1, 0\] out of range")]:
+        with pytest.raises(RegularityError, match=f"^{message}$"):
+            Hypergraph.from_edges(n, k, edges)
 
 
 def test_graph_adjacency_is_symmetric():
@@ -536,6 +558,26 @@ def test_greedy_removal_still_eliminates_all_copies():
     assert len(r.removed) >= 2
 
 
+def test_built_hypergraphs_pass_the_checked_construction(monkeypatch):
+    # ap_encode and remove_copies build their hypergraphs without a check, so
+    # each must be one that from_edges accepts and rebuilds unchanged
+    rng = random.Random(23)
+    built = [ap_encode({x for x in range(1, n + 1) if rng.random() < p}, n, k).hypergraph
+             for n in range(1, 9) for k in range(1, 5) for p in (0.3, 0.7)]
+    count = regularity.count_copies
+    monkeypatch.setattr(regularity, "count_copies",    # remove_copies recounts its stripped host
+                        lambda pattern, host, budget=None: built.append(host)
+                        or count(pattern, host, budget))
+    hosts = _copy_hosts()
+    for pattern, host in [(TRIANGLE, TWO_TRIANGLES), (TRIANGLE, hosts[0]), (K4, hosts[1]),
+                          (PATH3, hosts[2])]:
+        for bb_cap in (1, 10 ** 4):
+            assert remove_copies(pattern, host, bb_cap=bb_cap).copies_after == 0
+    assert len(built) == 8 * 4 * 2 + 8
+    for h in built:
+        assert Hypergraph.from_edges(h.n, h.k, h.edges) == h
+
+
 # -- arithmetic-progression encoding ----------------------------------------------------------
 
 def test_ap_encoding_frozen_small_case():
@@ -595,7 +637,7 @@ def test_ap_encode_budget():
 
 def print_graph(g):
     lines = [f"graph {g.n}"]
-    lines += [" ".join(map(str, sorted(e))) for e in sorted(g.edges, key=sorted)]
+    lines += [f"{u} {v}" for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
     return "\n".join(lines) + "\n"
 
 

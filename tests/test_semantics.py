@@ -182,6 +182,33 @@ def test_budget_exhaustion():
     assert ev("m[x,y] <= 1 . R(x, y)", budget=Budget(100))
 
 
+def test_a_count_too_long_to_print_is_shown_by_its_size(digit_limit):
+    budget = Budget(10)
+    with pytest.raises(BudgetExceeded) as ex:
+        budget.charge(10 ** digit_limit)          # one digit past the limit
+    assert str(ex.value) == (f"enumeration budget exceeded: "
+                             f"2^{(10 ** digit_limit).bit_length() - 1} or more "
+                             f"work units > limit 10")
+    assert ex.value.used == budget.used == 10 ** digit_limit
+
+
+def test_a_power_past_the_limit_by_its_exponent_is_never_built():
+    budget = Budget(1000)                      # 10 bits
+    budget.charge(7)
+    with pytest.raises(BudgetExceeded) as ex:
+        budget.charge_power(2, 10 ** 12)       # 2^(10^12) would need 125 GB
+    assert str(ex.value) == \
+        "enumeration budget exceeded: 2^1000000000000 or more work units > limit 1000"
+    assert ex.value.used == budget.used == 7
+    budget.charge_power(3, 6, 1)               # 10 bits or fewer: charged exactly
+    with pytest.raises(BudgetExceeded) as ex:
+        budget.charge_power(2, 10, 2)
+    assert str(ex.value) == "enumeration budget exceeded: 2784 work units > limit 1000"
+    budget = Budget(10)
+    budget.charge_power(1, 10 ** 12, 3)        # 1^(10^12) is 1: charged exactly
+    assert budget.used == 3
+
+
 def test_trace_records_measure_decisions():
     trace = []
     ev("m[x] <= 1/4 . x = e", trace=trace)
@@ -324,7 +351,7 @@ def test_scheme_verdicts_and_witnesses_match_the_oracle_seeded():
         ev = Evaluator(m)  # shared by the structure's instances, as check_soundness does
         for text in _EXTRA_MATRICES:
             phi = parse_formula(text, m.signature())
-            cases.append(SchemeInstance("extra", phi, tuple(sorted(free_vars(phi))), phi))
+            cases.append(SchemeInstance("extra", phi, tuple(sorted(free_vars(phi)))))
         for inst in cases:
             phi = inst.matrix
             seen["shadowed binder"] |= any(_bound(s) & _bound(t)
@@ -468,6 +495,6 @@ def test_atom_tables_stay_with_their_structure_and_valuation():
     # an atom that reads the environment is tabled afresh at each valuation
     assert [ev_a.table(rxy, ("y",), {"x": x}) for x in (0, 1, 0)] == [0b10, 0, 0b10]
     # the same instance checked on each structure in turn gets each one's witness
-    bogus = SchemeInstance("bogus", px, ("x",), parse_formula("forall x . P(x)", SIG))
+    bogus = SchemeInstance("bogus", px, ("x",))
     assert [check_soundness(m, [bogus]).results[0].witness for m in (a, b, a)] == \
         [{"x": 1}, {"x": 0}, {"x": 1}]
