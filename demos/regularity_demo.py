@@ -40,14 +40,13 @@ print(f"  the block pair is {'regular' if verdict.regular else 'irregular'}"
       f" at eps = {eps}")
 
 res = regularity_partition(g, eps)
-sizes = sorted((len(p) for p in res.partition.parts), reverse=True)
+sizes = sorted((len(p) for p in res.parts), reverse=True)
 print(f"\nPartition run: {res.status} after {res.rounds} round(s), "
       f"{len(sizes)} parts of sizes {sizes}")
 print(f"  energy log: {' -> '.join(str(e) for e in res.energy_log)}")
 print(f"  irregular mass {res.irregular_mass} <= bound {res.mass_bound}")
 for i, j, w in res.irregular_pairs:
-    ok = validate_witness(g, res.partition.parts[i], res.partition.parts[j],
-                          eps, w)
+    ok = validate_witness(g, res.parts[i], res.parts[j], eps, w)
     print(f"  leftover irregular pair ({i},{j}): witness re-validates: {ok}")
 
 print("\nMinimum edge removal to destroy every triangle:")

@@ -12,8 +12,8 @@ from .structures import DefinableSet, FiniteStructure, VFlag, measure
 from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall, Formula,
                      Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev,
                      free_vars, rank)
-from .semantics import (Budget, BudgetExceeded, EvalError, check_continuity,
-                        check_probability, evaluate, extension, meas_holds)
+from .semantics import (Budget, BudgetExceeded, EvalError, check_continuity, evaluate,
+                        extension, meas_holds)
 from .parser import ParseError, SourceSpan, parse_formula, parse_structure, print_formula
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __all__ = [
     "AbbrevCmp", "And", "Atom", "Budget", "BudgetExceeded", "Cmp", "Const",
     "DefinableSet", "Equality", "EvalError", "Exists", "FiniteStructure", "Forall",
     "Formula", "Func", "Implies", "Meas", "Not", "Or", "ParseError", "Signature",
-    "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "check_probability",
-    "evaluate", "expand_abbrev", "extension", "free_vars", "meas_holds", "measure",
+    "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "evaluate",
+    "expand_abbrev", "extension", "free_vars", "meas_holds", "measure",
     "parse_formula", "parse_structure", "print_formula", "rank",
 ]

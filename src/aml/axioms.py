@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .semantics import Budget, Evaluator
-from .structures import FiniteStructure
+from .structures import FiniteStructure, index_tuple
 from .syntax import (And, Atom, Cmp, Const, Equality, Forall, Formula, Func, Implies, Meas,
                      Not, Or, Signature, Var, free_vars)
 
@@ -265,27 +265,6 @@ class SoundnessResult:
     witness: dict[str, int] | None  # a falsifying parameter valuation, if any
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
-    results: tuple[SoundnessResult, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.results)
-
-    @property
-    def failures(self) -> tuple[SoundnessResult, ...]:
-        return tuple(r for r in self.results if not r.holds)
-
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.results:
-            verdict = "holds" if r.holds else f"FAILS at {r.witness}"
-            out.append(f"{r.instance.scheme:16s} {verdict}  "
-                       f"({', '.join(f'{k}={v}' for k, v in sorted(r.instance.params.items()))})")
-        return out
-
-
 def check_instance(ev: Evaluator, inst: SchemeInstance) -> SoundnessResult:
     """Table the instance's matrix over its parameter valuations in ``ev``'s
     structure, charged n^k first as an extension is; on failure, the first
@@ -297,38 +276,22 @@ def check_instance(ev: Evaluator, inst: SchemeInstance) -> SoundnessResult:
     if bits == (1 << m.n ** k) - 1:
         return SoundnessResult(inst, True, None)
     first = (~bits & (bits + 1)).bit_length() - 1  # the lowest clear bit
-    return SoundnessResult(inst, False, dict(zip(inst.param_vars, m.index_tuple(first, k))))
+    return SoundnessResult(inst, False, dict(zip(inst.param_vars, index_tuple(first, m.n, k))))
 
 
 def check_soundness(m: FiniteStructure, instances,
-                    budget: Budget | None = None) -> SoundnessReport:
-    """Check every instance in ``m`` through one evaluator, so an atom tabled
-    for one instance is reused by the next (see Evaluator)."""
+                    budget: Budget | None = None) -> tuple[SoundnessResult, ...]:
+    """Each instance's result in ``m``, checked through one evaluator, so an
+    atom tabled for one instance is reused by the next (see Evaluator)."""
     ev = Evaluator(m, budget)
-    return SoundnessReport(tuple(check_instance(ev, inst) for inst in instances))
+    return tuple(check_instance(ev, inst) for inst in instances)
 
 
 # ---------------------------------------------------------------------------
-# Seeded random generation of structures, formulae, and instances
+# Seeded random generation of formulae and instances
 
-
-def random_structure(rng: random.Random, n_max: int = 6) -> FiniteStructure:
-    """A random structure over the fixed test signature: constant e, unary
-    function f, unary relation P, binary relation R; counting measure 70% of
-    the time, otherwise random small nonnegative weights."""
-    n = rng.randint(2, n_max)
-    f_table = tuple(rng.randrange(n) for _ in range(n))
-    p = frozenset((a,) for a in range(n) if rng.random() < 0.5)
-    pairs = frozenset((a, b) for a in range(n) for b in range(n) if rng.random() < 0.4)
-    weights: tuple[Fraction, ...] = ()
-    if rng.random() < 0.3:
-        weights = tuple(Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(n))
-        if all(w == 0 for w in weights):
-            weights = tuple(Fraction(1, n) for _ in range(n))
-    return FiniteStructure(n, {"e": rng.randrange(n)}, {"f": (1, f_table)},
-                           {"P": (1, p), "R": (2, pairs)}, weights)
-
-
+# The default signature of random formulae: constant e, unary function f,
+# unary relation P and binary relation R.
 TEST_SIGNATURE = Signature(constants=("e",), functions=(("f", 1),),
                            relations=(("P", 1), ("R", 2)))
 

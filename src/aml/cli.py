@@ -11,7 +11,8 @@ semantics.Budget).  eval evaluates a formula at the --bind valuation, so
 eval --trace lists the measures decided at that valuation only (an inner
 measure once per assignment of its enclosing binders' variables), innermost
 first; measure, check-axioms and limit table each formula once over the
-variables they enumerate (see semantics.Evaluator).
+variables they enumerate (see semantics.Evaluator).  Each subcommand imports
+its layer (axioms, gowers, limits, regularity) when it runs.
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
@@ -22,7 +23,8 @@ errors (exit 3) wherever they arise.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
-and seed.  All reported comparisons are exact rationals; decimal renderings
+and seed.  All reported comparisons are exact rationals, and the gowers power
+is printed in full even past the int-to-str digit limit; decimal renderings
 are display-only and labeled approx.
 
 Exit codes: 0 success, 1 a checked property failed, 2 parse error (arguments
@@ -38,7 +40,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import axioms, gowers, limits, regularity
 from .parser import DataWords, ParseError, parse_formula, parse_ints, parse_structure
 from .semantics import Budget, BudgetExceeded, EvalError, Evaluator, extension
 from .structures import FiniteStructure, VFlag, measure
@@ -127,23 +128,20 @@ class _Out:
     def __init__(self, fmt: str):
         self.fmt = fmt
         self.lines: list[str] = []
-        self.records: list[tuple[str, object]] = []
+        self.records: list[str] = []
 
     def text(self, line: str) -> None:
         self.lines.append(line)
 
     def record(self, key: str, value) -> None:
+        """Formatted now, so that flush, outside main's error handling, cannot raise."""
         if isinstance(value, bool):
             value = "true" if value else "false"
-        self.records.append((key, value))
+        self.records.append(f"{key}={value}")
 
     def flush(self) -> None:
-        if self.fmt == "records":
-            for key, value in self.records:
-                print(f"{key}={value}")
-        else:
-            for line in self.lines:
-                print(line)
+        for line in self.records if self.fmt == "records" else self.lines:
+            print(line)
 
 
 def _load_structure(path: str, budget: Budget) -> FiniteStructure:
@@ -225,6 +223,7 @@ def _cmd_measure(args, out: _Out, budget: Budget) -> int:
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
+    from . import axioms
     chosen: list[str] = []
     for name in text.split(","):
         name = name.strip()
@@ -244,6 +243,7 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
 
 
 def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
+    from . import axioms
     schemes = _parse_schemes(args.schemes)
     if args.count < 0:
         raise CliError(f"--count must be nonnegative, got {args.count}", EXIT_PARSE)
@@ -258,11 +258,11 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
             continue
         instances = axioms.generate_instances(args.seed + which, share[which], schemes=schemes,
                                               sig=m.signature(), budget=budget)
-        report = axioms.check_soundness(m, instances, budget=budget)
+        results = axioms.check_soundness(m, instances, budget=budget)
         total += len(instances)
-        held += sum(1 for r in report.results if r.holds)
-        failures.extend(f"{f.instance.scheme} on {args.structures[which]}"
-                        for f in report.failures)
+        held += sum(r.holds for r in results)
+        failures.extend(f"{r.instance.scheme} on {args.structures[which]}"
+                        for r in results if not r.holds)
     out.text(f"{held}/{total} hold")
     out.record("held", held)
     out.record("total", total)
@@ -289,10 +289,11 @@ def _group_table(text: str) -> list[int]:
     return [n, *entries]
 
 
-def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
+def _load_group(spec: str, order: int, budget: Budget):
     """A group argument: z<n> for the cyclic group, or a group file ('#'
-    starts a comment).  The group must have ``order`` elements, which is
-    checked before any table is built."""
+    starts a comment), as a gowers.AbelianGroup.  The group must have
+    ``order`` elements, which is checked before any table is built."""
+    from . import gowers
     low = spec.strip().lower()
     if low.startswith("z") and low[1:].isdecimal():
         try:
@@ -313,7 +314,19 @@ def _load_group(spec: str, order: int, budget: Budget) -> gowers.AbelianGroup:
         raise CliError(str(e), EXIT_SEMANTIC) from None
 
 
+def _exact(value) -> str:
+    """str(value) past the interpreter's int-to-str digit limit: an exact
+    result is charged to the budget, so it is printed in full."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
+    from . import gowers
     values = _parse_rational_list(args.g, "--g")
     if args.k < 1:  # before _load_group builds an n*n addition table
         raise gowers.GowersError("k must be >= 1")
@@ -324,22 +337,25 @@ def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     power_check = gowers.gowers_norm_pow_derivative(group, g, k)
     agree = power == power_check
     approx = gowers.decimal_root(power, 1 << k) if power >= 0 else "undefined"
-    out.text(f"U^{k} power = {power}" + ("" if agree else
-                                         f"  [MISMATCH: derivative form {power_check}]"))
+    shown = _exact(power)
+    shown_check = shown if agree else _exact(power_check)
+    out.text(f"U^{k} power = {shown}" + ("" if agree else
+                                         f"  [MISMATCH: derivative form {shown_check}]"))
     out.text(f"norm approx {approx}")
-    out.record("power", power)
-    out.record("power_check", power_check)
+    out.record("power", shown)
+    out.record("power_check", shown_check)
     out.record("agree", agree)
     out.record("approx", approx)
     return EXIT_OK if agree else EXIT_FAIL
 
 
 def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
+    from . import regularity
     g = _parse_input(regularity.parse_graph, args.graph, budget=budget)
     eps = _parse_rational(args.eps, "--eps")
     res = regularity.regularity_partition(g, eps, k_max=args.kmax, exact_cap=args.cap,
                                           budget=budget)
-    parts = res.partition.parts
+    parts = res.parts
     out.text(f"partition of {g.n} vertices into {len(parts)} parts "
              f"(status: {res.status})")
     for i, p in enumerate(parts):
@@ -358,6 +374,7 @@ def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
+    from . import regularity
     host = _parse_input(regularity.parse_hypergraph, args.host)
     pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
     if args.remove:
@@ -382,6 +399,7 @@ def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
+    from . import regularity
     elements = _element_set(args.A, "--A")
     enc = regularity.ap_encode(elements, args.n, args.k, budget=budget)
     out.text(f"hypergraph: {enc.hypergraph.n} vertices, "
@@ -400,6 +418,7 @@ def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_limit(args, out: _Out, budget: Budget) -> int:
+    from . import limits
     base = os.path.dirname(os.path.abspath(args.family))  # E-file paths are relative to it
     family = _parse_input(limits.parse_family, args.family,
                           loader=lambda path: _parse_input(parse_ints, os.path.join(base, path)))
@@ -443,6 +462,7 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_density(args, out: _Out, budget: Budget) -> int:
+    from . import limits
     elements = _element_set(args.E)
     d = limits.banach_density(elements, args.N, args.Lmin, budget=budget)
     out.text(f"banach density = {d}")
@@ -451,6 +471,7 @@ def _cmd_density(args, out: _Out, budget: Budget) -> int:
 
 
 def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
+    from . import limits
     elements = _element_set(args.E)
     shifts = set(_parse_int_list(args.U, "--U"))
     cyc, plain, bound = limits.furstenberg_check(elements, args.N, shifts, budget=budget)

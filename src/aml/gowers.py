@@ -313,44 +313,17 @@ class FiniteAlgebra:
     n: int
     arity: int
     atoms: tuple[int, ...]  # bitsets over M^arity
-    generators: tuple[int, ...]
 
     @staticmethod
     def from_generators(n: int, arity: int, generators) -> "FiniteAlgebra":
         size = n ** arity
-        full = (1 << size) - 1
-        gens = []
+        atoms = [(1 << size) - 1]
         for g in generators:
             bits = g.bits if isinstance(g, DefinableSet) else int(g)
             if bits < 0 or bits >> size:
                 raise GowersError("generator bitset out of range")
-            gens.append(bits)
-        atoms = [full]
-        for g in gens:
-            nxt = []
-            for a in atoms:
-                inside = a & g
-                outside = a & ~g
-                if inside:
-                    nxt.append(inside)
-                if outside:
-                    nxt.append(outside)
-            atoms = nxt
-        return FiniteAlgebra(n, arity, tuple(atoms), tuple(gens))
-
-
-def coordinate_support(bits: int, n: int, arity: int) -> frozenset[int]:
-    """The set of coordinates a subset of M^arity actually depends on."""
-    support = set()
-    for i in range(arity):
-        stride = n ** (arity - 1 - i)
-        for idx in range(n ** arity):
-            base = idx - (idx // stride % n) * stride
-            bit0 = bits >> idx & 1
-            if any(bits >> (base + c * stride) & 1 != bit0 for c in range(n)):
-                support.add(i)
-                break
-    return frozenset(support)
+            atoms = [cell for a in atoms for cell in (a & bits, a & ~bits) if cell]
+        return FiniteAlgebra(n, arity, tuple(atoms))
 
 
 def cond_expect(f: GridFunction, algebra: FiniteAlgebra) -> GridFunction:
@@ -375,37 +348,7 @@ def cond_expect(f: GridFunction, algebra: FiniteAlgebra) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Box multiplication and the positivity criterion
-
-
-def box_multiplication_check(f: GridFunction, cylinders) -> tuple[Fraction, Fraction]:
-    """Given one cylinder set per (k-1)-element coordinate set I (as a map
-    I -> bitset over M^k, each depending only on the coordinates in I),
-    return (||f * prod of indicators||^{2^k}, ||f||^{2^k}).
-
-    The first is always between 0 and the second.
-    """
-    k = f.arity
-    size = f.n ** k
-    mask = (1 << size) - 1
-    product_bits = mask
-    for I, bits in dict(cylinders).items():
-        I = frozenset(I)
-        if len(I) != k - 1 or not I <= set(range(k)):
-            raise GowersError(f"cylinder index set {sorted(I)} must be a "
-                              f"(k-1)-subset of coordinates 0..{k - 1}")
-        bits = bits.bits if isinstance(bits, DefinableSet) else int(bits)
-        if bits < 0 or bits >> size:
-            raise GowersError("cylinder bitset out of range")
-        support = coordinate_support(bits, f.n, k)
-        if not support <= I:
-            raise GowersError(f"set depends on coordinates {sorted(support)}, "
-                              f"not cylindrical over {sorted(I)}")
-        product_bits &= bits
-    restricted = tuple(v if product_bits >> i & 1 else Fraction(0)
-                       for i, v in enumerate(f.values))
-    g = GridFunction(f.n, f.arity, restricted, f.weights)
-    return gowers_box_pow(g), gowers_box_pow(f)
+# The positivity criterion
 
 
 def positivity_criterion(f: GridFunction, atom_budget: int = 1 << 16):

@@ -26,10 +26,9 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterable
 
-from .parser import DataWords, ParseError, parse_ints
+from .parser import DataWords, ParseError
 from .semantics import Budget, Evaluator, extension, meas_holds
 from .structures import FiniteStructure, VFlag, measure
 from .syntax import Cmp, Formula, Signature, free_vars
@@ -347,8 +346,7 @@ def furstenberg_check(elements, n_hi: int, shifts,
 # Family spec files
 
 
-def parse_family(text: str,
-                 loader: Callable[[str], Iterable[int]] | None = None) -> StructureFamily:
+def parse_family(text: str, loader: Callable[[str], Iterable[int]]) -> StructureFamily:
     """Parse a family spec:
 
         family cyclic <i_lo> <i_hi> [predicate <name> <rule-id>]...
@@ -356,7 +354,7 @@ def parse_family(text: str,
 
     The words may wrap across lines, and a format error is a ParseError at
     the word it concerns.  For interval families ``loader`` reads the
-    E-file's integers (default: ``parser.parse_ints`` on the file).
+    E-file's integers; a ParseError it raises is reported at the file name.
     """
     d = DataWords(text)
     words = d.words
@@ -380,9 +378,8 @@ def parse_family(text: str,
             predicates[words[i + 1]] = words[i + 2]
     else:
         try:
-            elements = set(loader(words[2]) if loader else
-                           parse_ints(Path(words[2]).read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError, ParseError) as e:
+            elements = set(loader(words[2]))
+        except ParseError as e:
             raise d.error(f"cannot read E-file {words[2]!r}: {e}", 2) from None
     try:
         return (cyclic_family(i_lo, i_hi, predicates) if kind == "cyclic"

@@ -296,24 +296,6 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
 # Energy-increment regularity partition
 
 
-@dataclass(frozen=True)
-class Partition:
-    n: int
-    parts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for p in self.parts:
-            if not p:
-                raise RegularityError("empty part")
-            for x in p:
-                if x in seen:
-                    raise RegularityError(f"vertex {x} in two parts")
-                seen.add(x)
-        if seen != set(range(self.n)):
-            raise RegularityError("parts must cover all vertices exactly once")
-
-
 def partition_energy(g: Graph, parts) -> Fraction:
     """Mean-square edge density: sum over ordered part pairs (i,j), including
     i = j, of (|U_i||U_j| / n^2) * d(U_i, U_j)^2.
@@ -336,7 +318,7 @@ def partition_energy(g: Graph, parts) -> Fraction:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    partition: Partition
+    parts: tuple[tuple[int, ...], ...]  # disjoint, covering 0..n-1, by least vertex
     status: str  # "regular" | "k-max-exhausted"
     irregular_pairs: tuple  # (i, j, witness) for i <= j, certified irregular
     irregular_mass: int      # ordered-pair mass over non-certified-regular pairs
@@ -411,9 +393,8 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
     while True:
         irregular, mass = _survey(g, parts, eps, exact_cap, budget)
         if mass <= bound:
-            return PartitionResult(Partition(n, tuple(parts)),
-                                   "regular", tuple(irregular), mass, bound,
-                                   tuple(energies), rounds)
+            return PartitionResult(tuple(parts), "regular", tuple(irregular), mass,
+                                   bound, tuple(energies), rounds)
         cuts: dict[int, list[frozenset[int]]] = {}
         for i, j, (wit_a, wit_b) in irregular:
             cuts.setdefault(i, []).append(frozenset(wit_a))
@@ -434,9 +415,8 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
             new_parts.extend(tuple(sorted(c)) for c in cells)
         new_parts.sort(key=lambda p: p[0])
         if len(new_parts) > k_max:
-            return PartitionResult(Partition(n, tuple(parts)),
-                                   "k-max-exhausted", tuple(irregular), mass,
-                                   bound, tuple(energies), rounds)
+            return PartitionResult(tuple(parts), "k-max-exhausted", tuple(irregular),
+                                   mass, bound, tuple(energies), rounds)
         rounds += 1
         parts = new_parts
         energies.append(partition_energy(g, parts))
@@ -464,31 +444,39 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     holds the last vertex's images that complete it.  A vertex's candidates
     are the AND of the host links of the other images of the edges it is the
     largest vertex of (a collapsed face is no key), else every host vertex.
-    ``assignment`` is reused.  The charge is the worst case, all maps."""
+    ``assignment`` is reused.  The charge is the worst case, all maps, and at
+    least the pattern's vertices, which the search steps through one by one."""
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
-    (budget or Budget()).charge_power(host.n, pattern.n)
+    budget = budget or Budget()
+    if host.n > 1:
+        budget.charge_power(host.n, pattern.n)
+    else:  # one map at most, of pattern.n vertices
+        budget.charge(pattern.n)
     links, every = _links(host), (1 << host.n) - 1
     faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
         faces[max(e)].append(sorted(e)[:-1])
     assignment, last = [0] * pattern.n, pattern.n - 1
-
-    def extend(i: int):
-        mask = every
+    untried = [0] * pattern.n   # each assigned vertex's candidates not yet tried
+    i = 0
+    while True:
+        mask = every   # vertex i's candidates, given the images of 0..i-1
         for face in faces[i]:
             mask &= links.get(tuple(sorted([assignment[w] for w in face])), 0)
         if i == last:
             if mask:
                 yield assignment, mask
-            return
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            assignment[i] = low.bit_length() - 1
-            yield from extend(i + 1)
-
-    yield from extend(0)
+            mask = 0
+        while not mask:   # back to the last vertex with a candidate left
+            i -= 1
+            if i < 0:
+                return
+            mask = untried[i]
+        low = mask & -mask
+        untried[i] = mask ^ low
+        assignment[i] = low.bit_length() - 1
+        i += 1
 
 
 def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
@@ -527,11 +515,14 @@ class RemovalResult:
     within_bound: bool | None  # |removed| <= eps * n^k, when eps was given
 
 
-def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget):
+def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozenset:
     """Exact minimum hitting set by branch and bound on the constraint with
     the fewest remaining options; each branch charges the constraints it
-    filters before filtering them."""
-    best: list[frozenset | None] = [None]
+    filters before filtering them.  The branches are walked with an explicit
+    stack, so the depth of a hitting set is not bounded by recursion."""
+    best: frozenset | None = None
+    chosen: list = []   # the edge of each open branch
+    frames: list = []   # (constraints left, pivot edges not yet tried) per open node
 
     def lower_bound(remaining):
         # greedy packing of pairwise-disjoint constraints
@@ -543,23 +534,32 @@ def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget):
                 used |= c
         return count
 
-    def search(remaining, chosen: set):
-        if best[0] is not None and len(chosen) + lower_bound(remaining) >= len(best[0]):
-            return
+    def open_node(remaining) -> bool:
+        """Enter a branch: prune it, record a hitting set, or open a frame."""
+        nonlocal best
+        if best is not None and len(chosen) + lower_bound(remaining) >= len(best):
+            return False
         if not remaining:
-            best[0] = frozenset(chosen)
-            return
+            best = frozenset(chosen)
+            return False
         pivot = min(remaining, key=len)
-        for edge in sorted(pivot, key=sorted):
-            budget.charge(len(remaining))
-            nxt = [c for c in remaining if edge not in c]
-            chosen.add(edge)
-            search(nxt, chosen)
-            chosen.remove(edge)
+        frames.append((remaining, iter(sorted(pivot, key=sorted))))
+        return True
 
-    search(constraint_sets, set())
-    assert best[0] is not None
-    return best[0]
+    open_node(constraint_sets)
+    while frames:
+        remaining, edges = frames[-1]
+        edge = next(edges, None)
+        if edge is None:
+            frames.pop()
+            if frames:
+                chosen.pop()
+            continue
+        budget.charge(len(remaining))
+        chosen.append(edge)
+        if not open_node([c for c in remaining if edge not in c]):
+            chosen.pop()
+    return best
 
 
 def _greedy_hitting_set(constraint_sets: list[frozenset]):

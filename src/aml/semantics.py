@@ -351,37 +351,11 @@ def extension(m: FiniteStructure, phi: Formula, xs: tuple[str, ...],
     return DefinableSet(m, len(xs), ev.table(phi, xs, params))
 
 
-# ---------------------------------------------------------------------------
-# Sentence schemes for measure-theoretic properties of the unary measure.
-
-
-def continuity_sentence(q: Fraction) -> Formula:
-    """forall x . m[y] <= q . (x = y) — every point has measure at most q."""
-    return Forall("x", Meas(("y",), Cmp.LE, Fraction(q), Equality(Var("x"), Var("y"))))
-
-
 def check_continuity(m: FiniteStructure, q) -> bool:
-    """Truth of ``forall x . m[y] <= q . (x = y)`` for a single rational
-    q > 0.  For normalized counting measure on n elements this holds exactly
-    when q >= 1/n."""
+    """Truth of ``forall x . m[y] <= q . (x = y)``, that every point has
+    measure at most q, for a single rational q > 0.  For normalized counting
+    measure on n elements this holds exactly when q >= 1/n."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("continuity threshold must be positive")
-    return evaluate(m, continuity_sentence(q))
-
-
-def check_probability(m: FiniteStructure, qs) -> bool:
-    """Truth of the probability scheme: m[x] <= 1 . (x = x) together with
-    ~(m[x] <= q . (x = x)) for each supplied q in (0,1).  On finite
-    structures with enough q samples this pins mu(M) = 1; it is exactly
-    equivalent when the qs include values arbitrarily close to 1."""
-    full = Equality(Var("x"), Var("x"))
-    if not evaluate(m, Meas(("x",), Cmp.LE, Fraction(1), full)):
-        return False
-    for q in qs:
-        q = Fraction(q)
-        if not 0 < q < 1:
-            raise ValueError(f"probability scheme thresholds must lie in (0,1), got {q}")
-        if not evaluate(m, Not(Meas(("x",), Cmp.LE, q, full))):
-            return False
-    return True
+    return evaluate(m, Forall("x", Meas(("y",), Cmp.LE, q, Equality(Var("x"), Var("y")))))

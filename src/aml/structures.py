@@ -119,14 +119,6 @@ class FiniteStructure:
         """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
         return integer_table(self.weights)
 
-    # -- tuple indexing ----------------------------------------------------
-
-    def tuple_index(self, tup: tuple[int, ...]) -> int:
-        return tuple_index(tup, self.n)
-
-    def index_tuple(self, idx: int, arity: int) -> tuple[int, ...]:
-        return index_tuple(idx, self.n, arity)
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -150,7 +142,7 @@ class DefinableSet:
             raise ValueError("bitset out of range for this arity")
 
     def __contains__(self, tup) -> bool:
-        return bool(self.bits >> self.structure.tuple_index(tuple(tup)) & 1)
+        return bool(self.bits >> tuple_index(tup, self.structure.n) & 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -159,7 +151,7 @@ class DefinableSet:
         bits = self.bits
         while bits:
             low = bits & -bits
-            yield self.structure.index_tuple(low.bit_length() - 1, self.arity)
+            yield index_tuple(low.bit_length() - 1, self.structure.n, self.arity)
             bits ^= low
 
 

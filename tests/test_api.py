@@ -6,9 +6,9 @@ PUBLIC = [
     "AbbrevCmp", "And", "Atom", "Budget", "BudgetExceeded", "Cmp", "Const",
     "DefinableSet", "Equality", "EvalError", "Exists", "FiniteStructure", "Forall",
     "Formula", "Func", "Implies", "Meas", "Not", "Or", "ParseError", "Signature",
-    "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "check_probability",
-    "evaluate", "expand_abbrev", "extension", "free_vars", "meas_holds", "measure",
-    "parse_formula", "parse_structure", "print_formula", "rank",
+    "SourceSpan", "Term", "VFlag", "Var", "check_continuity", "evaluate",
+    "expand_abbrev", "extension", "free_vars", "meas_holds", "measure", "parse_formula",
+    "parse_structure", "print_formula", "rank",
 ]
 
 

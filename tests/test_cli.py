@@ -2,9 +2,12 @@
 
 import argparse
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 import itertools
 from pathlib import Path
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -628,6 +631,38 @@ def test_gowers_records_with_agreement(capsys):
                    "approx=0.35355339059327376220\n")
 
 
+def test_a_power_too_long_for_the_digit_limit_is_printed_exactly(capsys, digit_limit):
+    # the power's denominator is about 10^(80·64): past the int-to-str limit,
+    # so it prints with the limit lifted for that one conversion
+    big = 10 ** 40
+    g = gowers.GridFunction(2, 1, (Fraction(1, big), Fraction(1, big - 1)), ())
+    power = gowers.gowers_norm_pow(gowers.AbelianGroup.cyclic(2), g, 6)
+    sys.set_int_max_str_digits(0)
+    try:
+        exact = str(power)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+    assert len(exact) > digit_limit
+    argv = ("gowers", "z2", f"--g=1/{big},1/{big - 1}", "--k", "6")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == f"U^6 power = {exact}\nnorm approx 1.0000000000000000000E-40\n"
+    code, out, err = run(capsys, *argv, "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == (f"power={exact}\npower_check={exact}\nagree=true\n"
+                   "approx=1.0000000000000000000E-40\n")
+    assert time.perf_counter() - start < 1
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_records_are_formatted_when_recorded(digit_limit):
+    # so that printing them, after main's error handling, cannot raise
+    out = cli._Out("records")
+    with pytest.raises(ValueError):
+        out.record("big", 10 ** digit_limit)
+
+
 def test_gowers_checks_the_values_before_building_a_table(capsys, monkeypatch, tmp_path):
     built = []
     monkeypatch.setattr(gowers.AbelianGroup, "cyclic", staticmethod(built.append))
@@ -797,6 +832,44 @@ def test_k4_copies_in_k40_are_counted_quickly(capsys, tmp_path):
     assert time.perf_counter() - start < 2
 
 
+def test_a_thousand_edge_hitting_set_is_searched_without_recursion(capsys, tmp_path):
+    # 1000 disjoint edges, each a copy of the one-edge pattern: the exact
+    # search goes 1000 branches deep.  Charged 2000^2 maps, the 1000 + 999 +
+    # ... + 1 copy sets its branches filter, and 2000^2 maps to recount.
+    host, edge = tmp_path / "host.hg", tmp_path / "edge.hg"
+    host.write_text("hypergraph 2000 2\n" + "".join(f"{2 * i} {2 * i + 1}\n"
+                                                    for i in range(1000)))
+    edge.write_text("hypergraph 2 2\n0 1\n")
+    argv = ("hypergraph", str(host), "--pattern", str(edge), "--remove")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "copies = 2000\n"
+                                   "removed 1000 edges (branch-and-bound); copies after = 0\n", "")
+    assert time.perf_counter() - start < 1
+    code, out, err = run(capsys, *argv, "--budget", "8500499")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 8500500 work units > limit 8500499\n"
+
+
+def test_a_pattern_larger_than_a_one_vertex_host_is_charged_its_size(capsys, tmp_path):
+    # one map of 3000 vertices, walked one vertex at a time: charged 3000
+    host, pattern = tmp_path / "host.hg", tmp_path / "pattern.hg"
+    host.write_text("hypergraph 1 1\n0\n")
+    pattern.write_text("hypergraph 3000 1\n0\n")
+    argv = ("hypergraph", str(host), "--pattern", str(pattern))
+    code, out, err = run(capsys, *argv, "--budget", "2999")
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 3000 work units > limit 2999\n"
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, "copies = 1\n", "")
+    pattern.write_text(f"hypergraph {10 ** 9} 1\n0\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"{10 ** 9} work units > limit {10 ** 7}\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_hypergraph_removal(capsys):
     code, out, _ = run(capsys, "hypergraph", TWOTRI, "--pattern", TRI,
                        "--remove", "--eps", "1/10")
@@ -921,3 +994,15 @@ def test_furstenberg_records(capsys):
     code, out, _ = run(capsys, "furstenberg", "--E", EVENS, "--N", "10",
                        "--U", "0,2", "--format", "records")
     assert out == "cyclic=1/2\nplain=2/5\nbound=1/5\nwithin_bound=true\n"
+
+
+# -- start-up ----------------------------------------------------------------------------------
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    # each subcommand imports its own layer, so eval pays for none of these
+    src = str(Path(cli.__file__).parents[1])
+    probe = ("import sys, aml.cli; print(sorted(m for m in ('aml.axioms', 'aml.gowers', "
+             "'aml.limits', 'aml.regularity') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -12,9 +12,7 @@ from aml.gowers import (
     FiniteAlgebra,
     GowersError,
     GridFunction,
-    box_multiplication_check,
     cond_expect,
-    coordinate_support,
     decimal_root,
     dual_function,
     gowers_box_pow,
@@ -26,6 +24,7 @@ from aml.gowers import (
 )
 from aml.semantics import Budget
 from aml.structures import integer_table
+from oracle import box_multiplication_check, coordinate_support
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)

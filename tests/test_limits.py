@@ -66,7 +66,7 @@ def test_families_declare_their_signature_without_building_a_member(monkeypatch)
 
     monkeypatch.setattr(limits, "FiniteStructure", counting)
     families = [cyclic_family(3, 6, predicates={"Z": "zero", "A": "odd"}),
-                interval_family([2, 4], 3, 5), parse_family("family cyclic 1500 1500")]
+                interval_family([2, 4], 3, 5), parse_family("family cyclic 1500 1500", _no_e_file)]
     assert built == []
     for fam in families[:2]:
         for i in fam.indices():
@@ -251,8 +251,12 @@ def test_furstenberg_bound_holds_across_shift_sets():
 
 # -- family files --------------------------------------------------------------------------
 
+def _no_e_file(path):
+    raise AssertionError(f"this family reads no E-file, yet {path!r} was loaded")
+
+
 def test_parse_cyclic_family():
-    fam = parse_family("family cyclic 1 20 predicate E even")
+    fam = parse_family("family cyclic 1 20 predicate E even", _no_e_file)
     assert fam.kind == "cyclic"
     assert (fam.i_lo, fam.i_hi) == (1, 20)
     assert fam.at(4).relations["E"][1] == frozenset({(0,), (2,)})
@@ -270,7 +274,7 @@ def test_parse_family_errors():
                 "family cyclic 1 5 predicate E", "family interval only 1",
                 "family bogus 1 5", "family cyclic 0 5", "family cyclic 5 1"):
         with pytest.raises(ParseError):
-            parse_family(bad)
+            parse_family(bad, _no_e_file)
     with pytest.raises(ParseError) as e:
         parse_family("family interval E.txt 1 5", loader=lambda p: parse_ints("one three"))
     assert e.value.span == SourceSpan(16, 21)  # at the E-file's name

@@ -356,15 +356,15 @@ def test_partition_invariants_on_seeded_graphs():
         eps = rng.choice((Fraction(1, 3), QUARTER))
         res = regularity_partition(g, eps)
         # parts partition the vertex set
-        seen = sorted(v for p in res.partition.parts for v in p)
+        seen = sorted(v for p in res.parts for v in p)
         assert seen == list(range(n))
         # energy strictly increases with the guaranteed increment
         for a, b in zip(res.energy_log, res.energy_log[1:]):
             assert b - a >= eps ** 5 / 16
         # every reported witness re-validates
         for i, j, w in res.irregular_pairs:
-            assert validate_witness(g, res.partition.parts[i],
-                                    res.partition.parts[j], eps, w)
+            assert validate_witness(g, res.parts[i],
+                                    res.parts[j], eps, w)
         if res.status == "regular":
             assert res.irregular_mass <= eps * n * n
 
@@ -379,7 +379,7 @@ def test_partition_invariants_on_seeded_graphs():
 def test_partition_charge_is_pinned(g, eps, cap, used, shape):
     budget = Budget()
     res = regularity_partition(g, eps, exact_cap=cap, budget=budget)
-    assert (res.status, res.rounds, len(res.partition.parts)) == shape
+    assert (res.status, res.rounds, len(res.parts)) == shape
     assert budget.used == used
 
 

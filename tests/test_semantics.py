@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from aml.axioms import (SchemeInstance, check_instance, check_soundness, generate_instances,
-                        random_formula, random_structure)
+                        random_formula)
 from aml.parser import parse_formula
 from aml.semantics import (
     Budget,
@@ -16,7 +16,6 @@ from aml.semantics import (
     EvalError,
     Evaluator,
     check_continuity,
-    check_probability,
     evaluate,
     extension,
     meas_holds,
@@ -25,7 +24,7 @@ from aml.structures import (DefinableSet, FiniteStructure, VFlag, fiber_sums, in
                             measure, tuple_index)
 from aml.syntax import (And, Atom, Cmp, Equality, Exists, Forall, Func, Implies, Meas, Not, Or,
                         Signature, Var, free_vars)
-from oracle import naive_evaluate
+from oracle import check_probability, naive_evaluate, random_structure
 
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
@@ -496,5 +495,5 @@ def test_atom_tables_stay_with_their_structure_and_valuation():
     assert [ev_a.table(rxy, ("y",), {"x": x}) for x in (0, 1, 0)] == [0b10, 0, 0b10]
     # the same instance checked on each structure in turn gets each one's witness
     bogus = SchemeInstance("bogus", px, ("x",))
-    assert [check_soundness(m, [bogus]).results[0].witness for m in (a, b, a)] == \
+    assert [check_soundness(m, [bogus])[0].witness for m in (a, b, a)] == \
         [{"x": 1}, {"x": 0}, {"x": 1}]

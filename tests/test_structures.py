@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from aml.structures import DefinableSet, FiniteStructure, VFlag, measure
+from aml.structures import (DefinableSet, FiniteStructure, VFlag, index_tuple, measure,
+                            tuple_index)
 
 M4 = FiniteStructure.counting(
     4,
@@ -20,7 +21,7 @@ W2 = FiniteStructure(2, {}, {}, {}, weights=(Fraction(1, 3), Fraction(2, 3)))
 
 def set_of(m: FiniteStructure, arity: int, tuples) -> DefinableSet:
     """The definable set of the given tuples."""
-    return DefinableSet(m, arity, sum({1 << m.tuple_index(t) for t in tuples}))
+    return DefinableSet(m, arity, sum({1 << tuple_index(t, m.n) for t in tuples}))
 
 
 # -- construction and validation -----------------------------------------------
@@ -75,11 +76,11 @@ def test_mass_above_one_is_allowed():
 
 
 def test_tuple_indexing_is_lexicographic():
-    assert M4.tuple_index((0, 0)) == 0
-    assert M4.tuple_index((1, 2)) == 6
-    assert M4.index_tuple(6, 2) == (1, 2)
+    assert tuple_index((0, 0), 4) == 0
+    assert tuple_index((1, 2), 4) == 6
+    assert index_tuple(6, 4, 2) == (1, 2)
     pairs = list(itertools.product(range(4), repeat=2))
-    assert [M4.index_tuple(M4.tuple_index(t), 2) for t in pairs] == pairs
+    assert [index_tuple(tuple_index(t, 4), 4, 2) for t in pairs] == pairs
 
 
 # -- definable sets ------------------------------------------------------------------
