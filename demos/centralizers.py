@@ -27,7 +27,7 @@ def mul(p, q):
     return tuple(p[q[i]] for i in range(3))
 
 
-S3 = FiniteStructure.counting(
+S3 = FiniteStructure.checked(
     6,
     constants={"e": 0},
     functions={"mul": (2, tuple(INDEX[mul(a, b)]

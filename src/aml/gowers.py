@@ -181,11 +181,16 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
                     budget: Budget | None = None) -> Fraction:
     """||g||^{2^k} via the direct cube average over x and h_1..h_k."""
     _check_degree(group, g, k)
-    # n^(k+1) terms of 2^k corners each: n·(2n)^k, its exponent k from input
-    (budget or Budget()).charge_power(2 * group.n, k, group.n)
-    gi, denom = integer_table(g.values)
     add = group.table
     n = group.n
+    # n^(k+1) terms of 2^k corners each: n·(2n)^k, its exponent k from input;
+    # then as often again for each further 64-bit word of a term's product,
+    # of up to 2^k·(b - 1) + 1 bits for table entries of b bits
+    budget = budget or Budget()
+    budget.charge_power(2 * n, k, n)
+    gi, denom = integer_table(g.values)
+    bits = max(map(abs, gi)).bit_length()
+    budget.charge_power(2 * n, k, n * (max(bits - 1, 0) << k >> 6))
     total = 0
     for x in range(n):
         for hs in itertools.product(range(n), repeat=k):

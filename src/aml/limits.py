@@ -96,11 +96,12 @@ def cyclic_family(i_lo: int, i_hi: int,
             raise LimitError(f"unknown membership rule {rule!r} "
                              f"(available: {sorted(PREDICATE_RULES)})")
 
-    def build(n: int) -> FiniteStructure:
-        add = tuple((a + b) % n for a in range(n) for b in range(n))
+    def build(n: int) -> FiniteStructure:  # valid by construction, so not re-checked
+        row = tuple(range(n))
+        add = tuple(itertools.chain.from_iterable(row[a:] + row[:a] for a in range(n)))
         rels = {name: (1, frozenset((x,) for x in PREDICATE_RULES[rule](n)))
                 for name, rule in predicates.items()}
-        return FiniteStructure(n, {"e": 0}, {"add": (2, add)}, rels)
+        return FiniteStructure(n, {"e": 0}, {"add": (2, add)}, rels, (Fraction(1, n),) * n)
 
     sig = Signature(constants=("e",), functions=(("add", 2),),
                     relations=tuple(sorted((name, 1) for name in predicates)))
@@ -117,10 +118,11 @@ def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
     if i_lo < 1:
         raise LimitError("interval family needs i_lo >= 1")
 
-    def build(i: int) -> FiniteStructure:
-        succ = tuple(x + 1 if x + 1 < i else 0 for x in range(i))
+    def build(i: int) -> FiniteStructure:  # valid by construction, so not re-checked
+        succ = tuple(range(1, i)) + (0,)
         members = frozenset((v - 1,) for v in e_set if v <= i)
-        return FiniteStructure(i, {}, {"f": (1, succ)}, {"E": (1, members)})
+        return FiniteStructure(i, {}, {"f": (1, succ)}, {"E": (1, members)},
+                               (Fraction(1, i),) * i)
 
     sig = Signature(functions=(("f", 1),), relations=(("E", 1),))
     return StructureFamily("interval", i_lo, i_hi, build, sig)

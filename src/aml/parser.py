@@ -26,7 +26,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from .semantics import Budget
 from .structures import FiniteStructure
@@ -61,49 +63,41 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = ("->", "<=", ">=", "!=", "<", ">", "=", "~", "&", "|", "(", ")", "[", "]",
-          ".", ",", "/")
 _KEYWORDS = ("forall", "exists")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A formula token, text[start:end]; its SourceSpan is built only when read."""
+
     kind: str  # "ident" | "int" | punctuation itself | "eof"
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
+
+
+# Whitespace, then one token: an identifier (checked to start with a letter or
+# '_', which [^\W\d] alone does not ensure: it admits '²' and '½'), an
+# integer, a punctuation mark, or else one stray character or the end.
+_TOKEN = re.compile(r"\s*(?:(?P<ident>[^\W\d]\w*)|(?P<int>\d+)"
+                    r"|(?P<punct>->|<=|>=|!=|[<>=~&|()\[\].,/])|(?P<other>.|\Z))", re.S)
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("int", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, SourceSpan(i, i + len(p))))
-                i += len(p)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        i, j = m.span(kind)
+        if kind == "other" or kind == "ident" and not (text[i].isalpha() or text[i] == "_"):
+            if i == len(text):
                 break
-        else:
-            raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    toks.append(Token("eof", "", SourceSpan(n, n)))
+            raise ParseError(f"unexpected character {text[i]!r}", SourceSpan(i, i + 1))
+        word = m[kind]
+        toks.append(Token(word if kind == "punct" else kind, word, i, j))
+    toks.append(Token("eof", "", len(text), len(text)))
     return toks
 
 
@@ -383,20 +377,27 @@ def _print(phi: Formula, level: int) -> str:
 # into words at whitespace.  Every format error in one is a ParseError from
 # DataWords.error, located at a word.
 
-# A word, or a '#' comment running to the next str.splitlines boundary.
-_WORD_OR_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[^\s#]+")
+# A '#' comment, running to the next str.splitlines boundary; and a word, or
+# such a comment.
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_WORD_OR_COMMENT = re.compile(rf"{_COMMENT.pattern}|[^\s#]+")
 
 
 class DataWords:
     """The words of an input file, in order, and by line in ``rows`` (lines
-    without words are left out).  A word's character span is worked out
-    only when an error needs it."""
+    without words are left out).  The text is split once for ``words``: every
+    str.splitlines boundary is whitespace to str.split, so with comments cut
+    out the lines need not be split apart.  ``rows`` are split from the lines
+    only when read, and a word's character span only when an error needs it."""
 
     def __init__(self, text: str):
         self.text = text
-        lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
-        self.rows = [words for words in lines if words]
-        self.words = [w for row in self.rows for w in row]
+        self.words = (_COMMENT.sub("", text) if "#" in text else text).split()
+
+    @cached_property
+    def rows(self) -> list[list[str]]:
+        lines = (raw.split("#", 1)[0].split() for raw in self.text.splitlines())
+        return [words for words in lines if words]
 
     def error(self, message: str, i: int) -> ParseError:
         """A ParseError at word ``i``, or at the end of the text past the last."""
@@ -437,8 +438,10 @@ def parse_ints(text: str) -> list[int]:
 #   end
 #
 # Words are read as one flat list, so a table or a tuple may wrap across
-# lines.  Each table and relation body is converted in bulk; only when that
-# fails are its words checked one by one, to report the first bad word.
+# lines.  Each table and relation body is converted in bulk, each word looked
+# up among the numerals of 0..n-1; only when one is not there are its words
+# read one by one, to convert "07" or report the first bad word.  Every check
+# is made here, so the structure is built without a second one.
 
 _DECLARATIONS = frozenset(("measure", "constant", "function", "relation", "end"))
 
@@ -461,15 +464,18 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     def elements(lo: int, hi: int, what) -> list[int]:
         """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
         try:
-            vals = list(map(int, words[lo:hi]))
-            if len(vals) == hi - lo and (not vals or (min(vals) >= 0 and max(vals) < n)):
+            vals = list(map(numerals.__getitem__, words[lo:hi]))
+            if len(vals) == hi - lo:
                 return vals
-        except ValueError:
+        except KeyError:
             pass
-        for i in range(lo, hi):  # report the first bad word
+        vals = []
+        for i in range(lo, hi):  # "07" and "+7" too, or else the first bad word
             v = integer(i, what(i - lo))
             if not 0 <= v < n:
                 raise d.error(f"element {v} out of range [0, {n})", i)
+            vals.append(v)
+        return vals
 
     def weight(i: int, j: int) -> Fraction:
         try:
@@ -499,6 +505,8 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     if n < 1:
         raise d.error("universe must be nonempty", 1)
     (budget or Budget()).charge(n)  # before anything of size n is built
+    # the numerals "0".."n-1" to their elements, no more of them than words
+    numerals = {str(e): e for e in range(min(n, len(words)))}
 
     weights: tuple[Fraction, ...] = ()  # normalized counting
     constants: dict[str, int] = {}
@@ -548,7 +556,4 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
         else:
             raise d.error(f"unknown declaration {w!r}", pos)
 
-    try:
-        return FiniteStructure(n, constants, functions, relations, weights)
-    except ValueError as e:
-        raise ParseError(str(e), SourceSpan(0, len(text))) from None
+    return FiniteStructure(n, constants, functions, relations, weights or (Fraction(1, n),) * n)

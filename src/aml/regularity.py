@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -712,12 +714,19 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 # File formats
 
 
+# A graph file of the common shape, converted in bulk: the header, then lines
+# each blank or one edge of two unsigned decimal integers, and no comment.
+_PLAIN_GRAPH = re.compile(r"\s*graph[ \t]+[0-9]+(?:[ \t\r]*\n(?:[ \t]*[0-9]+[ \t]+[0-9]+)?)*\s*")
+
+
 def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     """n, k and the edges of a "graph <n>" or "hypergraph <n> <k>" file: one
     edge per line, each k distinct vertices in [0, n) (k = 2 for a graph).
-    A format error is a ParseError at the first word of its line."""
+    A format error is a ParseError at the first word of its line, found by
+    reading the rows one by one when a plain graph's bulk check fails."""
     d = DataWords(text)
-    header, *rows = d.rows or [[]]
+    plain = kind == "graph" and _PLAIN_GRAPH.fullmatch(text)
+    header = d.words[:2] if plain else (d.rows or [[]])[0]
     usage = "graph <n>" if kind == "graph" else "hypergraph <n> <k>"
     fields = header[1:] if header[:1] == [kind] else []
     try:
@@ -727,9 +736,17 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     if n < 1 or k < 1:
         raise d.error(f"{kind} file must start with '{usage}' (positive numbers)", 0)
     (budget or Budget()).charge(n)  # before an n-vertex graph is built
+    if plain:
+        try:
+            vs = list(map(int, d.words[2:]))
+        except ValueError:  # more digits than the interpreter converts
+            vs = [n]
+        us, ws = vs[::2], vs[1::2]
+        if not vs or max(vs) < n and all(map(operator.ne, us, ws)):
+            return n, k, list(zip(us, ws))
     edges = []
     first = len(header)  # the index of the row's first word
-    for body in rows:
+    for body in d.rows[1:]:
         if len(body) != k:
             raise d.error(f"expected {k} vertices", first)
         try:

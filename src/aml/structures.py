@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -74,33 +74,43 @@ def index_tuple(idx: int, n: int, arity: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiniteStructure:
-    n: int
-    constants: dict[str, int] = field(default_factory=dict)
-    # name -> (arity, flat result table in lexicographic argument order)
-    functions: dict[str, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
-    # name -> (arity, frozenset of argument tuples)
-    relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]] = field(default_factory=dict)
-    weights: tuple[Fraction, ...] = ()
+    """A structure over {0, ..., n-1}, built from checked data: the parser
+    and the family builders check what they read or make it valid by
+    construction, and raw data enters through ``checked``, which checks
+    every table once.  ``weights`` holds all n weights, counting included."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    n: int
+    constants: dict[str, int]
+    # name -> (arity, flat result table in lexicographic argument order)
+    functions: dict[str, tuple[int, tuple[int, ...]]]
+    # name -> (arity, frozenset of argument tuples)
+    relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]]
+    weights: tuple[Fraction, ...]
+
+    @staticmethod
+    def checked(n: int, constants=None, functions=None, relations=None,
+                weights=()) -> "FiniteStructure":
+        """The structure of raw data, each table checked: constants and
+        function results in range, total function tables, relation tuples of
+        their arity in range, and ``check_weights`` (empty: counting)."""
+        if n < 1:
             raise ValueError("universe must be nonempty")
-        object.__setattr__(self, "weights", check_weights(self.weights, self.n))
-        n = self.n
-        for name, e in self.constants.items():
+        constants, functions, relations = constants or {}, functions or {}, relations or {}
+        for name, e in constants.items():
             if not 0 <= e < n:
                 raise ValueError(f"constant {name!r} = {e} out of range")
-        for name, (arity, table) in self.functions.items():
+        for name, (arity, table) in functions.items():
             if len(table) != n ** arity:
                 raise ValueError(f"function {name!r} table is not total "
                                  f"({len(table)} entries, need {n ** arity})")
             if not 0 <= min(table) <= max(table) < n:
                 raise ValueError(f"function {name!r} has out-of-range results")
-        for name, (arity, tuples) in self.relations.items():
+        for name, (arity, tuples) in relations.items():
             flat = list(itertools.chain.from_iterable(tuples)) or [0]  # [0]: no tuples
             if any(map(arity.__ne__, map(len, tuples))) or not 0 <= min(flat) <= max(flat) < n:
                 bad = next(t for t in tuples if len(t) != arity or not all(0 <= v < n for v in t))
                 raise ValueError(f"relation {name!r} has an invalid tuple {bad}")
+        return FiniteStructure(n, constants, functions, relations, check_weights(weights, n))
 
     # -- signature ---------------------------------------------------------
 
@@ -118,13 +128,6 @@ class FiniteStructure:
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
         """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
         return integer_table(self.weights)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def counting(n: int, constants=None, functions=None, relations=None) -> "FiniteStructure":
-        return FiniteStructure(n, dict(constants or {}), dict(functions or {}),
-                               dict(relations or {}))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ per satisfying tuple.  ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
 ``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
-value of x_{k+1} for each edge family and counter.
+value of x_{k+1} for each edge family and counter.  ``tokenize_by_characters``
+is the reference for the regex tokenizer: it reads one character at a time.
 
 The rest are references and generators that only the tests use:
 ``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
@@ -21,6 +22,7 @@ import random
 from fractions import Fraction
 
 from aml.gowers import GowersError, GridFunction, gowers_box_pow
+from aml.parser import ParseError, SourceSpan, Token
 from aml.regularity import APEncoding, Graph, Hypergraph, RegularityError, _ap_vertex
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, tuple_index
@@ -195,8 +197,8 @@ def random_structure(rng: random.Random, n_max: int = 6) -> FiniteStructure:
         weights = tuple(Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(n))
         if all(w == 0 for w in weights):
             weights = tuple(Fraction(1, n) for _ in range(n))
-    return FiniteStructure(n, {"e": rng.randrange(n)}, {"f": (1, f_table)},
-                           {"P": (1, p), "R": (2, pairs)}, weights)
+    return FiniteStructure.checked(n, {"e": rng.randrange(n)}, {"f": (1, f_table)},
+                                   {"P": (1, p), "R": (2, pairs)}, weights)
 
 
 def check_probability(m: FiniteStructure, qs) -> bool:
@@ -252,3 +254,44 @@ def box_multiplication_check(f: GridFunction, cylinders) -> tuple[Fraction, Frac
     restricted = tuple(v if product_bits >> i & 1 else Fraction(0)
                        for i, v in enumerate(f.values))
     return gowers_box_pow(GridFunction(f.n, k, restricted, f.weights)), gowers_box_pow(f)
+
+
+_PUNCT = ("->", "<=", ">=", "!=", "<", ">", "=", "~", "&", "|", "(", ")", "[", "]",
+          ".", ",", "/")
+
+
+def tokenize_by_characters(text: str) -> list[Token]:
+    """The tokens of a formula, read one character at a time: identifiers
+    start with a letter or '_' and go on with letters, digits or '_',
+    integers are runs of decimal digits, and the longest punctuation wins."""
+    toks: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], i, j))
+            i = j
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(Token("int", text[i:j], i, j))
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(Token(p, p, i, i + len(p)))
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
+    toks.append(Token("eof", "", n, n))
+    return toks

@@ -71,8 +71,8 @@ def _group_structure(elements, mul):
     index = {g: i for i, g in enumerate(elements)}
     table = tuple(index[mul(elements[a], elements[b])]
                   for a in range(n) for b in range(n))
-    return FiniteStructure.counting(n, constants={"e": index[elements[0]]},
-                                    functions={"mul": (2, table)})
+    return FiniteStructure.checked(n, constants={"e": index[elements[0]]},
+                                   functions={"mul": (2, table)})
 
 
 def _rationals_up_to(denom_max):
@@ -125,7 +125,7 @@ def test_criterion_03_group_centralizers():
 def test_criterion_04_continuity_probability():
     t0 = time.perf_counter()
     for n in range(1, 13):
-        m = FiniteStructure.counting(n)
+        m = FiniteStructure.checked(n)
         q = Fraction(1, n)
         assert semantics.check_continuity(m, q)
         if n > 1:
@@ -139,7 +139,7 @@ def test_criterion_04_continuity_probability():
         mass = sum(weights)
         if mass == 0:
             continue
-        m = FiniteStructure(n, {}, {}, {}, weights=weights)
+        m = FiniteStructure.checked(n, {}, {}, {}, weights=weights)
         # the scheme separates mass exactly 1 one threshold at a time, so
         # sample a q strictly between the mass and 1 whenever mass < 1
         qs = [Fraction(1, 2)]

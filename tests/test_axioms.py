@@ -30,7 +30,7 @@ from oracle import random_structure
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
 
-Z4 = FiniteStructure.counting(
+Z4 = FiniteStructure.checked(
     4,
     constants={"e": 0},
     functions={"f": (1, (1, 2, 3, 0))},
@@ -38,7 +38,7 @@ Z4 = FiniteStructure.counting(
                "R": (2, frozenset({(0, 1), (1, 2), (2, 3)}))},
 )
 
-WEIGHTED = FiniteStructure(
+WEIGHTED = FiniteStructure.checked(
     3, {"e": 0}, {"f": (1, (1, 2, 0))},
     {"P": (1, frozenset({(0,), (1,)})), "R": (2, frozenset({(0, 1), (2, 2)}))},
     weights=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),

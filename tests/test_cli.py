@@ -364,6 +364,19 @@ def test_gowers_cube_charges_its_corners(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_gowers_cube_charges_the_words_of_each_product(capsys):
+    # entries of 13,288 bits: at k = 5 each term's 32-fold product spans
+    # 6,644 64-bit words, and at k = 6 13,288, so both trip the budget
+    big = 10 ** 4000
+    for k, words in [(5, 6644), (6, 13288)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gowers", "z2", f"--g=1/{big},1/{big - 1}", "--k", str(k))
+        assert (code, out) == (4, "")
+        assert err == ("budget error: enumeration budget exceeded: "
+                       f"{4 + 2 ** (k + 1) * 2 ** k * words} work units > limit {10 ** 7}\n")
+        assert time.perf_counter() - start < 2
+
+
 def test_exponents_read_from_input_trip_the_budget_unbuilt(capsys, tmp_path):
     # each power has an input integer for exponent, far past the limit's
     # 24 bits, so it trips the budget without being built or printed

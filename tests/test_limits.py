@@ -19,7 +19,7 @@ from aml.limits import (
 )
 from aml.parser import ParseError, SourceSpan, parse_formula, parse_ints
 from aml.semantics import Budget, BudgetExceeded
-from aml.structures import VFlag
+from aml.structures import FiniteStructure, VFlag
 
 CYCLIC = cyclic_family(1, 30)
 SIG = CYCLIC.signature
@@ -54,6 +54,19 @@ def test_interval_family_builds_initial_segments():
     assert m.n == 5
     assert m.relations["E"][1] == frozenset({(1,), (3,)})   # elements 2 and 4
     assert m.functions["f"][1] == (1, 2, 3, 4, 0)            # successor, wrapping
+
+
+def test_family_members_match_the_checked_construction():
+    # the builders skip the checks, so every member is rebuilt through them
+    rules = {f"P{i}": rule for i, rule in enumerate(sorted(limits.PREDICATE_RULES))}
+    cyclic = cyclic_family(1, 40, predicates=rules)
+    for fam in (cyclic, interval_family([1, 2, 5, 39], 1, 40)):
+        for i in fam.indices():
+            m = fam.at(i)
+            assert m == FiniteStructure.checked(i, m.constants, m.functions, m.relations)
+    for i in cyclic.indices():  # the addition table, built by rotating a row
+        assert cyclic.at(i).functions["add"][1] == \
+            tuple((a + b) % i for a in range(i) for b in range(i))
 
 
 def test_families_declare_their_signature_without_building_a_member(monkeypatch):

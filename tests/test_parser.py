@@ -5,10 +5,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aml.axioms import random_formula
 from aml.parser import (
     MAX_DEPTH,
+    DataWords,
     ParseError,
     SourceSpan,
     parse_formula,
@@ -35,7 +37,7 @@ from aml.syntax import (
     Signature,
     Var,
 )
-from oracle import naive_evaluate
+from oracle import naive_evaluate, tokenize_by_characters
 
 SIG = Signature(constants=("e",), functions=(("f", 1), ("mul", 2)),
                 relations=(("P", 1), ("R", 2)))
@@ -64,6 +66,46 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as ex:
         tokenize("P(x) ? Q")
     assert ex.value.span.start == 5
+
+
+# '²' and '½' are alphanumeric but neither letters nor decimal digits, 'ǅ' is
+# a titlecase letter and '٣' an Arabic-Indic decimal digit.
+_TOKEN_PIECES = st.sampled_from(list("xZ_7²½ǅ٣ \t\n\r\x0b\x1c\x1f\x85\xa0\u2028-<>=!~&|()[].,/?#")
+                                + ["->", "<=", ">=", "!=", "forall", "m["])
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return e.message, e.span
+
+
+@given(st.one_of(st.lists(_TOKEN_PIECES, max_size=25).map("".join), st.text(max_size=12)))
+@settings(max_examples=600, deadline=None)
+def test_tokenizer_matches_the_per_character_reference(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(tokenize_by_characters, text)
+
+
+# -- input files ------------------------------------------------------------------
+
+# every str.splitlines boundary, and whitespace that is no line boundary
+_DATA_PIECES = st.sampled_from(["7", "ab", "#", "# c", " ", "\t", "\n", "\r", "\r\n", "\v",
+                                "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                                "\u2028", "\u2029"])
+
+
+@given(st.lists(_DATA_PIECES, max_size=25).map("".join), st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_data_words_match_the_words_of_each_line(text, comments):
+    text = text if comments else text.replace("#", "")
+    d = DataWords(text)
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    assert d.rows == [row for row in lines if row]
+    assert d.words == [w for row in lines for w in row]
+    for i, w in enumerate(d.words):
+        span = d.error("", i).span
+        assert text[span.start:span.end] == w
 
 
 # -- terms ----------------------------------------------------------------------
@@ -182,8 +224,8 @@ def test_generated_formulae_round_trip():
 
 # -- nesting depth -------------------------------------------------------------------
 
-Z2 = FiniteStructure.counting(2, constants={"e": 0}, functions={"f": (1, (1, 0))},
-                              relations={"P": (1, frozenset({(0,)}))})
+Z2 = FiniteStructure.checked(2, constants={"e": 0}, functions={"f": (1, (1, 0))},
+                             relations={"P": (1, frozenset({(0,)}))})
 
 
 @pytest.mark.parametrize("text", [
@@ -441,7 +483,7 @@ def _reference_parse_structure(text: str) -> FiniteStructure:
             raise ParseError(f"unknown declaration {w.text!r}", w.span)
 
     try:
-        return FiniteStructure(n, constants, functions, relations, weights or ())
+        return FiniteStructure.checked(n, constants, functions, relations, weights or ())
     except ValueError as e:
         raise ParseError(str(e), SourceSpan(0, len(text))) from None
 
@@ -449,7 +491,7 @@ def _reference_parse_structure(text: str) -> FiniteStructure:
 _SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", " \t\n", "\n\n", "\r\n\t", "\f", "\u2028"]
 _COMMENTS = ["#", "# note", "#end 1 2", "## relation R 1", "#\t0"]
 _MUTANTS = ["end", "relation", "function", "measure", "constant", "universe", "counting",
-            "x", "-1", "0", "1", "7", "1/0", "2/3", "0x1", "e"]
+            "x", "-1", "0", "1", "7", "07", "+1", "1/0", "2/3", "0x1", "e"]
 
 
 def _structure_words(rng: random.Random) -> list[str]:
@@ -496,11 +538,13 @@ def _mutate(rng: random.Random, words: list[str]) -> list[str]:
 
 def _render(rng: random.Random, words: list[str]) -> str:
     """The words with random whitespace between them (tabs, CRLF, tables and
-    tuples wrapped across lines) and '#' comments, often glued to a word."""
-    out = [rng.choice(["", "# header\n", "\n"])]
+    tuples wrapped across lines) and, in half the texts, '#' comments, often
+    glued to a word."""
+    comments = rng.random() < 0.5
+    out = [rng.choice(["", "# header\n", "\n"] if comments else ["", "\n"])]
     for w in words:
         out.append(w)
-        if rng.random() < 0.15:
+        if comments and rng.random() < 0.15:
             out.append(rng.choice(["", " "]) + rng.choice(_COMMENTS)
                        + rng.choice(["\n", "\r\n"]))
         else:
@@ -526,4 +570,8 @@ def test_structure_reader_matches_the_per_character_reference():
             continue  # the reference accepts a redeclared symbol
         assert got == _outcome(_reference_parse_structure, text), text
         errors += isinstance(got, tuple)
+        if not isinstance(got, tuple):  # built unchecked, so check it here
+            assert got == FiniteStructure.checked(got.n, got.constants, got.functions,
+                                                  got.relations, got.weights), text
     assert 300 < errors < 1300   # both outcomes are well represented
+    assert sum("#" not in text for text in texts) > len(texts) / 3

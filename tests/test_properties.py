@@ -33,7 +33,7 @@ def structures(draw):
                     for _ in range(n))
     p_bits = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     r_bits = draw(st.integers(min_value=0, max_value=(1 << n * n) - 1))
-    return FiniteStructure.counting(
+    return FiniteStructure.checked(
         n,
         constants={"e": draw(st.integers(min_value=0, max_value=n - 1))},
         functions={"f": (1, f_table)},

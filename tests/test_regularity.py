@@ -663,6 +663,43 @@ def test_parsed_graph_matches_the_checked_construction():
         assert (g, g.adj) == (want, want.adj)
 
 
+def _graph_or_error(text: str):
+    try:
+        g = parse_graph(text)
+        return g, g.adj
+    except ParseError as e:
+        return e.message, e.span
+
+
+def test_plain_graph_files_read_in_bulk_match_the_row_reader():
+    # a trailing comment sends the same graph down the row-by-row reader
+    rng = random.Random(17)
+    odd = ["07", "+1", "-1", "٣", "x", "1" * 5000, ""]
+    ends = ["\n", "\n\n", "\r\n", " \n", "\t\n \n", "\r", "\f", "\x1c", "\u2028"]
+    plain = accepted = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        boundaries = ends[:5] if rng.random() < 0.7 else ends  # newlines, or any
+        text = rng.choice(["", "\n", " "]) + f"graph {n}"
+        for _ in range(rng.randint(0, 6)):
+            words = [str(v) for v in rng.sample(range(n + 1), min(2, n + 1))]  # n: out of range
+            edit = rng.random()
+            if edit < 0.05:
+                words[1:] = words[:1]  # a loop
+            elif edit < 0.1:
+                words[rng.randrange(len(words))] = rng.choice(odd)
+            elif edit < 0.15:
+                words = words[:1] if rng.random() < 0.5 else words + ["0"]
+            text += rng.choice(boundaries) + rng.choice([" ", "\t", "  "]).join(words)
+        text += rng.choice(["", "\n", " \n"])
+        got = _graph_or_error(text)
+        assert got == _graph_or_error(text + "\n#"), text
+        if regularity._PLAIN_GRAPH.fullmatch(text):
+            plain += 1
+            accepted += isinstance(got[0], Graph)
+    assert plain > 500 and accepted > 200   # the bulk path is taken, and succeeds
+
+
 def test_hypergraph_file_round_trip():
     assert parse_hypergraph((DATA / "tri.hg").read_text()).edges == TRIANGLE.edges
     assert parse_hypergraph(print_hypergraph(TWO_TRIANGLES)).edges == \

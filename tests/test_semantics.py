@@ -29,7 +29,7 @@ from oracle import check_probability, naive_evaluate, random_structure
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
 
-Z4 = FiniteStructure.counting(
+Z4 = FiniteStructure.checked(
     4,
     constants={"e": 0},
     functions={"f": (1, (1, 2, 3, 0))},
@@ -135,8 +135,8 @@ def test_nested_measures():
 
 
 def test_weighted_measure():
-    m = FiniteStructure(2, {}, {}, {"P": (1, frozenset({(1,)}))},
-                        weights=(Fraction(1, 3), Fraction(2, 3)))
+    m = FiniteStructure.checked(2, {}, {}, {"P": (1, frozenset({(1,)}))},
+                                weights=(Fraction(1, 3), Fraction(2, 3)))
     phi = parse_formula("m[x] <= 2/3 . P(x)", m.signature())
     assert evaluate(m, phi)
     assert not evaluate(m, parse_formula("m[x] < 2/3 . P(x)", m.signature()))
@@ -252,7 +252,7 @@ def test_memoization_does_not_leak_between_valuations():
 
 def test_continuity_boundary():
     for n in (2, 5, 12):
-        m = FiniteStructure.counting(n)
+        m = FiniteStructure.checked(n)
         assert check_continuity(m, Fraction(1, n))
         assert not check_continuity(m, Fraction(1, n) - Fraction(1, 12 * n))
         assert check_continuity(m, Fraction(1, n) + Fraction(1, 12 * n))
@@ -266,9 +266,9 @@ def test_continuity_rejects_nonpositive_threshold():
 def test_probability_scheme():
     qs = [Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)]
     assert check_probability(Z4, qs)
-    sub = FiniteStructure(2, {}, {}, {}, weights=(Fraction(1, 4), Fraction(1, 4)))
+    sub = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(1, 4), Fraction(1, 4)))
     assert not check_probability(sub, qs)  # mass 1/2 <= 9/10 violates the lower clause
-    over = FiniteStructure(2, {}, {}, {}, weights=(Fraction(1, 2), Fraction(1,)))
+    over = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(1, 2), Fraction(1,)))
     assert not check_probability(over, qs)  # mass 3/2 violates the upper clause
 
 
@@ -444,8 +444,8 @@ def test_nested_measure_trace_order():
 
 
 def test_weighted_trace_counts_tuples_and_sums_weights():
-    m = FiniteStructure(3, {}, {}, {"P": (1, frozenset({(0,), (1,), (2,)}))},
-                        weights=(Fraction(1, 2), Fraction(0), Fraction(1, 3)))
+    m = FiniteStructure.checked(3, {}, {}, {"P": (1, frozenset({(0,), (1,), (2,)}))},
+                                weights=(Fraction(1, 2), Fraction(0), Fraction(1, 3)))
     trace = []
     assert evaluate(m, parse_formula("m[x,y] <= 25/36 . P(x) & P(y)", m.signature()),
                     trace=trace)
@@ -468,7 +468,7 @@ def test_broadcast_matches_the_per_index_reference():
     rng = random.Random(12)
     suffixes = others = 0
     for n in range(1, 5):
-        ev = Evaluator(FiniteStructure.counting(n))
+        ev = Evaluator(FiniteStructure.checked(n))
         for size in range(5):
             for ctx in itertools.permutations("wxyz", size):
                 for mask in range(1 << size):
@@ -483,8 +483,8 @@ def test_broadcast_matches_the_per_index_reference():
 
 def test_atom_tables_stay_with_their_structure_and_valuation():
     def structure(p):
-        return FiniteStructure.counting(2, {"e": 0}, {"f": (1, (1, 0))},
-                                        {"P": (1, frozenset(p)),
+        return FiniteStructure.checked(2, {"e": 0}, {"f": (1, (1, 0))},
+                                       {"P": (1, frozenset(p)),
                                          "R": (2, frozenset({(0, 1)}))})
     a, b = structure({(0,)}), structure({(1,)})
     px, rxy = parse_formula("P(x)", SIG), parse_formula("R(x, y)", SIG)

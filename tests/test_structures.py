@@ -8,7 +8,7 @@ import pytest
 from aml.structures import (DefinableSet, FiniteStructure, VFlag, index_tuple, measure,
                             tuple_index)
 
-M4 = FiniteStructure.counting(
+M4 = FiniteStructure.checked(
     4,
     constants={"e": 0},
     functions={"f": (1, (1, 2, 3, 0))},
@@ -16,7 +16,7 @@ M4 = FiniteStructure.counting(
                "R": (2, frozenset({(0, 1), (1, 2), (2, 3)}))},
 )
 
-W2 = FiniteStructure(2, {}, {}, {}, weights=(Fraction(1, 3), Fraction(2, 3)))
+W2 = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(1, 3), Fraction(2, 3)))
 
 
 def set_of(m: FiniteStructure, arity: int, tuples) -> DefinableSet:
@@ -36,42 +36,42 @@ def test_weighted_structure_mass():
 
 
 def test_subnormalized_weights_allowed():
-    m = FiniteStructure(2, {}, {}, {}, weights=(Fraction(1, 4), Fraction(1, 4)))
+    m = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(1, 4), Fraction(1, 4)))
     assert sum(m.weights) == Fraction(1, 2)
 
 
 def test_rejects_empty_universe():
     with pytest.raises(ValueError):
-        FiniteStructure(0, {}, {}, {})
+        FiniteStructure.checked(0, {}, {}, {})
 
 
 def test_rejects_out_of_range_constant():
     with pytest.raises(ValueError):
-        FiniteStructure(2, {"e": 2}, {}, {})
+        FiniteStructure.checked(2, {"e": 2}, {}, {})
 
 
 def test_rejects_wrong_function_table_size():
     with pytest.raises(ValueError):
-        FiniteStructure(3, {}, {"f": (1, (0, 1))}, {})
+        FiniteStructure.checked(3, {}, {"f": (1, (0, 1))}, {})
     with pytest.raises(ValueError):
-        FiniteStructure(2, {}, {"g": (2, (0, 1, 0))}, {})
+        FiniteStructure.checked(2, {}, {"g": (2, (0, 1, 0))}, {})
 
 
 def test_rejects_out_of_range_relation_tuple():
     with pytest.raises(ValueError):
-        FiniteStructure(2, {}, {}, {"P": (1, frozenset({(2,)}))})
+        FiniteStructure.checked(2, {}, {}, {"P": (1, frozenset({(2,)}))})
     with pytest.raises(ValueError):
-        FiniteStructure(2, {}, {}, {"R": (2, frozenset({(0, 1, 0)}))})
+        FiniteStructure.checked(2, {}, {}, {"R": (2, frozenset({(0, 1, 0)}))})
 
 
 def test_rejects_negative_weight():
     with pytest.raises(ValueError):
-        FiniteStructure(2, {}, {}, {}, weights=(Fraction(3, 2), Fraction(-1, 2)))
+        FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(3, 2), Fraction(-1, 2)))
 
 
 def test_mass_above_one_is_allowed():
     # total mass is unconstrained above; only negativity is rejected
-    m = FiniteStructure(2, {}, {}, {}, weights=(Fraction(3, 2), Fraction(1, 2)))
+    m = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(3, 2), Fraction(1, 2)))
     assert sum(m.weights) == 2
 
 
