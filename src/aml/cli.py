@@ -10,9 +10,11 @@ charges it for its own enumeration just before running it (see
 semantics.Budget).  eval evaluates a formula at the --bind valuation, so
 eval --trace lists the measures decided at that valuation only (an inner
 measure once per assignment of its enclosing binders' variables), innermost
-first; measure, check-axioms and limit table each formula once over the
-variables they enumerate (see semantics.Evaluator).  Each subcommand imports
-its layer (axioms, gowers, limits, regularity) when it runs.
+first, and none in an operand skipped because the connective's left operand
+already decides it; measure, check-axioms and limit table each formula once
+over the variables they enumerate (see semantics.Evaluator).  Each
+subcommand imports its layer (axioms, gowers, limits, regularity) when it
+runs.
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
@@ -509,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help="formula text, or @path to a file")
     p.add_argument("--bind", help="valuation, e.g. x=0,y=2")
     p.add_argument("--trace", action="store_true",
-                   help="print each measure subevaluation")
+                   help="print each measure that is tabled")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("measure", parents=[common],

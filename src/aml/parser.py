@@ -446,6 +446,15 @@ def parse_ints(text: str) -> list[int]:
 _DECLARATIONS = frozenset(("measure", "constant", "function", "relation", "end"))
 
 
+def _fraction(word: str) -> Fraction:
+    """``Fraction(word)``, with its result and its errors, reading an unsigned
+    ASCII ``p`` or ``p/q`` without the regex that ``Fraction`` runs."""
+    num, slash, den = word.partition("/")
+    if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(word)  # a sign, a decimal, an exponent, or an error
+
+
 def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     d = DataWords(text)
     words = d.words
@@ -461,14 +470,19 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
         except ValueError:
             raise d.error(f"expected {what}, found {words[i]!r}", i) from None
 
-    def elements(lo: int, hi: int, what) -> list[int]:
-        """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
+    def numerals_at(lo: int, hi: int) -> list[int] | None:
+        """Words lo..hi-1 as elements if each is a numeral of 0..n-1, else None."""
         try:
             vals = list(map(numerals.__getitem__, words[lo:hi]))
-            if len(vals) == hi - lo:
-                return vals
         except KeyError:
-            pass
+            return None
+        return vals if len(vals) == hi - lo else None
+
+    def elements(lo: int, hi: int, what) -> list[int]:
+        """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
+        vals = numerals_at(lo, hi)
+        if vals is not None:
+            return vals
         vals = []
         for i in range(lo, hi):  # "07" and "+7" too, or else the first bad word
             v = integer(i, what(i - lo))
@@ -479,7 +493,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
 
     def weight(i: int, j: int) -> Fraction:
         try:
-            q = Fraction(word(j, f"weight {i}"))
+            q = _fraction(word(j, f"weight {i}"))
         except (ValueError, ZeroDivisionError):
             raise d.error(f"expected weight {i}, found {words[j]!r}", j) from None
         if q < 0:
@@ -533,13 +547,16 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             big = k * (n.bit_length() - 1) > max(64, (len(words) - lo).bit_length())
             size = len(words) - lo + 1 if big else n ** k
             hi = min(lo + size, len(words))
-            if not _DECLARATIONS.isdisjoint(words[lo:hi]):  # the table stops short
-                hi = next(i for i in range(lo, hi) if words[i] in _DECLARATIONS)
-            table = elements(lo, hi, lambda j: f"result {j} of function {name!r}")
-            if len(table) < size:
-                raise d.error(f"non-total function table for {name!r}: expected "
-                              f"{f'{n}^{k}' if big else size} results, "
-                              f"found {len(table)}", hi)
+            # a full table of numerals holds no declaration word
+            table = numerals_at(lo, hi) if hi - lo == size else None
+            if table is None:
+                if not _DECLARATIONS.isdisjoint(words[lo:hi]):  # the table stops short
+                    hi = next(i for i in range(lo, hi) if words[i] in _DECLARATIONS)
+                table = elements(lo, hi, lambda j: f"result {j} of function {name!r}")
+                if len(table) < size:
+                    raise d.error(f"non-total function table for {name!r}: expected "
+                                  f"{f'{n}^{k}' if big else size} results, "
+                                  f"found {len(table)}", hi)
             functions[name] = (k, tuple(table))
             pos = lo + size
         elif w == "relation":

@@ -14,10 +14,13 @@ reduce to exact rational comparisons; the three-valued clauses are exposed in
 
 :class:`Evaluator` (behind :func:`evaluate` and :func:`extension`) is the
 standard bottom-up relational-algebra model check (Immerman, *Descriptive
-Complexity*, 1999): each subformula is evaluated once, into a bitset over the
-assignments of the variables its enclosing binders enumerate (a valuation's
-variables stay fixed), and each measure compares an exact integer sum per
-fiber.  Each binder charges the budget for its table before building it.
+Complexity*, 1999): each subformula is evaluated at most once, into a bitset
+over the assignments of the variables its enclosing binders enumerate (a
+valuation's variables stay fixed), and each measure compares an exact integer
+sum per fiber.  A connective skips its right operand when its left one
+decides every row, as a conditional expression does.  Each binder charges
+the budget for its table before building it, so a skipped one charges
+nothing.
 The one thing kept between calls is the table of an atom over a context that
 holds all of its variables (see :class:`Evaluator`).  The naive per-tuple
 oracle it is tested against lives in the test suite (``tests/oracle.py``).
@@ -146,10 +149,14 @@ class Evaluator:
     table: an int bitset over the context's assignments, in the lexicographic
     order of ``DefinableSet``.  Atoms enumerate only their own variables and
     are broadcast to the context by block replication; connectives are bit
-    operations.  A binder is tabled over its free variables (in context
-    order) followed by its bound ones, so its body's fibers are contiguous
-    blocks: a quantifier folds each fiber, a measure sums each fiber's
-    product weights as integers.  The innermost binder of a name wins.
+    operations, and ``&``, ``|`` and ``->`` table their right operand only
+    when their left one leaves a row undecided: not when it is 0 under ``&``
+    and ``->``, nor full under ``|``.  A skipped operand is neither charged,
+    traced nor checked against the structure.  A binder is tabled over its
+    free variables (in context order) followed by its bound ones, so its
+    body's fibers are contiguous blocks: a quantifier folds each fiber, a
+    measure sums each fiber's product weights as integers.  The innermost
+    binder of a name wins.
 
     Charges, made before the table is built: a quantifier n^(|free| + 1) and
     a measure over k variables n^(|free| + k), where |free| counts only the
@@ -209,14 +216,18 @@ class Evaluator:
         return self._full(ctx) ^ self.table(phi.body, ctx, env)
 
     def _table_and(self, phi: And, ctx: tuple[str, ...], env: dict[str, int]) -> int:
-        return self.table(phi.left, ctx, env) & self.table(phi.right, ctx, env)
+        left = self.table(phi.left, ctx, env)
+        return left and left & self.table(phi.right, ctx, env)
 
     def _table_or(self, phi: Or, ctx: tuple[str, ...], env: dict[str, int]) -> int:
-        return self.table(phi.left, ctx, env) | self.table(phi.right, ctx, env)
+        left = self.table(phi.left, ctx, env)
+        full = self._full(ctx)
+        return full if left == full else left | self.table(phi.right, ctx, env)
 
     def _table_implies(self, phi: Implies, ctx: tuple[str, ...], env: dict[str, int]) -> int:
-        return (self._full(ctx) ^ self.table(phi.left, ctx, env)) \
-            | self.table(phi.right, ctx, env)
+        left = self.table(phi.left, ctx, env)
+        full = self._full(ctx)
+        return full if not left else (full ^ left) | self.table(phi.right, ctx, env)
 
     def _table_binder(self, phi: Forall | Exists | Meas, ctx: tuple[str, ...],
                       env: dict[str, int]) -> int:
@@ -330,7 +341,9 @@ def evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None
              budget: Budget | None = None,
              trace: list[MeasTraceEntry] | None = None) -> bool:
     """Evaluate ``phi`` in ``m`` under valuation ``val`` (must cover the free
-    variables)."""
+    variables).  ``phi`` is not checked against ``m``'s signature: an unknown
+    symbol is an EvalError where it is evaluated, and none in an operand that
+    is skipped (see :class:`Evaluator`)."""
     return Evaluator(m, budget, trace).eval(phi, dict(val or {}))
 
 

@@ -239,8 +239,9 @@ def test_soundness_failure_reports_witness():
 
 
 def test_check_soundness_charges_are_pinned():
-    # pinned with one evaluator per instance, before check_soundness shared
-    # one per structure: atoms are never charged, so sharing moves no charge
+    # atoms are never charged, so sharing one evaluator per structure moves no
+    # charge; a connective whose left operand decides every row charges nothing
+    # for its right one
     rng = random.Random(1)
     used, weighted = [], set()
     for _ in range(6):
@@ -252,7 +253,7 @@ def test_check_soundness_charges_are_pinned():
         used.append(budget.used)
         weighted.add(m.weights != (Fraction(1, m.n),) * m.n)
     assert weighted == {False, True}
-    assert used == [1242, 2564, 7092, 3589, 27468, 3606]
+    assert used == [651, 1756, 3612, 1839, 14958, 2290]
 
 
 def test_shared_evaluator_matches_a_fresh_extension_per_instance():

@@ -90,6 +90,20 @@ def test_eval_summary_reads_the_bound_assignment(capsys):
         "  trace 0: m[y] < 1/2: count 4, mu = 1, flag ⊙ -> false"]
 
 
+def test_eval_skips_the_operand_its_left_side_decides(capsys):
+    # the measure on the right would charge 8 units and trace one line
+    formula = "~(x = x) & m[y] < 1/2 . y = e"
+    code, out, err = run(capsys, "eval", Z4, formula, "--bind", "x=0", "--budget", "5")
+    assert (code, out, err) == (0, "false\n", "")
+    code, out, err = run(capsys, "eval", Z4, formula, "--bind", "x=0", "--trace")
+    assert (code, out, err) == (0, "false\n", "")
+    # the formula is checked against the signature before it is evaluated
+    for formula in ("~(x = x) & Q(x)", "Q(x) & ~(x = x)"):
+        code, out, err = run(capsys, "eval", Z4, formula, "--bind", "x=0")
+        assert (code, out) == (2, ""), formula
+        assert err.startswith("parse error:"), formula
+
+
 # -- exit codes ------------------------------------------------------------------
 
 def test_parse_error_exits_2(capsys):

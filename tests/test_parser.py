@@ -5,13 +5,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aml.axioms import random_formula
 from aml.parser import (
     MAX_DEPTH,
     DataWords,
     ParseError,
+    _fraction,
     SourceSpan,
     parse_formula,
     parse_structure,
@@ -292,6 +293,31 @@ def test_parse_structure_fields():
     assert m.relations["P"] == (1, frozenset({(0,), (2,)}))
     assert m.relations["R"] == (2, frozenset({(0, 1), (1, 2)}))
     assert m.weights == (Fraction(1, 4),) * 4
+
+
+def _fraction_or_error(read, word: str):
+    try:
+        return read(word)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@given(st.lists(st.sampled_from(["0", "1", "7", "08", "/", "+", "-", ".", "e", "_", " ",
+                                 "x", "²", "٣"]), max_size=8).map("".join))
+@example("1/2")
+@example("07/08")
+@example("+3")
+@example("-1/2")
+@example("1/0")
+@example("0.25")
+@example("1e-3")
+@settings(max_examples=600, deadline=None)
+def test_a_weight_reads_as_fraction_reads_it(word):
+    # the unsigned p and p/q fast path, against the Fraction string parser
+    got = _fraction_or_error(_fraction, word)
+    assert got == _fraction_or_error(Fraction, word)
+    if isinstance(got, Fraction):
+        assert type(got.numerator) is type(got.denominator) is int
 
 
 def test_weighted_structure():

@@ -497,3 +497,82 @@ def test_atom_tables_stay_with_their_structure_and_valuation():
     bogus = SchemeInstance("bogus", px, ("x",))
     assert [check_soundness(m, [bogus])[0].witness for m in (a, b, a)] == \
         [{"x": 1}, {"x": 0}, {"x": 1}]
+
+
+# -- a connective skips the operand its left side decides --------------------------------
+
+# Left operands over x and y: contradictions and tautologies decide every row
+# of a connective's table, an atom or a random formula some of them or none.
+_CONTRADICTIONS = ["~(x = x)", "P(y) & ~P(y)", "m[w] < 0 . R(x, w)", "~(exists w . w = w)"]
+_TAUTOLOGIES = ["x = y | ~(x = y)", "P(y) | ~P(y)", "m[w] >= 0 . R(x, w)",
+                "forall w . w = w | P(w)"]
+
+
+def _tiny_structure(rng):
+    """A random structure over the test signature with 1 to 4 elements."""
+    n = rng.randint(1, 4)
+    if n > 1:
+        return random_structure(rng, n_max=n)  # draws its size from 2..n
+    return FiniteStructure.checked(1, {"e": 0}, {"f": (1, (0,))},
+                                   {"P": (1, frozenset(rng.sample([(0,)], rng.randint(0, 1)))),
+                                    "R": (2, frozenset(rng.sample([(0, 0)], rng.randint(0, 1))))})
+
+
+def _left_operand(rng):
+    kind = rng.choice(["contradiction", "tautology", "atom", "formula"])
+    if kind in ("contradiction", "tautology"):
+        texts = _CONTRADICTIONS if kind == "contradiction" else _TAUTOLOGIES
+        return parse_formula(rng.choice(texts), SIG)
+    return random_formula(rng, ("x", "y"), depth=0 if kind == "atom" else 2, rank_budget=1)
+
+
+def test_short_circuits_match_the_oracle_seeded():
+    rng = random.Random(20261019)
+    decided = {"every row": 0, "some rows": 0, "no row": 0}
+    for _ in range(400):
+        m = _tiny_structure(rng)
+        connective = rng.choice([And, Or, Implies])
+        left = _left_operand(rng)
+        phi = connective(left, random_formula(rng, ("x", "y"), depth=2, rank_budget=1))
+        # the rows the left operand decides: false ones under & and ->, true under |
+        rows = list(itertools.product(range(m.n), repeat=2))
+        settled = [naive_evaluate(m, left, dict(zip("xy", row))) == (connective is Or)
+                   for row in rows]
+        decided["every row" if all(settled) else "some rows" if any(settled) else "no row"] += 1
+        got = extension(m, phi, ("x", "y"))
+        assert set(got.tuples()) == {row for row in rows
+                                     if naive_evaluate(m, phi, dict(zip("xy", row)))}, phi
+        # under binders, and at a valuation of what they leave free
+        for var in rng.sample(("x", "y"), rng.randint(0, 2)):
+            binder = rng.choice([Forall, Exists, Meas])
+            phi = Meas((var,), rng.choice(list(Cmp)), Fraction(rng.randint(0, 4), 4), phi) \
+                if binder is Meas else binder(var, phi)
+        val = {v: rng.randrange(m.n) for v in free_vars(phi)}
+        assert evaluate(m, phi, val) == naive_evaluate(m, phi, val), (phi, val)
+    assert min(decided.values()) > 40, decided
+
+
+def test_a_decided_connective_charges_nothing_for_its_right_operand():
+    # the measure on the right charges 4^2 inside forall x, which charges 4
+    right = "m[y] <= 1/2 . R(x, y)"
+    cases = [("~(x = x) & ", 4), ("x = x | ", 4), ("~(x = x) -> ", 4),
+             ("P(x) & ", 4 + 16), ("P(x) | ", 4 + 16), ("P(x) -> ", 4 + 16),
+             ("x = x & ", 4 + 16), ("~(x = x) | ", 4 + 16), ("x = x -> ", 4 + 16)]
+    for left, units in cases:
+        budget = Budget()
+        ev(f"forall x . {left}{right}", budget=budget)
+        assert budget.used == units, left
+    # the right operand is skipped before it is tabled, so it traces nothing
+    trace = []
+    assert not ev(f"~(x = x) & {right}", val={"x": 0}, trace=trace)
+    assert trace == []
+
+
+def test_a_skipped_operand_is_not_checked():
+    # evaluate does not check phi against the structure's signature: an
+    # unknown relation is an error only where the evaluator tables it
+    unknown = Atom("Q", (Var("x"),))
+    contradiction = Not(Equality(Var("x"), Var("x")))
+    assert evaluate(Z4, And(contradiction, unknown), {"x": 0}) is False
+    with pytest.raises(EvalError, match="unknown relation 'Q'"):
+        evaluate(Z4, And(unknown, contradiction), {"x": 0})
