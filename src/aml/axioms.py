@@ -302,6 +302,7 @@ _ATOMS_ONLY = ("atom",)
 _CONNECTIVES = _ATOMS_ONLY + ("not", "and", "or", "implies")
 _WITH_MEASURES = _CONNECTIVES + ("meas", "meas")
 _BINARY = {"and": And, "or": Or, "implies": Implies}
+DENOM_MAX = 12   # the largest denominator of a generated rational
 
 
 def random_formula(rng: random.Random, vars_allowed: tuple[str, ...], depth: int = 2,
@@ -348,25 +349,25 @@ def random_formula(rng: random.Random, vars_allowed: tuple[str, ...], depth: int
     return gen(tuple(vars_allowed), depth, rank_budget)
 
 
-def _rand_rational(rng: random.Random, denom_max: int = 12, positive: bool = False) -> Fraction:
-    den = rng.randint(1, denom_max)
+def _rand_rational(rng: random.Random, positive: bool = False) -> Fraction:
+    den = rng.randint(1, DENOM_MAX)
     lo = 1 if positive else 0
     return Fraction(rng.randint(lo, 2 * den), den)
 
 
-def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
-                       denom_max: int = 12, sig: Signature = TEST_SIGNATURE,
+def generate_instances(seed: int, count: int, schemes=ALL_SCHEMES,
+                       sig: Signature = TEST_SIGNATURE,
                        budget: Budget | None = None) -> list[SchemeInstance]:
     """Seeded stream of valid scheme instances over the given signature.
 
     Formulae have depth <= 3 and measure-nesting rank <= 2 (counting the
     scheme's own constructor); rationals are drawn with denominators <=
-    denom_max, steered onto each scheme's side conditions, and include
-    boundary values (zero thresholds where legal, t = qr +- 1/denom_max).
+    DENOM_MAX, steered onto each scheme's side conditions, and include
+    boundary values (zero thresholds where legal, t = qr +- 1/DENOM_MAX).
     Charges ``budget`` max(1, the widest function arity) units per instance
     before generating any, since a generated term has up to that many
     arguments."""
-    rng = rng_or_seed if isinstance(rng_or_seed, random.Random) else random.Random(rng_or_seed)
+    rng = random.Random(seed)
     schemes = tuple(schemes)
     (budget or Budget()).charge(count * max([1, *(a for _, a in sig.functions)]))
     out: list[SchemeInstance] = []
@@ -376,7 +377,7 @@ def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
         xs = ("x",) if rng.random() < 0.7 else ("x", "x2")
         ys = ("y",) if rng.random() < 0.8 else ("y", "y2")
         zs = ("z",) if rng.random() < 0.5 else ()
-        rats = {k: _rand_rational(rng, denom_max) for k in ("t", "t2", "q", "r")}
+        rats = {k: _rand_rational(rng) for k in ("t", "t2", "q", "r")}
         sigma = phi = psi = None
         if s.shape == PERM:
             xs = ("x", "x2") if len(xs) == 1 else xs
@@ -392,12 +393,12 @@ def generate_instances(rng_or_seed, count: int, schemes=ALL_SCHEMES,
                                  depth=2, rank_budget=1, sig=sig)
         for p in s.positive + (("q", "r") if scheme == "f-a" else ()):  # f-a: 0 <= t < qr
             if rats[_KWARG[p]] == 0:
-                rats[_KWARG[p]] = _rand_rational(rng, denom_max, positive=True)
+                rats[_KWARG[p]] = _rand_rational(rng, positive=True)
         if scheme == "coherence-b":
-            rats["t2"] = rats["t"] + Fraction(rng.randint(1, denom_max), denom_max)
+            rats["t2"] = rats["t"] + Fraction(rng.randint(1, DENOM_MAX), DENOM_MAX)
         elif scheme == "f-a":
-            rats["t"] = max(ZERO, rats["q"] * rats["r"] - Fraction(1, denom_max))
+            rats["t"] = max(ZERO, rats["q"] * rats["r"] - Fraction(1, DENOM_MAX))
         elif scheme == "f-b":
-            rats["t"] = rats["q"] * rats["r"] + Fraction(1, denom_max)
+            rats["t"] = rats["q"] * rats["r"] + Fraction(1, DENOM_MAX)
         out.append(instantiate(scheme, xs=xs, ys=ys, phi=phi, psi=psi, sigma=sigma, **rats))
     return out

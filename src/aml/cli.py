@@ -20,8 +20,9 @@ Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
 end with the line.  A format error in any of them is a ParseError located at
 a word; it, or a file that is not UTF-8, exits 2 as "error: <path>: line <L>:
-<message>" (see _parse_input).  RegularityError and LimitError are semantic
-errors (exit 3) wherever they arise.
+<message>" (see _parse_input).  RegularityError, LimitError and GowersError
+(a group file that breaks a group law among them) are semantic errors
+(exit 3) wherever they arise.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -89,18 +90,12 @@ def _parse_rational(text: str, what: str) -> Fraction:
                        EXIT_PARSE) from None
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
+    """The comma- or space-separated words of ``text``, each through ``convert``."""
     try:
-        return [int(w) for w in text.replace(",", " ").split()]
-    except ValueError:
-        raise CliError(f"bad {what} {text!r}: expected integers", EXIT_PARSE) from None
-
-
-def _parse_rational_list(text: str, what: str) -> list[Fraction]:
-    try:
-        return [Fraction(w) for w in text.replace(",", " ").split()]
+        return [convert(w) for w in text.replace(",", " ").split()]
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad {what} {text!r}: expected rationals", EXIT_PARSE) from None
+        raise CliError(f"bad {what} {text!r}: expected {kind}", EXIT_PARSE) from None
 
 
 def _element_set(args_e: str, what: str = "--E") -> set[int]:
@@ -109,7 +104,7 @@ def _element_set(args_e: str, what: str = "--E") -> set[int]:
     stripped = args_e.strip()
     head = stripped.replace(",", " ").split()
     if head and all(w.lstrip("-").isdecimal() for w in head):
-        return set(_parse_int_list(stripped, what))
+        return set(_parse_list(stripped, what))
     return set(_parse_input(parse_ints, stripped))
 
 
@@ -207,11 +202,15 @@ def _cmd_eval(args, out: _Out, budget: Budget) -> int:
     return EXIT_OK
 
 
+def _tuple_vars(text: str | None, phi) -> tuple[str, ...]:
+    """The --vars tuple, else phi's free variables in sorted order."""
+    return tuple(text.replace(",", " ").split()) if text else tuple(sorted(free_vars(phi)))
+
+
 def _cmd_measure(args, out: _Out, budget: Budget) -> int:
     m = _load_structure(args.structure, budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
-    xs = tuple(args.vars.replace(",", " ").split()) if args.vars \
-        else tuple(sorted(free_vars(phi)))
+    xs = _tuple_vars(args.vars, phi)
     if not xs:
         raise CliError("formula is closed; nothing to measure over "
                        "(use eval instead)", EXIT_SEMANTIC)
@@ -250,9 +249,7 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     if args.count < 0:
         raise CliError(f"--count must be nonnegative, got {args.count}", EXIT_PARSE)
     ms = [_load_structure(path, budget) for path in args.structures]
-    share = [args.count // len(ms)] * len(ms)
-    for i in range(args.count % len(ms)):
-        share[i] += 1
+    share = [args.count // len(ms) + (i < args.count % len(ms)) for i in range(len(ms))]
     held = total = 0
     failures: list[str] = []
     for which, m in enumerate(ms):
@@ -309,11 +306,8 @@ def _load_group(spec: str, order: int, budget: Budget):
         raise CliError(f"--g needs {n} values for this group", EXIT_SEMANTIC)
     if entries is None:
         return gowers.AbelianGroup.cyclic(n, budget=budget)
-    try:
-        return gowers.AbelianGroup.from_table(
-            [entries[i * n:(i + 1) * n] for i in range(n)], budget=budget)
-    except gowers.GowersError as e:
-        raise CliError(str(e), EXIT_SEMANTIC) from None
+    return gowers.AbelianGroup.from_table([entries[i * n:(i + 1) * n] for i in range(n)],
+                                          budget=budget)
 
 
 def _exact(value) -> str:
@@ -329,7 +323,7 @@ def _exact(value) -> str:
 
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     from . import gowers
-    values = _parse_rational_list(args.g, "--g")
+    values = _parse_list(args.g, "--g", Fraction, "rationals")
     if args.k < 1:  # before _load_group builds an n*n addition table
         raise gowers.GowersError("k must be >= 1")
     group = _load_group(args.group, len(values), budget)
@@ -442,8 +436,7 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
     if args.target is None:
         raise CliError("--phi needs --target", EXIT_PARSE)
     phi = parse_formula(_formula_arg(args.phi), family.signature)
-    xs = tuple(args.vars.replace(",", " ").split()) if args.vars \
-        else tuple(sorted(free_vars(phi)))
+    xs = _tuple_vars(args.vars, phi)
     target = _parse_rational(args.target, "--target")
     lm = limits.limit_measure(family, phi, xs, target, budget=budget)
     out.text(lm.describe().replace("flag +", "flag ⊕")
@@ -475,7 +468,7 @@ def _cmd_density(args, out: _Out, budget: Budget) -> int:
 def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
     from . import limits
     elements = _element_set(args.E)
-    shifts = set(_parse_int_list(args.U, "--U"))
+    shifts = set(_parse_list(args.U, "--U"))
     cyc, plain, bound = limits.furstenberg_check(elements, args.N, shifts, budget=budget)
     ok = abs(cyc - plain) <= bound
     out.text(f"cyclic density = {cyc}, plain density = {plain}, "

@@ -41,7 +41,7 @@ from functools import cached_property
 
 from .semantics import Budget
 from .structures import (DefinableSet, check_weights, index_tuple, integer_table,
-                         product_weights)
+                         product_weights, set_bits)
 
 
 class GowersError(ValueError):
@@ -98,9 +98,6 @@ class AbelianGroup:
                         raise GowersError(f"not associative at ({a},{b},{c})")
         return AbelianGroup(n, table, zero)
 
-    def add(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
 
 # ---------------------------------------------------------------------------
 # Grid functions
@@ -145,13 +142,9 @@ class GridFunction:
         for tup in itertools.product(range(group.n), repeat=k):
             s = group.zero
             for a in tup:
-                s = group.add(s, a)
+                s = group.table[s][a]
             vals.append(g.values[s])
         return GridFunction(group.n, k, tuple(vals), g.weights)
-
-    @property
-    def bound(self) -> Fraction:
-        return max((abs(v) for v in self.values), default=Fraction(0))
 
     @cached_property
     def integer_product_weights(self) -> tuple[list[int], int]:
@@ -245,15 +238,20 @@ def gowers_norm_pow_subst(group: AbelianGroup, g: GridFunction, k: int) -> Fract
     return Fraction(total, denom ** (1 << k) * n ** (2 * k))
 
 
-def gowers_box_pow(f: GridFunction) -> Fraction:
-    """Box-norm power ||f||^{2^k} over M^k with the product weight measure."""
-    k = f.arity
-    if k < 1:
+def _box_tables(f: GridFunction):
+    """f's values and weights as integer tables with their scales, and the
+    elements of nonzero weight, for a function of arity >= 1."""
+    if f.arity < 1:
         raise GowersError("arity must be >= 1")
     fi, fden = integer_table(f.values)
     wi, wden = integer_table(f.weights)
-    n = f.n
-    live = [a for a in range(n) if wi[a]]
+    return fi, fden, wi, wden, [a for a in range(f.n) if wi[a]]
+
+
+def gowers_box_pow(f: GridFunction) -> Fraction:
+    """Box-norm power ||f||^{2^k} over M^k with the product weight measure."""
+    k, n = f.arity, f.n
+    fi, fden, wi, wden, live = _box_tables(f)
 
     def scaled(t: list[int], depth: int) -> int:
         # the weighted box sum of the integer table t over M^depth
@@ -271,13 +269,8 @@ def gowers_box_pow(f: GridFunction) -> Fraction:
 def dual_function(f: GridFunction) -> GridFunction:
     """D(f): the cube average with the h0 corner left out, so that
     integral of f * D(f) equals gowers_box_pow(f) exactly."""
-    k = f.arity
-    if k < 1:
-        raise GowersError("arity must be >= 1")
-    fi, fden = integer_table(f.values)
-    wi, wden = integer_table(f.weights)
-    n = f.n
-    live = [b for b in range(n) if wi[b]]
+    k, n = f.arity, f.n
+    fi, fden, wi, wden, live = _box_tables(f)
 
     def scaled(t: list[int], depth: int) -> list[int]:
         # the weighted dual table of the integer table t over M^depth
@@ -340,11 +333,7 @@ def cond_expect(f: GridFunction, algebra: FiniteAlgebra) -> GridFunction:
     pw, _ = f.integer_product_weights
     out = list(f.values)
     for atom in algebra.atoms:
-        idxs, bits = [], atom
-        while bits:
-            low = bits & -bits
-            idxs.append(low.bit_length() - 1)
-            bits ^= low
+        idxs = set_bits(atom)
         den = sum(pw[i] for i in idxs)
         value = Fraction(sum(vi[i] * pw[i] for i in idxs), vden * den) if den else Fraction(0)
         for idx in idxs:
@@ -355,20 +344,22 @@ def cond_expect(f: GridFunction, algebra: FiniteAlgebra) -> GridFunction:
 # ---------------------------------------------------------------------------
 # The positivity criterion
 
+ATOM_BUDGET = 1 << 16   # the most atom combinations positivity_criterion searches
 
-def positivity_criterion(f: GridFunction, atom_budget: int = 1 << 16):
+
+def positivity_criterion(f: GridFunction):
     """Returns (||f||^{2^k} > 0, whether some product of (k-1)-coordinate
     cylinder atoms correlates with f).
 
     The second component is found by exhaustive search over atom combinations
     (one fiber of M^I per (k-1)-subset I); if there are more than
-    ``atom_budget`` combinations it is reported as "unknown", never guessed.
+    ATOM_BUDGET combinations it is reported as "unknown", never guessed.
     """
     k = f.arity
     first = gowers_box_pow(f) > 0
     subsets = [frozenset(c) for c in itertools.combinations(range(k), k - 1)]
     combos = f.n ** (len(subsets) * (k - 1))
-    if combos > atom_budget:
+    if combos > ATOM_BUDGET:
         return first, "unknown"
     vi, _ = integer_table(f.values)  # positive rescalings keep a sum's sign
     pw, _ = f.integer_product_weights

@@ -149,13 +149,13 @@ class TruthProfile:
         return "Undetermined"
 
 
-def _stable_suffix_start(values: tuple[bool, ...], target: bool) -> int | None:
-    """Position (0-based) of the minimal suffix of constant value ``target``
-    covering the end of the sequence; None if the last value differs."""
-    if not values or values[-1] is not target:
-        return None
-    start = len(values)
-    while start > 0 and values[start - 1] is target:
+def _suffix_start(values: tuple, keeps: Callable[..., bool]) -> int:
+    """Where the longest suffix of ``values`` starts (0-based) in which each
+    value and its successor satisfy keeps(value, successor): with operator.eq
+    the run equal to the last value, with operator.ge or operator.le the run
+    weakly falling or rising to it.  The last value alone is such a suffix."""
+    start = len(values) - 1
+    while start > 0 and keeps(values[start - 1], values[start]):
         start -= 1
     return start
 
@@ -178,13 +178,11 @@ def truth_profile(family: StructureFamily, sigma: Formula, slack: int = 5,
         ev = Evaluator(family.at(i, budget), budget=budget)
         values.append(ev.eval(sigma, {}))
     values = tuple(values)
-    for target, verdict in ((True, "eventually-true"), (False, "eventually-false")):
-        start = _stable_suffix_start(values, target)
-        if start is not None:
-            i0 = family.i_lo + start
-            if i0 < family.i_hi - slack:
-                return TruthProfile(family.i_lo, family.i_hi, values,
-                                    verdict, i0, slack)
+    last = values[-1]
+    i0 = family.i_lo + _suffix_start(values, operator.eq)
+    if i0 < family.i_hi - slack:
+        verdict = "eventually-true" if last else "eventually-false"
+        return TruthProfile(family.i_lo, family.i_hi, values, verdict, i0, slack)
     return TruthProfile(family.i_lo, family.i_hi, values, "undetermined",
                         None, slack)
 
@@ -246,23 +244,14 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
 
     last = values[-1]
     if last == r:
-        start = count
-        while start > 0 and values[start - 1] == r:
-            start -= 1
-        if count - start >= need:
+        equal = count - _suffix_start(values, operator.eq)
+        if equal >= need:
             return result("converged", r, VFlag.DOT)
         return result("undetermined", None, None,
-                      f"tail equals {r} for only {count - start} of {count} indices")
+                      f"tail equals {r} for only {equal} of {count} indices")
+    # a suffix weakly monotone towards the last value stays on its side of r
     above = last > r
-    start = count - 1
-    while start > 0:
-        prev, cur = values[start - 1], values[start]
-        if (prev > r) is not above or prev == r:
-            break
-        if (prev < cur) if above else (prev > cur):
-            break
-        start -= 1
-    suffix = values[start:]
+    suffix = values[_suffix_start(values, operator.ge if above else operator.le):]
     if len(suffix) < need:
         return result("undetermined", None, None,
                       f"one-sided monotone suffix covers only {len(suffix)} "
@@ -334,12 +323,9 @@ def furstenberg_check(elements, n_hi: int, shifts,
     if e_set and not all(1 <= x <= n_hi for x in e_set):
         raise LimitError(f"elements must lie in [1, {n_hi}]")
     (budget or Budget()).charge(n_hi * len(shift_set))
-    cyclic = plain = 0
-    for x in range(1, n_hi + 1):
-        if all((x - 1 + i) % n_hi + 1 in e_set for i in shift_set):
-            cyclic += 1
-        if all(x + i in e_set for i in shift_set):
-            plain += 1
+    xs = range(1, n_hi + 1)
+    cyclic = sum(all((x - 1 + i) % n_hi + 1 in e_set for i in shift_set) for x in xs)
+    plain = sum(all(x + i in e_set for i in shift_set) for x in xs)
     return (Fraction(cyclic, n_hi), Fraction(plain, n_hi),
             Fraction(shift_set[-1], n_hi))
 

@@ -21,6 +21,7 @@ integer sum over a common denominator.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -30,6 +31,7 @@ from fractions import Fraction
 
 from .parser import DataWords
 from .semantics import Budget
+from .structures import set_bits
 
 
 class RegularityError(ValueError):
@@ -330,14 +332,10 @@ class PartitionResult:
 
 
 def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
+    """0..n-1 in ``pieces`` <= n runs, the first n mod pieces one longer."""
     base, extra = divmod(n, pieces)
-    out = []
-    start = 0
-    for i in range(pieces):
-        size = base + (1 if i < extra else 0)
-        out.append(tuple(range(start, start + size)))
-        start += size
-    return [p for p in out if p]
+    return [tuple(range(i * base + min(i, extra), (i + 1) * base + min(i + 1, extra)))
+            for i in range(pieces)]
 
 
 def _survey(g: Graph, parts, eps, exact_cap, budget):
@@ -352,8 +350,7 @@ def _survey(g: Graph, parts, eps, exact_cap, budget):
     for i in range(len(parts)):
         for j in range(i, len(parts)):
             if whole[i] and whole[j]:
-                if budget is not None:
-                    budget.charge(len(parts[i]) + len(parts[j]))
+                budget.charge(len(parts[i]) + len(parts[j]))
                 continue
             verdict = is_epsilon_regular(g, parts[i], parts[j], eps,
                                          exact_cap=exact_cap, budget=budget)
@@ -382,6 +379,7 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
         raise RegularityError("eps must be in (0,1)")
     if exact_cap < 1:
         raise RegularityError(f"the exact part-size cap must be at least 1, got {exact_cap}")
+    budget = budget or Budget()
     n = g.n
     pieces = -(-n // exact_cap)
     if pieces > k_max:
@@ -405,15 +403,7 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
         for idx, part in enumerate(parts):
             cells = [frozenset(part)]
             for cut in cuts.get(idx, ()):
-                nxt = []
-                for cell in cells:
-                    inside = cell & cut
-                    outside = cell - cut
-                    if inside:
-                        nxt.append(inside)
-                    if outside:
-                        nxt.append(outside)
-                cells = nxt
+                cells = [piece for cell in cells for piece in (cell & cut, cell - cut) if piece]
             new_parts.extend(tuple(sorted(c)) for c in cells)
         new_parts.sort(key=lambda p: p[0])
         if len(new_parts) > k_max:
@@ -493,9 +483,7 @@ def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
         prefix = tuple(assignment[:last])
         images = [frozenset(assignment[w] for w in e) for e in early]
         faces = [[assignment[w] for w in face] for face in closing]
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask ^= 1 << v
+        for v in set_bits(mask):
             yield prefix + (v,), frozenset(images + [frozenset(f + [v]) for f in faces])
 
 
@@ -564,38 +552,58 @@ def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozen
     return best
 
 
-def _greedy_hitting_set(constraint_sets: list[frozenset]):
-    remaining = list(constraint_sets)
-    chosen = set()
-    while remaining:
-        counts: dict[frozenset, int] = {}
-        for c in remaining:
-            for e in c:
-                counts[e] = counts.get(e, 0) + 1
-        edge = max(sorted(counts, key=sorted), key=lambda e: counts[e])
-        chosen.add(edge)
-        remaining = [c for c in remaining if edge not in c]
+def _greedy_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozenset:
+    """Greedy hitting set (Chvátal 1979): each round takes the edge in the most
+    constraints not yet hit, ties going to the least sorted edge.  Each edge's
+    count drops as its constraints are hit, and a heap entry whose count went
+    stale is pushed back when it reaches the top, so the work is bounded by
+    the incidences, charged once first."""
+    budget.charge(sum(map(len, constraint_sets)))
+    holders: dict[frozenset, list[int]] = {}   # the positions of each edge's constraints
+    for i, c in enumerate(constraint_sets):
+        for e in c:
+            holders.setdefault(e, []).append(i)
+    counts = {e: len(held) for e, held in holders.items()}
+    heap = [(-count, sorted(e), e) for e, count in counts.items()]
+    heapq.heapify(heap)
+    hit, chosen = [False] * len(constraint_sets), []
+    while heap:
+        negated, key, edge = heapq.heappop(heap)
+        if counts[edge] != -negated:   # stale: back in at its count, if any is left
+            if counts[edge]:
+                heapq.heappush(heap, (-counts[edge], key, edge))
+            continue
+        chosen.append(edge)
+        for i in holders[edge]:
+            if not hit[i]:
+                hit[i] = True
+                for e in constraint_sets[i]:
+                    counts[e] -= 1
     return frozenset(chosen)
 
 
+BB_CAP = 10 ** 4   # the most copies whose hitting set remove_copies searches exactly
+
+
 def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
-                  bb_cap: int = 10 ** 4, budget: Budget | None = None) -> RemovalResult:
+                  budget: Budget | None = None) -> RemovalResult:
     """A set of host edges meeting every copy of the pattern: the exact
-    minimum hitting set (branch and bound) when there are at most ``bb_cap``
+    minimum hitting set (branch and bound) when there are at most BB_CAP
     copies, greedy otherwise.  The result always leaves zero copies."""
     if not pattern.edges:
         raise RegularityError("a pattern without edges has copies no edge removal can destroy")
+    budget = budget or Budget()
     copy_sets = [used for _, used in _pattern_maps(pattern, host, budget)]
     before = len(copy_sets)
     if not before:
         return RemovalResult(frozenset(), "none", 0, 0,
                              None if eps is None else True)
     unique = sorted(set(copy_sets), key=lambda s: sorted(map(sorted, s)))
-    if before <= bb_cap:
-        removed = _min_hitting_set(list(unique), budget or Budget())
+    if before <= BB_CAP:
+        removed = _min_hitting_set(unique, budget)
         method = "branch-and-bound"
     else:
-        removed = _greedy_hitting_set(list(unique))
+        removed = _greedy_hitting_set(unique, budget)
         method = "greedy"
     stripped = Hypergraph(host.n, host.k, host.edges - removed)
     after = count_copies(pattern, stripped, budget)

@@ -184,14 +184,17 @@ class Evaluator:
 
     def eval(self, phi: Formula, val: dict[str, int]) -> bool:
         """Whether phi holds when its free variables take the values in val."""
-        free = free_vars(phi)
-        missing = free - set(val)
+        self._check_valuation(free_vars(phi), val)
+        return bool(self.table(phi, (), val))
+
+    def _check_valuation(self, names: frozenset[str], val: dict[str, int]) -> None:
+        """That ``val`` binds each of ``names`` to an element, else EvalError."""
+        missing = names.difference(val)
         if missing:
             raise EvalError(f"unbound variables: {', '.join(sorted(missing))}")
-        for v in sorted(free):
+        for v in sorted(names):
             if not 0 <= val[v] < self.m.n:
                 raise EvalError(f"binding {v}={val[v]} outside universe 0..{self.m.n - 1}")
-        return bool(self.table(phi, (), val))
 
     def table(self, phi: Formula, ctx: tuple[str, ...], env: dict[str, int]) -> int:
         """phi's table over ``ctx``; its other free variables read ``env``."""
@@ -351,15 +354,14 @@ def extension(m: FiniteStructure, phi: Formula, xs: tuple[str, ...],
               params: dict[str, int] | None = None,
               budget: Budget | None = None) -> DefinableSet:
     """The definable set {a in M^|xs| : phi holds with xs := a}, with the
-    remaining free variables read from ``params``; charged n^|xs|."""
+    remaining free variables read from ``params`` and checked as
+    :meth:`Evaluator.eval` checks its valuation; charged n^|xs|."""
     xs = tuple(xs)
     if len(set(xs)) != len(xs):
         raise EvalError(f"extension variables must be distinct, got {xs}")
     params = {v: a for v, a in (params or {}).items() if v not in xs}
-    missing = free_vars(phi) - set(xs) - set(params)
-    if missing:
-        raise EvalError(f"unbound free variables: {sorted(missing)}")
     ev = Evaluator(m, budget)
+    ev._check_valuation(free_vars(phi).difference(xs), params)
     ev.budget.charge(m.n ** len(xs))
     return DefinableSet(m, len(xs), ev.table(phi, xs, params))
 

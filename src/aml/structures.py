@@ -72,6 +72,11 @@ def index_tuple(idx: int, n: int, arity: int) -> tuple[int, ...]:
     return tuple(idx // n ** (arity - 1 - i) % n for i in range(arity))
 
 
+def set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits`` >= 0, lowest first."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """A structure over {0, ..., n-1}, built from checked data: the parser
@@ -151,11 +156,7 @@ class DefinableSet:
         return self.bits.bit_count()
 
     def tuples(self):
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield index_tuple(low.bit_length() - 1, self.structure.n, self.arity)
-            bits ^= low
+        return (index_tuple(i, self.structure.n, self.arity) for i in set_bits(self.bits))
 
 
 _BYTE01 = bytes.maketrans(b"01", b"\x00\x01")

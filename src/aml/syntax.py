@@ -40,16 +40,10 @@ class Signature:
             raise ValueError("symbol names must be distinct across constants/functions/relations")
 
     def function_arity(self, name: str) -> int | None:
-        for n, a in self.functions:
-            if n == name:
-                return a
-        return None
+        return dict(self.functions).get(name)
 
     def relation_arity(self, name: str) -> int | None:
-        for n, a in self.relations:
-            if n == name:
-                return a
-        return None
+        return dict(self.relations).get(name)
 
     def is_constant(self, name: str) -> bool:
         return name in self.constants
@@ -208,15 +202,13 @@ _FREE = {
 }
 
 
-def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: AbbrevCmp | str,
+def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: AbbrevCmp,
                   threshold, body: Formula) -> Formula:
     """Expand a >= / > measure bound into the core syntax.
 
     m[xs] >= q . body  becomes  ~ m[xs] < q . body
     m[xs] >  q . body  becomes  ~ m[xs] <= q . body
     """
-    if isinstance(cmp, str):
-        cmp = AbbrevCmp(cmp)
     inner = Cmp.LT if cmp is AbbrevCmp.GE else Cmp.LE
     return Not(Meas(tuple(vars), inner, Fraction(threshold), body))
 

@@ -7,7 +7,9 @@ per satisfying tuple.  ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
 ``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
-value of x_{k+1} for each edge family and counter.  ``tokenize_by_characters``
+value of x_{k+1} for each edge family and counter.  ``greedy_hitting_set_by_recount``
+is the reference for the greedy hitting set: each round recounts and resorts
+every edge of the constraints not yet hit.  ``tokenize_by_characters``
 is the reference for the regex tokenizer: it reads one character at a time.
 
 The rest are references and generators that only the tests use:
@@ -182,6 +184,20 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
 
     return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
                       direct, copy_count == direct)
+
+
+def greedy_hitting_set_by_recount(constraint_sets: list[frozenset]) -> frozenset:
+    remaining = list(constraint_sets)
+    chosen = set()
+    while remaining:
+        counts: dict[frozenset, int] = {}
+        for c in remaining:
+            for e in c:
+                counts[e] = counts.get(e, 0) + 1
+        edge = max(sorted(counts, key=sorted), key=lambda e: counts[e])
+        chosen.add(edge)
+        remaining = [c for c in remaining if edge not in c]
+    return frozenset(chosen)
 
 
 def random_structure(rng: random.Random, n_max: int = 6) -> FiniteStructure:

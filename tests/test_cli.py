@@ -184,6 +184,70 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_formula_arguments_read_at_paths(capsys, tmp_path):
+    formula = tmp_path / "phi.txt"
+    formula.write_text("x = e\n")
+    assert run(capsys, "eval", Z4, f"@{formula}", "--bind", "x=0") == (0, "true\n", "")
+    missing = tmp_path / "none.txt"
+    code, out, err = run(capsys, "eval", Z4, f"@{missing}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["measure", Z4, "e = e"], 3,
+     "error: formula is closed; nothing to measure over (use eval instead)\n"),
+    (["limit", FAM], 2, "error: need exactly one of --sentence (truth profile) or "
+                        "--phi with --target (limit measure)\n"),
+    (["limit", FAM, "--sentence", "e = e", "--phi", "x = e"], 2,
+     "error: need exactly one of --sentence (truth profile) or "
+     "--phi with --target (limit measure)\n"),
+    (["limit", FAM, "--phi", "x = e"], 2, "error: --phi needs --target\n"),
+    (["eval", Z4, "x = e", "--bind", "x=abc"], 2, "error: bad binding value 'abc'\n"),
+    (["furstenberg", "--E", "1,2", "--N", "5", "--U", "0,x"], 2,
+     "error: bad --U '0,x': expected integers\n"),
+    (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: bad --g '1,x': expected rationals\n"),
+    (["check-axioms", Z4, "--schemes", ","], 2, "error: empty scheme selection\n"),
+], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target", "bind-abc",
+        "shift-not-integer", "value-not-rational", "schemes-empty"])
+def test_argument_errors_exit_with_their_message(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
+
+
+def test_a_trailing_comma_in_bind_is_ignored(capsys):
+    assert run(capsys, "eval", Z4, "x = e", "--bind", "x=0,") == (0, "true\n", "")
+
+
+def test_limit_trace_lists_each_truth_value(capsys):
+    code, out, err = run(capsys, "limit", FAM, "--sentence", "m[x] <= 1/3 . x = e", "--trace")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["EventuallyTrue(3)", "  index 1: false", "  index 2: false",
+                         "  index 3: true"]
+    assert len(lines) == 21 and lines[-1] == "  index 20: true"
+
+
+def test_check_axioms_splits_an_uneven_count(capsys, monkeypatch):
+    from aml import axioms
+    drawn, generate = [], axioms.generate_instances
+
+    def recording(seed, count, **kwargs):
+        drawn.append((seed, count))
+        return generate(seed, count, **kwargs)
+
+    monkeypatch.setattr(axioms, "generate_instances", recording)
+    code, out, _ = run(capsys, "check-axioms", Z4, Z4, "--count", "5", "--seed", "7",
+                       "--format", "records")
+    assert (code, out, drawn) == (0, "held=5\ntotal=5\n", [(7, 3), (8, 2)])
+
+
+def test_a_group_law_violation_is_a_semantic_error(capsys, tmp_path):
+    group = tmp_path / "loop.group"
+    group.write_text("group 3\n0 1 2\n1 0 1\n2 1 0\n")   # 0 is an identity, 1 + 2 = 1
+    code, out, err = run(capsys, "gowers", str(group), "--g=1,0,1", "--k", "2")
+    assert (code, out, err) == (3, "", "semantic error: not associative at (1,1,2)\n")
+
+
 def test_property_failure_exits_1(capsys):
     # part budget too small to reach a regular partition
     code, out, _ = run(capsys, "regularity", G16, "--eps", "1/4",
@@ -876,6 +940,26 @@ def test_a_thousand_edge_hitting_set_is_searched_without_recursion(capsys, tmp_p
     code, out, err = run(capsys, *argv, "--budget", "8500499")
     assert (code, out) == (4, "")
     assert err == "budget error: enumeration budget exceeded: 8500500 work units > limit 8500499\n"
+
+
+def test_a_greedy_hitting_set_keeps_its_counts(capsys, tmp_path):
+    # K160 holds 25,440 copies of one edge, past the exact search's cap: the
+    # greedy set is every edge, 12,720 rounds, so recounting every edge each
+    # round is quadratic.  Charged 160^2 maps, the 12,720 copy sets'
+    # incidences, then 160^2 maps to recount.
+    host, edge = tmp_path / "k160.hg", tmp_path / "edge.hg"
+    host.write_text("hypergraph 160 2\n" + "".join(
+        f"{u} {v}\n" for u, v in itertools.combinations(range(160), 2)))
+    edge.write_text("hypergraph 2 2\n0 1\n")
+    argv = ("hypergraph", str(host), "--pattern", str(edge), "--remove")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "copies = 25440\n"
+                                   "removed 12720 edges (greedy); copies after = 0\n", "")
+    assert time.perf_counter() - start < 2
+    code, out, err = run(capsys, *argv, "--budget", str(160 ** 2 + 12719))
+    assert (code, out) == (4, "")
+    assert err == "budget error: enumeration budget exceeded: 38320 work units > limit 38319\n"
 
 
 def test_a_pattern_larger_than_a_one_vertex_host_is_charged_its_size(capsys, tmp_path):

@@ -162,6 +162,42 @@ def test_oscillating_measure_is_undetermined():
     assert lm.lt_holds is None and lm.le_holds is None
 
 
+def _describe_limit(family, formula, target):
+    phi = parse_formula(formula, family.signature)
+    return limit_measure(family, phi, ("x",), target).describe()
+
+
+@pytest.mark.parametrize("family, formula, target, want", [
+    # 0, 1, 0, 1, ..., 1: only the last value equals the target
+    (cyclic_family(1, 10, {"P": "evensize"}), "P(x)", 1,
+     "Undetermined (tail equals 1 for only 1 of 10 indices)"),
+    # 1, 1/2, 2/3, 1/2, ..., 5/9: the tail above 1/2 stops at a value equal to it
+    (cyclic_family(1, 9, {"P": "bottom-half"}), "P(x)", Fraction(1, 2),
+     "Undetermined (one-sided monotone suffix covers only 1 of 9 indices)"),
+    # 1/i until i = 7, then 1/4 at i = 8: a reversal cuts the falling tail
+    (interval_family([1, 8], 1, 12), "E(x)", 0,
+     "Undetermined (one-sided monotone suffix covers only 5 of 12 indices)"),
+    (interval_family([1, 5], 1, 12), "E(x)", 0,
+     "limit 0 flag +; m<0: False, m<=0: False"),
+    # 1, 1, 2/3, ..., 1/4: a weakly falling tail keeps its equal neighbours
+    (interval_family([1, 2], 1, 8), "E(x)", 0, "limit 0 flag +; m<0: False, m<=0: False"),
+    # eight 1s, then 8/9 ... 2/3: the whole range falls weakly, yet not by half
+    (interval_family(range(1, 9), 1, 12), "E(x)", 0,
+     "Undetermined (gap only shrank from 1 to 2/3)"),
+    # 1/5, ..., 1/8: monotone and one-sided, but the gap did not halve
+    (interval_family([1], 5, 8), "E(x)", 0, "Undetermined (gap only shrank from 1/5 to 1/8)"),
+    # eight 0s, then 1/9 ... 1/3: the whole range rises weakly towards 1/2
+    (interval_family(range(9, 13), 1, 12), "E(x)", Fraction(1, 2),
+     "limit 1/2 flag -; m<1/2: True, m<=1/2: True"),
+    # 0, 1/2, 2/3, ..., 11/12: rising to 1 from below
+    (cyclic_family(1, 12, {"P": "nonzero"}), "P(x)", 1,
+     "limit 1 flag -; m<1: True, m<=1: True"),
+], ids=["tail-equals", "equal-neighbour-stops", "reversal-stops", "reversal-early",
+        "weakly-falling", "weakly-falling-long", "gap-shrank", "weakly-rising", "from-below"])
+def test_limit_measure_notes_and_verdicts_are_pinned(family, formula, target, want):
+    assert _describe_limit(family, formula, target) == want
+
+
 def test_limit_values_are_recorded():
     lm = limit_measure(cyclic_family(1, 4), SINGLETON, ("x",), 0)
     assert lm.values == (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))

@@ -31,7 +31,8 @@ from aml.regularity import (
 )
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
-from oracle import ap_encode_by_scan, degree_certificate_by_scan, partition_energy_by_fractions
+from oracle import (ap_encode_by_scan, degree_certificate_by_scan,
+                    greedy_hitting_set_by_recount, partition_energy_by_fractions)
 
 DATA = Path(__file__).parent / "data"
 
@@ -506,6 +507,12 @@ def _removal(pattern, host, **kw):
     return r.copies_before, len(r.removed), r.method, r.copies_after
 
 
+def _greedy_removal(pattern, host, **kw):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularity, "BB_CAP", 1)
+        return _removal(pattern, host, **kw)
+
+
 def _ap_counts(elements, n, k, budget):
     e = ap_encode(elements, n, k, budget=budget)
     return e.total_copies, e.trivial_copies, e.direct_ap_count
@@ -518,7 +525,8 @@ def _ap_counts(elements, n, k, budget):
     (lambda b, h: _removal(TRIANGLE, h[0], budget=b), 1614, (54, 4, "branch-and-bound", 0)),
     (lambda b, h: _removal(K4, h[1], budget=b), 41496, (72, 1, "branch-and-bound", 0)),
     (lambda b, h: _removal(PATH3, h[2], budget=b), 5075, (196, 14, "branch-and-bound", 0)),
-    (lambda b, h: _removal(TRIANGLE, h[0], bb_cap=1, budget=b), 1458, (54, 4, "greedy", 0)),
+    # greedy: the 9 triangles' 27 edge incidences on top of the two passes' 1458
+    (lambda b, h: _greedy_removal(TRIANGLE, h[0], budget=b), 1485, (54, 4, "greedy", 0)),
     (lambda b, h: _ap_counts({1, 3, 4, 5, 7, 8}, 8, 2, b), 2048, (22, 10, 12)),
     (lambda b, h: _ap_counts(set(range(1, 8)), 7, 3, b), 21609, (5, 2, 3)),
 ], ids=["count-k3", "count-k4", "count-3uniform", "remove-k3", "remove-k4",
@@ -551,11 +559,32 @@ def test_removal_on_copy_free_host():
     assert r.removed == frozenset() and r.method == "none"
 
 
-def test_greedy_removal_still_eliminates_all_copies():
-    r = remove_copies(TRIANGLE, TWO_TRIANGLES, bb_cap=1)
+def test_greedy_removal_still_eliminates_all_copies(monkeypatch):
+    monkeypatch.setattr(regularity, "BB_CAP", 1)
+    r = remove_copies(TRIANGLE, TWO_TRIANGLES)
     assert r.method == "greedy"
     assert r.copies_after == 0
     assert len(r.removed) >= 2
+
+
+def test_greedy_hitting_set_matches_the_recounting_reference():
+    rng = random.Random(31)
+    patterns = (TRIANGLE, K4, PATH3, Hypergraph.from_edges(3, 2, [(0, 1), (1, 2)]))
+    for _ in range(60):
+        pattern = rng.choice(patterns)
+        host = _random_hypergraph(rng, rng.randint(3, 9), pattern.k, rng.uniform(0.2, 0.9))
+        unique = sorted({used for _, used in _pattern_maps(pattern, host, None)},
+                        key=lambda s: sorted(map(sorted, s)))
+        budget = Budget()
+        assert regularity._greedy_hitting_set(unique, budget) == \
+            greedy_hitting_set_by_recount(unique)
+        assert budget.used == sum(map(len, unique))
+    # random constraint sets over a few edges tie often
+    edges = [frozenset(e) for e in itertools.combinations(range(5), 2)]
+    for _ in range(200):
+        sets = [frozenset(rng.sample(edges, rng.randint(1, 4))) for _ in range(rng.randint(1, 12))]
+        assert regularity._greedy_hitting_set(sets, Budget()) == \
+            greedy_hitting_set_by_recount(sets)
 
 
 def test_built_hypergraphs_pass_the_checked_construction(monkeypatch):
@@ -572,7 +601,8 @@ def test_built_hypergraphs_pass_the_checked_construction(monkeypatch):
     for pattern, host in [(TRIANGLE, TWO_TRIANGLES), (TRIANGLE, hosts[0]), (K4, hosts[1]),
                           (PATH3, hosts[2])]:
         for bb_cap in (1, 10 ** 4):
-            assert remove_copies(pattern, host, bb_cap=bb_cap).copies_after == 0
+            monkeypatch.setattr(regularity, "BB_CAP", bb_cap)
+            assert remove_copies(pattern, host).copies_after == 0
     assert len(built) == 8 * 4 * 2 + 8
     for h in built:
         assert Hypergraph.from_edges(h.n, h.k, h.edges) == h

@@ -171,6 +171,23 @@ def test_extension_rejects_duplicates_and_unbound():
         extension(Z4, phi, ("x",))
 
 
+@pytest.mark.parametrize("params, message", [
+    ({}, "unbound variables: x"),
+    ({"y": 0}, "unbound variables: x"),
+    ({"x": -1}, "binding x=-1 outside universe 0..3"),
+    ({"x": 9}, "binding x=9 outside universe 0..3"),
+])
+def test_extension_checks_its_parameters_as_eval_does(params, message):
+    # unchecked, a negative parameter indexes from the end and one past n raises IndexError
+    phi = parse_formula("f(x) = y", Z4.signature())
+    with pytest.raises(EvalError) as got:
+        extension(Z4, phi, ("y",), params=params)
+    with pytest.raises(EvalError) as want:
+        Evaluator(Z4).eval(phi, {"y": 0, **params})
+    assert str(got.value) == str(want.value) == message
+    assert sorted(extension(Z4, phi, ("y",), params={"x": 3}).tuples()) == [(0,)]
+
+
 # -- budgets and traces ----------------------------------------------------------------
 
 def test_budget_exhaustion():

@@ -160,5 +160,5 @@ def test_ge_expands_to_negated_strict():
 
 
 def test_gt_expands_to_negated_weak():
-    got = expand_abbrev(("x", "y"), ">", Fraction(1, 3), RXY)
+    got = expand_abbrev(("x", "y"), AbbrevCmp.GT, Fraction(1, 3), RXY)
     assert got == Not(Meas(("x", "y"), Cmp.LE, Fraction(1, 3), RXY))
