@@ -267,14 +267,29 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
 # Banach density and the finite shift comparison
 
 
+def _prefix_counts(e_set: frozenset[int], lo: int, count: int) -> list[int]:
+    """|E ∩ [1, i]| for i = lo..lo + count - 1."""
+    marks = bytearray(count - 1)    # marks[j] = 1 when lo + 1 + j is in E
+    for x in e_set:
+        if lo < x < lo + count:
+            marks[x - lo - 1] = 1
+    return list(itertools.accumulate(marks, initial=sum(1 for x in e_set if x <= lo)))
+
+
 def banach_density(elements, n_hi: int, l_min: int = 1,
                    budget: Budget | None = None) -> Fraction:
     """max over windows n <= x < m inside [1, n_hi] with m - n >= l_min of
     |E ∩ [n, m)| / (m - n).
 
-    Only lengths l_min..2*l_min - 1 are scanned, by sliding: a longer window
-    splits into two of length at least l_min, one at least as dense as the
-    whole (Lin, Jiang & Chao, JCSS 2002).
+    Only lengths l_min..2*l_min - 1 are scanned: a longer window splits into
+    two of length at least l_min, one at least as dense as the whole (Lin,
+    Jiang & Chao, JCSS 2002).  A window [lo, lo + l) holds P(lo + l - 1) -
+    P(lo - 1) points of E, with P(i) = |E ∩ [1, i]|, so the scan reads P
+    only where a window starts, i in [0, n_hi - l_min], and where one ends,
+    i in [l_min, n_hi]: n_hi + 1 - l_min positions each, which leave a gap
+    in [0, n_hi] when 2*l_min > n_hi + 1.  Each length's best count is one
+    pass over the two prefix lists, and counts are compared by
+    cross-multiplication, so one Fraction is built at the end.
 
     This is the density of the best window of length at least l_min — a
     lower bound for the upper Banach density of any extension of E.
@@ -289,16 +304,15 @@ def banach_density(elements, n_hi: int, l_min: int = 1,
     longest = min(2 * l_min - 1, n_hi)
     lengths = longest - l_min + 1   # a length-l window starts at 1..n_hi + 1 - l
     (budget or Budget()).charge(lengths * (n_hi + 1) - (l_min + longest) * lengths // 2)
-    has = e_set.__contains__
-    first = sum(1 for x in e_set if x < l_min)
-    best = Fraction(0)
+    span = n_hi + 1 - l_min         # the windows of length l_min
+    starts = _prefix_counts(e_set, 0, span)       # P(0..n_hi - l_min)
+    ends = _prefix_counts(e_set, l_min, span)     # P(l_min..n_hi)
+    best, best_length = 0, 1
     for length in range(l_min, longest + 1):
-        first += has(length)   # |E ∩ [1, 1 + length)|
-        # sliding [lo, lo + length) one step gains lo + length and loses lo
-        slides = map(operator.sub, map(has, range(1 + length, n_hi + 1)),
-                     map(has, range(1, n_hi + 1 - length)))
-        best = max(best, Fraction(max(itertools.accumulate(slides, initial=first)), length))
-    return best
+        count = max(map(operator.sub, ends[length - l_min:], starts))
+        if count * best_length > best * length:
+            best, best_length = count, length
+    return Fraction(best, best_length)
 
 
 def furstenberg_check(elements, n_hi: int, shifts,

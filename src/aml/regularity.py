@@ -593,12 +593,15 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
     if not pattern.edges:
         raise RegularityError("a pattern without edges has copies no edge removal can destroy")
     budget = budget or Budget()
-    copy_sets = [used for _, used in _pattern_maps(pattern, host, budget)]
-    before = len(copy_sets)
+    copy_sets: set[frozenset] = set()   # distinct copies, kept as they are found
+    before = 0
+    for _, used in _pattern_maps(pattern, host, budget):
+        copy_sets.add(used)
+        before += 1
     if not before:
         return RemovalResult(frozenset(), "none", 0, 0,
                              None if eps is None else True)
-    unique = sorted(set(copy_sets), key=lambda s: sorted(map(sorted, s)))
+    unique = sorted(copy_sets, key=lambda s: sorted(map(sorted, s)))
     if before <= BB_CAP:
         removed = _min_hitting_set(unique, budget)
         method = "branch-and-bound"

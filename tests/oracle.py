@@ -11,6 +11,11 @@ value of x_{k+1} for each edge family and counter.  ``greedy_hitting_set_by_reco
 is the reference for the greedy hitting set: each round recounts and resorts
 every edge of the constraints not yet hit.  ``tokenize_by_characters``
 is the reference for the regex tokenizer: it reads one character at a time.
+``gowers_cube_by_terms`` is the reference for the cube form of the Gowers
+power: it forms the 2^k-corner product of every (x, h_1..h_k) term one by
+one.  ``banach_density_by_slides`` is the reference for the window scan: it
+slides every window of each length one step at a time over set lookups and
+keeps the best density as a Fraction.
 
 The rest are references and generators that only the tests use:
 ``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
@@ -20,14 +25,15 @@ cylinder-restricted box norms.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
-from aml.gowers import GowersError, GridFunction, gowers_box_pow
+from aml.gowers import AbelianGroup, GowersError, GridFunction, gowers_box_pow
 from aml.parser import ParseError, SourceSpan, Token
 from aml.regularity import APEncoding, Graph, Hypergraph, RegularityError, _ap_vertex
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
-from aml.structures import FiniteStructure, VFlag, tuple_index
+from aml.structures import FiniteStructure, VFlag, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
                         Implies, Meas, Not, Or, Term, Var)
 
@@ -184,6 +190,43 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
 
     return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
                       direct, copy_count == direct)
+
+
+def gowers_cube_by_terms(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
+    """||g||^{2^k} as the cube average over x and h_1..h_k, each term the
+    product of its 2^k corner values."""
+    gi, denom = integer_table(g.values)
+    add = group.table
+    n = group.n
+    total = 0
+    for x in range(n):
+        for hs in itertools.product(range(n), repeat=k):
+            corners = [x]
+            for h in hs:
+                row_h = add[h]
+                corners += [row_h[c] for c in corners]
+            prod = 1
+            for c in corners:
+                prod *= gi[c]
+            total += prod
+    return Fraction(total, denom ** (1 << k) * n ** (k + 1))
+
+
+def banach_density_by_slides(elements, n_hi: int, l_min: int) -> Fraction:
+    """The best density over windows of lengths l_min..2*l_min - 1 inside
+    [1, n_hi], each length's windows slid one step at a time: a step gains
+    lo + length and loses lo."""
+    e_set = frozenset(elements)
+    has = e_set.__contains__
+    longest = min(2 * l_min - 1, n_hi)
+    first = sum(1 for x in e_set if x < l_min)
+    best = Fraction(0)
+    for length in range(l_min, longest + 1):
+        first += has(length)   # |E ∩ [1, 1 + length)|
+        slides = map(operator.sub, map(has, range(1 + length, n_hi + 1)),
+                     map(has, range(1, n_hi + 1 - length)))
+        best = max(best, Fraction(max(itertools.accumulate(slides, initial=first)), length))
+    return best
 
 
 def greedy_hitting_set_by_recount(constraint_sets: list[frozenset]) -> frozenset:

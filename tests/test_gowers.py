@@ -25,7 +25,7 @@ from aml.gowers import (
 )
 from aml.semantics import Budget
 from aml.structures import integer_table
-from oracle import box_multiplication_check, coordinate_support
+from oracle import box_multiplication_check, coordinate_support, gowers_cube_by_terms
 
 Z2 = AbelianGroup.cyclic(2)
 Z3 = AbelianGroup.cyclic(3)
@@ -130,6 +130,25 @@ def test_both_norm_forms_agree():
                 power = gowers_norm_pow(grp, f, k)
                 assert power == gowers_norm_pow_subst(grp, f, k)
                 assert power == gowers_norm_pow_derivative(grp, f, k)
+
+
+def test_cube_kernel_matches_the_term_by_term_cube_seeded():
+    # the kernel sums each block of n terms at once and skips blocks whose
+    # common corners vanish: zeros, negatives and wide denominators exercise
+    # the skip, the signs and the integer rescaling
+    rng = random.Random(20)
+    relabeled = AbelianGroup.from_table([[1, 0], [0, 1]])   # Z_2, identity at 1
+    groups = [AbelianGroup.cyclic(n) for n in range(1, 8)] + [KLEIN, relabeled]
+    dens = (1, 1, 2, 3, 7, 10 ** 6 + 3, 2 ** 61 - 1)
+    for grp in groups:
+        for k in (1, 2, 3, 4):
+            for _ in range(3 if grp.n ** (k + 1) < 5000 else 1):
+                vals = [Fraction(rng.choice((0, 0, 0, rng.randint(-9, 9))), rng.choice(dens))
+                        for _ in range(grp.n)]
+                f = GridFunction.from_values(vals, 1)
+                power = gowers_norm_pow(grp, f, k)
+                assert power == gowers_cube_by_terms(grp, f, k), (grp.n, k, vals)
+                assert power == gowers_norm_pow_derivative(grp, f, k), (grp.n, k, vals)
 
 
 def test_cube_form_charges_its_terms():

@@ -20,6 +20,7 @@ from aml.limits import (
 from aml.parser import ParseError, SourceSpan, parse_formula, parse_ints
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import FiniteStructure, VFlag
+from oracle import banach_density_by_slides
 
 CYCLIC = cyclic_family(1, 30)
 SIG = CYCLIC.signature
@@ -246,6 +247,9 @@ def test_window_scan_and_shift_check_charge_their_loops():
     assert budget.used == 3 + 2 + 1         # lengths 8..10, all shorter than 2 * 8
     # one window: no work proportional to the horizon beyond the windows
     assert banach_density([1], 10 ** 12, 10 ** 12, budget=Budget(1)) == Fraction(1, 10 ** 12)
+    # six lengths 10^12 - 5..10^12: 6 + 5 + ... + 1 windows, no matter the horizon
+    assert banach_density([1], 10 ** 12, 10 ** 12 - 5, budget=Budget(21)) == \
+        Fraction(1, 10 ** 12 - 5)
     budget = Budget()
     furstenberg_check([2, 4, 6, 8, 10], 10, [0, 2], budget=budget)
     assert budget.used == 10 * 2            # every point against every shift
@@ -267,6 +271,20 @@ def test_short_windows_match_the_full_scan_seeded():
         elements = [x for x in range(1, n_hi + 1) if rng.random() < p]
         assert banach_density(elements, n_hi, l_min) == \
             _banach_density_reference(elements, n_hi, l_min)
+
+
+def test_window_kernel_matches_the_slide_loop_seeded():
+    # horizons up to ~2,000, with l_min on both sides of (n_hi + 1) / 2: below
+    # it the start and end prefix ranges overlap, above it they are disjoint
+    rng = random.Random(20)
+    for i in range(24):
+        n_hi = rng.randint(1, 2000)
+        half = (n_hi + 1) // 2
+        l_min = rng.randint(1, max(1, half)) if i % 2 else rng.randint(min(half + 1, n_hi), n_hi)
+        p = rng.choice((0.0, 0.05, 0.3, 0.9, 1.0))
+        elements = [x for x in range(1, n_hi + 1) if rng.random() < p]
+        assert banach_density(elements, n_hi, l_min) == \
+            banach_density_by_slides(elements, n_hi, l_min), (n_hi, l_min, p)
 
 
 @given(st.integers(1, 30).flatmap(lambda n_hi: st.tuples(

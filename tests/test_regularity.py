@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -565,6 +566,26 @@ def test_greedy_removal_still_eliminates_all_copies(monkeypatch):
     assert r.method == "greedy"
     assert r.copies_after == 0
     assert len(r.removed) >= 2
+
+
+def test_removal_keeps_only_the_distinct_copies():
+    # K4 in K16: 43,680 labeled copies of 1,820 distinct edge sets.  Each copy
+    # is deduplicated as it is found, so the peak stays far below the ~60 MB
+    # a list of every labeled copy took; greedy leaves K_{8,4,4}, which has
+    # no K4
+    k16 = Hypergraph.from_edges(16, 2, list(itertools.combinations(range(16), 2)))
+    budget = Budget()
+    tracemalloc.start()
+    try:
+        r = remove_copies(K4, k16, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = (range(8), range(8, 12), range(12, 16))
+    assert r.removed == {frozenset(e) for b in blocks for e in itertools.combinations(b, 2)}
+    assert (r.method, r.copies_before, r.copies_after) == ("greedy", 43680, 0)
+    assert budget.used == 141992
+    assert peak < 10 * 2 ** 20
 
 
 def test_greedy_hitting_set_matches_the_recounting_reference():
