@@ -35,8 +35,8 @@ from typing import Callable
 
 from .semantics import Budget, Evaluator
 from .structures import FiniteStructure, index_tuple
-from .syntax import (And, Atom, Cmp, Const, Equality, Forall, Formula, Func, Implies, Meas,
-                     Not, Or, Signature, Var, free_vars)
+from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Forall, Formula, Func,
+                     Implies, Meas, Not, Or, Signature, Var, expand_abbrev, free_vars)
 
 
 class SideConditionError(ValueError):
@@ -76,13 +76,13 @@ def _need(cond: bool, scheme: str, reason: str) -> None:
 
 
 def _m(xs: tuple[str, ...], op: str, bound: Fraction, body: Formula) -> Formula:
-    """m[xs] op bound . body for op among <, <=, >=, >; the last two are the
-    negated core forms ~(m[xs] < bound . body) and ~(m[xs] <= bound . body)."""
+    """m[xs] op bound . body for op among <, <=, >=, >; the last two are
+    negated core forms, as syntax.expand_abbrev writes them."""
     if op == "<":
         return Meas(xs, Cmp.LT, bound, body)
     if op == "<=":
         return Meas(xs, Cmp.LE, bound, body)
-    return Not(Meas(xs, Cmp.LT if op == ">=" else Cmp.LE, bound, body))
+    return expand_abbrev(xs, AbbrevCmp(op), bound, body)
 
 
 # ---------------------------------------------------------------------------

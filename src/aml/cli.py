@@ -7,14 +7,16 @@ every call, then falls back to DEFAULT_BUDGET) and --format {text,records}.
 eval and limit also take --trace, check-axioms --seed.  The argument parser
 is built once per process.  main builds one Budget per run, and each layer
 charges it for its own enumeration just before running it (see
-semantics.Budget).  eval evaluates a formula at the --bind valuation, so
-eval --trace lists the measures decided at that valuation only (an inner
-measure once per assignment of its enclosing binders' variables), innermost
-first, and none in an operand skipped because the connective's left operand
-already decides it; measure, check-axioms and limit table each formula once
-over the variables they enumerate (see semantics.Evaluator).  Each
-subcommand imports its layer (axioms, gowers, limits, regularity) when it
-runs.
+semantics.Budget).  eval evaluates a formula at the --bind valuation (a
+name the formula does not use is ignored), so eval --trace lists the
+measures decided at that valuation only (an inner measure once per
+assignment of its enclosing binders' variables), innermost first, and none
+in an operand skipped because the connective's left operand already decides
+it; measure, check-axioms and limit table each formula once over the
+variables they enumerate (see semantics.Evaluator).  eval's summary states
+its formula's measure bound as written: under an odd number of leading '~'
+a < bound reads as >= and a <= bound as >.  Each subcommand imports its
+layer (axioms, gowers, limits, regularity) when it runs.
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
@@ -27,12 +29,16 @@ a word; it, or a file that is not UTF-8, exits 2 as "error: <path>: line <L>:
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
 and seed.  All reported comparisons are exact rationals, and the gowers power
-is printed in full even past the int-to-str digit limit; decimal renderings
-are display-only and labeled approx.
+and every measure mu are printed in full even past the int-to-str digit
+limit; decimal renderings are display-only and labeled approx.
 
-Exit codes: 0 success, 1 a checked property failed, 2 parse error (arguments
-or input files), 3 semantic error (unbound variable, out-of-range binding,
-mismatched signature), 4 enumeration budget exceeded.
+Exit codes, chosen in main by the type of the error alone: 0 success, 1 a
+checked property failed, 2 a bad argument or input file (stderr starts
+"error:"; a formula's ParseError, "parse error:"; argparse's own, "usage:"),
+3 a semantic error from a layer (unbound variable, out-of-range binding,
+mismatched signature; "semantic error:"), 4 enumeration budget exceeded
+("budget error:").  Exits 2-4 print nothing on stdout, and exits 0 and 1
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -60,9 +66,7 @@ _FLAG_DISPLAY = {VFlag.PLUS: "⊕", VFlag.MINUS: "⊖", VFlag.DOT: "⊙"}
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A bad argument or unreadable input file: exits 2 as "error: <message>"."""
 
 
 def _read_file(path: str) -> str:
@@ -70,9 +74,9 @@ def _read_file(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e}", EXIT_PARSE) from None
+        raise CliError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
-        raise CliError(f"{path}: not UTF-8 text: {e}", EXIT_PARSE) from None
+        raise CliError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _formula_arg(text: str) -> str:
@@ -86,8 +90,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad {what} {text!r}: expected a rational like 2/3",
-                       EXIT_PARSE) from None
+        raise CliError(f"bad {what} {text!r}: expected a rational like 2/3") from None
 
 
 def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
@@ -95,7 +98,7 @@ def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> li
     try:
         return [convert(w) for w in text.replace(",", " ").split()]
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad {what} {text!r}: expected {kind}", EXIT_PARSE) from None
+        raise CliError(f"bad {what} {text!r}: expected {kind}") from None
 
 
 def _element_set(args_e: str, what: str = "--E") -> set[int]:
@@ -116,7 +119,18 @@ def _parse_input(parse, path: str, **kwargs):
         return parse(text, **kwargs)
     except ParseError as e:
         line = max(1, len(text[:e.span.start + 1].splitlines()))
-        raise CliError(f"{path}: line {line}: {e.message}", EXIT_PARSE) from None
+        raise CliError(f"{path}: line {line}: {e.message}") from None
+
+
+def _exact(value) -> str:
+    """str(value) past the interpreter's int-to-str digit limit: an exact
+    result is charged to the budget, so it is printed in full."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class _Out:
@@ -145,7 +159,9 @@ def _load_structure(path: str, budget: Budget) -> FiniteStructure:
     return _parse_input(parse_structure, path, budget=budget)
 
 
-def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
+def _parse_bindings(text: str | None) -> dict[str, int]:
+    """The --bind pairs name=element; the evaluator checks the elements of
+    the names the formula uses, and ignores the rest."""
     if not text:
         return {}
     val: dict[str, int] = {}
@@ -155,14 +171,11 @@ def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
             continue
         name, eq, value = piece.partition("=")
         if not eq:
-            raise CliError(f"bad binding {piece!r}: expected name=element", EXIT_PARSE)
+            raise CliError(f"bad binding {piece!r}: expected name=element")
         try:
             elem = int(value)
         except ValueError:
-            raise CliError(f"bad binding value {value!r}", EXIT_PARSE) from None
-        if not 0 <= elem < m.n:
-            raise CliError(f"binding {name}={elem} outside universe 0..{m.n - 1}",
-                           EXIT_SEMANTIC)
+            raise CliError(f"bad binding value {value!r}") from None
         val[name.strip()] = elem
     return val
 
@@ -174,20 +187,22 @@ def _parse_bindings(text: str | None, m: FiniteStructure) -> dict[str, int]:
 def _cmd_eval(args, out: _Out, budget: Budget) -> int:
     m = _load_structure(args.structure, budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
-    val = _parse_bindings(args.bind, m)
+    val = _parse_bindings(args.bind)
     trace: list = []
     verdict = Evaluator(m, budget=budget, trace=trace).eval(phi, val)
     out.record("verdict", verdict)
-    root = phi.body if isinstance(phi, Not) else phi
+    root, negated = phi, False
+    while isinstance(root, Not):
+        root, negated = root.body, not negated
     summary = "true" if verdict else "false"
     if isinstance(root, Meas):
         top = trace[-1]  # the root measure is decided last
         cmp = top.cmp.value
-        if root is not phi:  # ~(m < q) reads as m >= q, ~(m <= q) as m > q
+        if negated:  # ~(m < q) reads as m >= q, ~(m <= q) as m > q
             cmp = (AbbrevCmp.GE if top.cmp is Cmp.LT else AbbrevCmp.GT).value
-        summary += (f" (mu = {top.mu}, {cmp} {top.threshold}, "
-                    f"flag {_FLAG_DISPLAY[top.flag]})")
-        out.record("mu", top.mu)
+        mu = _exact(top.mu)
+        summary += f" (mu = {mu}, {cmp} {top.threshold}, flag {_FLAG_DISPLAY[top.flag]})"
+        out.record("mu", mu)
         out.record("cmp", cmp)
         out.record("threshold", top.threshold)
         out.record("flag", top.flag.value)
@@ -195,7 +210,7 @@ def _cmd_eval(args, out: _Out, budget: Budget) -> int:
     if args.trace:
         for i, entry in enumerate(trace):
             line = (f"m[{','.join(entry.vars)}] {entry.cmp.value} {entry.threshold}: "
-                    f"count {entry.count}, mu = {entry.mu}, flag "
+                    f"count {entry.count}, mu = {_exact(entry.mu)}, flag "
                     f"{_FLAG_DISPLAY[entry.flag]} -> {str(entry.verdict).lower()}")
             out.text(f"  trace {i}: {line}")
             out.record(f"trace.{i}", line)
@@ -212,10 +227,9 @@ def _cmd_measure(args, out: _Out, budget: Budget) -> int:
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     xs = _tuple_vars(args.vars, phi)
     if not xs:
-        raise CliError("formula is closed; nothing to measure over "
-                       "(use eval instead)", EXIT_SEMANTIC)
+        raise EvalError("formula is closed; nothing to measure over (use eval instead)")
     ext = extension(m, phi, xs, budget=budget)
-    mu = measure(ext)
+    mu = _exact(measure(ext))
     out.text(f"mu = {mu} (count {len(ext)} of {m.n ** len(xs)})")
     out.record("mu", mu)
     out.record("count", len(ext))
@@ -237,9 +251,9 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
         else:
             raise CliError(
                 f"unknown scheme {name!r}: expected group "
-                f"{'/'.join(axioms.GROUPS)} or scheme id", EXIT_PARSE)
+                f"{'/'.join(axioms.GROUPS)} or scheme id")
     if not chosen:
-        raise CliError("empty scheme selection", EXIT_PARSE)
+        raise CliError("empty scheme selection")
     return tuple(chosen)
 
 
@@ -247,7 +261,7 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     from . import axioms
     schemes = _parse_schemes(args.schemes)
     if args.count < 0:
-        raise CliError(f"--count must be nonnegative, got {args.count}", EXIT_PARSE)
+        raise CliError(f"--count must be nonnegative, got {args.count}")
     ms = [_load_structure(path, budget) for path in args.structures]
     share = [args.count // len(ms) + (i < args.count % len(ms)) for i in range(len(ms))]
     held = total = 0
@@ -298,27 +312,16 @@ def _load_group(spec: str, order: int, budget: Budget):
         try:
             n, entries = int(low[1:]), None
         except ValueError:  # more digits than the interpreter converts
-            raise CliError(f"bad group z<n>: an order of {len(low) - 1} digits is too long",
-                           EXIT_PARSE) from None
+            raise CliError(
+                f"bad group z<n>: an order of {len(low) - 1} digits is too long") from None
     else:
         n, *entries = _parse_input(_group_table, spec)
     if order != n:
-        raise CliError(f"--g needs {n} values for this group", EXIT_SEMANTIC)
+        raise gowers.GowersError(f"--g needs {n} values for this group")
     if entries is None:
         return gowers.AbelianGroup.cyclic(n, budget=budget)
     return gowers.AbelianGroup.from_table([entries[i * n:(i + 1) * n] for i in range(n)],
                                           budget=budget)
-
-
-def _exact(value) -> str:
-    """str(value) past the interpreter's int-to-str digit limit: an exact
-    result is charged to the budget, so it is printed in full."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
@@ -420,7 +423,7 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
                           loader=lambda path: _parse_input(parse_ints, os.path.join(base, path)))
     if bool(args.sentence) == bool(args.phi):
         raise CliError("need exactly one of --sentence (truth profile) or "
-                       "--phi with --target (limit measure)", EXIT_PARSE)
+                       "--phi with --target (limit measure)")
     if args.sentence:
         sigma = parse_formula(_formula_arg(args.sentence), family.signature)
         prof = limits.truth_profile(family, sigma, slack=args.slack, budget=budget)
@@ -434,7 +437,7 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
                 out.text(f"  index {i}: {str(v).lower()}")
         return EXIT_OK
     if args.target is None:
-        raise CliError("--phi needs --target", EXIT_PARSE)
+        raise CliError("--phi needs --target")
     phi = parse_formula(_formula_arg(args.phi), family.signature)
     xs = _tuple_vars(args.vars, phi)
     target = _parse_rational(args.target, "--target")
@@ -584,24 +587,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    limit = args.budget
-    if limit is None:  # AML_BUDGET is read on every call
+def _budget(limit: int | None) -> Budget:
+    """The run's Budget: --budget, else AML_BUDGET (read on every call), else
+    DEFAULT_BUDGET."""
+    if limit is None:
         try:
             limit = int(os.environ.get("AML_BUDGET", DEFAULT_BUDGET))
         except ValueError:
             limit = 0
     if limit <= 0:
-        print("error: budget must be a positive integer "
-              "(check --budget / AML_BUDGET)", file=sys.stderr)
-        return EXIT_PARSE
+        raise CliError("budget must be a positive integer (check --budget / AML_BUDGET)")
+    return Budget(limit)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     out = _Out(args.format)
     try:
-        code = args.func(args, out, Budget(limit))
+        code = args.func(args, out, _budget(args.budget))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return EXIT_PARSE
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

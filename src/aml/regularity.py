@@ -133,13 +133,6 @@ class RegularityVerdict:
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     witness_density: Fraction | None = None
 
-    def describe(self) -> str:
-        if self.regular:
-            return "regular"
-        a, b = self.witness
-        return (f"irregular: witness V={list(a)}, V'={list(b)} with "
-                f"d(V,V')={self.witness_density} vs d(U,U')={self.base_density}")
-
 
 def validate_witness(g: Graph, part_u, part_v, eps: Fraction,
                      witness) -> bool:

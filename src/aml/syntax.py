@@ -210,7 +210,7 @@ def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: AbbrevCmp,
     m[xs] >  q . body  becomes  ~ m[xs] <= q . body
     """
     inner = Cmp.LT if cmp is AbbrevCmp.GE else Cmp.LE
-    return Not(Meas(tuple(vars), inner, Fraction(threshold), body))
+    return Not(Meas(tuple(vars), inner, threshold, body))  # Meas coerces the threshold
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,20 @@ def test_eval_negated_measure_shows_the_answered_comparison(capsys):
     assert out == "verdict=false\nmu=1/4\ncmp=>\nthreshold=1/4\nflag=.\n"
 
 
+@pytest.mark.parametrize("formula, verdict, cmp", [
+    ("~(m[x] > 1/2 . x = e)", "true", "<="),
+    ("~(m[x] >= 1/2 . x = e)", "true", "<"),
+    ("~~(m[x] < 1/2 . x = e)", "true", "<"),
+    ("~~~(m[x] <= 1/2 . x = e)", "false", ">"),
+])
+def test_eval_summary_reads_every_leading_negation(capsys, formula, verdict, cmp):
+    # each ~ flips the comparison shown, so the summary states what was decided
+    assert run(capsys, "eval", Z4, formula) == \
+        (0, f"{verdict} (mu = 1/4, {cmp} 1/2, flag ⊙)\n", "")
+    assert run(capsys, "eval", Z4, formula, "--format", "records") == \
+        (0, f"verdict={verdict}\nmu=1/4\ncmp={cmp}\nthreshold=1/2\nflag=.\n", "")
+
+
 def test_eval_with_binding(capsys):
     code, out, _ = run(capsys, "eval", Z4, "x = e", "--bind", "x=0")
     assert (code, out) == (0, "true\n")
@@ -129,9 +143,13 @@ def test_semantic_error_exits_3(capsys):
 
 
 def test_out_of_range_binding_exits_3(capsys):
-    code, _, err = run(capsys, "eval", Z4, "x = e", "--bind", "x=9")
-    assert code == 3
-    assert "outside universe" in err
+    assert run(capsys, "eval", Z4, "x = e", "--bind", "x=9") == \
+        (3, "", "semantic error: binding x=9 outside universe 0..3\n")
+
+
+def test_a_binding_the_formula_does_not_use_is_ignored(capsys):
+    # as evaluate ignores it: only the formula's free variables are checked
+    assert run(capsys, "eval", Z4, "e = e", "--bind", "z=9") == (0, "true\n", "")
 
 
 def test_budget_exhaustion_exits_4(capsys):
@@ -196,7 +214,7 @@ def test_formula_arguments_read_at_paths(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, code, err", [
     (["measure", Z4, "e = e"], 3,
-     "error: formula is closed; nothing to measure over (use eval instead)\n"),
+     "semantic error: formula is closed; nothing to measure over (use eval instead)\n"),
     (["limit", FAM], 2, "error: need exactly one of --sentence (truth profile) or "
                         "--phi with --target (limit measure)\n"),
     (["limit", FAM, "--sentence", "e = e", "--phi", "x = e"], 2,
@@ -514,13 +532,21 @@ def test_limit_charges_each_family_member(capsys, tmp_path):
     assert (code, out) == (4, "")
 
 
-def _exit_code(argv):
-    """main()'s exit code, with argparse's own exits read as codes too."""
+def _run_main(argv):
+    """main()'s exit code, stdout and stderr, with argparse's own exits read
+    as codes too."""
+    out, err = StringIO(), StringIO()
     try:
-        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-            return main(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     except SystemExit as e:
-        return e.code
+        code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# the first words of stderr for each error exit code
+_ERROR_PREFIXES = {2: ("error: ", "parse error: ", "usage: "), 3: ("semantic error: ",),
+                   4: ("budget error: ",)}
 
 
 _FORMULA_TOKENS = ["~", "(", ")", "&", "|", "->", "forall", "exists", "x", "y", "e",
@@ -627,14 +653,21 @@ _EVERY_SUBCOMMAND_ARGV = st.one_of(
 @example(["regularity", G16, "--eps", "1/4", "--cap", "0"])
 @settings(max_examples=200, deadline=None)
 def test_every_input_gets_a_contract_exit_code(tmp_path_factory, argv):
-    # codes 0-4 only: no traceback, and no exit 1 from a crash
+    # codes 0-4 only: no traceback, and no exit 1 from a crash; an error
+    # writes only stderr, under its code's prefix, and a result only stdout
     base = tmp_path_factory.getbasetemp()
     for i, arg in enumerate(argv):
         if isinstance(arg, tuple):
             path = base / f"fuzz{i}"
             (path.write_bytes if isinstance(arg[1], bytes) else path.write_text)(arg[1])
             argv[i] = str(path)
-    assert _exit_code(argv + ["--budget", "20000"]) in range(5)
+    code, out, err = _run_main(argv + ["--budget", "20000"])
+    assert code in range(5)
+    if code in _ERROR_PREFIXES:
+        assert out == ""
+        assert err.startswith(_ERROR_PREFIXES[code]), err
+    else:
+        assert err == ""
 
 
 # -- measure ------------------------------------------------------------------------
@@ -747,6 +780,28 @@ def test_a_power_too_long_for_the_digit_limit_is_printed_exactly(capsys, digit_l
     assert sys.get_int_max_str_digits() == digit_limit
 
 
+def test_a_measure_too_long_for_the_digit_limit_is_printed_exactly(capsys, tmp_path,
+                                                                    digit_limit):
+    # weights 1/10^h and 1, each within the limit: x = y over pairs measures
+    # (10^(2h) + 1)/10^(2h), whose numerator has more digits than the limit
+    h = digit_limit // 2 + 1
+    structure = tmp_path / "tiny.struct"
+    structure.write_text(f"universe 2\nmeasure weights 1/1{'0' * h} 1\n")
+    mu = f"1{'0' * (2 * h - 1)}1/1{'0' * (2 * h)}"
+    argv = ("measure", str(structure), "x = y", "--vars", "x,y")
+    assert run(capsys, *argv) == (0, f"mu = {mu} (count 2 of 4)\n", "")
+    assert run(capsys, *argv, "--format", "records") == \
+        (0, f"mu={mu}\ncount=2\ntuples=4\n", "")
+    argv = ("eval", str(structure), "m[x,y] <= 1 . x = y")
+    assert run(capsys, *argv, "--trace") == \
+        (0, f"false (mu = {mu}, <= 1, flag ⊙)\n"
+            f"  trace 0: m[x,y] <= 1: count 2, mu = {mu}, flag ⊙ -> false\n", "")
+    assert run(capsys, *argv, "--trace", "--format", "records") == \
+        (0, f"verdict=false\nmu={mu}\ncmp=<=\nthreshold=1\nflag=.\n"
+            f"trace.0=m[x,y] <= 1: count 2, mu = {mu}, flag ⊙ -> false\n", "")
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
 def test_records_are_formatted_when_recorded(digit_limit):
     # so that printing them, after main's error handling, cannot raise
     out = cli._Out("records")
@@ -758,12 +813,12 @@ def test_gowers_checks_the_values_before_building_a_table(capsys, monkeypatch, t
     built = []
     monkeypatch.setattr(gowers.AbelianGroup, "cyclic", staticmethod(built.append))
     code, out, err = run(capsys, "gowers", "z1000", "--g", "1", "--k", "1")
-    assert (code, out, err) == (3, "", "error: --g needs 1000 values for this group\n")
+    assert (code, out, err) == (3, "", "semantic error: --g needs 1000 values for this group\n")
     group = tmp_path / "klein.group"
     group.write_text("group 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n")
     monkeypatch.setattr(gowers.AbelianGroup, "from_table", staticmethod(built.append))
     code, out, err = run(capsys, "gowers", str(group), "--g", "1,-1", "--k", "1")
-    assert (code, out, err) == (3, "", "error: --g needs 4 values for this group\n")
+    assert (code, out, err) == (3, "", "semantic error: --g needs 4 values for this group\n")
     assert built == []
 
 

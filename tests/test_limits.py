@@ -324,16 +324,16 @@ def _no_e_file(path):
 
 def test_parse_cyclic_family():
     fam = parse_family("family cyclic 1 20 predicate E even", _no_e_file)
-    assert fam.kind == "cyclic"
     assert (fam.i_lo, fam.i_hi) == (1, 20)
     assert fam.at(4).relations["E"][1] == frozenset({(0,), (2,)})
+    assert fam.at(4).signature() == fam.signature
 
 
 def test_parse_interval_family_with_loader():
     fam = parse_family("family interval E.txt 2 6",
                        loader=lambda path: parse_ints("# odd numbers\n1 3  # small\n5\n"))
-    assert fam.kind == "interval"
     assert fam.at(5).relations["E"][1] == frozenset({(0,), (2,), (4,)})
+    assert fam.at(5).signature() == fam.signature
 
 
 def test_parse_family_errors():

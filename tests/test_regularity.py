@@ -122,7 +122,6 @@ def test_staircase_pair_is_irregular_with_frozen_witness():
     assert v.witness == ((0, 1), (10, 11))
     assert v.witness_density == 0
     assert validate_witness(HALF, LEFT, RIGHT, QUARTER, v.witness)
-    assert "irregular" in v.describe()
 
 
 def test_witness_validation_rules():
