@@ -12,15 +12,28 @@ A pair (U, U') is epsilon-regular when every V ⊆ U, V' ⊆ U' with
 d(X, Y) = #{(x, y) ∈ X×Y : {x,y} an edge} / (|X||Y|) counts ordered pairs.
 Every verdict is certified: "regular" by a degree-sequence certificate or
 the exhaustive search, "irregular" by a witness pair that re-validates alone.
-The certificate sorts the degrees once and reads each (|V|, |V'|) cell's
-bounds off prefix sums and count arrays, so a cell costs O(1).  A pair of
-parts too small to hold any proper qualifying subset is regular outright, and
-the partition survey settles it without a check.  Partition energies are one
-integer sum over a common denominator.
+With m = max(1, ⌈ε|U|⌉) and m' = max(1, ⌈ε|U'|⌉) the least qualifying sizes,
+both read only those sizes:
+
+1. The certificate reads the one cell (m, m').  Over |V||V'| its upper bound
+   on e(V, V') never rises as |V| or |V'| grows and its lower bound never
+   falls (top-s means of degrees never rise with s and bottom-s means never
+   fall; for a degree r, min(r, t)/t never rises with t and
+   max(0, r − |U'| + t)/t never falls), so that cell is the worst of all.
+2. The search finds the first witness in bitmask order among the m-subsets
+   of the smaller side alone, against the m'-prefix of the other side's
+   degree order: if (A, B) deviates, so does (A*, B) for the m vertices A*
+   of A with the most (or fewest) neighbours in B, and A* ⊆ A comes no later;
+   and top-m' (bottom-m') mean degrees never rise (fall) as m' grows.
+
+A pair of parts too small to hold any proper qualifying subset is regular
+outright, and the partition survey settles it without a check.  Partition
+energies are one integer sum over a common denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -108,22 +121,39 @@ def _mask_of(vertices) -> int:
     return m
 
 
+def _vertex_mask(g: Graph, vertices) -> int:
+    """The bitmask of ``vertices``, each checked to be a vertex of ``g``, none
+    repeated."""
+    try:
+        mask = _mask_of(vertices)
+    except ValueError:  # a negative shift count: a negative vertex
+        raise RegularityError(f"vertex {min(vertices)} out of range 0..{g.n - 1}") from None
+    if mask >> g.n:
+        raise RegularityError(f"vertex {mask.bit_length() - 1} out of range 0..{g.n - 1}")
+    if mask.bit_count() != len(vertices):
+        raise RegularityError("vertex sets must not repeat a vertex")
+    return mask
+
+
+def _degrees(g: Graph, side, mask: int) -> list[int]:
+    """The number of neighbours in ``mask`` of each vertex of ``side``."""
+    adj = g.adj
+    return [(adj[x] & mask).bit_count() for x in side]
+
+
 # ---------------------------------------------------------------------------
 # Density and epsilon-regularity
 
 
 def density(g: Graph, part_u, part_v) -> Fraction:
-    """d(U, U'): ordered-pair edge density between two vertex sets, each
-    nonempty and without a repeated vertex."""
+    """d(U, U'): ordered-pair edge density between two nonempty sets of
+    vertices of ``g``, each without a repeated vertex."""
     u = tuple(part_u)
     v = tuple(part_v)
     if not u or not v:
         raise RegularityError("density needs nonempty vertex sets")
-    mask_v = _mask_of(v)
-    if _mask_of(u).bit_count() != len(u) or mask_v.bit_count() != len(v):
-        raise RegularityError("density needs vertex sets without repeated vertices")
-    count = sum(g.degree_into(x, mask_v) for x in u)
-    return Fraction(count, len(u) * len(v))
+    _vertex_mask(g, u)
+    return Fraction(sum(_degrees(g, u, _vertex_mask(g, v))), len(u) * len(v))
 
 
 @dataclass(frozen=True)
@@ -155,89 +185,71 @@ def _least_qualifying(eps: Fraction, size: int) -> int:
     return max(1, -(-eps.numerator * size // eps.denominator))
 
 
-def _deviation_test(d_base: Fraction, eps: Fraction) -> tuple[int, int, int]:
-    """(scale, hi, lo) with e/c at least eps from d_base exactly when
+def _deviation_test(edges: int, cells: int, eps: Fraction) -> tuple[int, int, int]:
+    """(scale, hi, lo) with e/c at least eps from edges/cells exactly when
     scale·e >= hi·c or scale·e <= lo·c, in integers."""
-    dn, dd, p, q = d_base.numerator, d_base.denominator, eps.numerator, eps.denominator
-    return q * dd, q * dn + p * dd, q * dn - p * dd
+    p, q = eps.numerator, eps.denominator
+    return q * cells, q * edges + p * cells, q * edges - p * cells
 
 
-def _scan_extremes(g: Graph, sub_a: list[int], side_b: tuple[int, ...],
-                   m_min: int, test: tuple[int, int, int]):
-    """For a fixed left set A, find a right subset B (|B| >= m_min) whose
-    density against A deviates by >= eps from the base density of ``test``
-    (see :func:`_deviation_test`), if one exists.
-
-    For each size m the extreme densities are attained by the m vertices of
-    largest (resp. smallest) degree into A, so scanning prefixes of the
-    degree-sorted order is an exact search over all subsets of the right side.
-    """
-    mask_a, adj = _mask_of(sub_a), g.adj
-    by_deg = sorted([(-(adj[y] & mask_a).bit_count(), y) for y in side_b])
-    scale, hi_k, lo_k = test
-    hi = lo = 0
-    for m in range(1, len(side_b) + 1):
-        hi -= by_deg[m - 1][0]
-        lo -= by_deg[-m][0]
-        if m < m_min:
-            continue
-        cells = len(sub_a) * m
-        if scale * hi >= hi_k * cells:
-            return tuple(sorted(y for _, y in by_deg[:m])), Fraction(hi, cells)
-        if scale * lo <= lo_k * cells:
-            return tuple(sorted(y for _, y in by_deg[-m:])), Fraction(lo, cells)
-    return None
-
-
-def _prefix_and_counts(degrees: list[int], top: int):
-    """Prefix sums of ``degrees`` (sorted descending) and ge[x] = #{d >= x}
-    for x in 0..top + 1."""
-    ge = [0] * (top + 2)
-    for d in degrees:
-        ge[d] += 1
-    for x in range(top, -1, -1):
-        ge[x] += ge[x + 1]
-    return list(itertools.accumulate(degrees, initial=0)), ge
-
-
-def _degree_certificate(g: Graph, u: tuple[int, ...], v: tuple[int, ...], d_base: Fraction,
-                        eps: Fraction, m_min_u: int, m_min_v: int) -> bool:
-    """True when degree sequences prove (U, V) eps-regular: with r the degrees
-    of U into V and c those of V into U, any X ⊆ U, Y ⊆ V of sizes s, t have
+def _degree_certificate(rows: list[int], cols: list[int], s: int, t: int,
+                        test: tuple[int, int, int]) -> bool:
+    """True when degree sequences prove (U, U') eps-regular: with r the
+    degrees ``rows`` of U into U' and c the degrees ``cols`` of U' into U,
+    any X ⊆ U, Y ⊆ U' of sizes s, t have
     min(Σ top-s min(r, t), Σ top-t min(c, s)) >= e(X,Y) >=
-    max(Σ bottom-s max(0, r − (|V|−t)), Σ bottom-t max(0, c − (|U|−s))).
-    No witness exists if both bounds, over s·t, lie strictly within eps of
-    d_base for every qualifying (s, t); False leaves the pair undecided.
+    max(Σ bottom-s max(0, r − (|U'|−t)), Σ bottom-t max(0, c − (|U|−s))).
 
-    With r sorted descending, its prefix sums P and ge[x] = #{r >= x}, the
-    top-s sum is k·t + P[s] − P[k] for k = min(s, ge[t]), and the bottom-s
-    sum is P[h] − P[|U|−s] − (h − |U| + s)(|V|−t) for h = ge[|V|−t+1] when
-    h > |U| − s, else 0 (likewise for c), so each cell costs O(1)."""
-    a, b = len(u), len(v)
-    mask_u, mask_v = _mask_of(u), _mask_of(v)
-    rows = sorted((g.degree_into(x, mask_v) for x in u), reverse=True)
-    cols = sorted((g.degree_into(y, mask_u) for y in v), reverse=True)
-    row_sum, row_ge = _prefix_and_counts(rows, b)
-    col_sum, col_ge = _prefix_and_counts(cols, a)
-    scale, hi, lo = _deviation_test(d_base, eps)
-    for s in range(m_min_u, a + 1):
-        rs, rest_u, col_top_k = row_sum[s], a - s, col_ge[s]
-        col_low = col_ge[rest_u + 1]
-        for t in range(m_min_v, b + 1):
-            k = min(s, row_ge[t])
-            top = k * t + rs - row_sum[k]
-            k = min(t, col_top_k)
-            top = min(top, k * s + col_sum[t] - col_sum[k])
-            rest_v = b - t
-            h = row_ge[rest_v + 1]
-            bottom = row_sum[h] - row_sum[rest_u] - (h - rest_u) * rest_v if h > rest_u else 0
-            if col_low > rest_v:
-                bottom = max(bottom, col_sum[col_low] - col_sum[rest_v]
-                             - (col_low - rest_v) * rest_u)
-            cells = s * t
-            if scale * top >= hi * cells or scale * bottom <= lo * cells:
-                return False
-    return True
+    Over s·t the upper bound never rises as s or t grows (a top-s mean never
+    rises with s, nor does min(r, t)/t = min(r/t, 1) with t), and the lower
+    bound never falls (a bottom-s mean never falls with s, nor does
+    max(0, r − |U'| + t)/t = max(0, 1 − (|U'| − r)/t) with t).  So the cell of
+    the least qualifying sizes (s, t) decides every cell: no witness exists
+    when both its bounds lie strictly within eps of d(U, U') (``test``, see
+    :func:`_deviation_test`); False leaves the pair undecided."""
+    a, b = len(rows), len(cols)
+    rows, cols = sorted(rows, reverse=True), sorted(cols, reverse=True)
+    top = min(sum(min(r, t) for r in rows[:s]), sum(min(c, s) for c in cols[:t]))
+    bottom = max(sum(max(0, r - b + t) for r in rows[a - s:]),
+                 sum(max(0, c - a + s) for c in cols[b - t:]))
+    scale, hi, lo = test
+    return scale * top < hi * s * t and scale * bottom > lo * s * t
+
+
+def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
+                   m_l: int, m_r: int, test: tuple[int, int, int]):
+    """The first (A, B, d(A, B)) that deviates by ``test``, taking the
+    m_l-subsets A of ``left`` in increasing bitmask order and, for each, B the
+    m_r vertices of ``right`` of most degree into A, then those of least
+    (ties to the lesser vertex among the most, the greater among the least);
+    None if there is none.  Bit i of local[j] is set when right[j] is
+    adjacent to left[i], so a degree into A is one AND and a popcount."""
+    adj = g.adj
+    local = [0] * len(right)
+    for i, x in enumerate(left):
+        row, bit = adj[x], 1 << i
+        for j, y in enumerate(right):
+            if row >> y & 1:
+                local[j] |= bit
+    scale, hi, lo = test
+    cells = m_l * m_r
+    top_min = -(-hi * cells // scale)  # m_r degrees summing to at least this deviate up
+    bottom_max = lo * cells // scale   # and to at most this, down
+    bits, end = (1 << m_l) - 1, 1 << len(left)
+    while bits < end:
+        degrees = sorted([(row & bits).bit_count() for row in local])
+        top, bottom = sum(degrees[-m_r:]), sum(degrees[:m_r])
+        if top >= top_min or bottom <= bottom_max:
+            # a stable sort, reversed or not: equal degrees stay in vertex order
+            into = [(row & bits).bit_count() for row in local]
+            order = sorted(range(len(right)), key=into.__getitem__, reverse=True)
+            chosen, edges = (order[:m_r], top) if top >= top_min else (order[-m_r:], bottom)
+            return (tuple(x for i, x in enumerate(left) if bits >> i & 1),
+                    tuple(sorted(right[j] for j in chosen)), Fraction(edges, cells))
+        low = bits & -bits  # Gosper's step: the next larger mask with m_l bits
+        ripple = bits + low
+        bits = ripple | ((bits ^ ripple) >> 2) // low
+    return None
 
 
 def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
@@ -245,48 +257,58 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     """Check epsilon-regularity of (U, U') exactly.
 
     Charges the degree-sequence certificate's (s, t) cells times |U| + |U'|,
-    then tries it, unless a part is one vertex.  If it cannot settle the pair,
-    enumerates every qualifying subset pair (left side by bitmask, right side
-    by exact degree-prefix scan) and either certifies regularity or returns a
-    violating witness; both parts must be within ``exact_cap``.
+    then tries it (it reads one cell, see :func:`_degree_certificate`),
+    unless a part is one vertex.  If it cannot settle the pair, charges the
+    2^min(|U|, |U'|) subsets of the smaller side and returns the first
+    witness in their bitmask order, or certifies regularity when there is
+    none; both parts must be within ``exact_cap``.
+
+    Both read only the least qualifying sizes m = max(1, ⌈ε|U|⌉) and
+    m' = max(1, ⌈ε|U'|⌉).  (1) The certificate's bounds over s·t are monotone
+    in s and t, so the cell (m, m') is the worst one.  (2) The first witness
+    has exactly m and m' vertices, so only those sizes are searched
+    (:func:`_first_witness`): if (A, B) deviates by eps, so does (A*, B) for
+    A* the m vertices of A with the most (or the fewest) neighbours in B, and
+    A* is a sub-mask of A, so it comes no later; and for a fixed A the mean
+    degree into A of the top-m' (bottom-m') vertices of the other side never
+    rises (falls) as m' grows, so the least prefix deviates whenever a
+    longer one does.
     """
     eps = Fraction(eps)
-    if not 0 < eps < 1:
+    if not 0 < eps.numerator < eps.denominator:
         raise RegularityError("eps must be in (0,1)")
     u = tuple(sorted(part_u))
     v = tuple(sorted(part_v))
     if not u or not v:
         raise RegularityError("regularity check needs nonempty vertex sets")
-    if len(u) > exact_cap or len(v) > exact_cap:
+    a, b = len(u), len(v)
+    if a > exact_cap or b > exact_cap:
         raise RegularityError(f"exact check caps part sizes at {exact_cap}; "
-                              f"got {len(u)} and {len(v)}")
-    d_base = density(g, u, v)
-    m_min_u, m_min_v = _least_qualifying(eps, len(u)), _least_qualifying(eps, len(v))
+                              f"got {a} and {b}")
+    mask_u, mask_v = _vertex_mask(g, u), _vertex_mask(g, v)
+    rows = _degrees(g, u, mask_v)
+    edges = sum(rows)
+    m_u, m_v = _least_qualifying(eps, a), _least_qualifying(eps, b)
     budget = budget or Budget()
-    budget.charge((len(u) - m_min_u + 1) * (len(v) - m_min_v + 1) * (len(u) + len(v)))
-    # Enumerate subsets on the smaller side, scan the other exactly.  With one
-    # vertex there the certificate's bounds are exact, so its one scan decides
-    # the pair, charged its 2 subsets when the certificate would fail: on a witness.
-    left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
+    budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
+    d_base = Fraction(edges, a * b)
+    test = _deviation_test(edges, a * b, eps)
+    # Search subsets of the smaller side.  With one vertex there the
+    # certificate's bounds are exact, so the search decides the pair, charged
+    # its 2 subsets when the certificate would fail: on a witness.
+    swapped = a > b
+    left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
     if len(left) > 1:
-        if _degree_certificate(g, u, v, d_base, eps, m_min_u, m_min_v):
+        if _degree_certificate(rows, _degrees(g, v, mask_u), m_u, m_v, test):
             return RegularityVerdict(True, d_base)
         budget.charge(1 << len(left))  # one unit per subset
-    m_min_l = m_min_u if not swapped else m_min_v
-    m_min_r = m_min_v if not swapped else m_min_u
-    test = _deviation_test(d_base, eps)
-    for bits in range(1, 1 << len(left)):
-        if bits.bit_count() < m_min_l:
-            continue
-        sub = [x for i, x in enumerate(left) if bits >> i & 1]
-        found = _scan_extremes(g, sub, right, m_min_r, test)
-        if found:
-            if len(left) == 1:
-                budget.charge(2)
-            other, d_wit = found
-            wit = (other, tuple(sub)) if swapped else (tuple(sub), other)
-            return RegularityVerdict(False, d_base, wit, d_wit)
-    return RegularityVerdict(True, d_base)
+    found = _first_witness(g, left, right, m_l, m_r, test)
+    if found is None:
+        return RegularityVerdict(True, d_base)
+    if len(left) == 1:
+        budget.charge(2)
+    sub, other, d_wit = found
+    return RegularityVerdict(False, d_base, (other, sub) if swapped else (sub, other), d_wit)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +321,11 @@ def partition_energy(g: Graph, parts) -> Fraction:
 
     Each part's edge counts e(U_i, U_j) come from one pass over its vertices,
     and with L = lcm |U_i| the energy is Σ e² (L/|U_i|)(L/|U_j|) / (L n)²,
-    one integer sum."""
-    masks = [_mask_of(p) for p in parts]
+    one integer sum.  The parts must partition 0..n-1."""
+    masks = [_vertex_mask(g, p) for p in parts]
+    if not all(masks) or sum(map(len, parts)) != g.n \
+            or functools.reduce(operator.or_, masks) != (1 << g.n) - 1:
+        raise RegularityError(f"the parts do not partition 0..{g.n - 1}")
     lcm = math.lcm(*map(len, parts))
     scales = [lcm // len(p) for p in parts]
     total = 0

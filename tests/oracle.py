@@ -6,6 +6,10 @@ re-enumerates its tuples, and every measure sums one Fraction product weight
 per satisfying tuple.  ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
+``is_epsilon_regular_by_subsets`` is the reference for the pair check: the
+certificate over every cell, then ``regular_by_enumeration``, which tries
+every qualifying subset of the smaller side against every prefix length of
+the other side's degree order.
 ``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
 value of x_{k+1} for each edge family and counter.  ``greedy_hitting_set_by_recount``
 is the reference for the greedy hitting set: each round recounts and resorts
@@ -25,13 +29,15 @@ cylinder-restricted box norms.
 """
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
 
 from aml.gowers import AbelianGroup, GowersError, GridFunction, gowers_box_pow
 from aml.parser import ParseError, SourceSpan, Token
-from aml.regularity import APEncoding, Graph, Hypergraph, RegularityError, _ap_vertex
+from aml.regularity import (APEncoding, Graph, Hypergraph, RegularityError, RegularityVerdict,
+                            _ap_vertex)
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
@@ -104,6 +110,77 @@ def degree_certificate_by_scan(g: Graph, u, v, d_base: Fraction, eps: Fraction,
             if max(Fraction(top, cells) - d_base, d_base - Fraction(bottom, cells)) >= eps:
                 return False
     return True
+
+
+def _least_qualifying(eps: Fraction, size: int) -> int:
+    return max(1, math.ceil(eps * size))
+
+
+def _edges_between(g: Graph, xs, ys) -> int:
+    mask = sum(1 << y for y in ys)
+    return sum(g.degree_into(x, mask) for x in xs)
+
+
+def regular_by_enumeration(g: Graph, part_u, part_v, eps: Fraction) -> RegularityVerdict:
+    """The exact pair check without a certificate: every subset A of the
+    smaller side of at least its least qualifying size, in bitmask order,
+    against every prefix length m of at least the other side's least
+    qualifying size, with the other side ordered by degree into A (most first,
+    ties to the lesser vertex): first its top m vertices, up by eps or more,
+    then its bottom m, down by eps or more.  The first deviating pair is the
+    witness."""
+    u, v = tuple(sorted(part_u)), tuple(sorted(part_v))
+    base, base_cells = _edges_between(g, u, v), len(u) * len(v)
+    p, q = eps.numerator, eps.denominator
+    swapped = len(u) > len(v)
+    left, right = (v, u) if swapped else (u, v)
+    m_l, m_r = _least_qualifying(eps, len(left)), _least_qualifying(eps, len(right))
+    for bits in range(1, 1 << len(left)):
+        if bits.bit_count() < m_l:
+            continue
+        sub = tuple(x for i, x in enumerate(left) if bits >> i & 1)
+        mask = sum(1 << x for x in sub)
+        by_degree = sorted(right, key=lambda y: (-g.degree_into(y, mask), y))
+        degrees = [g.degree_into(y, mask) for y in by_degree]
+        for m in range(m_r, len(right) + 1):
+            cells = len(sub) * m
+            top, bottom = sum(degrees[:m]), sum(degrees[len(right) - m:])
+            # e/cells − base/base_cells >= p/q, cleared of denominators
+            if q * (top * base_cells - base * cells) >= p * cells * base_cells:
+                other, edges = by_degree[:m], top
+            elif q * (base * cells - bottom * base_cells) >= p * cells * base_cells:
+                other, edges = by_degree[len(right) - m:], bottom
+            else:
+                continue
+            other = tuple(sorted(other))
+            return RegularityVerdict(False, Fraction(base, base_cells),
+                                     (other, sub) if swapped else (sub, other),
+                                     Fraction(edges, cells))
+    return RegularityVerdict(True, Fraction(base, base_cells))
+
+
+def is_epsilon_regular_by_subsets(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
+                                  budget: Budget | None = None) -> RegularityVerdict:
+    """``aml.regularity.is_epsilon_regular`` with the same charges, reading
+    every cell and every subset: the certificate over all qualifying (s, t)
+    cells (``degree_certificate_by_scan``) unless a part is one vertex, then
+    ``regular_by_enumeration``.  Takes valid parts; ``exact_cap`` is only
+    accepted."""
+    eps = Fraction(eps)
+    u, v = tuple(sorted(part_u)), tuple(sorted(part_v))
+    a, b = len(u), len(v)
+    m_u, m_v = _least_qualifying(eps, a), _least_qualifying(eps, b)
+    budget = budget or Budget()
+    budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
+    if min(a, b) > 1:
+        d_base = Fraction(_edges_between(g, u, v), a * b)
+        if degree_certificate_by_scan(g, u, v, d_base, eps, m_u, m_v):
+            return RegularityVerdict(True, d_base)
+        budget.charge(1 << min(a, b))
+    verdict = regular_by_enumeration(g, u, v, eps)
+    if min(a, b) == 1 and not verdict.regular:
+        budget.charge(2)
+    return verdict
 
 
 def partition_energy_by_fractions(g: Graph, parts) -> Fraction:

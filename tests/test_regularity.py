@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from aml.regularity import (
     RegularityError,
     RegularityVerdict,
     _degree_certificate,
+    _deviation_test,
     _pattern_maps,
     ap_encode,
     count_copies,
@@ -33,7 +35,8 @@ from aml.regularity import (
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
 from oracle import (ap_encode_by_scan, degree_certificate_by_scan,
-                    greedy_hitting_set_by_recount, partition_energy_by_fractions)
+                    greedy_hitting_set_by_recount, is_epsilon_regular_by_subsets,
+                    partition_energy_by_fractions, regular_by_enumeration)
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +108,36 @@ def test_density_rejects_repeated_vertices():
         is_epsilon_regular(HALF, (0, 0, 1), RIGHT, QUARTER)
 
 
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("check, vertex", [
+    (lambda: density(PATH4, (0, 1), (2, 7)), 7),
+    (lambda: density(PATH4, (-1, 1), (2, 3)), -1),
+    (lambda: is_epsilon_regular(PATH4, (0, 9), (1, 2), QUARTER), 9),
+    (lambda: is_epsilon_regular(PATH4, (0, -1), (1, 2), QUARTER), -1),
+    (lambda: is_epsilon_regular(PATH4, (0, 1), (2, 4), QUARTER), 4),
+], ids=["density-past-n", "density-negative", "pair-past-n", "pair-negative", "pair-n"])
+def test_vertices_out_of_range_are_named(check, vertex):
+    # 7 counted as a non-neighbour (density 1/4), 9 raised IndexError and -1
+    # ValueError: negative shift count
+    with pytest.raises(RegularityError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
+        check()
+
+
+@pytest.mark.parametrize("parts, message", [
+    ([(0, 1), (2, 3), ()], r"the parts do not partition 0\.\.3"),       # ZeroDivisionError
+    ([(0, 1), (1, 2, 3)], r"the parts do not partition 0\.\.3"),        # 37/144
+    ([(0, 1), (2,)], r"the parts do not partition 0\.\.3"),
+    ([(0, 0, 1), (2, 3)], r"vertex sets must not repeat a vertex"),    # 7/48
+    ([(0, 1), (2, 9)], r"vertex 9 out of range 0\.\.3"),              # IndexError
+    ([(0, 1), (2, -3)], r"vertex -3 out of range 0\.\.3"),
+], ids=["empty", "overlap", "missing", "repeat", "past-n", "negative"])
+def test_partition_energy_takes_only_partitions(parts, message):
+    with pytest.raises(RegularityError, match=f"^{message}$"):
+        partition_energy(PATH4, parts)
+
+
 # -- regular pairs -----------------------------------------------------------------
 
 def test_complete_bipartite_pair_is_regular():
@@ -165,7 +198,7 @@ def test_singleton_side_is_decided_by_its_one_scan():
     for u, v, swapped in (((0,), RIGHT, False), (RIGHT, (0,), True)):
         budget = Budget()
         verdict = is_epsilon_regular(HALF, u, v, QUARTER, budget=budget)
-        assert verdict == _regular_by_enumeration(HALF, u, v, QUARTER)
+        assert verdict == regular_by_enumeration(HALF, u, v, QUARTER)
         assert verdict.witness == (((6, 7), (0,)) if swapped else ((0,), (6, 7)))
         assert budget.used == 5 * 7 + 2
         with pytest.raises(BudgetExceeded):
@@ -179,47 +212,17 @@ def test_eps_out_of_range():
         is_epsilon_regular(C4, (0, 1), (2, 3), Fraction(3, 2))
 
 
-# The enumeration-only check with Fraction comparisons, as is_epsilon_regular
-# ran it before the degree certificate: the reference for the verdicts.
-
-def _scan_extremes_reference(g, sub_a, side_b, m_min, d_base, eps):
-    mask_a = sum(1 << x for x in sub_a)
-    la = len(sub_a)
-    by_deg = sorted(side_b, key=lambda v: (-g.degree_into(v, mask_a), v))
-    degs = [g.degree_into(v, mask_a) for v in by_deg]
-    prefix_hi = list(itertools.accumulate(degs))
-    prefix_lo = list(itertools.accumulate(reversed(degs)))
-    for m in range(max(m_min, 1), len(side_b) + 1):
-        d_top = Fraction(prefix_hi[m - 1], la * m)
-        if d_top - d_base >= eps:
-            return tuple(sorted(by_deg[:m])), d_top
-        d_bot = Fraction(prefix_lo[m - 1], la * m)
-        if d_base - d_bot >= eps:
-            return tuple(sorted(by_deg[len(side_b) - m:])), d_bot
-    return None
-
-
 def _m_min(eps, part):
     """The least qualifying subset size, max(1, ⌈eps·|part|⌉)."""
     return max(1, -(-eps.numerator * len(part) // eps.denominator))
 
 
-def _regular_by_enumeration(g, part_u, part_v, eps):
-    u, v = tuple(sorted(part_u)), tuple(sorted(part_v))
-    d_base = density(g, u, v)
-    m_min_u, m_min_v = _m_min(eps, u), _m_min(eps, v)
-    left, right, swapped = (u, v, False) if len(u) <= len(v) else (v, u, True)
-    m_min_l, m_min_r = (m_min_u, m_min_v) if not swapped else (m_min_v, m_min_u)
-    for bits in range(1, 1 << len(left)):
-        if bits.bit_count() < m_min_l:
-            continue
-        sub = tuple(left[i] for i in range(len(left)) if bits >> i & 1)
-        found = _scan_extremes_reference(g, sub, right, m_min_r, d_base, eps)
-        if found:
-            other, d_wit = found
-            return RegularityVerdict(False, d_base, (other, sub) if swapped else (sub, other),
-                                     d_wit)
-    return RegularityVerdict(True, d_base)
+def _certified(g, u, v, eps):
+    """The degree certificate of ``aml.regularity`` on (u, v): its one cell."""
+    rows = [g.degree_into(x, sum(1 << y for y in v)) for x in u]
+    cols = [g.degree_into(y, sum(1 << x for x in u)) for y in v]
+    return _degree_certificate(rows, cols, _m_min(eps, u), _m_min(eps, v),
+                               _deviation_test(sum(rows), len(u) * len(v), eps))
 
 
 def _pair_graph(rng, a, b, kind, same):
@@ -239,17 +242,21 @@ def _pair_graph(rng, a, b, kind, same):
     return Graph.from_edges(n, edges), u, u if same else tuple(range(a, a + b))
 
 
-EPS_CHOICES = (QUARTER, Fraction(1, 3), Fraction(1, 2))
+EPS_CHOICES = (Fraction(1, 2), Fraction(1, 3), QUARTER, Fraction(1, 5), Fraction(1, 8),
+               Fraction(2, 5), Fraction(3, 7), Fraction(1, 10))
 
 
 def _assert_matches_enumeration(g, u, v, eps):
     """The certificate never calls an irregular pair regular, and the full
-    check returns the reference's verdict, witness and witness density."""
-    certified = _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u),
-                                    _m_min(eps, v))
-    want = _regular_by_enumeration(g, u, v, eps)
+    check returns the enumeration's verdict, witness and witness density.
+    The enumeration's first witness has the least qualifying size on each
+    side, whatever the check does."""
+    certified = _certified(g, u, v, eps)
+    want = regular_by_enumeration(g, u, v, eps)
     assert not certified or want.regular
     assert is_epsilon_regular(g, u, v, eps) == want
+    if not want.regular:
+        assert tuple(map(len, want.witness)) == (_m_min(eps, u), _m_min(eps, v))
     return certified
 
 
@@ -260,7 +267,7 @@ def test_certificate_and_check_match_enumeration_seeded():
         a, b = rng.randint(1, 10), rng.randint(1, 10)
         kind = ("planted", "random")[case % 2]
         g, u, v = _pair_graph(rng, a, b, kind, same=case % 5 == 0)
-        certified += _assert_matches_enumeration(g, u, v, EPS_CHOICES[case % 3])
+        certified += _assert_matches_enumeration(g, u, v, EPS_CHOICES[case % 8])
     assert certified >= 20   # the certificate settles a good share of these pairs
 
 
@@ -270,6 +277,59 @@ def test_certificate_and_check_match_enumeration_seeded():
 def test_certificate_and_check_match_enumeration(a, b, kind, same, eps, rng):
     g, u, v = _pair_graph(rng, a, b, kind, same)
     _assert_matches_enumeration(g, u, v, eps)
+
+
+def _assert_matches_the_subset_oracle(g, u, v, eps):
+    """Verdict, witness, witness density and charge as the all-cells,
+    all-subsets check has them."""
+    want_budget, got_budget = Budget(), Budget()
+    want = is_epsilon_regular_by_subsets(g, u, v, eps, budget=want_budget)
+    assert (is_epsilon_regular(g, u, v, eps, budget=got_budget), got_budget.used) == \
+        (want, want_budget.used)
+    return want.regular
+
+
+def test_pair_check_matches_the_subset_oracle_seeded():
+    rng = random.Random(22)
+    regular = 0
+    for case in range(2400):
+        a, b = (15, rng.randint(12, 15)) if case % 397 == 0 else \
+            (rng.randint(1, 12), rng.randint(1, 12))
+        g, u, v = _pair_graph(rng, a, b, ("planted", "random")[case % 2],
+                              same=case % 5 == 0)
+        regular += _assert_matches_the_subset_oracle(g, u, v, EPS_CHOICES[case % 8])
+    assert 600 <= regular <= 1800   # both verdicts are well represented
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(("planted", "random")),
+       st.booleans(), st.sampled_from(EPS_CHOICES), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_pair_check_matches_the_subset_oracle(a, b, kind, same, eps, rng):
+    g, u, v = _pair_graph(rng, a, b, kind, same)
+    _assert_matches_the_subset_oracle(g, u, v, eps)
+
+
+def test_partition_is_unchanged_with_the_subset_oracle(monkeypatch):
+    rng = random.Random(23)
+    runs = []
+    for case in range(8):
+        n = rng.randint(10, 30)
+        g = Graph.from_edges(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                                 if rng.random() < (0.15, 0.5, 0.85)[case % 3]])
+        runs.append((g, (Fraction(1, 3), QUARTER)[case % 2], rng.randint(5, 10)))
+
+    def partitions():
+        results = []
+        for g, eps, cap in runs:
+            budget = Budget()
+            results.append((regularity_partition(g, eps, exact_cap=cap, budget=budget),
+                            budget.used))
+        return results
+
+    got = partitions()
+    monkeypatch.setattr(regularity, "is_epsilon_regular", is_epsilon_regular_by_subsets)
+    assert got == partitions()
+    assert max(res.rounds for res, _ in got) > 0   # some runs refine their parts
 
 
 def _certified_by_scan(g, u, v, eps):
@@ -287,7 +347,7 @@ def test_certificate_matches_the_cell_by_cell_scan_seeded():
         a, b = rng.randint(1, 14), rng.randint(1, 14)
         g, u, v = _pair_graph(rng, a, b, ("planted", "random")[case % 2], same=case % 3 == 0)
         eps = CERTIFICATE_EPS[case % 5]
-        got = _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u), _m_min(eps, v))
+        got = _certified(g, u, v, eps)
         assert got == _certified_by_scan(g, u, v, eps), (case, a, b, eps)
         certified += got
     assert 50 <= certified <= 350   # both verdicts are well represented
@@ -298,8 +358,26 @@ def test_certificate_matches_the_cell_by_cell_scan_seeded():
 @settings(max_examples=100, deadline=None)
 def test_certificate_matches_the_cell_by_cell_scan(a, b, kind, same, eps, rng):
     g, u, v = _pair_graph(rng, a, b, kind, same)
-    assert _degree_certificate(g, u, v, density(g, u, v), eps, _m_min(eps, u),
-                               _m_min(eps, v)) == _certified_by_scan(g, u, v, eps)
+    assert _certified(g, u, v, eps) == _certified_by_scan(g, u, v, eps)
+
+
+def test_a_twenty_vertex_pair_is_searched_at_its_least_sizes():
+    # complete between the halves, 10% of the pairs flipped: regular at
+    # eps = 1/3, and the certificate leaves it open, so the check reads the
+    # C(20, 7) = 77,520 seven-subsets of the left half, charged as all 2^20
+    # subsets; a search over every subset would take seconds
+    rng = random.Random(3)
+    g = Graph.from_edges(40, [(x, y) for x in range(20) for y in range(20, 40)
+                              if rng.random() >= 0.1])
+    u, v, eps = range(20), range(20, 40), Fraction(1, 3)
+    assert not _certified(g, tuple(u), tuple(v), eps)
+    budget = Budget()
+    start = time.perf_counter()
+    verdict = is_epsilon_regular(g, u, v, eps, exact_cap=20, budget=budget)
+    elapsed = time.perf_counter() - start
+    assert verdict.regular
+    assert budget.used == 14 * 14 * 40 + (1 << 20) == 1_056_416
+    assert elapsed < 2.0
 
 
 def test_certified_pairs_charge_no_subsets():
