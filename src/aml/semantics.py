@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .structures import DefinableSet, FiniteStructure, VFlag, fiber_counts, fiber_sums
 from .syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
@@ -117,6 +118,12 @@ def _bits(truths) -> int:
     return int(bytes(truths)[::-1].translate(_ASCII01), 2)
 
 
+def _are_vars(args: tuple[Term, ...], own: tuple[str, ...]) -> bool:
+    """Whether ``args`` are exactly the variables ``own``, in order."""
+    return len(args) == len(own) and all(
+        type(a) is Var and a.name == v for a, v in zip(args, own))
+
+
 def _repeat_blocks(digits: str, block: int, count: int) -> str:
     """Each ``block``-digit run of ``digits`` (a table written most significant
     bit first) repeated ``count`` times in place."""
@@ -148,13 +155,20 @@ class Evaluator:
     A subformula evaluated in a context (a tuple of distinct variables) is a
     table: an int bitset over the context's assignments, in the lexicographic
     order of ``DefinableSet``.  Atoms enumerate only their own variables and
-    are broadcast to the context by block replication; connectives are bit
-    operations, and ``&``, ``|`` and ``->`` table their right operand only
-    when their left one leaves a row undecided: not when it is 0 under ``&``
-    and ``->``, nor full under ``|``.  A skipped operand is neither charged,
-    traced nor checked against the structure.  A binder is tabled over its
-    free variables (in context order) followed by its bound ones, so its
-    body's fibers are contiguous blocks: a quantifier folds each fiber, a
+    are broadcast to the context by block replication.  An atom's rows are
+    read by index: each row's argument index is computed by C-level maps over
+    the argument columns and tested against the relation's member indices
+    (``FiniteStructure.relation_indices``), and when the arguments are
+    exactly the own variables in context order, the atom reads the
+    relation's index set or the function's result table whole.  So an atom
+    builds nothing larger than its own table or the relation, whatever the
+    relation's arity: ``T(x, x, x)`` reads n rows, never n^3.  Connectives
+    are bit operations, and ``&``, ``|`` and ``->`` table their right operand
+    only when their left one leaves a row undecided: not when it is 0 under
+    ``&`` and ``->``, nor full under ``|``.  A skipped operand is neither
+    charged, traced nor checked against the structure.  A binder is tabled
+    over its free variables (in context order) followed by its bound ones, so
+    its body's fibers are contiguous blocks: a quantifier folds each fiber, a
     measure sums each fiber's product weights as integers.  The innermost
     binder of a name wins.
 
@@ -265,10 +279,13 @@ class Evaluator:
             return bits
         n = self.m.n
         if ctx[len(ctx) - len(own):] == own:
-            # the missing variables are outermost: the whole table repeats,
-            # once per block of a repunit in base 2^(n^|own|)
-            block = n ** len(own)
-            return bits * (((1 << n ** len(ctx)) - 1) // ((1 << block) - 1))
+            # the missing variables are outermost: the whole table repeats.
+            # Each shift-and-OR doubles the copies; one mask trims the last.
+            block, size = n ** len(own), n ** len(ctx)
+            while block < size:
+                bits |= bits << block
+                block *= 2
+            return bits & ((1 << size) - 1)
         digits = format(bits, f"0{n ** len(own)}b")
         below = len(own)  # own variables after the current one
         for v in ctx:
@@ -278,13 +295,14 @@ class Evaluator:
                 digits = _repeat_blocks(digits, n ** below, n)
         return int(digits, 2)
 
-    def _values(self, t: Term, own: tuple[str, ...], env: dict[str, int]) -> list[int]:
-        """The value of ``t`` at every assignment of ``own``, in order."""
+    def _values(self, t: Term, own: tuple[str, ...], env: dict[str, int]):
+        """The value of ``t`` at every assignment of ``own``, in order, as an
+        iterable to be read once."""
         n = self.m.n
         size = n ** len(own)
         if isinstance(t, Var):
             if t.name in env:
-                return [env[t.name]] * size
+                return repeat(env[t.name], size)
             if t.name not in own:
                 raise EvalError(f"unbound variable {t.name!r}")
             run = n ** (len(own) - 1 - own.index(t.name))
@@ -294,7 +312,7 @@ class Evaluator:
             return column * (size // len(column))
         if isinstance(t, Const):
             try:
-                return [self.m.constants[t.name]] * size
+                return repeat(self.m.constants[t.name], size)
             except KeyError:
                 raise EvalError(f"unknown constant {t.name!r}") from None
         if isinstance(t, Func):
@@ -303,11 +321,21 @@ class Evaluator:
             arity, results = self.m.functions[t.name]
             if len(t.args) != arity:
                 raise EvalError(f"function {t.name!r} expects {arity} arguments")
-            index = self._values(t.args[0], own, env)
-            for a in t.args[1:]:
-                index = [i * n + b for i, b in zip(index, self._values(a, own, env))]
-            return list(map(results.__getitem__, index))
+            if _are_vars(t.args, own):  # the result table is the values
+                return results
+            return map(results.__getitem__, self._index(t.args, own, env))
         raise EvalError(f"not a term: {t!r}")
+
+    def _index(self, args: tuple[Term, ...], own: tuple[str, ...], env: dict[str, int]):
+        """The lexicographic index of the values of ``args`` (at least one)
+        at every assignment of ``own``, in order, as an iterable to be read
+        once: C-level maps over the argument columns."""
+        n = self.m.n
+        index = self._values(args[0], own, env)
+        for a in args[1:]:
+            index = map(operator.add, map(operator.mul, index, repeat(n)),
+                        self._values(a, own, env))
+        return index
 
     def _atom(self, phi: Equality | Atom, own: tuple[str, ...], env: dict[str, int]) -> int:
         if isinstance(phi, Equality):
@@ -315,12 +343,16 @@ class Evaluator:
                              self._values(phi.right, own, env)))
         if phi.name not in self.m.relations:
             raise EvalError(f"unknown relation {phi.name!r}")
-        arity, tuples = self.m.relations[phi.name]
+        arity, _ = self.m.relations[phi.name]
         if len(phi.args) != arity:
             raise EvalError(f"relation {phi.name!r} arity mismatch")
-        columns = [self._values(a, own, env) for a in phi.args]
-        rows = zip(*columns) if columns else [()] * self.m.n ** len(own)
-        return _bits(map(tuples.__contains__, rows))
+        members = self.m.relation_indices[phi.name]
+        if _are_vars(phi.args, own):  # the row index is the member index
+            rows = bytearray(self.m.n ** len(own))
+            for i in members:
+                rows[i] = 1
+            return _bits(rows)
+        return _bits(map(members.__contains__, self._index(phi.args, own, env)))
 
     def _measure(self, phi: Meas, body: int, fibers: int) -> int:
         """Bit j set iff the j-th fiber of ``body`` satisfies the bound."""

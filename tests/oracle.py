@@ -3,7 +3,11 @@
 ``naive_evaluate`` is the reference for the set-at-a-time evaluator: no
 memoization and no sharing, every connective recurses, every binder
 re-enumerates its tuples, and every measure sums one Fraction product weight
-per satisfying tuple.  ``degree_certificate_by_scan`` and
+per satisfying tuple.  ``atom_by_tuples`` is the reference for an atom's
+table: each row's argument tuple is tested against the relation's set of
+tuples.  ``broadcast_by_repunit`` is the reference for spreading a table
+over outer variables: one product with a repunit.
+``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
 ``is_epsilon_regular_by_subsets`` is the reference for the pair check: the
@@ -23,6 +27,7 @@ keeps the best density as a Fraction.
 
 The rest are references and generators that only the tests use:
 ``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
+``random_structure_over`` structures of a given size over any signature,
 ``check_probability`` is the probability sentence scheme, and
 ``box_multiplication_check`` the box-multiplication inequality of
 cylinder-restricted box norms.
@@ -41,7 +46,7 @@ from aml.regularity import (APEncoding, Graph, Hypergraph, RegularityError, Regu
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
-                        Implies, Meas, Not, Or, Term, Var)
+                        Implies, Meas, Not, Or, Signature, Term, Var)
 
 
 def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None = None) -> bool:
@@ -91,6 +96,23 @@ def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None 
                 mu += prod
         return meas_holds(phi.cmp, mu, phi.threshold, VFlag.DOT)
     raise EvalError(f"not a formula: {phi!r}")
+
+
+def atom_by_tuples(m: FiniteStructure, phi: Equality | Atom, ctx: tuple[str, ...],
+                   env: dict[str, int]) -> int:
+    """The table of the atom ``phi`` over ``ctx`` (``env`` binds its other
+    variables), one row at a time in lexicographic order: a relation atom
+    tests the row's argument tuple against the relation's tuples."""
+    truths = (naive_evaluate(m, phi, {**env, **dict(zip(ctx, row))})
+              for row in itertools.product(range(m.n), repeat=len(ctx)))
+    return sum(truth << i for i, truth in enumerate(truths))
+
+
+def broadcast_by_repunit(bits: int, block: int, size: int) -> int:
+    """The ``block``-bit table ``bits`` repeated to fill ``size`` bits, a
+    multiple of ``block``: one product with the repunit in base 2^block,
+    whose division and product take time quadratic in the table's size."""
+    return bits * (((1 << size) - 1) // ((1 << block) - 1))
 
 
 def degree_certificate_by_scan(g: Graph, u, v, d_base: Fraction, eps: Fraction,
@@ -335,6 +357,26 @@ def random_structure(rng: random.Random, n_max: int = 6) -> FiniteStructure:
             weights = tuple(Fraction(1, n) for _ in range(n))
     return FiniteStructure.checked(n, {"e": rng.randrange(n)}, {"f": (1, f_table)},
                                    {"P": (1, p), "R": (2, pairs)}, weights)
+
+
+def random_structure_over(rng: random.Random, sig: Signature, n: int,
+                          weighted: bool) -> FiniteStructure:
+    """A random n-element structure over ``sig``: uniform constants and
+    function tables, each tuple in each relation with probability 0.4, and
+    counting measure unless ``weighted`` (then random small nonnegative
+    weights, not all zero)."""
+    constants = {c: rng.randrange(n) for c in sig.constants}
+    functions = {f: (k, tuple(rng.randrange(n) for _ in range(n ** k)))
+                 for f, k in sig.functions}
+    relations = {r: (k, frozenset(t for t in itertools.product(range(n), repeat=k)
+                                  if rng.random() < 0.4))
+                 for r, k in sig.relations}
+    weights: tuple[Fraction, ...] = ()
+    if weighted:
+        weights = tuple(Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(n))
+        if not any(weights):
+            weights = (Fraction(1),) + weights[1:]
+    return FiniteStructure.checked(n, constants, functions, relations, weights)
 
 
 def check_probability(m: FiniteStructure, qs) -> bool:

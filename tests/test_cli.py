@@ -118,6 +118,24 @@ def test_eval_skips_the_operand_its_left_side_decides(capsys):
         assert err.startswith("parse error:"), formula
 
 
+def test_an_atom_builds_no_more_than_its_own_table(capsys, tmp_path):
+    # T(x, x, x) over 2000 elements is charged 2000 units; a table of T over
+    # all of M^3 would take 8 * 10^9 bits
+    structure = tmp_path / "t2000.struct"
+    structure.write_text("universe 2000\nrelation T 3\n0 1 2\n5 5 5\nend\n")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", str(structure), "m[x] <= 1/2 . T(x, x, x)")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "true (mu = 1/2000, <= 1/2, flag ⊙)\n", "")
+    assert elapsed < 1
+    assert peak < 50 * 10 ** 6
+
+
 # -- exit codes ------------------------------------------------------------------
 
 def test_parse_error_exits_2(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from aml.structures import (DefinableSet, FiniteStructure, VFlag, fiber_sums, in
                             measure, tuple_index)
 from aml.syntax import (And, Atom, Cmp, Equality, Exists, Forall, Func, Implies, Meas, Not, Or,
                         Signature, Var, free_vars)
-from oracle import check_probability, naive_evaluate, random_structure
+from oracle import (atom_by_tuples, broadcast_by_repunit, check_probability, naive_evaluate,
+                    random_structure, random_structure_over)
 
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
@@ -472,16 +474,16 @@ def test_weighted_trace_counts_tuples_and_sums_weights():
 def _broadcast_reference(bits, own, ctx, n):
     """Bit i of the table over ``ctx`` is the bit of ``bits`` at the own
     variables' values in the i-th assignment of ``ctx``."""
-    out = 0
+    digits = []
     for i in range(n ** len(ctx)):
         value = dict(zip(ctx, index_tuple(i, n, len(ctx))))
-        out |= (bits >> tuple_index([value[v] for v in own], n) & 1) << i
-    return out
+        digits.append("01"[bits >> tuple_index([value[v] for v in own], n) & 1])
+    return int("".join(reversed(digits)) or "0", 2)
 
 
 def test_broadcast_matches_the_per_index_reference():
     # every ordered ctx of up to four variables and every own subsequence of
-    # it: own a suffix of ctx takes the repunit product, the rest the digit path
+    # it: own a suffix of ctx takes the doubling, the rest the digit path
     rng = random.Random(12)
     suffixes = others = 0
     for n in range(1, 5):
@@ -496,6 +498,24 @@ def test_broadcast_matches_the_per_index_reference():
                     assert ev._broadcast(bits, own, ctx) == \
                         _broadcast_reference(bits, own, ctx, n), (n, own, ctx)
     assert suffixes and others
+
+
+def test_broadcasts_at_size_match_the_references():
+    n = 48
+    rng = random.Random(48)
+    ev = Evaluator(FiniteStructure.checked(n))
+    pair, triple = rng.getrandbits(n ** 2), rng.getrandbits(n ** 3)
+    # a missing inner variable takes the digit path
+    assert ev._broadcast(pair, ("x", "y"), ("x", "y", "z")) == \
+        _broadcast_reference(pair, ("x", "y"), ("x", "y", "z"), n)
+    # missing outer variables take the doubling
+    assert ev._broadcast(pair, ("y", "z"), ("x", "y", "z")) == \
+        broadcast_by_repunit(pair, n ** 2, n ** 3)
+    start = time.perf_counter()
+    spread = ev._broadcast(triple, ("x", "y", "z"), ("a", "x", "y", "z"))
+    elapsed = time.perf_counter() - start
+    assert spread == broadcast_by_repunit(triple, n ** 3, n ** 4)
+    assert elapsed < 0.1  # the repunit product, quadratic, is hundreds of times slower
 
 
 def test_atom_tables_stay_with_their_structure_and_valuation():
@@ -593,3 +613,57 @@ def test_a_skipped_operand_is_not_checked():
     assert evaluate(Z4, And(contradiction, unknown), {"x": 0}) is False
     with pytest.raises(EvalError, match="unknown relation 'Q'"):
         evaluate(Z4, And(unknown, contradiction), {"x": 0})
+
+
+# -- atoms read their relation and function tables by index ------------------------------
+
+# A ternary relation and a binary function, beside the test signature's symbols.
+WIDE = Signature(constants=("e",), functions=(("f", 1), ("add", 2)),
+                 relations=(("P", 1), ("R", 2), ("T", 3)))
+# Arguments in context order, permuted, repeated, constant and nested; the
+# whole-table reads are R(x, y), T(x, y, z) and add(x, y) over (x, y) or (x, y, z).
+WIDE_ATOMS = ["R(x, y)", "R(y, x)", "R(x, x)", "R(e, x)", "R(e, e)", "P(z)", "P(f(z))",
+              "T(x, y, z)", "T(z, x, z)", "T(z, y, x)", "T(e, y, add(x, y))",
+              "R(add(x, y), y)", "R(f(add(y, x)), add(z, e))", "add(x, y) = e",
+              "add(y, x) = z", "f(x) = x", "x = y", "e = e"]
+WIDE_CONTEXTS = [("x", "y", "z"), ("z", "y", "x"), ("y", "x", "z"), ("x", "y"), ("y", "x"),
+                 ("x",), ()]
+
+
+def test_atoms_match_the_tuple_oracle_seeded():
+    rng = random.Random(2026)
+    for n in range(1, 9):
+        for weighted in (False, True):
+            m = random_structure_over(rng, WIDE, n, weighted)
+            ev = Evaluator(m)
+            atoms = [parse_formula(text, WIDE) for text in WIDE_ATOMS]
+            atoms += [random_formula(rng, ("x", "y", "z"), depth=0, sig=WIDE) for _ in range(12)]
+            for phi in atoms:
+                for ctx in WIDE_CONTEXTS:
+                    env = {v: rng.randrange(n) for v in "xyz" if v not in ctx}
+                    own = tuple(v for v in ctx if v in phi.free_variables)
+                    assert ev._atom(phi, own, env) == atom_by_tuples(m, phi, own, env), \
+                        (n, phi, own, env)
+                    assert ev.table(phi, ctx, env) == atom_by_tuples(m, phi, ctx, env), \
+                        (n, phi, ctx, env)
+
+
+def test_formulas_over_a_wide_signature_match_the_oracle_seeded():
+    rng = random.Random(2027)
+    for n in range(1, 9):
+        for weighted in (False, True):
+            m = random_structure_over(rng, WIDE, n, weighted)
+            # every listed atom under a measure of all three variables
+            for text in WIDE_ATOMS:
+                q = Fraction(rng.randint(0, 8), 8)
+                phi = parse_formula(f"m[x,y,z] {rng.choice(['<', '<='])} {q} . {text}", WIDE)
+                assert evaluate(m, phi) == naive_evaluate(m, phi), (n, phi)
+            for _ in range(10):
+                phi = random_formula(rng, ("x", "y", "z"), depth=2, rank_budget=2, sig=WIDE)
+                val = {v: rng.randrange(n) for v in "xyz"}
+                assert evaluate(m, phi, val) == naive_evaluate(m, phi, val), (n, phi, val)
+                xs = tuple(rng.sample("xyz", rng.randint(1, 3)))
+                got = extension(m, phi, xs, {v: a for v, a in val.items() if v not in xs})
+                want = {tup for tup in itertools.product(range(n), repeat=len(xs))
+                        if naive_evaluate(m, phi, {**val, **dict(zip(xs, tup))})}
+                assert set(got.tuples()) == want, (n, phi, xs, val)

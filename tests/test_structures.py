@@ -91,6 +91,24 @@ def test_set_membership_and_len():
     assert len(a) == 2
 
 
+def test_membership_is_false_for_tuples_outside_the_power():
+    # over 4 elements, (1, 3) is bit 7: out-of-range, short and long tuples
+    # must not alias it, and a negative element is no shift count
+    a = set_of(M4, 2, [(1, 3)])
+    assert (1, 3) in a
+    for tup in [(0, 7), (7,), (0, 0, 7), (0, -1), (), (1, 3, 0), (1.5, 3)]:
+        assert tup not in a, tup
+
+
+def test_relation_indices_are_the_members_lexicographic_positions():
+    m = FiniteStructure.checked(3, relations={"P": (1, frozenset({(2,)})),
+                                              "R": (2, frozenset({(0, 1), (2, 0)})),
+                                              "T": (3, frozenset({(1, 2, 0), (2, 2, 2)})),
+                                              "E": (2, frozenset()),
+                                              "Z": (0, frozenset({()}))})
+    assert m.relation_indices == {"P": {2}, "R": {1, 6}, "T": {15, 26}, "E": set(), "Z": {0}}
+
+
 # -- measures ----------------------------------------------------------------------
 
 def test_counting_measure_values():
