@@ -20,6 +20,12 @@ both read only those sizes:
    falls (top-s means of degrees never rise with s and bottom-s means never
    fall; for a degree r, min(r, t)/t never rises with t and
    max(0, r − |U'| + t)/t never falls), so that cell is the worst of all.
+   Its row half, from the degrees already counted for e(U, U'), is tried
+   first; the column degrees are counted only when the rows leave the pair
+   open and both parts have two vertices or more.  With one vertex on
+   either side the row bounds are exact (one row, or 0/1 degrees), so the
+   columns cannot settle what the rows did not, and the certificate fails
+   exactly when a witness exists.
 2. The search finds the first witness in bitmask order among the m-subsets
    of the smaller side alone, against the m'-prefix of the other side's
    degree order: if (A, B) deviates, so does (A*, B) for the m vertices A*
@@ -28,7 +34,9 @@ both read only those sizes:
 
 A pair of parts too small to hold any proper qualifying subset is regular
 outright, and the partition survey settles it without a check.  Partition
-energies are one integer sum over a common denominator.
+energies are one integer sum over a common denominator, each unordered part
+pair counted once.  The AP encoding builds each edge as its vertex tuple in
+part order, already sorted, so its links and counters sort nothing.
 """
 
 from __future__ import annotations
@@ -135,12 +143,6 @@ def _vertex_mask(g: Graph, vertices) -> int:
     return mask
 
 
-def _degrees(g: Graph, side, mask: int) -> list[int]:
-    """The number of neighbours in ``mask`` of each vertex of ``side``."""
-    adj = g.adj
-    return [(adj[x] & mask).bit_count() for x in side]
-
-
 # ---------------------------------------------------------------------------
 # Density and epsilon-regularity
 
@@ -153,7 +155,8 @@ def density(g: Graph, part_u, part_v) -> Fraction:
     if not u or not v:
         raise RegularityError("density needs nonempty vertex sets")
     _vertex_mask(g, u)
-    return Fraction(sum(_degrees(g, u, _vertex_mask(g, v))), len(u) * len(v))
+    mask, adj = _vertex_mask(g, v), g.adj
+    return Fraction(sum([(adj[x] & mask).bit_count() for x in u]), len(u) * len(v))
 
 
 @dataclass(frozen=True)
@@ -185,18 +188,21 @@ def _least_qualifying(eps: Fraction, size: int) -> int:
     return max(1, -(-eps.numerator * size // eps.denominator))
 
 
-def _deviation_test(edges: int, cells: int, eps: Fraction) -> tuple[int, int, int]:
-    """(scale, hi, lo) with e/c at least eps from edges/cells exactly when
-    scale·e >= hi·c or scale·e <= lo·c, in integers."""
-    p, q = eps.numerator, eps.denominator
-    return q * cells, q * edges + p * cells, q * edges - p * cells
+def _bounds(degrees: list[int], s: int, t: int, other: int) -> tuple[int, int]:
+    """Σ top-s min(r, t) and Σ bottom-s max(0, r − (other − t)) over the
+    ``degrees`` r, sorted descending, of one part's vertices into the other
+    part, of ``other`` vertices: an upper and a lower bound on e(X, Y) for
+    any s of those vertices X and any t of the other part's Y."""
+    return (sum([min(r, t) for r in degrees[:s]]),
+            sum([max(0, r - other + t) for r in degrees[len(degrees) - s:]]))
 
 
-def _degree_certificate(rows: list[int], cols: list[int], s: int, t: int,
-                        test: tuple[int, int, int]) -> bool:
+def _degree_certificate(adj, rows: list[int], v: tuple[int, ...], mask_u: int,
+                        s: int, t: int, test: tuple[int, int, int]) -> bool:
     """True when degree sequences prove (U, U') eps-regular: with r the
-    degrees ``rows`` of U into U' and c the degrees ``cols`` of U' into U,
-    any X ⊆ U, Y ⊆ U' of sizes s, t have
+    degrees ``rows`` of U into U', sorted descending, and c the degrees of
+    the vertices ``v`` of U' into U (``mask_u``), any X ⊆ U, Y ⊆ U' of sizes
+    s, t have
     min(Σ top-s min(r, t), Σ top-t min(c, s)) >= e(X,Y) >=
     max(Σ bottom-s max(0, r − (|U'|−t)), Σ bottom-t max(0, c − (|U|−s))).
 
@@ -205,51 +211,68 @@ def _degree_certificate(rows: list[int], cols: list[int], s: int, t: int,
     bound never falls (a bottom-s mean never falls with s, nor does
     max(0, r − |U'| + t)/t = max(0, 1 − (|U'| − r)/t) with t).  So the cell of
     the least qualifying sizes (s, t) decides every cell: no witness exists
-    when both its bounds lie strictly within eps of d(U, U') (``test``, see
-    :func:`_deviation_test`); False leaves the pair undecided."""
-    a, b = len(rows), len(cols)
-    rows, cols = sorted(rows, reverse=True), sorted(cols, reverse=True)
-    top = min(sum(min(r, t) for r in rows[:s]), sum(min(c, s) for c in cols[:t]))
-    bottom = max(sum(max(0, r - b + t) for r in rows[a - s:]),
-                 sum(max(0, c - a + s) for c in cols[b - t:]))
+    when both its bounds lie strictly within eps of d(U, U'), that is when
+    scale·bound < hi and scale·bound > lo for ``test`` = (scale, hi, lo).
+    False leaves the pair undecided.
+
+    The row half is tried first, and the columns are counted only when it
+    leaves the pair open and both parts have two vertices or more.  With one
+    vertex x in U the row bounds are exact, min(r, t) and
+    max(0, t − (|U'| − r)) for r = deg(x); with one vertex y in U' the rows
+    are 0/1 and their top-s and bottom-s sums are the most and the fewest of
+    y's neighbours among s vertices.  Either way the columns, only bounds on
+    the same extremes, cannot settle what the rows did not."""
     scale, hi, lo = test
-    return scale * top < hi * s * t and scale * bottom > lo * s * t
+    top, bottom = _bounds(rows, s, t, len(v))
+    if scale * top < hi and scale * bottom > lo:
+        return True
+    a = len(rows)
+    if a == 1 or len(v) == 1:
+        return False
+    top_c, bottom_c = _bounds(sorted([(adj[y] & mask_u).bit_count() for y in v], reverse=True),
+                              t, s, a)
+    return scale * min(top, top_c) < hi and scale * max(bottom, bottom_c) > lo
 
 
 def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
                    m_l: int, m_r: int, test: tuple[int, int, int]):
-    """The first (A, B, d(A, B)) that deviates by ``test``, taking the
-    m_l-subsets A of ``left`` in increasing bitmask order and, for each, B the
-    m_r vertices of ``right`` of most degree into A, then those of least
-    (ties to the lesser vertex among the most, the greater among the least);
-    None if there is none.  Bit i of local[j] is set when right[j] is
-    adjacent to left[i], so a degree into A is one AND and a popcount."""
+    """The first (A, B, d(A, B)) that deviates by ``test`` (see
+    :func:`_degree_certificate`), taking the m_l-subsets A of ``left`` in
+    increasing bitmask order and, for each, B the m_r vertices of ``right``
+    of most degree into A, then those of least (ties to the lesser vertex
+    among the most, the greater among the least); None if there is none.
+    A is a vertex mask, so a degree into it is one AND of an adjacency row
+    and a popcount.  Gosper's step runs within the mask of ``left``: the
+    vertices outside it are set before the lowest bit is added, so the
+    carry skips them."""
     adj = g.adj
-    local = [0] * len(right)
-    for i, x in enumerate(left):
-        row, bit = adj[x], 1 << i
-        for j, y in enumerate(right):
-            if row >> y & 1:
-                local[j] |= bit
+    rows = [adj[y] for y in right]
     scale, hi, lo = test
-    cells = m_l * m_r
-    top_min = -(-hi * cells // scale)  # m_r degrees summing to at least this deviate up
-    bottom_max = lo * cells // scale   # and to at most this, down
-    bits, end = (1 << m_l) - 1, 1 << len(left)
-    while bits < end:
-        degrees = sorted([(row & bits).bit_count() for row in local])
+    top_min = -(-hi // scale)  # m_r degrees summing to at least this deviate up
+    bottom_max = lo // scale   # and to at most this, down
+    lowest = [0]   # lowest[i]: the i least vertices of ``left``
+    for x in left:
+        lowest.append(lowest[-1] | 1 << x)
+    whole = lowest[-1]
+    outside = ~whole
+    bits = lowest[m_l]
+    while True:
+        degrees = sorted([(row & bits).bit_count() for row in rows])
         top, bottom = sum(degrees[-m_r:]), sum(degrees[:m_r])
         if top >= top_min or bottom <= bottom_max:
             # a stable sort, reversed or not: equal degrees stay in vertex order
-            into = [(row & bits).bit_count() for row in local]
+            into = [(row & bits).bit_count() for row in rows]
             order = sorted(range(len(right)), key=into.__getitem__, reverse=True)
             chosen, edges = (order[:m_r], top) if top >= top_min else (order[-m_r:], bottom)
-            return (tuple(x for i, x in enumerate(left) if bits >> i & 1),
-                    tuple(sorted(right[j] for j in chosen)), Fraction(edges, cells))
-        low = bits & -bits  # Gosper's step: the next larger mask with m_l bits
-        ripple = bits + low
-        bits = ripple | ((bits ^ ripple) >> 2) // low
-    return None
+            return (tuple(x for x in left if bits >> x & 1),
+                    tuple(sorted(right[j] for j in chosen)), Fraction(edges, m_l * m_r))
+        # the next larger mask of m_l vertices of ``left``: the lowest run of
+        # them moves its top vertex up one and the rest to the bottom; the
+        # carry leaves ``left`` past the last mask
+        ripple = ((bits | outside) + (bits & -bits)) & whole
+        if not ripple:
+            return None
+        bits = ripple | lowest[(bits ^ ripple).bit_count() - 2]
 
 
 def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
@@ -257,11 +280,14 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     """Check epsilon-regularity of (U, U') exactly.
 
     Charges the degree-sequence certificate's (s, t) cells times |U| + |U'|,
-    then tries it (it reads one cell, see :func:`_degree_certificate`),
-    unless a part is one vertex.  If it cannot settle the pair, charges the
-    2^min(|U|, |U'|) subsets of the smaller side and returns the first
-    witness in their bitmask order, or certifies regularity when there is
-    none; both parts must be within ``exact_cap``.
+    then tries it: it reads one cell, the row half first and the columns
+    only when the rows leave the pair open (see :func:`_degree_certificate`).
+    If it cannot settle the pair, charges the 2^min(|U|, |U'|) subsets of the
+    smaller side and returns the first witness in their bitmask order, or
+    certifies regularity when there is none; both parts must be within
+    ``exact_cap``.  With one vertex on either side the certificate's bounds
+    are exact, so it fails exactly when a witness exists, and the search
+    then finds it at its 2 subsets.
 
     Both read only the least qualifying sizes m = max(1, ⌈ε|U|⌉) and
     m' = max(1, ⌈ε|U'|⌉).  (1) The certificate's bounds over s·t are monotone
@@ -274,8 +300,10 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     rises (falls) as m' grows, so the least prefix deviates whenever a
     longer one does.
     """
-    eps = Fraction(eps)
-    if not 0 < eps.numerator < eps.denominator:
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
+    p, q = eps.numerator, eps.denominator
+    if not 0 < p < q:
         raise RegularityError("eps must be in (0,1)")
     u = tuple(sorted(part_u))
     v = tuple(sorted(part_v))
@@ -286,27 +314,26 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
         raise RegularityError(f"exact check caps part sizes at {exact_cap}; "
                               f"got {a} and {b}")
     mask_u, mask_v = _vertex_mask(g, u), _vertex_mask(g, v)
-    rows = _degrees(g, u, mask_v)
-    edges = sum(rows)
-    m_u, m_v = _least_qualifying(eps, a), _least_qualifying(eps, b)
+    adj = g.adj
+    rows = sorted([(adj[x] & mask_v).bit_count() for x in u], reverse=True)
+    edges, cells = sum(rows), a * b
+    m_u, m_v = max(1, -(-p * a // q)), max(1, -(-p * b // q))
     budget = budget or Budget()
     budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
-    d_base = Fraction(edges, a * b)
-    test = _deviation_test(edges, a * b, eps)
-    # Search subsets of the smaller side.  With one vertex there the
-    # certificate's bounds are exact, so the search decides the pair, charged
-    # its 2 subsets when the certificate would fail: on a witness.
+    d_base = Fraction(edges, cells)
+    # e/(m_u m_v) is at least eps from edges/cells exactly when scale·e >= hi
+    # or scale·e <= lo, in integers
+    least = m_u * m_v
+    test = q * cells, (q * edges + p * cells) * least, (q * edges - p * cells) * least
+    if _degree_certificate(adj, rows, v, mask_u, m_u, m_v, test):
+        return RegularityVerdict(True, d_base)
+    # search subsets of the smaller side
     swapped = a > b
     left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
-    if len(left) > 1:
-        if _degree_certificate(rows, _degrees(g, v, mask_u), m_u, m_v, test):
-            return RegularityVerdict(True, d_base)
-        budget.charge(1 << len(left))  # one unit per subset
+    budget.charge(1 << len(left))  # one unit per subset
     found = _first_witness(g, left, right, m_l, m_r, test)
     if found is None:
         return RegularityVerdict(True, d_base)
-    if len(left) == 1:
-        budget.charge(2)
     sub, other, d_wit = found
     return RegularityVerdict(False, d_base, (other, sub) if swapped else (sub, other), d_wit)
 
@@ -319,9 +346,10 @@ def partition_energy(g: Graph, parts) -> Fraction:
     """Mean-square edge density: sum over ordered part pairs (i,j), including
     i = j, of (|U_i||U_j| / n^2) * d(U_i, U_j)^2.
 
-    Each part's edge counts e(U_i, U_j) come from one pass over its vertices,
-    and with L = lcm |U_i| the energy is Σ e² (L/|U_i|)(L/|U_j|) / (L n)²,
-    one integer sum.  The parts must partition 0..n-1."""
+    With L = lcm |U_i| the energy is Σ e² (L/|U_i|)(L/|U_j|) / (L n)², one
+    integer sum.  Since e(U_i, U_j) = e(U_j, U_i), each unordered pair is
+    counted once, in one pass over the vertices of U_i for all j >= i, and a
+    pair i < j enters the sum twice.  The parts must partition 0..n-1."""
     masks = [_vertex_mask(g, p) for p in parts]
     if not all(masks) or sum(map(len, parts)) != g.n \
             or functools.reduce(operator.or_, masks) != (1 << g.n) - 1:
@@ -329,12 +357,14 @@ def partition_energy(g: Graph, parts) -> Fraction:
     lcm = math.lcm(*map(len, parts))
     scales = [lcm // len(p) for p in parts]
     total = 0
-    for p, scale in zip(parts, scales):
-        counts = [0] * len(parts)
+    for i, (p, scale) in enumerate(zip(parts, scales)):
+        later = masks[i:]
+        counts = [0] * len(later)
         for x in p:
             adj = g.adj[x]
-            counts = [e + (adj & m).bit_count() for e, m in zip(counts, masks)]
-        total += scale * sum(e * e * s for e, s in zip(counts, scales))
+            counts = [e + (adj & m).bit_count() for e, m in zip(counts, later)]
+        total += scale * (2 * sum([e * e * s for e, s in zip(counts, scales[i:])])
+                          - counts[0] * counts[0] * scale)
     return Fraction(total, (lcm * g.n) ** 2)
 
 
@@ -436,12 +466,12 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
 # Copy counting and removal
 
 
-def _links(h: Hypergraph) -> dict[tuple[int, ...], int]:
-    """Each (k−1)-face of an edge of ``h``, a sorted tuple, mapped to the
-    bitmask of the vertices that complete it to an edge."""
+def _links(edges) -> dict[tuple[int, ...], int]:
+    """Each (k−1)-face of the ``edges``, given as sorted tuples, mapped to the
+    bitmask of the vertices that complete it to an edge.  A face of a sorted
+    tuple is sorted too, so nothing is sorted here."""
     links: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        t = tuple(sorted(e))
+    for t in edges:
         for i, v in enumerate(t):
             face = t[:i] + t[i + 1:]
             links[face] = links.get(face, 0) | 1 << v
@@ -463,7 +493,7 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
         budget.charge_power(host.n, pattern.n)
     else:  # one map at most, of pattern.n vertices
         budget.charge(pattern.n)
-    links, every = _links(host), (1 << host.n) - 1
+    links, every = _links(tuple(sorted(e)) for e in host.edges), (1 << host.n) - 1
     faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
         faces[max(e)].append(sorted(e)[:-1])
@@ -667,8 +697,10 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     The k-set omitting X_{k+1} is an edge iff sum of i*x_i lies in A; the
     k-set omitting X_i is an edge iff sum over j≠i of (j−i)*x_j + i*x_{k+1}
     lies in A.  Each family is built by solving its sum for one coordinate,
-    x_1 or x_{k+1}, for each a ∈ A.  Both counters below are computed
-    independently, from the hypergraph and from A, and compared.
+    x_1 or x_{k+1}, for each a ∈ A, and each edge is built as its vertex
+    tuple in part order, which is sorted, since the parts are ascending
+    ranges.  Both counters below are computed independently, from the
+    hypergraph's edges and from A, and compared.
     """
     if n < 1:
         raise RegularityError("n must be >= 1")
@@ -686,26 +718,31 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     families = [(1, 1, n, [(j, j) for j in range(2, k + 1)])]
     families += [(k + 1, i, big, [(j, j - i) for j in range(1, k + 1) if j != i])
                  for i in range(1, k + 1)]
-    edges = set()
+    # an edge's tuple has the solved part first (X_1) or last (X_{k+1}); the
+    # vertex of value x in part j is offset_j + x.  No edge is built twice:
+    # the families cover different parts, and within one, a fixes x.
+    edges = []
     for solved, coeff, top, others in families:
+        first, offset = solved == 1, _ap_vertex(solved, 1, n) - 1
+        coeffs = [c for _, c in others]
+        offsets = [_ap_vertex(j, 1, n) - 1 for j, _ in others]
         for xs in itertools.product(range(1, n + 1), repeat=k - 1):
-            partial = sum(c * x for (_, c), x in zip(others, xs))
-            rest = [_ap_vertex(j, x, n) for (j, _), x in zip(others, xs)]
+            partial = sum(map(operator.mul, coeffs, xs))
+            rest = tuple(map(operator.add, offsets, xs))
             for a in a_set:
                 x, r = divmod(a - partial, coeff)
                 if not r and 1 <= x <= top:
-                    edges.add(frozenset(rest + [_ap_vertex(solved, x, n)]))
-    hg = Hypergraph(n_vertices, k, frozenset(edges))
+                    edges.append((offset + x,) + rest if first else rest + (offset + x,))
+    hg = Hypergraph(n_vertices, k, frozenset(map(frozenset, edges)))
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
 
-    # Counter one, from hg alone: for each edge avoiding X_{k+1}, the X_{k+1}
-    # vertices completing all k of its faces, and whether x_{k+1} = sum x_i
-    # (at bit sum x_i − 1 past k·n) is one of them.
-    links = _links(hg)
+    # Counter one, from hg's edges alone: for each edge avoiding X_{k+1}, the
+    # X_{k+1} vertices completing all k of its faces, and whether
+    # x_{k+1} = sum x_i (at bit sum x_i − 1 past k·n) is one of them.
+    links = _links(edges)
     total = trivial = 0
-    for e in hg.edges:
-        t = tuple(sorted(e))
+    for t in edges:
         if t[-1] >= k * n:
             continue
         common = links[t[1:]]

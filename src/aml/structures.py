@@ -154,8 +154,14 @@ class FiniteStructure:
 
     @cached_property
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
-        """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators."""
-        return integer_table(self.weights)
+        """(W, L) with w(a) = W[a] / L, L the lcm of the weights' denominators.
+        Counting measure holds one Fraction n times: when every weight is that
+        same object, found by identity in one C-level pass with no Fraction
+        comparison, W is its numerator n times and L its denominator."""
+        weights, first = self.weights, self.weights[0]
+        if all(map(operator.is_, weights, itertools.repeat(first))):
+            return (first.numerator,) * self.n, first.denominator
+        return integer_table(weights)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Pinned output digests: each demo's stdout, and one pass over the seed-1
 logic-dense and combinatorics benchmark mixes, against tests/golden/digests.txt.
 CI reads its pins from the same file; the soundness-small pin is checked
-there only, since one pass of that mix takes seconds."""
+there only, since one pass of that mix takes seconds.  The same pass counts
+the pair checks that go through ``aml.regularity.is_epsilon_regular``, the
+name the bench tracer wraps, and their irregular verdicts."""
 
 from contextlib import redirect_stdout
 import hashlib
@@ -12,6 +14,8 @@ import runpy
 import sys
 
 import pytest
+
+from aml import regularity
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = dict(line.split() for line in (ROOT / "tests" / "golden" / "digests.txt")
@@ -42,9 +46,21 @@ def _bench_run(monkeypatch):
     return module
 
 
+# (calls, irregular verdicts) of the pass's pair checks, as CI's traced run
+# pins them
+PAIR_CHECKS = {"logic-dense": (0, 0), "combinatorics": (6835, 2995)}
+
+
 @pytest.mark.parametrize("workload", ["logic-dense", "combinatorics"])
 def test_one_benchmark_pass_matches_its_pin(workload, monkeypatch, tmp_path):
     bench = _bench_run(monkeypatch)
+    verdicts, check = [], regularity.is_epsilon_regular
+
+    def counted(*args, **kwargs):
+        verdicts.append(check(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(regularity, "is_epsilon_regular", counted)
     mix = bench.workloads.build(workload, 1)
     bench.workloads.write_inputs(mix, str(tmp_path))  # op paths are relative to it
     monkeypatch.chdir(tmp_path)
@@ -55,3 +71,4 @@ def test_one_benchmark_pass_matches_its_pin(workload, monkeypatch, tmp_path):
     correct, _, failed, notes = outcomes.verdict()
     assert (correct, failed) == (True, 0), notes
     assert outcomes.digest() == PINS[workload]
+    assert (len(verdicts), sum(not v.regular for v in verdicts)) == PAIR_CHECKS[workload]

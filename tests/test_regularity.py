@@ -19,7 +19,6 @@ from aml.regularity import (
     RegularityError,
     RegularityVerdict,
     _degree_certificate,
-    _deviation_test,
     _pattern_maps,
     ap_encode,
     count_copies,
@@ -193,8 +192,8 @@ def test_singleton_pair_is_charged_its_one_cell():
 
 def test_singleton_side_is_decided_by_its_one_scan():
     # vertex 0 of the staircase sees only 6; the certificate's 5 cells (sizes
-    # 1 x 2..6) times 1 + 6, then the 2 subsets of the one-vertex side, charged
-    # only because the scan finds a witness
+    # 1 x 2..6) times 1 + 6, then the 2 subsets of the one-vertex side: its
+    # exact row bounds fail only when a witness exists, and the scan finds it
     for u, v, swapped in (((0,), RIGHT, False), (RIGHT, (0,), True)):
         budget = Budget()
         verdict = is_epsilon_regular(HALF, u, v, QUARTER, budget=budget)
@@ -218,11 +217,14 @@ def _m_min(eps, part):
 
 
 def _certified(g, u, v, eps):
-    """The degree certificate of ``aml.regularity`` on (u, v): its one cell."""
-    rows = [g.degree_into(x, sum(1 << y for y in v)) for x in u]
-    cols = [g.degree_into(y, sum(1 << x for x in u)) for y in v]
-    return _degree_certificate(rows, cols, _m_min(eps, u), _m_min(eps, v),
-                               _deviation_test(sum(rows), len(u) * len(v), eps))
+    """The degree certificate of ``aml.regularity`` on (u, v): its one cell,
+    the row half first."""
+    mask_u = sum(1 << x for x in u)
+    rows = sorted((g.degree_into(x, sum(1 << y for y in v)) for x in u), reverse=True)
+    s, t = _m_min(eps, u), _m_min(eps, v)
+    edges, cells, p, q = sum(rows), len(u) * len(v), eps.numerator, eps.denominator
+    test = q * cells, (q * edges + p * cells) * s * t, (q * edges - p * cells) * s * t
+    return _degree_certificate(g.adj, rows, tuple(v), mask_u, s, t, test)
 
 
 def _pair_graph(rng, a, b, kind, same):
@@ -307,6 +309,31 @@ def test_pair_check_matches_the_subset_oracle_seeded():
 def test_pair_check_matches_the_subset_oracle(a, b, kind, same, eps, rng):
     g, u, v = _pair_graph(rng, a, b, kind, same)
     _assert_matches_the_subset_oracle(g, u, v, eps)
+
+
+def test_pair_check_matches_the_subset_oracle_on_every_tiny_pair():
+    # parts of at most 3 vertices make up most of a survey's checks, and
+    # their one-vertex sides are settled by the certificate's rows alone: every
+    # cross-adjacency of disjoint parts of sizes 1-3, which interleave, and
+    # every graph on one part of 2-4 vertices, at each eps
+    checked = 0
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        u, v = (0, 3, 4)[:a], (1, 2, 5)[:b]
+        cross = list(itertools.product(u, v))
+        for bits in range(1 << len(cross)):
+            g = Graph.from_edges(6, [e for i, e in enumerate(cross) if bits >> i & 1])
+            for eps in EPS_CHOICES:
+                _assert_matches_the_subset_oracle(g, u, v, eps)
+            checked += 1
+    for size in (2, 3, 4):
+        u = tuple(range(size))
+        pairs = list(itertools.combinations(u, 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(size, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            for eps in EPS_CHOICES:
+                _assert_matches_the_subset_oracle(g, u, u, eps)
+            checked += 1
+    assert checked == 682 + 2 + 8 + 64
 
 
 def test_partition_is_unchanged_with_the_subset_oracle(monkeypatch):
@@ -730,9 +757,11 @@ def test_ap_encoding_agrees_across_subsets():
 
 
 def _assert_encoding_matches_the_scan(elements, n, k):
-    got, want = ap_encode(elements, n, k), ap_encode_by_scan(elements, n, k)
+    got_budget, want_budget = Budget(), Budget()
+    got = ap_encode(elements, n, k, got_budget)
+    want = ap_encode_by_scan(elements, n, k, want_budget)
     assert got == want and got.hypergraph.edges == want.hypergraph.edges
-    assert got.verified
+    assert got.verified and got_budget.used == want_budget.used
 
 
 def test_ap_encoding_matches_the_scan_seeded():
@@ -740,6 +769,15 @@ def test_ap_encoding_matches_the_scan_seeded():
     for case in range(120):
         n, k = rng.randint(1, 8), case % 4 + 1
         p = (0, 0.3, 0.6, 1)[case // 4 % 4]
+        _assert_encoding_matches_the_scan({x for x in range(1, n + 1) if rng.random() < p}, n, k)
+
+
+def test_ap_encoding_matches_the_scan_at_the_bench_sizes():
+    # the combinatorics mix encodes k = 2 up to n = 20 and k = 3 from n = 10
+    rng = random.Random(42)
+    shapes = [(n, 2) for n in range(9, 21)] + [(n, 3) for n in (10, 11, 12)]
+    for case, (n, k) in enumerate(shapes * 2):
+        p = (0.3, 0.5, 0.8)[case % 3]
         _assert_encoding_matches_the_scan({x for x in range(1, n + 1) if rng.random() < p}, n, k)
 
 

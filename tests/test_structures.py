@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from aml.structures import (DefinableSet, FiniteStructure, VFlag, index_tuple, measure,
-                            tuple_index)
+from aml.structures import (DefinableSet, FiniteStructure, VFlag, index_tuple,
+                            integer_table, measure, tuple_index)
 
 M4 = FiniteStructure.checked(
     4,
@@ -38,6 +38,19 @@ def test_weighted_structure_mass():
 def test_subnormalized_weights_allowed():
     m = FiniteStructure.checked(2, {}, {}, {}, weights=(Fraction(1, 4), Fraction(1, 4)))
     assert sum(m.weights) == Fraction(1, 2)
+
+
+def test_integer_weights_share_one_denominator():
+    # counting measure repeats one Fraction object; equal weights that are not
+    # one object, and unequal ones, take the lcm of their denominators
+    halves = FiniteStructure.checked(2, weights=(Fraction(1, 2), Fraction(2, 4)))
+    assert halves.weights[0] is not halves.weights[1]
+    cases = [(M4, ((1, 1, 1, 1), 4)), (W2, ((1, 2), 3)), (halves, ((1, 1), 2)),
+             (FiniteStructure.checked(48), ((1,) * 48, 48)),
+             (FiniteStructure.checked(3, weights=(0, Fraction(1, 6), Fraction(5, 4))),
+              ((0, 2, 15), 12))]
+    for m, want in cases:
+        assert m.integer_weights == want == integer_table(m.weights)
 
 
 def test_rejects_empty_universe():
