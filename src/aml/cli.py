@@ -374,10 +374,12 @@ def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
 
 def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
     from . import regularity
+    if args.eps is not None and not args.remove:
+        raise CliError("--eps needs --remove")
     host = _parse_input(regularity.parse_hypergraph, args.host)
     pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
     if args.remove:
-        eps = _parse_rational(args.eps, "--eps") if args.eps else None
+        eps = None if args.eps is None else _parse_rational(args.eps, "--eps")
         res = regularity.remove_copies(pattern, host, eps, budget=budget)
         copies = res.copies_before
     else:
@@ -424,6 +426,8 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
     if bool(args.sentence) == bool(args.phi):
         raise CliError("need exactly one of --sentence (truth profile) or "
                        "--phi with --target (limit measure)")
+    if args.sentence and (args.vars is not None or args.target is not None):
+        raise CliError("--vars and --target need --phi")
     if args.sentence:
         sigma = parse_formula(_formula_arg(args.sentence), family.signature)
         prof = limits.truth_profile(family, sigma, slack=args.slack, budget=budget)
@@ -549,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("host")
     p.add_argument("--pattern", required=True)
     p.add_argument("--remove", action="store_true")
-    p.add_argument("--eps", help="report whether removal fits eps * n^k")
+    p.add_argument("--eps", help="with --remove: report whether removal fits eps * n^k")
     p.set_defaults(func=_cmd_hypergraph)
 
     p = sub.add_parser("ap-encode", parents=[common],
@@ -564,8 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family spec file")
     p.add_argument("--sentence", help="closed formula for a truth profile")
     p.add_argument("--phi", help="formula for a limit measure")
-    p.add_argument("--vars", help="tuple variables for --phi")
-    p.add_argument("--target", help="target rational for --phi")
+    p.add_argument("--vars", help="tuple variables, with --phi only")
+    p.add_argument("--target", help="target rational, with --phi only")
     p.add_argument("--slack", type=int, default=5)
     p.add_argument("--trace", action="store_true", help="print each index's value")
     p.set_defaults(func=_cmd_limit)

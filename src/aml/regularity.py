@@ -22,28 +22,33 @@ both read only those sizes:
    max(0, r − |U'| + t)/t never falls), so that cell is the worst of all.
    Its row half, from the degrees already counted for e(U, U'), is tried
    first; the column degrees are counted only when the rows leave the pair
-   open and both parts have two vertices or more.  With one vertex on
-   either side the row bounds are exact (one row, or 0/1 degrees), so the
-   columns cannot settle what the rows did not, and the certificate fails
+   open, m >= 2 and U' has two vertices or more.  At m = 1 the row bounds
+   are exact (the most and the fewest neighbours one vertex has among m'),
+   with one vertex in U' the rows are 0/1 and exact too, and at m' = 1 the
+   column bounds are exact: so when m or m' is 1 the certificate fails
    exactly when a witness exists.
 2. The search finds the first witness in bitmask order among the m-subsets
    of the smaller side alone, against the m'-prefix of the other side's
    degree order: if (A, B) deviates, so does (A*, B) for the m vertices A*
    of A with the most (or fewest) neighbours in B, and A* ⊆ A comes no later;
-   and top-m' (bottom-m') mean degrees never rise (fall) as m' grows.
+   and top-m' (bottom-m') mean degrees never rise (fall) as m' grows.  When
+   that side's m is 1, A is one vertex and the degrees into it are its row's
+   bits, so the witness is read off the rows in vertex order.
 
 A pair of parts too small to hold any proper qualifying subset is regular
 outright, and the partition survey settles it without a check.  Partition
 energies are one integer sum over a common denominator, each unordered part
-pair counted once.  The AP encoding builds each edge as its vertex tuple in
-part order, already sorted, so its links and counters sort nothing.
+pair counted once.  The AP encoding reads each edge family's solutions from
+A's residue class of its coefficient, with two bisections per tuple of the
+other coordinates, builds each edge as its vertex tuple in part order, and
+links only the faces its first counter reads.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
-import itertools
 import math
 import operator
 import re
@@ -216,21 +221,24 @@ def _degree_certificate(adj, rows: list[int], v: tuple[int, ...], mask_u: int,
     False leaves the pair undecided.
 
     The row half is tried first, and the columns are counted only when it
-    leaves the pair open and both parts have two vertices or more.  With one
-    vertex x in U the row bounds are exact, min(r, t) and
-    max(0, t − (|U'| − r)) for r = deg(x); with one vertex y in U' the rows
-    are 0/1 and their top-s and bottom-s sums are the most and the fewest of
-    y's neighbours among s vertices.  Either way the columns, only bounds on
-    the same extremes, cannot settle what the rows did not."""
+    leaves the pair open, s >= 2 and U' has two vertices or more.  At s = 1
+    the row bounds are exact: one vertex x carries at most min(r, t) and at
+    least max(0, t − (|U'| − r)) edges into t vertices, for r = deg(x), and
+    the top-1 and bottom-1 sums are the largest and the least of these over
+    x; with one vertex y in U' the rows are 0/1 and their top-s and bottom-s
+    sums are the most and the fewest of y's neighbours among s vertices.
+    Either way the columns, only bounds on the same extremes, cannot settle
+    what the rows did not.  At t = 1 the column bounds are exact in the same
+    way, so whenever s or t is 1 the certificate fails only on a pair with a
+    witness of sizes (s, t)."""
     scale, hi, lo = test
     top, bottom = _bounds(rows, s, t, len(v))
     if scale * top < hi and scale * bottom > lo:
         return True
-    a = len(rows)
-    if a == 1 or len(v) == 1:
+    if s == 1 or len(v) == 1:
         return False
     top_c, bottom_c = _bounds(sorted([(adj[y] & mask_u).bit_count() for y in v], reverse=True),
-                              t, s, a)
+                              t, s, len(rows))
     return scale * min(top, top_c) < hi and scale * max(bottom, bottom_c) > lo
 
 
@@ -241,6 +249,8 @@ def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
     increasing bitmask order and, for each, B the m_r vertices of ``right``
     of most degree into A, then those of least (ties to the lesser vertex
     among the most, the greater among the least); None if there is none.
+    The pair check calls it for m_l >= 2 (at m_l = 1,
+    :func:`_first_vertex_witness` reads the same witness off the rows).
     A is a vertex mask, so a degree into it is one AND of an adjacency row
     and a popcount.  Gosper's step runs within the mask of ``left``: the
     vertices outside it are set before the lowest bit is added, so the
@@ -275,6 +285,37 @@ def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
         bits = ripple | lowest[(bits ^ ripple).bit_count() - 2]
 
 
+def _first_vertex_witness(adj, left: tuple[int, ...], right: tuple[int, ...], mask_r: int,
+                          m_r: int, test: tuple[int, int, int]):
+    """:func:`_first_witness` at m_l = 1, read off the rows: each A is one
+    vertex x of ``left``, taken in increasing order, and the degrees into it
+    of the vertices of ``right`` (``mask_r``) are the bits of x's row, so
+    nothing is sorted.  With r = |N(x) ∩ right| and b = |right|, the most and
+    the fewest edges that m_r of them carry are min(r, m_r) and
+    max(0, m_r − (b − r)), tested as there.  B is the first m_r (most) or
+    the last m_r (fewest) of x's neighbours ascending followed by its
+    non-neighbours ascending, the order that the stable sort there gives.
+    None if no x deviates; after a failed certificate, which is exact at
+    m_l = 1, some x always does."""
+    scale, hi, lo = test
+    top_min = -(-hi // scale)
+    bottom_max = lo // scale
+    b = len(right)
+    # min(r, m_r) >= top_min exactly when r >= r_top, and
+    # max(0, m_r − b + r) <= bottom_max exactly when r <= r_bottom
+    r_top = top_min if m_r >= top_min else b + 1
+    r_bottom = bottom_max + b - m_r if bottom_max >= 0 else -1
+    for x in left:
+        row = adj[x] & mask_r
+        r = row.bit_count()
+        if r >= r_top or r <= r_bottom:
+            order = [y for y in right if row >> y & 1] + [y for y in right if not row >> y & 1]
+            chosen, edges = (order[:m_r], min(r, m_r)) if r >= r_top else \
+                (order[b - m_r:], max(0, m_r - b + r))
+            return (x,), tuple(sorted(chosen)), Fraction(edges, m_r)
+    return None
+
+
 def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
                        budget: Budget | None = None) -> RegularityVerdict:
     """Check epsilon-regularity of (U, U') exactly.
@@ -285,20 +326,22 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     If it cannot settle the pair, charges the 2^min(|U|, |U'|) subsets of the
     smaller side and returns the first witness in their bitmask order, or
     certifies regularity when there is none; both parts must be within
-    ``exact_cap``.  With one vertex on either side the certificate's bounds
-    are exact, so it fails exactly when a witness exists, and the search
-    then finds it at its 2 subsets.
+    ``exact_cap``.  When the smaller side's m is 1 (a one-vertex side, or
+    up to ⌊1/ε⌋ vertices), the certificate is exact, so it fails exactly
+    when a witness exists, and the search reads that witness off the rows
+    of the side's vertices in increasing order
+    (:func:`_first_vertex_witness`).
 
     Both read only the least qualifying sizes m = max(1, ⌈ε|U|⌉) and
     m' = max(1, ⌈ε|U'|⌉).  (1) The certificate's bounds over s·t are monotone
     in s and t, so the cell (m, m') is the worst one.  (2) The first witness
     has exactly m and m' vertices, so only those sizes are searched
-    (:func:`_first_witness`): if (A, B) deviates by eps, so does (A*, B) for
-    A* the m vertices of A with the most (or the fewest) neighbours in B, and
-    A* is a sub-mask of A, so it comes no later; and for a fixed A the mean
-    degree into A of the top-m' (bottom-m') vertices of the other side never
-    rises (falls) as m' grows, so the least prefix deviates whenever a
-    longer one does.
+    (:func:`_first_witness` for m >= 2): if (A, B) deviates by eps, so does
+    (A*, B) for A* the m vertices of A with the most (or the fewest)
+    neighbours in B, and A* is a sub-mask of A, so it comes no later; and
+    for a fixed A the mean degree into A of the top-m' (bottom-m') vertices
+    of the other side never rises (falls) as m' grows, so the least prefix
+    deviates whenever a longer one does.
     """
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
@@ -331,7 +374,8 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     swapped = a > b
     left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
     budget.charge(1 << len(left))  # one unit per subset
-    found = _first_witness(g, left, right, m_l, m_r, test)
+    found = _first_witness(g, left, right, m_l, m_r, test) if m_l > 1 else \
+        _first_vertex_witness(adj, left, right, mask_u if swapped else mask_v, m_r, test)
     if found is None:
         return RegularityVerdict(True, d_base)
     sub, other, d_wit = found
@@ -697,10 +741,15 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     The k-set omitting X_{k+1} is an edge iff sum of i*x_i lies in A; the
     k-set omitting X_i is an edge iff sum over j≠i of (j−i)*x_j + i*x_{k+1}
     lies in A.  Each family is built by solving its sum for one coordinate,
-    x_1 or x_{k+1}, for each a ∈ A, and each edge is built as its vertex
-    tuple in part order, which is sorted, since the parts are ascending
-    ranges.  Both counters below are computed independently, from the
-    hypergraph's edges and from A, and compared.
+    x_1 or x_{k+1}, with coefficient c: for each tuple of the other
+    coordinates, with partial sum p, only the a ∈ A with a ≡ p (mod c) and
+    c·x = a − p in range solve it, and two bisections find them in A's
+    residue class.  Each edge is built as its vertex tuple in part order,
+    which is sorted, since the parts are ascending ranges.  Both counters
+    below are computed independently, from the hypergraph's edges and from
+    A, and compared: the first reads only the links of the faces of the
+    edges that end in X_{k+1}, so only those are built, and the second
+    lists each a's steps d once.
     """
     if n < 1:
         raise RegularityError("n must be >= 1")
@@ -718,37 +767,50 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     families = [(1, 1, n, [(j, j) for j in range(2, k + 1)])]
     families += [(k + 1, i, big, [(j, j - i) for j in range(1, k + 1) if j != i])
                  for i in range(1, k + 1)]
+    # A's elements by residue modulo each coefficient, each class ascending:
+    # the a that solve coeff·x = a − partial with 1 <= x <= top are those of
+    # the class of partial mod coeff in [partial + coeff, partial + coeff·top]
+    ordered = sorted(a_set)
+    classes = {c: [[a for a in ordered if a % c == r] for r in range(c)]
+               for c in range(1, k + 1)}
     # an edge's tuple has the solved part first (X_1) or last (X_{k+1}); the
     # vertex of value x in part j is offset_j + x.  No edge is built twice:
-    # the families cover different parts, and within one, a fixes x.
-    edges = []
+    # the families cover different parts, and within one, a fixes x.  An edge
+    # ending in X_{k+1} also links its first k − 1 vertices, as a face, to
+    # that vertex, as bit x − 1: counter one reads only these links.
+    inner, outer = [], []   # the edges avoiding X_{k+1}, and the rest
+    links: dict[tuple[int, ...], int] = {}
     for solved, coeff, top, others in families:
         first, offset = solved == 1, _ap_vertex(solved, 1, n) - 1
-        coeffs = [c for _, c in others]
-        offsets = [_ap_vertex(j, 1, n) - 1 for j, _ in others]
-        for xs in itertools.product(range(1, n + 1), repeat=k - 1):
-            partial = sum(map(operator.mul, coeffs, xs))
-            rest = tuple(map(operator.add, offsets, xs))
-            for a in a_set:
-                x, r = divmod(a - partial, coeff)
-                if not r and 1 <= x <= top:
-                    edges.append((offset + x,) + rest if first else rest + (offset + x,))
-    hg = Hypergraph(n_vertices, k, frozenset(map(frozenset, edges)))
+        faces = [(0, ())]   # (partial sum, vertex tuple) for each tuple of the others' values
+        for j, c in others:
+            base = _ap_vertex(j, 1, n) - 1
+            faces = [(p + c * x, f + (base + x,)) for p, f in faces for x in range(1, n + 1)]
+        residues = classes[coeff]
+        for partial, rest in faces:
+            row = residues[partial % coeff]
+            lo = bisect.bisect_left(row, partial + coeff)
+            hits = row[lo:bisect.bisect_right(row, partial + coeff * top, lo)]
+            if not hits:
+                continue
+            if first:
+                inner += [(a - partial + offset,) + rest for a in hits]
+            else:
+                ends = [(a - partial) // coeff for a in hits]
+                outer += [rest + (offset + x,) for x in ends]
+                links[rest] = sum([1 << x - 1 for x in ends])   # distinct bits
+    hg = Hypergraph(n_vertices, k, frozenset(map(frozenset, inner + outer)))
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
 
     # Counter one, from hg's edges alone: for each edge avoiding X_{k+1}, the
     # X_{k+1} vertices completing all k of its faces, and whether
-    # x_{k+1} = sum x_i (at bit sum x_i − 1 past k·n) is one of them.
-    links = _links(edges)
+    # x_{k+1} = sum x_i (bit sum x_i − 1) is one of them.
     total = trivial = 0
-    for t in edges:
-        if t[-1] >= k * n:
-            continue
-        common = links[t[1:]]
+    for t in inner:
+        common = links.get(t[1:], 0)
         for i in range(1, k):
-            common &= links[t[:i] + t[i + 1:]]
-        common >>= k * n
+            common &= links.get(t[:i] + t[i + 1:], 0)
         total += common.bit_count()
         trivial += common >> (sum(t) - n * k * (k - 1) // 2 + k - 1) & 1
     copy_count = total - trivial
@@ -765,12 +827,15 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
                 key = (w + i * x, s + x)
                 nxt[key] = nxt.get(key, 0) + c
         reps = nxt
+    # each a's nonzero steps d, ascending, with a + i·d in A for i = 1..k
+    # (a + k·d must lie in [1, n])
+    steps = {a: [d for d in range(-((a - 1) // k), (n - a) // k + 1)
+                 if d and all(a + i * d in a_set for i in range(1, k + 1))] for a in a_set}
     direct = 0
     for (a_val, s), c in reps.items():
-        if a_val in a_set:   # a + d must lie in A ⊆ [1, n]
-            direct += c * sum(1 for d in range(1 - a_val, n + 1 - a_val)
-                              if d and 1 <= s + d <= big
-                              and all(a_val + i * d in a_set for i in range(1, k + 1)))
+        if a_val in a_set:   # the steps d with 1 <= s + d <= k²n
+            ds = steps[a_val]
+            direct += c * (bisect.bisect_right(ds, big - s) - bisect.bisect_left(ds, 1 - s))
 
     return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
                       direct, copy_count == direct)
@@ -783,6 +848,23 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 # A graph file of the common shape, converted in bulk: the header, then lines
 # each blank or one edge of two unsigned decimal integers, and no comment.
 _PLAIN_GRAPH = re.compile(r"\s*graph[ \t]+[0-9]+(?:[ \t\r]*\n(?:[ \t]*[0-9]+[ \t]+[0-9]+)?)*\s*")
+
+
+def _plain_vertices(words: list[str], n: int) -> list[int] | None:
+    """A plain graph's unsigned decimal ``words`` as vertices of 0..n-1, each
+    looked up among the numerals "0".."n-1" (no more of them than words);
+    on a miss ("07", or a vertex past them) converted with int.  None when
+    one is no vertex, and the rows are then read one by one."""
+    numerals = {str(v): v for v in range(min(n, len(words)))}
+    try:
+        return list(map(numerals.__getitem__, words))
+    except KeyError:
+        pass
+    try:
+        vs = list(map(int, words))
+    except ValueError:  # more digits than the interpreter converts
+        return None
+    return vs if max(vs, default=0) < n else None
 
 
 def _parse_edges(text: str, kind: str, budget: Budget | None = None):
@@ -803,13 +885,11 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
         raise d.error(f"{kind} file must start with '{usage}' (positive numbers)", 0)
     (budget or Budget()).charge(n)  # before an n-vertex graph is built
     if plain:
-        try:
-            vs = list(map(int, d.words[2:]))
-        except ValueError:  # more digits than the interpreter converts
-            vs = [n]
-        us, ws = vs[::2], vs[1::2]
-        if not vs or max(vs) < n and all(map(operator.ne, us, ws)):
-            return n, k, list(zip(us, ws))
+        vs = _plain_vertices(d.words[2:], n)
+        if vs is not None:
+            us, ws = vs[::2], vs[1::2]
+            if all(map(operator.ne, us, ws)):
+                return n, k, list(zip(us, ws))
     edges = []
     first = len(header)  # the index of the row's first word
     for body in d.rows[1:]:

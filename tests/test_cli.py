@@ -239,13 +239,25 @@ def test_formula_arguments_read_at_paths(capsys, tmp_path):
      "error: need exactly one of --sentence (truth profile) or "
      "--phi with --target (limit measure)\n"),
     (["limit", FAM, "--phi", "x = e"], 2, "error: --phi needs --target\n"),
+    (["limit", FAM, "--sentence", "e = e", "--vars", "x"], 2,
+     "error: --vars and --target need --phi\n"),
+    (["limit", FAM, "--sentence", "e = e", "--target", "garbage"], 2,
+     "error: --vars and --target need --phi\n"),
+    (["hypergraph", TRI, "--pattern", TRI, "--eps", "garbage"], 2,
+     "error: --eps needs --remove\n"),
+    (["hypergraph", "no-such.hg", "--pattern", TRI, "--eps", "1/2"], 2,
+     "error: --eps needs --remove\n"),
+    (["hypergraph", TRI, "--pattern", TRI, "--remove", "--eps", ""], 2,
+     "error: bad --eps '': expected a rational like 2/3\n"),
     (["eval", Z4, "x = e", "--bind", "x=abc"], 2, "error: bad binding value 'abc'\n"),
     (["furstenberg", "--E", "1,2", "--N", "5", "--U", "0,x"], 2,
      "error: bad --U '0,x': expected integers\n"),
     (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: bad --g '1,x': expected rationals\n"),
     (["check-axioms", Z4, "--schemes", ","], 2, "error: empty scheme selection\n"),
-], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target", "bind-abc",
-        "shift-not-integer", "value-not-rational", "schemes-empty"])
+], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target",
+        "vars-without-phi", "target-without-phi", "eps-without-remove",
+        "eps-without-remove-checked-first", "eps-empty", "bind-abc", "shift-not-integer",
+        "value-not-rational", "schemes-empty"])
 def test_argument_errors_exit_with_their_message(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
 

@@ -1,5 +1,6 @@
 """Density, regular pairs, energy-increment partitions, copy counting, removal."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -334,6 +335,29 @@ def test_pair_check_matches_the_subset_oracle_on_every_tiny_pair():
                 _assert_matches_the_subset_oracle(g, u, u, eps)
             checked += 1
     assert checked == 682 + 2 + 8 + 64
+
+
+def test_pair_check_matches_the_subset_oracle_at_the_widest_one_vertex_searches():
+    # a smaller side of 4-10 vertices whose least qualifying size is still 1
+    # (eps·size <= 1) is searched one vertex at a time, off its rows; the
+    # pairs come in both orders, so either side is the one searched
+    rng = random.Random(25)
+    outcomes = collections.Counter()
+    for case in range(400):
+        eps = (QUARTER, Fraction(1, 5), Fraction(1, 8), Fraction(1, 10))[case % 4]
+        small = rng.randint(4, eps.denominator)
+        a, b = small, rng.randint(small, 15)
+        if case // 4 % 2:
+            a, b = b, a
+        g, u, v = _pair_graph(rng, a, b, ("planted", "random")[case // 8 % 2], same=False)
+        assert _m_min(eps, u if a <= b else v) == 1
+        certified = _certified(g, u, v, eps)
+        regular = _assert_matches_the_subset_oracle(g, u, v, eps)
+        outcomes["certified" if certified else "regular" if regular else "witness"] += 1
+    # at m = 1 the certificate is exact, so the search runs only when a
+    # witness exists: on most of these pairs
+    assert outcomes["witness"] >= 300 and outcomes["certified"] >= 10, outcomes
+    assert not outcomes["regular"]
 
 
 def test_partition_is_unchanged_with_the_subset_oracle(monkeypatch):
