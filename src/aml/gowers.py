@@ -10,15 +10,13 @@ and, equivalently (substituting x = sum h0_i, h_i = h1_i - h0_i):
     (1/|G|^{2k}) sum_{h0, h1 in G^k} prod_{omega in {0,1}^k} g(sum_i h_i^{omega(i)}).
 
 Gowers' derivative identity (Gowers, "A new proof of Szemeredi's theorem",
-GAFA 2001) gives the same power recursively, at a cost of about |G|^k:
+GAFA 2001) gives the same power recursively, at a cost of about 2|G|^k
+table entries:
 
     ||g||^{2^k}  =  E_h ||g * g(. + h)||^{2^{k-1}},   with  ||g||^2 = (E g)^2.
 
-The cube form is evaluated term by term, but the n terms that differ only
-in h_k share the 2^(k-1) corners without h_k; their product is factored out
-and the last coordinate is summed as one builtin pass over the rows
-a -> g(a + .).  That is distributivity only: no translation invariance is
-used, so the identity above remains an independent check of the result.
+``gowers_norm_pow`` computes by that identity.  The substitution form is
+kept as the small-n reference it is tested against.
 
 For a k-variable function f on a measured universe, the box-norm power is
 
@@ -43,7 +41,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property
 
 from .semantics import Budget
 from .structures import (DefinableSet, check_weights, index_tuple, integer_table,
@@ -178,61 +176,35 @@ def _check_degree(group: AbelianGroup, g: GridFunction, k: int) -> None:
 
 def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
                     budget: Budget | None = None) -> Fraction:
-    """||g||^{2^k} via the direct cube average over x and h_1..h_k.
+    """||g||^{2^k} by the derivative identity over integer-rescaled tables.
 
-    The terms come in blocks of n, one per (x, h_1..h_{k-1}); a block's
-    terms share the 2^(k-1) corners C that do not use h_k, so by
-    distributivity it sums to
-
-        prod_{c in C} g(c)  *  sum_{h_k} prod_{c in C} g(c + h_k),
-
-    the inner sum one builtin pass over the rows c -> g(c + .); a block whose
-    common product is 0 adds nothing and is skipped.  Every term is still
-    formed from its own corners (no translation is used), so the result
-    stays independent of the derivative identity it is checked against."""
+    A table t of depth d > 1 stands for its n derivatives t * t(. + h) of
+    depth d - 1, and one of depth 1 adds (sum t)^2.  The tables wait on an
+    explicit stack, so no call depth grows with k."""
     _check_degree(group, g, k)
     add = group.table
     n = group.n
-    # n^(k+1) terms of 2^k corners each: n·(2n)^k, its exponent k from input;
-    # then as often again for each further 64-bit word of a term's product,
-    # of up to 2^k·(b - 1) + 1 bits for table entries of b bits
+    gi, denom = integer_table(g.values)
+    # n^(k-d+1) entries of depth d, each a product of 2^(k-d) scaled values:
+    # n·(2n)^(k-d) summed over d is at most (2n)^k, its exponent k from
+    # input; then as often again for each further 64-bit word of a square or
+    # of the power's denominator, of up to 2^k·(b - 1) + 1 bits when the
+    # scaled values and their common denominator have at most b bits
     budget = budget or Budget()
-    budget.charge_power(2 * n, k, n)
-    gi, denom = integer_table(g.values)
-    bits = max(map(abs, gi)).bit_length()
-    budget.charge_power(2 * n, k, n * (max(bits - 1, 0) << k >> 6))
-    rows = [[gi[c] for c in row] for row in add]    # rows[a][h] = g(a + h), scaled
-    row_product = partial(map, operator.mul)   # two rows' entrywise products
+    budget.charge_power(2 * n, k)
+    bits = max(max(map(abs, gi)), denom).bit_length()
+    budget.charge_power(2 * n, k, (bits - 1) << k >> 6)
     total = 0
-    for x in range(n):
-        for hs in itertools.product(range(n), repeat=k - 1):
-            corners = [x]
-            for h in hs:
-                row_h = add[h]
-                corners += [row_h[c] for c in corners]
-            prod = 1
-            for c in corners:
-                prod *= gi[c]
-            if prod:
-                total += prod * sum(reduce(row_product, [rows[c] for c in corners]))
-    return Fraction(total, denom ** (1 << k) * n ** (k + 1))
-
-
-def gowers_norm_pow_derivative(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
-    """||g||^{2^k} via the derivative identity, recursing on g * g(. + h)."""
-    _check_degree(group, g, k)
-    gi, denom = integer_table(g.values)
-    add = group.table
-    n = group.n
-
-    def scaled(t: list[int], depth: int) -> int:
-        # n^{depth+1} * ||t||^{2^depth} for an integer table t
+    stack = [(gi, k)]
+    while stack:
+        t, depth = stack.pop()
         if depth == 1:
-            return sum(t) ** 2
-        return sum(scaled([a * t[row[h]] for a, row in zip(t, add)], depth - 1)
-                   for h in range(n))
-
-    return Fraction(scaled(gi, k), denom ** (1 << k) * n ** (k + 1))
+            total += sum(t) ** 2
+        else:
+            # add[h][x] = x + h, the group being abelian
+            stack += [(list(map(operator.mul, t, map(t.__getitem__, row))), depth - 1)
+                      for row in add]
+    return Fraction(total, denom ** (1 << k) * n ** (k + 1))
 
 
 def gowers_norm_pow_subst(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:

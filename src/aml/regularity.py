@@ -90,9 +90,6 @@ class Graph:
                 raise RegularityError(f"edge {e} out of range")
         return Graph(n, _adjacency(n, pairs))
 
-    def degree_into(self, v: int, mask: int) -> int:
-        return (self.adj[v] & mask).bit_count()
-
 
 def _adjacency(n: int, pairs) -> tuple[int, ...]:
     """The adjacency masks of the graph on 0..n-1 with the given checked pairs."""
@@ -330,18 +327,8 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     up to ⌊1/ε⌋ vertices), the certificate is exact, so it fails exactly
     when a witness exists, and the search reads that witness off the rows
     of the side's vertices in increasing order
-    (:func:`_first_vertex_witness`).
-
-    Both read only the least qualifying sizes m = max(1, ⌈ε|U|⌉) and
-    m' = max(1, ⌈ε|U'|⌉).  (1) The certificate's bounds over s·t are monotone
-    in s and t, so the cell (m, m') is the worst one.  (2) The first witness
-    has exactly m and m' vertices, so only those sizes are searched
-    (:func:`_first_witness` for m >= 2): if (A, B) deviates by eps, so does
-    (A*, B) for A* the m vertices of A with the most (or the fewest)
-    neighbours in B, and A* is a sub-mask of A, so it comes no later; and
-    for a fixed A the mean degree into A of the top-m' (bottom-m') vertices
-    of the other side never rises (falls) as m' grows, so the least prefix
-    deviates whenever a longer one does.
+    (:func:`_first_vertex_witness`).  Both read only the least qualifying
+    sizes, for the two reasons the module docstring gives.
     """
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
@@ -803,9 +790,9 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
 
-    # Counter one, from hg's edges alone: for each edge avoiding X_{k+1}, the
-    # X_{k+1} vertices completing all k of its faces, and whether
-    # x_{k+1} = sum x_i (bit sum x_i − 1) is one of them.
+    # Counter one, from the inner edges and the links alone: for each edge
+    # avoiding X_{k+1}, the X_{k+1} vertices completing all k of its faces,
+    # and whether x_{k+1} = sum x_i (bit sum x_i − 1) is one of them.
     total = trivial = 0
     for t in inner:
         common = links.get(t[1:], 0)

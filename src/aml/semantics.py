@@ -64,7 +64,7 @@ class Budget:
     size just before it runs: a formula's table its number of bits (see
     :class:`Evaluator`), an extension n^k, a parsed structure or graph its
     declared size; the other layers price their own loops next to them
-    (Gowers cube corners, scanned windows, pattern maps, regularity subsets,
+    (Gowers derivative tables, scanned windows, pattern maps, regularity subsets,
     family members)."""
 
     def __init__(self, limit: int | None = None):

@@ -19,15 +19,17 @@ value of x_{k+1} for each edge family and counter.  ``greedy_hitting_set_by_reco
 is the reference for the greedy hitting set: each round recounts and resorts
 every edge of the constraints not yet hit.  ``tokenize_by_characters``
 is the reference for the regex tokenizer: it reads one character at a time.
-``gowers_cube_by_terms`` is the reference for the cube form of the Gowers
-power: it forms the 2^k-corner product of every (x, h_1..h_k) term one by
-one.  ``banach_density_by_slides`` is the reference for the window scan: it
-slides every window of each length one step at a time over set lookups and
-keeps the best density as a Fraction.
+``gowers_cube_by_terms`` is the reference for the Gowers power, which the
+library computes by the derivative identity: it forms the 2^k-corner product
+of every (x, h_1..h_k) term of the cube average one by one.
+``banach_density_by_slides`` is the reference for the window scan: it slides
+every window of each length one step at a time over set lookups and keeps
+the best density as a Fraction.
 
 The rest are references and generators that only the tests use:
 ``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
 ``random_structure_over`` structures of a given size over any signature,
+``degree_into`` a vertex's neighbours among a bitmask of vertices,
 ``check_probability`` is the probability sentence scheme, and
 ``box_multiplication_check`` the box-multiplication inequality of
 cylinder-restricted box norms.
@@ -115,14 +117,19 @@ def broadcast_by_repunit(bits: int, block: int, size: int) -> int:
     return bits * (((1 << size) - 1) // ((1 << block) - 1))
 
 
+def degree_into(g: Graph, v: int, mask: int) -> int:
+    """The neighbours of ``v`` among the vertices of the bitmask ``mask``."""
+    return (g.adj[v] & mask).bit_count()
+
+
 def degree_certificate_by_scan(g: Graph, u, v, d_base: Fraction, eps: Fraction,
                                m_min_u: int, m_min_v: int) -> bool:
     """The degree-sequence certificate of ``aml.regularity`` with every
     (s, t) cell's bounds summed over the sorted degrees, O(|U| + |V|) a cell."""
     a, b = len(u), len(v)
     mask_u, mask_v = sum(1 << x for x in u), sum(1 << y for y in v)
-    rows = sorted((g.degree_into(x, mask_v) for x in u), reverse=True)
-    cols = sorted((g.degree_into(y, mask_u) for y in v), reverse=True)
+    rows = sorted((degree_into(g, x, mask_v) for x in u), reverse=True)
+    cols = sorted((degree_into(g, y, mask_u) for y in v), reverse=True)
     for s in range(m_min_u, a + 1):
         for t in range(m_min_v, b + 1):
             top = min(sum(min(r, t) for r in rows[:s]), sum(min(c, s) for c in cols[:t]))
@@ -140,7 +147,7 @@ def _least_qualifying(eps: Fraction, size: int) -> int:
 
 def _edges_between(g: Graph, xs, ys) -> int:
     mask = sum(1 << y for y in ys)
-    return sum(g.degree_into(x, mask) for x in xs)
+    return sum(degree_into(g, x, mask) for x in xs)
 
 
 def regular_by_enumeration(g: Graph, part_u, part_v, eps: Fraction) -> RegularityVerdict:
@@ -162,8 +169,8 @@ def regular_by_enumeration(g: Graph, part_u, part_v, eps: Fraction) -> Regularit
             continue
         sub = tuple(x for i, x in enumerate(left) if bits >> i & 1)
         mask = sum(1 << x for x in sub)
-        by_degree = sorted(right, key=lambda y: (-g.degree_into(y, mask), y))
-        degrees = [g.degree_into(y, mask) for y in by_degree]
+        by_degree = sorted(right, key=lambda y: (-degree_into(g, y, mask), y))
+        degrees = [degree_into(g, y, mask) for y in by_degree]
         for m in range(m_r, len(right) + 1):
             cells = len(sub) * m
             top, bottom = sum(degrees[:m]), sum(degrees[len(right) - m:])
@@ -213,7 +220,7 @@ def partition_energy_by_fractions(g: Graph, parts) -> Fraction:
     total = Fraction(0)
     for p in parts:
         for q, mask in zip(parts, masks):
-            e = sum(g.degree_into(x, mask) for x in p)
+            e = sum(degree_into(g, x, mask) for x in p)
             total += Fraction(e * e, len(p) * len(q) * g.n * g.n)
     return total
 

@@ -34,7 +34,7 @@ from aml.regularity import (
 )
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
-from oracle import (ap_encode_by_scan, degree_certificate_by_scan,
+from oracle import (ap_encode_by_scan, degree_certificate_by_scan, degree_into,
                     greedy_hitting_set_by_recount, is_epsilon_regular_by_subsets,
                     partition_energy_by_fractions, regular_by_enumeration)
 
@@ -86,7 +86,7 @@ def test_hypergraph_from_edges_checks_every_edge():
 def test_graph_adjacency_is_symmetric():
     assert HALF.adj[3] >> 8 & 1 and HALF.adj[8] >> 3 & 1  # 3 >= 2
     assert not HALF.adj[2] >> 9 & 1                        # 2 < 3
-    assert HALF.degree_into(6, (1 << 6) - 1) == 6         # right vertex 6: all of left
+    assert degree_into(HALF, 6, (1 << 6) - 1) == 6        # right vertex 6: all of left
 
 
 def test_density_values():
@@ -221,7 +221,7 @@ def _certified(g, u, v, eps):
     """The degree certificate of ``aml.regularity`` on (u, v): its one cell,
     the row half first."""
     mask_u = sum(1 << x for x in u)
-    rows = sorted((g.degree_into(x, sum(1 << y for y in v)) for x in u), reverse=True)
+    rows = sorted((degree_into(g, x, sum(1 << y for y in v)) for x in u), reverse=True)
     s, t = _m_min(eps, u), _m_min(eps, v)
     edges, cells, p, q = sum(rows), len(u) * len(v), eps.numerator, eps.denominator
     test = q * cells, (q * edges + p * cells) * s * t, (q * edges - p * cells) * s * t
