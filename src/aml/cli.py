@@ -3,20 +3,23 @@
 Subcommands: eval, measure, check-axioms, gowers, regularity, hypergraph,
 ap-encode, limit, density, furstenberg.  Flags on every subcommand: --budget
 (work units; without it main reads the AML_BUDGET environment variable on
-every call, then falls back to DEFAULT_BUDGET) and --format {text,records}.
-eval and limit also take --trace, check-axioms --seed.  The argument parser
-is built once per process.  main builds one Budget per run, and each layer
-charges it for its own enumeration just before running it (see
-semantics.Budget).  eval evaluates a formula at the --bind valuation (a
-name the formula does not use is ignored), so eval --trace lists the
-measures decided at that valuation only (an inner measure once per
-assignment of its enclosing binders' variables), innermost first, and none
-in an operand skipped because the connective's left operand already decides
-it; measure, check-axioms and limit table each formula once over the
-variables they enumerate (see semantics.Evaluator).  eval's summary states
-its formula's measure bound as written: under an odd number of leading '~'
-a < bound reads as >= and a <= bound as >.  Each subcommand imports its
-layer (axioms, gowers, limits, regularity) when it runs.
+every call, then falls back to DEFAULT_BUDGET), --format {text,records} and
+--stats.  eval and limit also take --trace, check-axioms --seed.  The
+argument parser is built once per process.  main builds one Budget per run,
+and each layer charges it for its own enumeration just before running it and
+bumps its named counters (see semantics.Budget); with --stats, main prints
+stats.budget.used=<units> and then stats.<counter>=<n> for each counter, by
+name, after the output of an exit 0 or 1, in either format.  eval evaluates
+a formula at the --bind valuation (a name the formula does not use is
+ignored), so eval --trace lists the measures decided at that valuation only
+(an inner measure once per assignment of its enclosing binders' variables),
+innermost first, and none in an operand skipped because the connective's
+left operand already decides it; measure, check-axioms and limit table each
+formula once over the variables they enumerate (see semantics.Evaluator).
+eval's summary states its formula's measure bound as written: under an odd
+number of leading '~' a < bound reads as >= and a <= bound as >.  Each
+subcommand imports its layer (axioms, gowers, limits, regularity) when it
+runs.
 
 Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
@@ -102,12 +105,11 @@ def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> li
 
 
 def _element_set(args_e: str, what: str = "--E") -> set[int]:
-    """An integer-set argument: inline integers, or a path to a file of them
-    ('#' starts a comment)."""
+    """An integer-set argument: inline integers (none, when it is blank or
+    only commas), or a path to a file of them ('#' starts a comment)."""
     stripped = args_e.strip()
-    head = stripped.replace(",", " ").split()
-    if head and all(w.lstrip("-").isdecimal() for w in head):
-        return set(_parse_list(stripped, what))
+    if all(w.lstrip("-").isdecimal() for w in stripped.replace(",", " ").split()):
+        return set(_parse_list(stripped, what))  # blank or commas only: the empty set
     return set(_parse_input(parse_ints, stripped))
 
 
@@ -495,6 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "AML_BUDGET environment variable, read on every "
                              f"run, else {DEFAULT_BUDGET})")
     common.add_argument("--format", choices=("text", "records"), default="text")
+    common.add_argument("--stats", action="store_true",
+                        help="after the output, print the work units charged and "
+                             "the run's counters as stats.<name>=<n> records")
 
     top = argparse.ArgumentParser(prog="aml", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -602,7 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out = _Out(args.format)
     try:
-        code = args.func(args, out, _budget(args.budget))
+        budget = _budget(args.budget)
+        code = args.func(args, out, budget)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -616,6 +622,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"semantic error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
     out.flush()
+    if args.stats:
+        print(f"stats.budget.used={budget.used}")
+        for name, n in sorted(budget.counts.items()):
+            print(f"stats.{name}={n}")
     return code
 
 

@@ -36,12 +36,17 @@ both read only those sizes:
    bits, so the witness is read off the rows in vertex order.
 
 A pair of parts too small to hold any proper qualifying subset is regular
-outright, and the partition survey settles it without a check.  Partition
-energies are one integer sum over a common denominator, each unordered part
-pair counted once.  The AP encoding reads each edge family's solutions from
-A's residue class of its coefficient, with two bisections per tuple of the
-other coordinates, builds each edge as its vertex tuple in part order, and
-links only the faces its first counter reads.
+outright, and the partition survey settles it without a check.  Each round
+the survey computes every part's mask and least qualifying size once, then
+decides each other pair with one unchecked kernel, which builds no Fraction
+and no verdict for a regular pair; :func:`is_epsilon_regular` is the checked
+entry to the same kernel.  Either way the kernel counts its checks in the
+budget's ``regularity.pair_checks`` and ``regularity.irregular_pairs``.
+Partition energies are one integer sum over a common denominator, each
+unordered part pair counted once.  The AP encoding reads each edge family's
+solutions from A's residue class of its coefficient, with two bisections per
+tuple of the other coordinates, builds each edge as its vertex tuple in part
+order, and links only the faces its first counter reads.
 """
 
 from __future__ import annotations
@@ -206,28 +211,15 @@ def _degree_certificate(adj, rows: list[int], v: tuple[int, ...], mask_u: int,
     the vertices ``v`` of U' into U (``mask_u``), any X ⊆ U, Y ⊆ U' of sizes
     s, t have
     min(Σ top-s min(r, t), Σ top-t min(c, s)) >= e(X,Y) >=
-    max(Σ bottom-s max(0, r − (|U'|−t)), Σ bottom-t max(0, c − (|U|−s))).
-
-    Over s·t the upper bound never rises as s or t grows (a top-s mean never
-    rises with s, nor does min(r, t)/t = min(r/t, 1) with t), and the lower
-    bound never falls (a bottom-s mean never falls with s, nor does
-    max(0, r − |U'| + t)/t = max(0, 1 − (|U'| − r)/t) with t).  So the cell of
-    the least qualifying sizes (s, t) decides every cell: no witness exists
-    when both its bounds lie strictly within eps of d(U, U'), that is when
+    max(Σ bottom-s max(0, r − (|U'|−t)), Σ bottom-t max(0, c − (|U|−s))),
+    and no witness exists when both bounds of the cell of the least
+    qualifying sizes (s, t) lie strictly within eps of d(U, U'), that is when
     scale·bound < hi and scale·bound > lo for ``test`` = (scale, hi, lo).
-    False leaves the pair undecided.
-
-    The row half is tried first, and the columns are counted only when it
-    leaves the pair open, s >= 2 and U' has two vertices or more.  At s = 1
-    the row bounds are exact: one vertex x carries at most min(r, t) and at
-    least max(0, t − (|U'| − r)) edges into t vertices, for r = deg(x), and
-    the top-1 and bottom-1 sums are the largest and the least of these over
-    x; with one vertex y in U' the rows are 0/1 and their top-s and bottom-s
-    sums are the most and the fewest of y's neighbours among s vertices.
-    Either way the columns, only bounds on the same extremes, cannot settle
-    what the rows did not.  At t = 1 the column bounds are exact in the same
-    way, so whenever s or t is 1 the certificate fails only on a pair with a
-    witness of sizes (s, t)."""
+    False leaves the pair undecided.  The row half is tried first, and the
+    columns are counted only when it leaves the pair open, s >= 2 and U' has
+    two vertices or more.  Why that one cell decides every cell, and why
+    the certificate fails only on a pair with a witness when s or t is 1,
+    is argument 1 of the module docstring."""
     scale, hi, lo = test
     top, bottom = _bounds(rows, s, t, len(v))
     if scale * top < hi and scale * bottom > lo:
@@ -239,9 +231,9 @@ def _degree_certificate(adj, rows: list[int], v: tuple[int, ...], mask_u: int,
     return scale * min(top, top_c) < hi and scale * max(bottom, bottom_c) > lo
 
 
-def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
+def _first_witness(adj, left: tuple[int, ...], right: tuple[int, ...],
                    m_l: int, m_r: int, test: tuple[int, int, int]):
-    """The first (A, B, d(A, B)) that deviates by ``test`` (see
+    """The first (A, B, e(A, B)) that deviates by ``test`` (see
     :func:`_degree_certificate`), taking the m_l-subsets A of ``left`` in
     increasing bitmask order and, for each, B the m_r vertices of ``right``
     of most degree into A, then those of least (ties to the lesser vertex
@@ -252,7 +244,6 @@ def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
     and a popcount.  Gosper's step runs within the mask of ``left``: the
     vertices outside it are set before the lowest bit is added, so the
     carry skips them."""
-    adj = g.adj
     rows = [adj[y] for y in right]
     scale, hi, lo = test
     top_min = -(-hi // scale)  # m_r degrees summing to at least this deviate up
@@ -272,7 +263,7 @@ def _first_witness(g: Graph, left: tuple[int, ...], right: tuple[int, ...],
             order = sorted(range(len(right)), key=into.__getitem__, reverse=True)
             chosen, edges = (order[:m_r], top) if top >= top_min else (order[-m_r:], bottom)
             return (tuple(x for x in left if bits >> x & 1),
-                    tuple(sorted(right[j] for j in chosen)), Fraction(edges, m_l * m_r))
+                    tuple(sorted(right[j] for j in chosen)), edges)
         # the next larger mask of m_l vertices of ``left``: the lowest run of
         # them moves its top vertex up one and the rest to the bottom; the
         # carry leaves ``left`` past the last mask
@@ -309,8 +300,40 @@ def _first_vertex_witness(adj, left: tuple[int, ...], right: tuple[int, ...], ma
             order = [y for y in right if row >> y & 1] + [y for y in right if not row >> y & 1]
             chosen, edges = (order[:m_r], min(r, m_r)) if r >= r_top else \
                 (order[b - m_r:], max(0, m_r - b + r))
-            return (x,), tuple(sorted(chosen)), Fraction(edges, m_r)
+            return (x,), tuple(sorted(chosen)), edges
     return None
+
+
+def _pair_kernel(adj, u: tuple[int, ...], v: tuple[int, ...], mask_u: int, mask_v: int,
+                 m_u: int, m_v: int, p: int, q: int, budget: Budget):
+    """The pair check of :func:`is_epsilon_regular`, unchecked: ``u`` and
+    ``v`` are sorted tuples of distinct vertices, within the cap, with masks
+    ``mask_u``, ``mask_v`` and least qualifying sizes m_u, m_v at eps = p/q.
+    Returns (e(U, U'), None) for a regular pair, else (e(U, U'), (A, B,
+    e(A, B))) with A ⊆ U and B ⊆ U' the first witness, and bumps the
+    counters ``regularity.pair_checks`` and ``regularity.irregular_pairs``."""
+    a, b = len(u), len(v)
+    rows = sorted([(adj[x] & mask_v).bit_count() for x in u], reverse=True)
+    edges, cells = sum(rows), a * b
+    budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
+    budget.count("regularity.pair_checks")
+    # e/(m_u m_v) is at least eps from edges/cells exactly when scale·e >= hi
+    # or scale·e <= lo, in integers
+    least = m_u * m_v
+    test = q * cells, (q * edges + p * cells) * least, (q * edges - p * cells) * least
+    if _degree_certificate(adj, rows, v, mask_u, m_u, m_v, test):
+        return edges, None
+    # search subsets of the smaller side
+    swapped = a > b
+    left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
+    budget.charge(1 << len(left))  # one unit per subset
+    found = _first_witness(adj, left, right, m_l, m_r, test) if m_l > 1 else \
+        _first_vertex_witness(adj, left, right, mask_u if swapped else mask_v, m_r, test)
+    if found is None:
+        return edges, None
+    budget.count("regularity.irregular_pairs")
+    sub, other, wit_edges = found
+    return edges, (other, sub, wit_edges) if swapped else found
 
 
 def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
@@ -328,7 +351,9 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     when a witness exists, and the search reads that witness off the rows
     of the side's vertices in increasing order
     (:func:`_first_vertex_witness`).  Both read only the least qualifying
-    sizes, for the two reasons the module docstring gives.
+    sizes, for the two reasons the module docstring gives.  This is the
+    checked entry: it validates its arguments and runs the same kernel as
+    the partition survey, counted the same way.
     """
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
@@ -343,30 +368,14 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     if a > exact_cap or b > exact_cap:
         raise RegularityError(f"exact check caps part sizes at {exact_cap}; "
                               f"got {a} and {b}")
-    mask_u, mask_v = _vertex_mask(g, u), _vertex_mask(g, v)
-    adj = g.adj
-    rows = sorted([(adj[x] & mask_v).bit_count() for x in u], reverse=True)
-    edges, cells = sum(rows), a * b
-    m_u, m_v = max(1, -(-p * a // q)), max(1, -(-p * b // q))
-    budget = budget or Budget()
-    budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
-    d_base = Fraction(edges, cells)
-    # e/(m_u m_v) is at least eps from edges/cells exactly when scale·e >= hi
-    # or scale·e <= lo, in integers
-    least = m_u * m_v
-    test = q * cells, (q * edges + p * cells) * least, (q * edges - p * cells) * least
-    if _degree_certificate(adj, rows, v, mask_u, m_u, m_v, test):
-        return RegularityVerdict(True, d_base)
-    # search subsets of the smaller side
-    swapped = a > b
-    left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
-    budget.charge(1 << len(left))  # one unit per subset
-    found = _first_witness(g, left, right, m_l, m_r, test) if m_l > 1 else \
-        _first_vertex_witness(adj, left, right, mask_u if swapped else mask_v, m_r, test)
+    m_u, m_v = _least_qualifying(eps, a), _least_qualifying(eps, b)
+    edges, found = _pair_kernel(g.adj, u, v, _vertex_mask(g, u), _vertex_mask(g, v),
+                                m_u, m_v, p, q, budget or Budget())
+    d_base = Fraction(edges, a * b)
     if found is None:
         return RegularityVerdict(True, d_base)
-    sub, other, d_wit = found
-    return RegularityVerdict(False, d_base, (other, sub) if swapped else (sub, other), d_wit)
+    sub, other, wit_edges = found
+    return RegularityVerdict(False, d_base, (sub, other), Fraction(wit_edges, m_u * m_v))
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +426,32 @@ def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
             for i in range(pieces)]
 
 
-def _survey(g: Graph, parts, eps, exact_cap, budget):
+def _survey(g: Graph, parts, eps: Fraction, budget: Budget):
     """Exact verdicts for all unordered part pairs; returns (irregular list,
-    ordered-pair mass of irregular pairs)."""
+    ordered-pair mass of irregular pairs).  Each part's mask and least
+    qualifying size are computed once, and each pair is decided by
+    :func:`_pair_kernel`.  The parts are sorted, disjoint and within the cap
+    (the initial chunks fit it and refinement only splits them), so nothing
+    is re-checked per pair."""
     irregular = []
     mass = 0
-    # parts no larger than their least qualifying size ⌈ε|U|⌉: only the pair
-    # itself qualifies, so a pair of two of them is regular; it is charged
-    # the certificate's one cell, |U| + |U'|
-    whole = [_least_qualifying(eps, len(p)) == len(p) for p in parts]
-    for i in range(len(parts)):
+    adj, p, q = g.adj, eps.numerator, eps.denominator
+    masks = [_mask_of(part) for part in parts]
+    least = [_least_qualifying(eps, len(part)) for part in parts]
+    for i, (u, mask_u, m_u) in enumerate(zip(parts, masks, least)):
+        # parts no larger than their least qualifying size ⌈ε|U|⌉: only the
+        # pair itself qualifies, so a pair of two of them is regular; it is
+        # charged the certificate's one cell, |U| + |U'|
+        whole_u = m_u == len(u)
         for j in range(i, len(parts)):
-            if whole[i] and whole[j]:
-                budget.charge(len(parts[i]) + len(parts[j]))
+            v, m_v = parts[j], least[j]
+            if whole_u and m_v == len(v):
+                budget.charge(len(u) + len(v))
                 continue
-            verdict = is_epsilon_regular(g, parts[i], parts[j], eps,
-                                         exact_cap=exact_cap, budget=budget)
-            if not verdict.regular:
-                irregular.append((i, j, verdict.witness))
-                block = len(parts[i]) * len(parts[j])
+            found = _pair_kernel(adj, u, v, mask_u, masks[j], m_u, m_v, p, q, budget)[1]
+            if found is not None:
+                irregular.append((i, j, found[:2]))
+                block = len(u) * len(v)
                 mass += block if i == j else 2 * block
     return irregular, mass
 
@@ -470,7 +486,7 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
     rounds = 0
 
     while True:
-        irregular, mass = _survey(g, parts, eps, exact_cap, budget)
+        irregular, mass = _survey(g, parts, eps, budget)
         if mass <= bound:
             return PartitionResult(tuple(parts), "regular", tuple(irregular), mass,
                                    bound, tuple(energies), rounds)

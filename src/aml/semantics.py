@@ -65,11 +65,18 @@ class Budget:
     :class:`Evaluator`), an extension n^k, a parsed structure or graph its
     declared size; the other layers price their own loops next to them
     (Gowers derivative tables, scanned windows, pattern maps, regularity subsets,
-    family members)."""
+    family members).  Named counters (``counts``, bumped by :meth:`count`)
+    record what a layer did without charging for it, such as the regularity
+    survey's pair checks."""
 
     def __init__(self, limit: int | None = None):
         self.limit = limit
         self.used = 0
+        self.counts: dict[str, int] = {}
+
+    def count(self, name: str, k: int = 1) -> None:
+        """Add ``k`` to the counter ``name``."""
+        self.counts[name] = self.counts.get(name, 0) + k
 
     def charge(self, units: int) -> None:
         self.used += units

@@ -14,6 +14,10 @@ certificate and the partition energy: each sums its terms one by one.
 certificate over every cell, then ``regular_by_enumeration``, which tries
 every qualifying subset of the smaller side against every prefix length of
 the other side's degree order.
+``regularity_partition_by_checks`` is the reference for the partition's
+survey: one pair check per unordered part pair, through the public
+``is_epsilon_regular`` unless told otherwise, and each part refined by the
+vertices' membership in its witness sets.
 ``ap_encode_by_scan`` is the reference for the AP encoding: it scans every
 value of x_{k+1} for each edge family and counter.  ``greedy_hitting_set_by_recount``
 is the reference for the greedy hitting set: each round recounts and resorts
@@ -43,8 +47,8 @@ from fractions import Fraction
 
 from aml.gowers import AbelianGroup, GowersError, GridFunction, gowers_box_pow
 from aml.parser import ParseError, SourceSpan, Token
-from aml.regularity import (APEncoding, Graph, Hypergraph, RegularityError, RegularityVerdict,
-                            _ap_vertex)
+from aml.regularity import (APEncoding, Graph, Hypergraph, PartitionResult, RegularityError,
+                            RegularityVerdict, _ap_vertex, is_epsilon_regular)
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
@@ -210,6 +214,53 @@ def is_epsilon_regular_by_subsets(g: Graph, part_u, part_v, eps, exact_cap: int 
     if min(a, b) == 1 and not verdict.regular:
         budget.charge(2)
     return verdict
+
+
+def regularity_partition_by_checks(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
+                                   budget: Budget | None = None,
+                                   check=is_epsilon_regular) -> PartitionResult:
+    """``aml.regularity.regularity_partition`` with the same charges, its
+    survey written out as one ``check`` call per unordered part pair, except
+    a pair of two parts that each equal their least qualifying size: only
+    the pair itself qualifies, so it is regular, charged |U| + |U'|.  Each
+    round splits every part of an irregular pair into the classes of
+    vertices that agree on membership in each of its witness sets.  Takes
+    valid arguments."""
+    eps, budget, n = Fraction(eps), budget or Budget(), g.n
+    pieces = -(-n // exact_cap)
+    sizes = [n // pieces + (i < n % pieces) for i in range(pieces)]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    parts = [tuple(range(start, end)) for start, end in zip(ends, ends[1:])]
+    energies, bound, rounds = [partition_energy_by_fractions(g, parts)], eps * n * n, 0
+    while True:
+        irregular, mass = [], 0
+        for i, j in itertools.combinations_with_replacement(range(len(parts)), 2):
+            u, v = parts[i], parts[j]
+            if all(_least_qualifying(eps, len(part)) == len(part) for part in (u, v)):
+                budget.charge(len(u) + len(v))
+                continue
+            verdict = check(g, u, v, eps, exact_cap=exact_cap, budget=budget)
+            if not verdict.regular:
+                irregular.append((i, j, verdict.witness))
+                mass += len(u) * len(v) * (1 if i == j else 2)
+        if mass <= bound:
+            return PartitionResult(tuple(parts), "regular", tuple(irregular), mass, bound,
+                                   tuple(energies), rounds)
+        cuts = [[] for _ in parts]
+        for i, j, (a, b) in irregular:
+            cuts[i].append(set(a))
+            cuts[j].append(set(b))
+        refined = []
+        for part, part_cuts in zip(parts, cuts):
+            classes: dict[tuple[bool, ...], list[int]] = {}
+            for x in part:
+                classes.setdefault(tuple(x in cut for cut in part_cuts), []).append(x)
+            refined.extend(tuple(c) for c in classes.values())
+        if len(refined) > k_max:
+            return PartitionResult(tuple(parts), "k-max-exhausted", tuple(irregular), mass,
+                                   bound, tuple(energies), rounds)
+        parts, rounds = sorted(refined), rounds + 1
+        energies.append(partition_energy_by_fractions(g, parts))
 
 
 def partition_energy_by_fractions(g: Graph, parts) -> Fraction:

@@ -465,6 +465,54 @@ def test_every_subcommand_honours_the_budget(capsys, argv):
     assert run(capsys, *argv)[0] == 0
 
 
+def _split_stats(out):
+    """``out`` before its trailing stats.<name>=<n> records, and those records."""
+    lines = out.splitlines(keepends=True)
+    first = len(lines)
+    while first and lines[first - 1].startswith("stats."):
+        first -= 1
+    return "".join(lines[:first]), [line.rstrip("\n") for line in lines[first:]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_stats_come_last_and_change_nothing_else(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    code_stats, out_stats, err_stats = run(capsys, *argv, "--format", fmt, "--stats")
+    shown, stats = _split_stats(out_stats)
+    assert (code_stats, shown, err_stats) == (code, out, err)
+    assert stats[0].startswith("stats.budget.used=")
+    names = [line.partition("=")[0] for line in stats[1:]]
+    assert names == sorted(names)
+    # the units charged: the run fits a budget of exactly that many, not one fewer
+    used = int(stats[0].partition("=")[2])
+    assert used > 1
+    assert run(capsys, *argv, "--format", fmt, "--budget", str(used))[:2] == (code, out)
+    assert run(capsys, *argv, "--format", fmt, "--budget", str(used - 1))[:2] == (4, "")
+
+
+def test_stats_count_the_regularity_pair_checks(capsys):
+    code, out, _ = run(capsys, "regularity", G16, "--eps", "1/4", "--stats")
+    assert code == 0
+    assert _split_stats(out)[1] == ["stats.budget.used=4350",
+                                    "stats.regularity.irregular_pairs=22",
+                                    "stats.regularity.pair_checks=29"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["regularity", G16, "--eps", "1/4", "--kmax", "2"], 1),
+    (["regularity", G16, "--eps", "2"], 3),
+    (["regularity", G16, "--eps", "x"], 2),
+    (["regularity", G16, "--eps", "1/4", "--budget", "100"], 4),
+])
+def test_stats_keep_the_exit_code_and_the_stream_rules(capsys, argv, code):
+    # a property failure still prints its stats; an error prints no stdout
+    got, out, err = run(capsys, *argv, "--stats")
+    assert (got, err) == (code, run(capsys, *argv)[2])
+    stats = _split_stats(out)[1]
+    assert bool(stats) == (code == 1)
+
+
 def test_declared_sizes_are_charged_before_allocation(capsys, tmp_path):
     # a header alone would otherwise build a 10^12-element universe or graph
     huge = tmp_path / "huge.struct"
@@ -1170,6 +1218,24 @@ def test_density_inline_set(capsys):
     code, out, _ = run(capsys, "density", "--E", "1", "--N", "10",
                        "--Lmin", "5")
     assert (code, out) == (0, "banach density = 1/5\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["density", "--E", "", "--N", "5"], "banach density = 0\n"),
+    (["ap-encode", "--A", ",", "--n", "3", "--k", "2"],
+     "hypergraph: 18 vertices, 0 edges, parts 3/3/12\n"
+     "copies with nonzero difference = 0; direct AP count = 0; verified\n"),
+    (["furstenberg", "--E", "", "--N", "3", "--U", "0,1"],
+     "cyclic density = 0, plain density = 0, wraparound bound = 1/3\n"
+     "|cyclic - plain| <= bound: True\n"),
+], ids=["density", "ap-encode", "furstenberg"])
+def test_a_blank_inline_set_is_the_empty_set(capsys, tmp_path, argv, out):
+    # as a file with no elements reads, not as a file named ''
+    assert run(capsys, *argv) == (0, out, "")
+    empty = tmp_path / "empty.set"
+    empty.write_text("# nothing\n")
+    at = argv.index("--E" if "--E" in argv else "--A") + 1
+    assert run(capsys, *argv[:at], str(empty), *argv[at + 1:]) == (0, out, "")
 
 
 def test_furstenberg_output(capsys):

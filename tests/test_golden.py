@@ -1,11 +1,15 @@
 """Pinned output digests: each demo's stdout, and one pass over the seed-1
 logic-dense and combinatorics benchmark mixes, against tests/golden/digests.txt.
 CI reads its pins from the same file; the soundness-small pin is checked
-there only, since one pass of that mix takes seconds.  The same pass counts
-the pair checks that go through ``aml.regularity.is_epsilon_regular``, the
-name the bench tracer wraps, and their irregular verdicts."""
+there only, since one pass of that mix takes seconds.  The pass runs every
+CLI op with --stats and reads the pair checks and irregular verdicts of the
+regularity survey from the library's counters; the digest is taken with the
+stats records stripped, so it also shows that --stats moves no byte of any
+op's output."""
 
+from collections import Counter
 from contextlib import redirect_stdout
+import dataclasses
 import hashlib
 import importlib.util
 from io import StringIO
@@ -14,8 +18,6 @@ import runpy
 import sys
 
 import pytest
-
-from aml import regularity
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = dict(line.split() for line in (ROOT / "tests" / "golden" / "digests.txt")
@@ -46,29 +48,40 @@ def _bench_run(monkeypatch):
     return module
 
 
-# (calls, irregular verdicts) of the pass's pair checks, as CI's traced run
-# pins them
+# (pair checks, irregular verdicts) of the pass's regularity survey, as the
+# library counts them
 PAIR_CHECKS = {"logic-dense": (0, 0), "combinatorics": (6835, 2995)}
+
+
+def _strip_stats(stdout: str, counts: Counter) -> str:
+    """``stdout`` without its trailing stats.<name>=<n> records, each added
+    into ``counts``."""
+    lines = stdout.splitlines(keepends=True)
+    while lines and lines[-1].startswith("stats."):
+        name, _, n = lines.pop()[len("stats."):].rstrip("\n").partition("=")
+        counts[name] += int(n)
+    return "".join(lines)
 
 
 @pytest.mark.parametrize("workload", ["logic-dense", "combinatorics"])
 def test_one_benchmark_pass_matches_its_pin(workload, monkeypatch, tmp_path):
     bench = _bench_run(monkeypatch)
-    verdicts, check = [], regularity.is_epsilon_regular
-
-    def counted(*args, **kwargs):
-        verdicts.append(check(*args, **kwargs))
-        return verdicts[-1]
-
-    monkeypatch.setattr(regularity, "is_epsilon_regular", counted)
     mix = bench.workloads.build(workload, 1)
     bench.workloads.write_inputs(mix, str(tmp_path))  # op paths are relative to it
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("AML_BUDGET", raising=False)  # as bench/run.py runs ops
-    outcomes = bench.Outcomes(mix)
+    outcomes, counts, cli_ops, with_stats = bench.Outcomes(mix), Counter(), 0, 0
     for index, op in enumerate(mix.ops):
-        outcomes.add(index, *bench.run_op(op))
+        if op.argv is None:
+            outcomes.add(index, *bench.run_op(op))
+            continue
+        code, stdout = bench.run_op(dataclasses.replace(op, argv=[*op.argv, "--stats"]))
+        shown = stdout if code is None else _strip_stats(stdout, counts)
+        cli_ops, with_stats = cli_ops + 1, with_stats + (shown != stdout)
+        outcomes.add(index, code, shown)
     correct, _, failed, notes = outcomes.verdict()
     assert (correct, failed) == (True, 0), notes
     assert outcomes.digest() == PINS[workload]
-    assert (len(verdicts), sum(not v.regular for v in verdicts)) == PAIR_CHECKS[workload]
+    assert with_stats == cli_ops   # every CLI op exits 0, so each printed its stats
+    assert (counts["regularity.pair_checks"], counts["regularity.irregular_pairs"]) == \
+        PAIR_CHECKS[workload]

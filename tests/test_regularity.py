@@ -36,7 +36,8 @@ from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
 from oracle import (ap_encode_by_scan, degree_certificate_by_scan, degree_into,
                     greedy_hitting_set_by_recount, is_epsilon_regular_by_subsets,
-                    partition_energy_by_fractions, regular_by_enumeration)
+                    partition_energy_by_fractions, regular_by_enumeration,
+                    regularity_partition_by_checks)
 
 DATA = Path(__file__).parent / "data"
 
@@ -360,27 +361,74 @@ def test_pair_check_matches_the_subset_oracle_at_the_widest_one_vertex_searches(
     assert not outcomes["regular"]
 
 
-def test_partition_is_unchanged_with_the_subset_oracle(monkeypatch):
-    rng = random.Random(23)
+def _partition_runs(seed, count):
+    """(graph, eps, cap, k_max): G(n, p) graphs at three densities and
+    planted ones, whose blocks are joined at densities drawn from 0.1 and
+    0.9, at several eps and part-size caps; every other pair of runs allows
+    two parts more than it starts with, so some stop at k_max."""
+    rng = random.Random(seed)
     runs = []
-    for case in range(8):
+    for case in range(count):
         n = rng.randint(10, 30)
+        if case % 2:
+            block = [rng.randrange(rng.randint(2, 4)) for _ in range(n)]
+            levels = {}
+            p = lambda x, y: levels.setdefault((block[x], block[y]), rng.choice((0.1, 0.9)))
+        else:
+            p = lambda x, y, level=(0.15, 0.5, 0.85)[case // 2 % 3]: level
         g = Graph.from_edges(n, [(x, y) for x in range(n) for y in range(x + 1, n)
-                                 if rng.random() < (0.15, 0.5, 0.85)[case % 3]])
-        runs.append((g, (Fraction(1, 3), QUARTER)[case % 2], rng.randint(5, 10)))
+                                 if rng.random() < p(x, y)])
+        eps = (Fraction(1, 3), QUARTER, Fraction(1, 5), Fraction(2, 5))[case % 4]
+        cap = rng.randint(4, 11)
+        runs.append((g, eps, cap, 64 if case % 4 < 2 else -(-n // cap) + 2))
+    return runs
 
-    def partitions():
-        results = []
-        for g, eps, cap in runs:
-            budget = Budget()
-            results.append((regularity_partition(g, eps, exact_cap=cap, budget=budget),
-                            budget.used))
-        return results
 
-    got = partitions()
-    monkeypatch.setattr(regularity, "is_epsilon_regular", is_epsilon_regular_by_subsets)
-    assert got == partitions()
-    assert max(res.rounds for res, _ in got) > 0   # some runs refine their parts
+def test_partition_is_unchanged_with_the_subset_oracle():
+    # the survey's kernel against the reference survey, which checks every
+    # pair through the public entry or the all-subsets oracle: the same
+    # result, total charge and counters
+    seen = collections.Counter()
+    for g, eps, cap, k_max in _partition_runs(23, 16):
+        got_budget, want_budget, oracle_budget = Budget(), Budget(), Budget()
+        got = regularity_partition(g, eps, k_max, cap, got_budget)
+        assert got == regularity_partition_by_checks(g, eps, k_max, cap, want_budget)
+        assert (got_budget.used, got_budget.counts) == (want_budget.used, want_budget.counts)
+        assert got == regularity_partition_by_checks(g, eps, k_max, cap, oracle_budget,
+                                                     check=is_epsilon_regular_by_subsets)
+        assert got_budget.used == oracle_budget.used
+        seen[got.status] += 1
+        seen["refined"] += got.rounds > 0
+    assert seen["regular"] and seen["k-max-exhausted"] and seen["refined"], seen
+
+
+def test_survey_kernel_matches_the_subset_oracle_on_every_pair():
+    # every pair of every round of the reference survey is decided by the
+    # kernel too, with its own budget: the same base density, witness,
+    # witness density and charge as the all-subsets oracle, one pair check
+    # counted and one irregular pair when there is a witness
+    seen = collections.Counter()
+
+    def compared(g, u, v, eps, exact_cap, budget):
+        want_budget, got_budget = Budget(), Budget()
+        want = is_epsilon_regular_by_subsets(g, u, v, eps, budget=want_budget)
+        m_u, m_v = _m_min(eps, u), _m_min(eps, v)
+        edges, found = regularity._pair_kernel(
+            g.adj, u, v, sum(1 << x for x in u), sum(1 << y for y in v), m_u, m_v,
+            eps.numerator, eps.denominator, got_budget)
+        assert Fraction(edges, len(u) * len(v)) == want.base_density
+        assert found == (None if want.regular else
+                         (*want.witness, want.witness_density * m_u * m_v))
+        assert got_budget.used == want_budget.used
+        assert got_budget.counts == {"regularity.pair_checks": 1,
+                                     **({} if want.regular else {"regularity.irregular_pairs": 1})}
+        budget.charge(want_budget.used)
+        seen["regular" if want.regular else "irregular"] += 1
+        return want
+
+    for g, eps, cap, k_max in _partition_runs(29, 16):
+        regularity_partition_by_checks(g, eps, k_max, cap, check=compared)
+    assert seen["regular"] >= 100 and seen["irregular"] >= 100, seen
 
 
 def _certified_by_scan(g, u, v, eps):
