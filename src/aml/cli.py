@@ -335,6 +335,10 @@ def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     g = gowers.GridFunction(group.n, 1, tuple(values), ())
     k = args.k
     power = gowers.gowers_norm_pow(group, g, k, budget=budget)   # a sum of squares
+    # its decimal root and its digits take time quadratic in its length: w²,
+    # w the 64-bit words past the first of its numerator or denominator
+    words = (max(power.numerator, power.denominator).bit_length() - 1) >> 6
+    budget.charge(words * words)
     approx = gowers.decimal_root(power, 1 << k)
     shown = _exact(power)
     out.text(f"U^{k} power = {shown}")
@@ -385,8 +389,8 @@ def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
     if args.remove:
         out.text(f"removed {len(res.removed)} edges ({res.method}); "
                  f"copies after = {res.copies_after}")
-        for i, e in enumerate(sorted(res.removed, key=sorted)):
-            out.record(f"removed.{i}", " ".join(map(str, sorted(e))))
+        for i, e in enumerate(sorted(res.removed)):
+            out.record(f"removed.{i}", " ".join(map(str, e)))
         out.record("method", res.method)
         out.record("copies_after", res.copies_after)
         if res.within_bound is not None:

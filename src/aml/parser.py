@@ -393,6 +393,7 @@ class DataWords:
     def __init__(self, text: str):
         self.text = text
         self.words = (_COMMENT.sub("", text) if "#" in text else text).split()
+        self._numerals: dict[str, int] | None = None
 
     @cached_property
     def rows(self) -> list[list[str]]:
@@ -405,6 +406,19 @@ class DataWords:
             return ParseError(message, SourceSpan(len(self.text), len(self.text)))
         words = (m for m in _WORD_OR_COMMENT.finditer(self.text) if m[0][0] != "#")
         return ParseError(message, SourceSpan(*next(islice(words, i, None)).span()))
+
+    def elements(self, lo: int, hi: int, n: int) -> list[int] | None:
+        """Words lo..hi-1 as elements of 0..n-1, each looked up among the
+        numerals "0".."m-1", m = min(n, word count), a table built once per
+        file (which has one n); None on a miss ("07", "+7", a word >= m) or
+        when hi is past the last word, and the caller reads them one by one."""
+        if self._numerals is None:
+            self._numerals = {str(v): v for v in range(min(n, len(self.words)))}
+        try:
+            vals = list(map(self._numerals.__getitem__, self.words[lo:hi]))
+        except KeyError:
+            return None
+        return vals if len(vals) == hi - lo else None
 
     def ints(self, start: int = 0) -> list[int]:
         """The integers in words ``start`` on; commas separate them too."""
@@ -438,8 +452,8 @@ def parse_ints(text: str) -> list[int]:
 #   end
 #
 # Words are read as one flat list, so a table or a tuple may wrap across
-# lines.  Each table and relation body is converted in bulk, each word looked
-# up among the numerals of 0..n-1; only when one is not there are its words
+# lines.  Each table and relation body is converted in bulk by
+# DataWords.elements; only when a word is not a numeral of 0..n-1 are its words
 # read one by one, to convert "07" or report the first bad word.  Every check
 # is made here, so the structure is built without a second one.
 
@@ -470,17 +484,9 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
         except ValueError:
             raise d.error(f"expected {what}, found {words[i]!r}", i) from None
 
-    def numerals_at(lo: int, hi: int) -> list[int] | None:
-        """Words lo..hi-1 as elements if each is a numeral of 0..n-1, else None."""
-        try:
-            vals = list(map(numerals.__getitem__, words[lo:hi]))
-        except KeyError:
-            return None
-        return vals if len(vals) == hi - lo else None
-
     def elements(lo: int, hi: int, what) -> list[int]:
         """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
-        vals = numerals_at(lo, hi)
+        vals = d.elements(lo, hi, n)
         if vals is not None:
             return vals
         vals = []
@@ -519,8 +525,6 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     if n < 1:
         raise d.error("universe must be nonempty", 1)
     (budget or Budget()).charge(n)  # before anything of size n is built
-    # the numerals "0".."n-1" to their elements, no more of them than words
-    numerals = {str(e): e for e in range(min(n, len(words)))}
 
     weights: tuple[Fraction, ...] = ()  # normalized counting
     constants: dict[str, int] = {}
@@ -548,7 +552,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             size = len(words) - lo + 1 if big else n ** k
             hi = min(lo + size, len(words))
             # a full table of numerals holds no declaration word
-            table = numerals_at(lo, hi) if hi - lo == size else None
+            table = d.elements(lo, hi, n) if hi - lo == size else None
             if table is None:
                 if not _DECLARATIONS.isdisjoint(words[lo:hi]):  # the table stops short
                     hi = next(i for i in range(lo, hi) if words[i] in _DECLARATIONS)

@@ -107,25 +107,26 @@ def _adjacency(n: int, pairs) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """k-uniform hypergraph: edges are k-element subsets of 0..n-1.  Edges
-    from outside are checked by from_edges and parse_hypergraph."""
+    """k-uniform hypergraph on 0..n-1, each edge the ascending tuple of its k
+    vertices, built once where it enters.  Edges from outside are checked by
+    from_edges and parse_hypergraph."""
 
     n: int
     k: int
-    edges: frozenset[frozenset[int]]
+    edges: frozenset[tuple[int, ...]]
 
     @staticmethod
     def from_edges(n: int, k: int, edge_sets) -> "Hypergraph":
         """The hypergraph whose edges are ``edge_sets``, each checked to be k
-        vertices in range."""
+        distinct vertices in range, in any order."""
         if n < 1 or k < 1:
             raise RegularityError("need n >= 1 and k >= 1")
-        edges = frozenset(frozenset(e) for e in edge_sets)
+        edges = frozenset(tuple(sorted(set(e))) for e in edge_sets)
         for e in edges:
             if len(e) != k:
-                raise RegularityError(f"edge {sorted(e)} is not a {k}-set")
-            if not all(0 <= v < n for v in e):
-                raise RegularityError(f"edge {sorted(e)} out of range")
+                raise RegularityError(f"edge {list(e)} is not a {k}-set")
+            if e[0] < 0 or e[-1] >= n:
+                raise RegularityError(f"edge {list(e)} out of range")
         return Hypergraph(n, k, edges)
 
 
@@ -514,9 +515,9 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
 
 
 def _links(edges) -> dict[tuple[int, ...], int]:
-    """Each (k−1)-face of the ``edges``, given as sorted tuples, mapped to the
-    bitmask of the vertices that complete it to an edge.  A face of a sorted
-    tuple is sorted too, so nothing is sorted here."""
+    """Each (k−1)-face of the ``edges``, ascending tuples, mapped to the
+    bitmask of the vertices that complete it to an edge.  A face of an
+    ascending tuple is ascending too, so nothing is sorted here."""
     links: dict[tuple[int, ...], int] = {}
     for t in edges:
         for i, v in enumerate(t):
@@ -540,10 +541,10 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
         budget.charge_power(host.n, pattern.n)
     else:  # one map at most, of pattern.n vertices
         budget.charge(pattern.n)
-    links, every = _links(tuple(sorted(e)) for e in host.edges), (1 << host.n) - 1
+    links, every = _links(host.edges), (1 << host.n) - 1
     faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
-        faces[max(e)].append(sorted(e)[:-1])
+        faces[e[-1]].append(e[:-1])
     assignment, last = [0] * pattern.n, pattern.n - 1
     untried = [0] * pattern.n   # each assigned vertex's candidates not yet tried
     i = 0
@@ -572,14 +573,14 @@ def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     lexicographic order: each mask of :func:`_partial_maps` expanded, with the
     images of edges closed earlier built once per partial map."""
     last = pattern.n - 1
-    early = [e for e in pattern.edges if max(e) < last]
-    closing = [sorted(e)[:-1] for e in pattern.edges if max(e) == last]
+    early = [e for e in pattern.edges if e[-1] < last]
+    closing = [e[:-1] for e in pattern.edges if e[-1] == last]
     for assignment, mask in _partial_maps(pattern, host, budget):
         prefix = tuple(assignment[:last])
-        images = [frozenset(assignment[w] for w in e) for e in early]
+        images = [tuple(sorted([assignment[w] for w in e])) for e in early]
         faces = [[assignment[w] for w in face] for face in closing]
         for v in set_bits(mask):
-            yield prefix + (v,), frozenset(images + [frozenset(f + [v]) for f in faces])
+            yield prefix + (v,), frozenset(images + [tuple(sorted(f + [v])) for f in faces])
 
 
 def count_copies(pattern: Hypergraph, host: Hypergraph,
@@ -593,7 +594,7 @@ def count_copies(pattern: Hypergraph, host: Hypergraph,
 
 @dataclass(frozen=True)
 class RemovalResult:
-    removed: frozenset[frozenset[int]]
+    removed: frozenset[tuple[int, ...]]   # host edges, as in Hypergraph.edges
     method: str  # "branch-and-bound" | "greedy" | "none"
     copies_before: int
     copies_after: int
@@ -628,7 +629,7 @@ def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozen
             best = frozenset(chosen)
             return False
         pivot = min(remaining, key=len)
-        frames.append((remaining, iter(sorted(pivot, key=sorted))))
+        frames.append((remaining, iter(sorted(pivot))))
         return True
 
     open_node(constraint_sets)
@@ -649,24 +650,24 @@ def _min_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozen
 
 def _greedy_hitting_set(constraint_sets: list[frozenset], budget: Budget) -> frozenset:
     """Greedy hitting set (Chvátal 1979): each round takes the edge in the most
-    constraints not yet hit, ties going to the least sorted edge.  Each edge's
+    constraints not yet hit, ties going to the least edge tuple.  Each edge's
     count drops as its constraints are hit, and a heap entry whose count went
     stale is pushed back when it reaches the top, so the work is bounded by
     the incidences, charged once first."""
     budget.charge(sum(map(len, constraint_sets)))
-    holders: dict[frozenset, list[int]] = {}   # the positions of each edge's constraints
+    holders: dict[tuple, list[int]] = {}   # the positions of each edge's constraints
     for i, c in enumerate(constraint_sets):
         for e in c:
             holders.setdefault(e, []).append(i)
     counts = {e: len(held) for e, held in holders.items()}
-    heap = [(-count, sorted(e), e) for e, count in counts.items()]
+    heap = [(-count, e) for e, count in counts.items()]
     heapq.heapify(heap)
     hit, chosen = [False] * len(constraint_sets), []
     while heap:
-        negated, key, edge = heapq.heappop(heap)
+        negated, edge = heapq.heappop(heap)
         if counts[edge] != -negated:   # stale: back in at its count, if any is left
             if counts[edge]:
-                heapq.heappush(heap, (-counts[edge], key, edge))
+                heapq.heappush(heap, (-counts[edge], edge))
             continue
         chosen.append(edge)
         for i in holders[edge]:
@@ -696,7 +697,7 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
     if not before:
         return RemovalResult(frozenset(), "none", 0, 0,
                              None if eps is None else True)
-    unique = sorted(copy_sets, key=lambda s: sorted(map(sorted, s)))
+    unique = sorted(copy_sets, key=sorted)   # each copy by its edges in order
     if before <= BB_CAP:
         removed = _min_hitting_set(unique, budget)
         method = "branch-and-bound"
@@ -802,7 +803,7 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
                 ends = [(a - partial) // coeff for a in hits]
                 outer += [rest + (offset + x,) for x in ends]
                 links[rest] = sum([1 << x - 1 for x in ends])   # distinct bits
-    hg = Hypergraph(n_vertices, k, frozenset(map(frozenset, inner + outer)))
+    hg = Hypergraph(n_vertices, k, frozenset(inner + outer))
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
 
@@ -848,36 +849,22 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
 # File formats
 
 
-# A graph file of the common shape, converted in bulk: the header, then lines
-# each blank or one edge of two unsigned decimal integers, and no comment.
-_PLAIN_GRAPH = re.compile(r"\s*graph[ \t]+[0-9]+(?:[ \t\r]*\n(?:[ \t]*[0-9]+[ \t]+[0-9]+)?)*\s*")
-
-
-def _plain_vertices(words: list[str], n: int) -> list[int] | None:
-    """A plain graph's unsigned decimal ``words`` as vertices of 0..n-1, each
-    looked up among the numerals "0".."n-1" (no more of them than words);
-    on a miss ("07", or a vertex past them) converted with int.  None when
-    one is no vertex, and the rows are then read one by one."""
-    numerals = {str(v): v for v in range(min(n, len(words)))}
-    try:
-        return list(map(numerals.__getitem__, words))
-    except KeyError:
-        pass
-    try:
-        vs = list(map(int, words))
-    except ValueError:  # more digits than the interpreter converts
-        return None
-    return vs if max(vs, default=0) < n else None
+# A pair file of the common shape, converted in bulk: the header "graph <n>"
+# or "hypergraph <n> 2", then lines each blank or one edge of two unsigned
+# decimal integers, and no comment.
+_PLAIN_PAIRS = re.compile(r"\s*(?:graph[ \t]+[0-9]+|hypergraph[ \t]+[0-9]+[ \t]+2)"
+                          r"(?:[ \t\r]*\n(?:[ \t]*[0-9]+[ \t]+[0-9]+)?)*\s*")
 
 
 def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     """n, k and the edges of a "graph <n>" or "hypergraph <n> <k>" file: one
     edge per line, each k distinct vertices in [0, n) (k = 2 for a graph).
-    A format error is a ParseError at the first word of its line, found by
-    reading the rows one by one when a plain graph's bulk check fails."""
+    A plain pair file's vertices are read in bulk by DataWords.elements.  A
+    format error is a ParseError at the first word of its line, found by
+    reading the rows one by one, as are the files the bulk read refuses."""
     d = DataWords(text)
-    plain = kind == "graph" and _PLAIN_GRAPH.fullmatch(text)
-    header = d.words[:2] if plain else (d.rows or [[]])[0]
+    plain = _PLAIN_PAIRS.fullmatch(text)
+    header = d.words[:2 if kind == "graph" else 3] if plain else (d.rows or [[]])[0]
     usage = "graph <n>" if kind == "graph" else "hypergraph <n> <k>"
     fields = header[1:] if header[:1] == [kind] else []
     try:
@@ -888,7 +875,7 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
         raise d.error(f"{kind} file must start with '{usage}' (positive numbers)", 0)
     (budget or Budget()).charge(n)  # before an n-vertex graph is built
     if plain:
-        vs = _plain_vertices(d.words[2:], n)
+        vs = d.elements(len(header), len(d.words), n)
         if vs is not None:
             us, ws = vs[::2], vs[1::2]
             if all(map(operator.ne, us, ws)):
@@ -918,5 +905,5 @@ def parse_graph(text: str, budget: Budget | None = None) -> Graph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
-    n, k, edges = _parse_edges(text, "hypergraph")
-    return Hypergraph(n, k, frozenset(map(frozenset, edges)))
+    n, k, rows = _parse_edges(text, "hypergraph")   # each row's vertices as written
+    return Hypergraph(n, k, frozenset(tuple(sorted(row)) for row in rows))

@@ -293,7 +293,7 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
     # edge omitting X_{k+1}: values x_1..x_k with sum i*x_i in A
     for xs in itertools.product(range(1, n + 1), repeat=k):
         if sum(i * x for i, x in zip(range(1, k + 1), xs)) in a_set:
-            edges.add(frozenset(_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)))
+            edges.add(tuple(sorted(_ap_vertex(i + 1, x, n) for i, x in enumerate(xs))))
     # edge omitting X_i: values x_j (j != i) and x_{k+1}
     for i in range(1, k + 1):
         others = [j for j in range(1, k + 1) if j != i]
@@ -303,7 +303,7 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
                 if partial + i * x_last in a_set:
                     e = {_ap_vertex(j, x, n) for j, x in zip(others, xs)}
                     e.add(_ap_vertex(k + 1, x_last, n))
-                    edges.add(frozenset(e))
+                    edges.add(tuple(sorted(e)))
     hg = Hypergraph(n_vertices, k, frozenset(edges))
     parts = tuple(tuple(range((i - 1) * n, i * n)) for i in range(1, k + 1)) + \
         (tuple(range(k * n, k * n + big)),)
@@ -312,13 +312,13 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
     total = trivial = 0
     for xs in itertools.product(range(1, n + 1), repeat=k):
         base = [_ap_vertex(i + 1, x, n) for i, x in enumerate(xs)]
-        if frozenset(base) not in hg.edges:
+        if tuple(sorted(base)) not in hg.edges:
             continue
         for x_last in range(1, big + 1):
             v_last = _ap_vertex(k + 1, x_last, n)
             ok = True
             for i in range(k):
-                e = frozenset(base[:i] + base[i + 1:] + [v_last])
+                e = tuple(sorted(base[:i] + base[i + 1:] + [v_last]))
                 if e not in hg.edges:
                     ok = False
                     break

@@ -563,6 +563,28 @@ def test_gowers_cube_charges_the_words_of_each_product(capsys):
         assert time.perf_counter() - start < 1
 
 
+def test_gowers_charges_the_rendering_of_a_long_power(capsys):
+    # z1 at k = 7 with g = 1/10^4000: the power 1/10^512000 (26,576 words)
+    # costs 3,401,601 units to build, and its decimal root and 512,001
+    # digits would take seconds more; its 26,575 words past the first are
+    # charged 26,575² before either runs
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gowers", "z1", f"--g=1/{10 ** 4000}", "--k", "7")
+    assert (code, out) == (4, "")
+    assert err == ("budget error: enumeration budget exceeded: "
+                   f"{3401601 + 26575 ** 2} work units > limit {10 ** 7}\n")
+    assert time.perf_counter() - start < 1
+    # 1/10^5120 has 266 words: 33,921 units to build, 265² to render, and the
+    # output needs exactly that budget
+    argv = ("gowers", "z1", f"--g=1/{10 ** 40}", "--k", "7", "--format", "records")
+    want = f"power=1/1{'0' * 5120}\napprox=1.0000000000000000000E-40\n"
+    assert run(capsys, *argv, "--budget", str(33921 + 265 ** 2)) == (0, want, "")
+    assert run(capsys, *argv, "--budget", str(33921 + 265 ** 2 - 1))[:2] == (4, "")
+    # a power of one word is charged nothing to render: 4² + 8² units in all
+    code, out, _ = run(capsys, "gowers", "z4", "--g=1,-1,1,-1", "--k", "2", "--stats")
+    assert (code, out) == (0, "U^2 power = 1\nnorm approx 1\nstats.budget.used=80\n")
+
+
 def test_exponents_read_from_input_trip_the_budget_unbuilt(capsys, tmp_path):
     # each power has an input integer for exponent, far past the limit's
     # 24 bits, so it trips the budget without being built or printed
@@ -656,7 +678,8 @@ def _formula_texts(draw):
 @st.composite
 def _graph_texts(draw):
     header = draw(st.sampled_from(["graph 6", "graph 1", "graph 0", "graph", "graph x",
-                                   "graph 3 3", "hypergraph 6 2", ""]))
+                                   "graph 3 3", "hypergraph 6 2", "hypergraph 6 1",
+                                   "hypergraph 6 3", ""]))
     lines = draw(st.lists(st.lists(st.sampled_from(_GRAPH_WORDS), max_size=3),
                           max_size=8))
     return "\n".join([header] + [" ".join(words) for words in lines]) + "\n"

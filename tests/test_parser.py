@@ -109,6 +109,21 @@ def test_data_words_match_the_words_of_each_line(text, comments):
         assert text[span.start:span.end] == w
 
 
+def test_data_words_read_elements_through_one_numeral_table():
+    words = "universe 5 # a comment\n0 4 2\n3 07 +7 5 1"
+    assert DataWords(words).elements(2, 5, 5) == [0, 4, 2]
+    assert DataWords(words).elements(10, 10, 5) == []
+    for lo, hi in [(2, 7),    # "07"
+                   (7, 8),    # "+7"
+                   (8, 9),    # 5, a word >= n
+                   (9, 11),   # hi past the last word
+                   (0, 1)]:   # not a numeral at all
+        assert DataWords(words).elements(lo, hi, 5) is None, (lo, hi)
+    # the table holds no more numerals than the file has words
+    assert DataWords("9 3").elements(0, 2, 10 ** 12) is None
+    assert DataWords("1 0").elements(0, 2, 10 ** 12) == [1, 0]
+
+
 # -- terms ----------------------------------------------------------------------
 
 def test_print_term_round_trip():

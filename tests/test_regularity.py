@@ -82,6 +82,9 @@ def test_hypergraph_from_edges_checks_every_edge():
                                  (3, 2, [(-1, 0)], r"edge \[-1, 0\] out of range")]:
         with pytest.raises(RegularityError, match=f"^{message}$"):
             Hypergraph.from_edges(n, k, edges)
+    # each edge is kept as the ascending tuple of its vertices
+    assert Hypergraph.from_edges(3, 2, [(2, 0)]).edges == {(0, 2)}
+    assert Hypergraph.from_edges(4, 3, [[3, 1, 2], {0, 3, 1}]).edges == {(1, 2, 3), (0, 1, 3)}
 
 
 def test_graph_adjacency_is_symmetric():
@@ -594,11 +597,11 @@ def count_copies_injective(pattern, host):
 
 def _pattern_maps_reference(pattern, host):
     """Every assignment in lexicographic order, each pattern edge tested."""
-    pat_edges = [tuple(sorted(e)) for e in pattern.edges]
+    pat_edges = sorted(pattern.edges)
     for assignment in itertools.product(range(host.n), repeat=pattern.n):
         used = []
         for e in pat_edges:
-            image = frozenset(assignment[w] for w in e)
+            image = tuple(sorted({assignment[w] for w in e}))
             if image not in host.edges:
                 break
             used.append(image)
@@ -758,7 +761,7 @@ def test_removal_keeps_only_the_distinct_copies():
     finally:
         tracemalloc.stop()
     blocks = (range(8), range(8, 12), range(12, 16))
-    assert r.removed == {frozenset(e) for b in blocks for e in itertools.combinations(b, 2)}
+    assert r.removed == {e for b in blocks for e in itertools.combinations(b, 2)}
     assert (r.method, r.copies_before, r.copies_after) == ("greedy", 43680, 0)
     assert budget.used == 141992
     assert peak < 10 * 2 ** 20
@@ -777,7 +780,7 @@ def test_greedy_hitting_set_matches_the_recounting_reference():
             greedy_hitting_set_by_recount(unique)
         assert budget.used == sum(map(len, unique))
     # random constraint sets over a few edges tie often
-    edges = [frozenset(e) for e in itertools.combinations(range(5), 2)]
+    edges = list(itertools.combinations(range(5), 2))
     for _ in range(200):
         sets = [frozenset(rng.sample(edges, rng.randint(1, 4))) for _ in range(rng.randint(1, 12))]
         assert regularity._greedy_hitting_set(sets, Budget()) == \
@@ -801,6 +804,13 @@ def test_built_hypergraphs_pass_the_checked_construction(monkeypatch):
             monkeypatch.setattr(regularity, "BB_CAP", bb_cap)
             assert remove_copies(pattern, host).copies_after == 0
     assert len(built) == 8 * 4 * 2 + 8
+    # and so must every parsed one, read in bulk or row by row, its edges
+    # written in descending order: from_edges makes each edge an ascending
+    # tuple, so an edge left in any other order fails
+    for h in built[:8] + hosts + [TRIANGLE, K4, PATH3]:
+        text = f"hypergraph {h.n} {h.k}\n" + "".join(" ".join(map(str, e[::-1])) + "\n"
+                                                    for e in h.edges)
+        built += [parse_hypergraph(text), parse_hypergraph(text + "#")]
     for h in built:
         assert Hypergraph.from_edges(h.n, h.k, h.edges) == h
 
@@ -901,41 +911,49 @@ def test_parsed_graph_matches_the_checked_construction():
         assert (g, g.adj) == (want, want.adj)
 
 
-def _graph_or_error(text: str):
+def _parsed_or_error(parse, text: str):
     try:
-        g = parse_graph(text)
-        return g, g.adj
+        return parse(text)
     except ParseError as e:
         return e.message, e.span
 
 
 def test_plain_graph_files_read_in_bulk_match_the_row_reader():
-    # a trailing comment sends the same graph down the row-by-row reader
+    # a trailing comment sends the same file down the row-by-row reader; the
+    # pair files ("graph <n>", "hypergraph <n> 2") of the plain shape take the
+    # bulk path, and "hypergraph <n> 1|3" files always take the row reader
     rng = random.Random(17)
     odd = ["07", "+1", "-1", "٣", "x", "1" * 5000, ""]
     ends = ["\n", "\n\n", "\r\n", " \n", "\t\n \n", "\r", "\f", "\x1c", "\u2028"]
-    plain = accepted = 0
-    for _ in range(1500):
+    plain = collections.Counter()
+    accepted = collections.Counter()
+    for _ in range(3000):
         n = rng.randint(1, 6)
+        kind, k = rng.choice([("graph", 2), ("hypergraph", 2), ("hypergraph", 1),
+                              ("hypergraph", 3)])
         boundaries = ends[:5] if rng.random() < 0.7 else ends  # newlines, or any
-        text = rng.choice(["", "\n", " "]) + f"graph {n}"
+        text = rng.choice(["", "\n", " "]) + (f"graph {n}" if kind == "graph" else
+                                              f"hypergraph {n} {k}")
         for _ in range(rng.randint(0, 6)):
-            words = [str(v) for v in rng.sample(range(n + 1), min(2, n + 1))]  # n: out of range
+            words = [str(v) for v in rng.sample(range(n + 1), min(k, n + 1))]  # n: out of range
             edit = rng.random()
             if edit < 0.05:
-                words[1:] = words[:1]  # a loop
+                words[1:2] = words[:1]  # a repeated vertex
             elif edit < 0.1:
                 words[rng.randrange(len(words))] = rng.choice(odd)
             elif edit < 0.15:
                 words = words[:1] if rng.random() < 0.5 else words + ["0"]
             text += rng.choice(boundaries) + rng.choice([" ", "\t", "  "]).join(words)
         text += rng.choice(["", "\n", " \n"])
-        got = _graph_or_error(text)
-        assert got == _graph_or_error(text + "\n#"), text
-        if regularity._PLAIN_GRAPH.fullmatch(text):
-            plain += 1
-            accepted += isinstance(got[0], Graph)
-    assert plain > 500 and accepted > 200   # the bulk path is taken, and succeeds
+        parse = parse_graph if kind == "graph" else parse_hypergraph
+        got = _parsed_or_error(parse, text)
+        assert got == _parsed_or_error(parse, text + "\n#"), text
+        if regularity._PLAIN_PAIRS.fullmatch(text):
+            assert k == 2, text
+            plain[kind] += 1
+            accepted[kind] += isinstance(got, (Graph, Hypergraph))
+    # the bulk path is taken often for both kinds, and succeeds
+    assert min(plain.values()) > 400 and min(accepted.values()) > 150, (plain, accepted)
 
 
 def test_hypergraph_file_round_trip():
