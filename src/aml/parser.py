@@ -393,7 +393,7 @@ class DataWords:
     def __init__(self, text: str):
         self.text = text
         self.words = (_COMMENT.sub("", text) if "#" in text else text).split()
-        self._numerals: dict[str, int] | None = None
+        self._numerals: tuple[int, dict[str, int]] = (0, {})
 
     @cached_property
     def rows(self) -> list[list[str]]:
@@ -410,12 +410,13 @@ class DataWords:
     def elements(self, lo: int, hi: int, n: int) -> list[int] | None:
         """Words lo..hi-1 as elements of 0..n-1, each looked up among the
         numerals "0".."m-1", m = min(n, word count), a table built once per
-        file (which has one n); None on a miss ("07", "+7", a word >= m) or
-        when hi is past the last word, and the caller reads them one by one."""
-        if self._numerals is None:
-            self._numerals = {str(v): v for v in range(min(n, len(self.words)))}
+        file and n (rebuilt if n changes); None on a miss ("07", "+7", a word
+        >= m) or when hi is past the last word, and the caller reads them one
+        by one."""
+        if self._numerals[0] != n:
+            self._numerals = n, {str(v): v for v in range(min(n, len(self.words)))}
         try:
-            vals = list(map(self._numerals.__getitem__, self.words[lo:hi]))
+            vals = list(map(self._numerals[1].__getitem__, self.words[lo:hi]))
         except KeyError:
             return None
         return vals if len(vals) == hi - lo else None

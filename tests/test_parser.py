@@ -122,6 +122,10 @@ def test_data_words_read_elements_through_one_numeral_table():
     # the table holds no more numerals than the file has words
     assert DataWords("9 3").elements(0, 2, 10 ** 12) is None
     assert DataWords("1 0").elements(0, 2, 10 ** 12) == [1, 0]
+    # every call honours its own n
+    d = DataWords("0 2 1")
+    assert d.elements(0, 3, 2) is None and d.elements(0, 3, 3) == [0, 2, 1]
+    assert d.elements(0, 3, 2) is None and d.elements(0, 1, 0) is None
 
 
 # -- terms ----------------------------------------------------------------------
