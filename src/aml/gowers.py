@@ -240,22 +240,37 @@ def _box_tables(f: GridFunction):
     return fi, fden, wi, wden, [a for a in range(f.n) if wi[a]]
 
 
+def _box_sum(t: list[int], depth: int, n: int, wi: list[int], live: list[int]) -> int:
+    """The weighted box sum of the integer table t over M^depth."""
+    if depth == 1:
+        return sum(wi[a] * t[a] for a in live) ** 2
+    m = len(t) // n
+    rows = [t[a * m:(a + 1) * m] for a in range(n)]
+    return sum((1 if a == b else 2) * wi[a] * wi[b]
+               * _box_sum([x * y for x, y in zip(rows[a], rows[b])], depth - 1, n, wi, live)
+               for i, a in enumerate(live) for b in live[i:])
+
+
 def gowers_box_pow(f: GridFunction) -> Fraction:
     """Box-norm power ||f||^{2^k} over M^k with the product weight measure."""
-    k, n = f.arity, f.n
+    k = f.arity
     fi, fden, wi, wden, live = _box_tables(f)
+    return Fraction(_box_sum(fi, k, f.n, wi, live), fden ** (1 << k) * wden ** (2 * k))
 
-    def scaled(t: list[int], depth: int) -> int:
-        # the weighted box sum of the integer table t over M^depth
-        if depth == 1:
-            return sum(wi[a] * t[a] for a in live) ** 2
-        m = len(t) // n
-        rows = [t[a * m:(a + 1) * m] for a in range(n)]
-        return sum((1 if a == b else 2) * wi[a] * wi[b]
-                   * scaled([x * y for x, y in zip(rows[a], rows[b])], depth - 1)
-                   for i, a in enumerate(live) for b in live[i:])
 
-    return Fraction(scaled(fi, k), fden ** (1 << k) * wden ** (2 * k))
+def _dual_table(t: list[int], depth: int, n: int, wi: list[int], live: list[int]) -> list[int]:
+    """The weighted dual table of the integer table t over M^depth."""
+    if depth == 1:
+        return [sum(wi[b] * t[b] for b in live)] * n
+    m = len(t) // n
+    rows = [t[a * m:(a + 1) * m] for a in range(n)]
+    out: list[int] = []
+    for row_a in rows:
+        terms = [(wi[b], rows[b],
+                  _dual_table([x * y for x, y in zip(row_a, rows[b])], depth - 1, n, wi, live))
+                 for b in live]
+        out += [sum(w * row_b[y] * d[y] for w, row_b, d in terms) for y in range(m)]
+    return out
 
 
 def dual_function(f: GridFunction) -> GridFunction:
@@ -263,22 +278,9 @@ def dual_function(f: GridFunction) -> GridFunction:
     integral of f * D(f) equals gowers_box_pow(f) exactly."""
     k, n = f.arity, f.n
     fi, fden, wi, wden, live = _box_tables(f)
-
-    def scaled(t: list[int], depth: int) -> list[int]:
-        # the weighted dual table of the integer table t over M^depth
-        if depth == 1:
-            return [sum(wi[b] * t[b] for b in live)] * n
-        m = len(t) // n
-        rows = [t[a * m:(a + 1) * m] for a in range(n)]
-        out: list[int] = []
-        for row_a in rows:
-            terms = [(wi[b], rows[b], scaled([x * y for x, y in zip(row_a, rows[b])], depth - 1))
-                     for b in live]
-            out += [sum(w * row_b[y] * d[y] for w, row_b, d in terms) for y in range(m)]
-        return out
-
     scale = Fraction(1, fden ** ((1 << k) - 1) * wden ** k)
-    return GridFunction(n, k, tuple(v * scale for v in scaled(fi, k)), f.weights)
+    return GridFunction(n, k, tuple(v * scale for v in _dual_table(fi, k, n, wi, live)),
+                        f.weights)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> Fraction:

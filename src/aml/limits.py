@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -282,9 +284,17 @@ def banach_density(elements, n_hi: int, l_min: int = 1,
     P(lo - 1) points of E, with P(i) = |E ∩ [1, i]|, so the scan reads P
     only where a window starts, i in [0, n_hi - l_min], and where one ends,
     i in [l_min, n_hi]: n_hi + 1 - l_min positions each, which leave a gap
-    in [0, n_hi] when 2*l_min > n_hi + 1.  Each length's best count is one
-    pass over the two prefix lists, and counts are compared by
-    cross-multiplication, so one Fraction is built at the end.
+    in [0, n_hi] when 2*l_min > n_hi + 1.
+
+    Each range is packed into one int, a field of w bits per position, w the
+    smallest of 8, 16, 32, 64 with |E| < 2^(w-1), so no field carries into
+    the next (Lamport's full-word byte processing, CACM 1975).  For a length
+    l = l_min + d, ends - (starts << w*d) holds every window's count in the
+    fields d..; the fields below d hold P(l_min..l - 1), no more than the
+    count of [1, l], and the fields past the span, borrowed into, are never
+    read.  Adding 2^(w-1) - c to every field sets a top bit exactly where a
+    count reaches c, so one test tells whether the length beats the best
+    density so far, and only a length that does has its counts unpacked.
 
     This is the density of the best window of length at least l_min — a
     lower bound for the upper Banach density of any extension of E.
@@ -300,13 +310,22 @@ def banach_density(elements, n_hi: int, l_min: int = 1,
     lengths = longest - l_min + 1   # a length-l window starts at 1..n_hi + 1 - l
     (budget or Budget()).charge(lengths * (n_hi + 1) - (l_min + longest) * lengths // 2)
     span = n_hi + 1 - l_min         # the windows of length l_min
-    starts = _prefix_counts(e_set, 0, span)       # P(0..n_hi - l_min)
-    ends = _prefix_counts(e_set, l_min, span)     # P(l_min..n_hi)
+    code = next(c for c in "BHIQ" if len(e_set) < 1 << 8 * array(c).itemsize - 1)
+    w = 8 * array(code).itemsize
+    starts, ends, ones = (int.from_bytes(array(code, counts), sys.byteorder) for counts in (
+        _prefix_counts(e_set, 0, span),        # P(0..n_hi - l_min)
+        _prefix_counts(e_set, l_min, span),    # P(l_min..n_hi)
+        [1] * span))
+    top, every = ones << w - 1, (1 << w * span) - 1
     best, best_length = 0, 1
     for length in range(l_min, longest + 1):
-        count = max(map(operator.sub, ends[length - l_min:], starts))
-        if count * best_length > best * length:
-            best, best_length = count, length
+        least = best * length // best_length + 1   # the least count that beats best
+        if least > len(e_set):   # it only grows with the length
+            break
+        counts = ends - (starts << w * (length - l_min))
+        if (counts + top - least * ones) & top:
+            packed = (counts & every).to_bytes(w // 8 * span, sys.byteorder)
+            best, best_length = max(memoryview(packed).cast(code)), length
     return Fraction(best, best_length)
 
 

@@ -514,15 +514,16 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
 # Copy counting and removal
 
 
-def _links(edges) -> dict[tuple[int, ...], int]:
-    """Each (k−1)-face of the ``edges``, ascending tuples, mapped to the
-    bitmask of the vertices that complete it to an edge.  A face of an
-    ascending tuple is ascending too, so nothing is sorted here."""
-    links: dict[tuple[int, ...], int] = {}
+def _links(edges) -> dict[int, int]:
+    """Each (k−1)-face of the ``edges``, keyed by the bitmask of its
+    vertices, mapped to the bitmask of the vertices that complete it to an
+    edge."""
+    links: dict[int, int] = {}
     for t in edges:
-        for i, v in enumerate(t):
-            face = t[:i] + t[i + 1:]
-            links[face] = links.get(face, 0) | 1 << v
+        bits = [1 << v for v in t]
+        whole = sum(bits)   # an edge's vertices are distinct
+        for bit in bits:
+            links[whole ^ bit] = links.get(whole ^ bit, 0) | bit
     return links
 
 
@@ -531,7 +532,9 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     that sends their edges onto host edges, in lexicographic order; ``mask``
     holds the last vertex's images that complete it.  A vertex's candidates
     are the AND of the host links of the other images of the edges it is the
-    largest vertex of (a collapsed face is no key), else every host vertex.
+    largest vertex of, else every host vertex.  A face is looked up by the
+    sum of its images' bits, their OR when the images are distinct; images
+    that collapse carry, so the sum has fewer than k − 1 bits and is no key.
     ``assignment`` is reused.  The charge is the worst case, all maps, and at
     least the pattern's vertices, which the search steps through one by one."""
     if pattern.k != host.k:
@@ -546,12 +549,14 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     for e in pattern.edges:
         faces[e[-1]].append(e[:-1])
     assignment, last = [0] * pattern.n, pattern.n - 1
+    bits = [0] * pattern.n      # 1 << each assigned vertex's image
     untried = [0] * pattern.n   # each assigned vertex's candidates not yet tried
+    image_bit = bits.__getitem__
     i = 0
     while True:
         mask = every   # vertex i's candidates, given the images of 0..i-1
         for face in faces[i]:
-            mask &= links.get(tuple(sorted([assignment[w] for w in face])), 0)
+            mask &= links.get(sum(map(image_bit, face)), 0)
         if i == last:
             if mask:
                 yield assignment, mask
@@ -563,7 +568,7 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
             mask = untried[i]
         low = mask & -mask
         untried[i] = mask ^ low
-        assignment[i] = low.bit_length() - 1
+        assignment[i], bits[i] = low.bit_length() - 1, low
         i += 1
 
 
@@ -688,6 +693,8 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
     copies, greedy otherwise.  The result always leaves zero copies."""
     if not pattern.edges:
         raise RegularityError("a pattern without edges has copies no edge removal can destroy")
+    if eps is not None and Fraction(eps) < 0:
+        raise RegularityError("eps must be nonnegative")
     budget = budget or Budget()
     copy_sets: set[frozenset] = set()   # distinct copies, kept as they are found
     before = 0

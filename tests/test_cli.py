@@ -1156,6 +1156,16 @@ def test_hypergraph_removal(capsys):
                    "within eps*n^k bound: True\n")
 
 
+def test_removal_eps_must_be_nonnegative(capsys):
+    # a negative eps is refused before any copy is counted; eps = 0 and
+    # eps >= 1 are read as written
+    assert run(capsys, "hypergraph", TWOTRI, "--pattern", TRI, "--remove", "--eps", "-1") == \
+        (3, "", "semantic error: eps must be nonnegative\n")
+    for eps, within in (("0", "False"), ("1", "True")):
+        code, out, _ = run(capsys, "hypergraph", TWOTRI, "--pattern", TRI, "--remove", "--eps", eps)
+        assert (code, out.splitlines()[-1]) == (0, f"within eps*n^k bound: {within}")
+
+
 def test_removing_an_edgeless_pattern_exits_3(capsys, tmp_path):
     edgeless = tmp_path / "edgeless.hg"
     edgeless.write_text("hypergraph 2 2\n")

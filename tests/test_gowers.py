@@ -1,5 +1,6 @@
 """Uniformity norms: exact values, form agreement, dual identity, projections."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -287,6 +288,21 @@ def test_box_and_dual_need_a_coordinate_to_slice():
         gowers_box_pow(constant)
     with pytest.raises(GowersError):
         dual_function(constant)
+
+
+def test_box_and_dual_leave_no_reference_cycles():
+    # their recursions are module functions, not closures that refer to
+    # themselves, so a call leaves nothing for the cyclic collector
+    f = GridFunction(3, 3, tuple(Fraction(i % 5 - 2, 1 + i % 3) for i in range(27)),
+                     (Fraction(0), Fraction(1, 2), Fraction(3, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (gowers_box_pow, dual_function):
+            call(f)
+            assert gc.collect() == 0, call.__name__
+    finally:
+        gc.enable()
 
 
 def test_box_power_degree_two_frozen():

@@ -285,6 +285,21 @@ def test_window_kernel_matches_the_slide_loop_seeded():
         elements = [x for x in range(1, n_hi + 1) if rng.random() < p]
         assert banach_density(elements, n_hi, l_min) == \
             banach_density_by_slides(elements, n_hi, l_min), (n_hi, l_min, p)
+    # the packed scan's edges.  A field of w bits holds counts below 2^(w-1),
+    # so |E| of 127 takes 8-bit fields and 128 takes 16, 32,767 takes 16 and
+    # 32,768 takes 32: |E| just below, at and above each step (the horizon
+    # near 70,000 keeps l_min <= 3, so the slide loop stays fast)
+    cases = [(300, 4, rng.sample(range(1, 301), size)) for size in (127, 128, 129)]
+    cases += [(70_001, l_min, rng.sample(range(1, 70_002), size))
+              for l_min, size in ((1, 32_767), (2, 32_768), (3, 32_769))]
+    # E empty, and E = [1, n_hi], where every count of the 8- and 16-bit
+    # fields fills it; l_min = 1, and l_min past (n_hi + 1) / 2
+    for n_hi, l_min in ((1, 1), (2, 1), (2, 2), (127, 1), (127, 65), (127, 127),
+                        (32_767, 1), (32_767, 32_765)):
+        cases += [(n_hi, l_min, []), (n_hi, l_min, range(1, n_hi + 1))]
+    for n_hi, l_min, elements in cases:
+        assert banach_density(elements, n_hi, l_min) == \
+            banach_density_by_slides(elements, n_hi, l_min), (n_hi, l_min, len(elements))
 
 
 @given(st.integers(1, 30).flatmap(lambda n_hi: st.tuples(

@@ -627,16 +627,34 @@ def test_map_stream_matches_product_reference_seeded():
                 Hypergraph.from_edges(3, 2, [(1, 2)]), Hypergraph.from_edges(2, 2, []),
                 Hypergraph.from_edges(3, 2, [(0, 1)]), Hypergraph.from_edges(1, 1, [(0,)]),
                 Hypergraph.from_edges(3, 1, [(0,), (2,)]),
-                Hypergraph.from_edges(4, 3, [(0, 1, 3), (1, 2, 3)])]
+                Hypergraph.from_edges(4, 3, [(0, 1, 3), (1, 2, 3)]),
+                # k = 4: a face has three vertices, whose images can collapse
+                # two onto one or all three onto one
+                Hypergraph.from_edges(4, 4, [(0, 1, 2, 3)]),
+                Hypergraph.from_edges(5, 4, [(0, 1, 2, 4), (1, 2, 3, 4)]),
+                Hypergraph.from_edges(5, 4, [(0, 1, 2, 3), (0, 2, 3, 4), (1, 2, 3, 4)])]
     for pattern in patterns:
         for _ in range(4):
             host = _random_hypergraph(rng, rng.randint(1, 7), pattern.k, rng.random())
-            if pattern.n > 4 and host.n > 5:
+            if pattern.n > 5 and host.n > 5:
                 continue
             _assert_maps_match_the_reference(pattern, host)
 
 
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_collapsed_faces_admit_nothing():
+    # the face (0, 1, 2) of the pattern's edge is looked up by its images'
+    # bits; images (1, 1, 3) and (2, 2, 2) both sum to 12, the mask of {2, 3},
+    # which has fewer than three vertices, so it is no host face
+    pattern = Hypergraph.from_edges(4, 4, [(0, 1, 2, 3)])
+    host = Hypergraph.from_edges(5, 4, list(itertools.combinations(range(5), 4)))
+    assert 12 not in regularity._links(host.edges)
+    maps = list(_pattern_maps(pattern, host, None))
+    assert maps == list(_pattern_maps_reference(pattern, host))
+    assert len(maps) == 120 and all(len(set(a)) == 4 for a, _ in maps)
+    assert all(len(set(a[:3])) == 3 for a, _ in regularity._partial_maps(pattern, host, None))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 7), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_map_stream_matches_product_reference(k, pattern_n, host_n, rng):
     pattern_n = max(pattern_n, k)
@@ -731,6 +749,14 @@ def test_removal_minimum_on_two_disjoint_triangles():
     assert len(r.removed) == 2
     assert (r.copies_before, r.copies_after) == (12, 0)
     assert r.within_bound is True                          # 2 <= 36/10
+
+
+def test_removal_rejects_a_negative_eps():
+    for eps in (Fraction(-1, 10), -1, "-1/3"):
+        with pytest.raises(RegularityError, match="eps must be nonnegative"):
+            remove_copies(TRIANGLE, TWO_TRIANGLES, eps=eps)
+    assert remove_copies(TRIANGLE, TWO_TRIANGLES, eps=0).within_bound is False   # 2 > 0
+    assert remove_copies(TRIANGLE, TWO_TRIANGLES, eps=1).within_bound is True
 
 
 def test_removal_on_copy_free_host():
