@@ -36,7 +36,7 @@ from typing import Callable
 from .semantics import Budget, Evaluator
 from .structures import FiniteStructure, index_tuple
 from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Forall, Formula, Func,
-                     Implies, Meas, Not, Or, Signature, Var, expand_abbrev, free_vars)
+                     Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev, free_vars)
 
 
 class SideConditionError(ValueError):
@@ -311,42 +311,45 @@ def random_formula(rng: random.Random, vars_allowed: tuple[str, ...], depth: int
     ``vars_allowed``, connective depth <= depth, measure-nesting <= rank_budget."""
     if not vars_allowed and not sig.constants:
         raise ValueError("need a variable or a constant to build terms")
+    return _random_node(rng, sig, tuple(vars_allowed), depth, rank_budget)
+
+
+def _random_term(rng: random.Random, sig: Signature, vars_now: tuple[str, ...],
+                 fuel: int = 1) -> Term:
     constants, functions = sig.constants, sig.functions
-    atoms: list = [("eq",)] + [("rel", nm, ar) for nm, ar in sig.relations]
+    v = rng.random()
+    if vars_now and (v < 0.6 or (not constants and (not functions or fuel == 0))):
+        return Var(rng.choice(vars_now))
+    if constants and (v < 0.8 or not functions or fuel == 0):
+        return Const(rng.choice(constants))
+    if functions and fuel > 0:
+        name, arity = rng.choice(functions)
+        return Func(name, tuple(_random_term(rng, sig, vars_now, fuel - 1) for _ in range(arity)))
+    return Var(rng.choice(vars_now)) if vars_now else Const(constants[0])
 
-    def t(vars_now: tuple[str, ...], fuel: int = 1):
-        v = rng.random()
-        if vars_now and (v < 0.6 or (not constants and (not functions or fuel == 0))):
-            return Var(rng.choice(vars_now))
-        if constants and (v < 0.8 or not functions or fuel == 0):
-            return Const(rng.choice(constants))
-        if functions and fuel > 0:
-            name, arity = rng.choice(functions)
-            return Func(name, tuple(t(vars_now, fuel - 1) for _ in range(arity)))
-        return Var(rng.choice(vars_now)) if vars_now else Const(constants[0])
 
-    def gen(vars_now: tuple[str, ...], d: int, rk: int) -> Formula:
-        pick = rng.choice(_ATOMS_ONLY if d <= 0 else _WITH_MEASURES if rk > 0 else _CONNECTIVES)
-        if pick == "atom":
-            chosen = rng.choice(atoms)
-            if chosen[0] == "rel":
-                return Atom(chosen[1], tuple(t(vars_now) for _ in range(chosen[2])))
-            return Equality(t(vars_now), t(vars_now))
-        if pick == "not":
-            return Not(gen(vars_now, d - 1, rk))
-        if pick != "meas":
-            left = gen(vars_now, d - 1, rk)
-            right = gen(vars_now, d - 1, rk)
-            return _BINARY[pick](left, right)
+def _random_node(rng: random.Random, sig: Signature, vars_now: tuple[str, ...], d: int,
+                 rk: int) -> Formula:
+    """A random subformula of connective depth <= d and measure-nesting <= rk."""
+    pick = rng.choice(_ATOMS_ONLY if d <= 0 else _WITH_MEASURES if rk > 0 else _CONNECTIVES)
+    if pick == "atom":
+        chosen = rng.choice((None,) + sig.relations)  # None: an equality
+        if chosen is None:
+            return Equality(_random_term(rng, sig, vars_now), _random_term(rng, sig, vars_now))
+        return Atom(chosen[0], tuple(_random_term(rng, sig, vars_now) for _ in range(chosen[1])))
+    if pick == "not":
+        return Not(_random_node(rng, sig, vars_now, d - 1, rk))
+    if pick != "meas":
+        left = _random_node(rng, sig, vars_now, d - 1, rk)
+        right = _random_node(rng, sig, vars_now, d - 1, rk)
+        return _BINARY[pick](left, right)
+    fresh = f"w{rng.randint(0, 999)}"
+    while fresh in vars_now:
         fresh = f"w{rng.randint(0, 999)}"
-        while fresh in vars_now:
-            fresh = f"w{rng.randint(0, 999)}"
-        body = gen(vars_now + (fresh,), d - 1, rk - 1)
-        cmp = rng.choice((Cmp.LT, Cmp.LE))
-        thr = Fraction(rng.randint(0, 12), rng.randint(1, 12))
-        return Meas((fresh,), cmp, thr, body)
-
-    return gen(tuple(vars_allowed), depth, rank_budget)
+    body = _random_node(rng, sig, vars_now + (fresh,), d - 1, rk - 1)
+    cmp = rng.choice((Cmp.LT, Cmp.LE))
+    thr = Fraction(rng.randint(0, 12), rng.randint(1, 12))
+    return Meas((fresh,), cmp, thr, body)
 
 
 def _rand_rational(rng: random.Random, positive: bool = False) -> Fraction:

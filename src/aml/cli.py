@@ -162,8 +162,8 @@ def _load_structure(path: str, budget: Budget) -> FiniteStructure:
 
 
 def _parse_bindings(text: str | None) -> dict[str, int]:
-    """The --bind pairs name=element; the evaluator checks the elements of
-    the names the formula uses, and ignores the rest."""
+    """The --bind pairs name=element, each name once; the evaluator checks
+    the elements of the names the formula uses, and ignores the rest."""
     if not text:
         return {}
     val: dict[str, int] = {}
@@ -178,7 +178,10 @@ def _parse_bindings(text: str | None) -> dict[str, int]:
             elem = int(value)
         except ValueError:
             raise CliError(f"bad binding value {value!r}") from None
-        val[name.strip()] = elem
+        name = name.strip()
+        if name in val:  # the run would not read the first value
+            raise CliError(f"binding {name!r} given twice")
+        val[name] = elem
     return val
 
 

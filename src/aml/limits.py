@@ -96,8 +96,8 @@ def cyclic_family(i_lo: int, i_hi: int,
     def build(n: int) -> FiniteStructure:  # valid by construction, so not re-checked
         row = tuple(range(n))
         add = tuple(itertools.chain.from_iterable(row[a:] + row[:a] for a in range(n)))
-        rels = {name: (1, frozenset((x,) for x in PREDICATE_RULES[rule](n)))
-                for name, rule in predicates.items()}
+        # a unary relation's member indices are its elements
+        rels = {name: (1, PREDICATE_RULES[rule](n)) for name, rule in predicates.items()}
         return FiniteStructure(n, {"e": 0}, {"add": (2, add)}, rels, (Fraction(1, n),) * n)
 
     sig = Signature(constants=("e",), functions=(("add", 2),),
@@ -117,7 +117,7 @@ def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
 
     def build(i: int) -> FiniteStructure:  # valid by construction, so not re-checked
         succ = tuple(range(1, i)) + (0,)
-        members = frozenset((v - 1,) for v in e_set if v <= i)
+        members = frozenset(v - 1 for v in e_set if v <= i)
         return FiniteStructure(i, {}, {"f": (1, succ)}, {"E": (1, members)},
                                (Fraction(1, i),) * i)
 
@@ -368,9 +368,10 @@ def parse_family(text: str, loader: Callable[[str], Iterable[int]]) -> Structure
         family cyclic <i_lo> <i_hi> [predicate <name> <rule-id>]...
         family interval <E-file> <i_lo> <i_hi>
 
-    The words may wrap across lines, and a format error is a ParseError at
-    the word it concerns.  For interval families ``loader`` reads the
-    E-file's integers; a ParseError it raises is reported at the file name.
+    The words may wrap across lines, and a format error, such as a name
+    declared twice, is a ParseError at the word it concerns.  For interval
+    families ``loader`` reads the E-file's integers; a ParseError it raises
+    is reported at the file name.
     """
     d = DataWords(text)
     words = d.words
@@ -391,7 +392,10 @@ def parse_family(text: str, loader: Callable[[str], Iterable[int]]) -> Structure
             if words[i] != "predicate" or len(words) < i + 3:
                 raise d.error(f"expected 'predicate <name> <rule-id>', "
                               f"got {' '.join(words[i:i + 3])!r}", i)
-            predicates[words[i + 1]] = words[i + 2]
+            name = words[i + 1]
+            if name in predicates or name in ("e", "add"):  # the groups' own symbols
+                raise d.error(f"symbol {name!r} is already declared", i + 1)
+            predicates[name] = words[i + 2]
     else:
         try:
             elements = set(loader(words[2]))

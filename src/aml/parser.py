@@ -31,7 +31,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .semantics import Budget
-from .structures import FiniteStructure
+from .structures import FiniteStructure, column_indices
 from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall, Formula,
                      Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev)
 
@@ -455,8 +455,9 @@ def parse_ints(text: str) -> list[int]:
 # Words are read as one flat list, so a table or a tuple may wrap across
 # lines.  Each table and relation body is converted in bulk by
 # DataWords.elements; only when a word is not a numeral of 0..n-1 are its words
-# read one by one, to convert "07" or report the first bad word.  Every check
-# is made here, so the structure is built without a second one.
+# read one by one, to convert "07" or report the first bad word.  A relation
+# is kept as its members' indices, read from the body's k columns at once.
+# Every check is made here, so the structure is built without a second one.
 
 _DECLARATIONS = frozenset(("measure", "constant", "function", "relation", "end"))
 
@@ -530,7 +531,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     weights: tuple[Fraction, ...] = ()  # normalized counting
     constants: dict[str, int] = {}
     functions: dict[str, tuple[int, tuple[int, ...]]] = {}
-    relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]] = {}
+    relations: dict[str, tuple[int, frozenset[int]]] = {}
     pos = 2
     while pos < len(words):
         w = words[pos]
@@ -573,7 +574,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
                 integer(hi, what)  # the 'end' or the end of input inside a tuple
             if hi == len(words):
                 raise d.error(f"relation {name!r} is missing its 'end' line", hi)
-            relations[name] = (k, frozenset(zip(*[iter(body)] * k)))
+            relations[name] = (k, frozenset(column_indices([body[i::k] for i in range(k)], n)))
             pos = hi + 1
         else:
             raise d.error(f"unknown declaration {w!r}", pos)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .structures import DefinableSet, FiniteStructure, VFlag, fiber_counts, fiber_sums
+from .structures import (DefinableSet, FiniteStructure, VFlag, column_indices, fiber_counts,
+                         fiber_sums)
 from .syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
                      Implies, Meas, Not, Or, Term, Var, free_vars)
 
@@ -164,10 +165,10 @@ class Evaluator:
     order of ``DefinableSet``.  Atoms enumerate only their own variables and
     are broadcast to the context by block replication.  An atom's rows are
     read by index: each row's argument index is computed by C-level maps over
-    the argument columns and tested against the relation's member indices
-    (``FiniteStructure.relation_indices``), and when the arguments are
-    exactly the own variables in context order, the atom reads the
-    relation's index set or the function's result table whole.  So an atom
+    the argument columns (``column_indices``) and tested against the
+    relation's member indices (``FiniteStructure.relations``), and when the
+    arguments are exactly the own variables in context order, the atom reads
+    the relation's index set or the function's result table whole.  So an atom
     builds nothing larger than its own table or the relation, whatever the
     relation's arity: ``T(x, x, x)`` reads n rows, never n^3.  Connectives
     are bit operations, and ``&``, ``|`` and ``->`` table their right operand
@@ -335,25 +336,18 @@ class Evaluator:
 
     def _index(self, args: tuple[Term, ...], own: tuple[str, ...], env: dict[str, int]):
         """The lexicographic index of the values of ``args`` (at least one)
-        at every assignment of ``own``, in order, as an iterable to be read
-        once: C-level maps over the argument columns."""
-        n = self.m.n
-        index = self._values(args[0], own, env)
-        for a in args[1:]:
-            index = map(operator.add, map(operator.mul, index, repeat(n)),
-                        self._values(a, own, env))
-        return index
+        at every assignment of ``own``, in order (see ``column_indices``)."""
+        return column_indices((self._values(a, own, env) for a in args), self.m.n)
 
     def _atom(self, phi: Equality | Atom, own: tuple[str, ...], env: dict[str, int]) -> int:
         if isinstance(phi, Equality):
             return _bits(map(operator.eq, self._values(phi.left, own, env),
                              self._values(phi.right, own, env)))
-        if phi.name not in self.m.relations:
+        arity, members = self.m.relations.get(phi.name, (None, None))
+        if members is None:
             raise EvalError(f"unknown relation {phi.name!r}")
-        arity, _ = self.m.relations[phi.name]
         if len(phi.args) != arity:
             raise EvalError(f"relation {phi.name!r} arity mismatch")
-        members = self.m.relation_indices[phi.name]
         if _are_vars(phi.args, own):  # the row index is the member index
             rows = bytearray(self.m.n ** len(own))
             for i in members:

@@ -7,9 +7,10 @@ counting, w(a) = 1/n).  The measure of A ⊆ M^k is the product-weight sum
 arity-m and arity-n measures by construction.
 
 Definable sets are stored as bitsets over M^k in lexicographic tuple order
-(leftmost coordinate most significant).  A structure also keeps each
-relation's members by their index in that order, so an atom tests an int
-against a set instead of building a tuple per row.
+(leftmost coordinate most significant).  A structure keeps each relation
+as its members' indices in that order, converted once where the relation
+enters, so an atom tests an int against a set instead of building a tuple
+per row.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def tuple_index(tup, n: int) -> int:
     return idx
 
 
+def column_indices(columns, n: int):
+    """The lexicographic index (``tuple_index``) of each row of ``columns``,
+    one iterable per coordinate, at least one, as C-level maps read once."""
+    columns = iter(columns)
+    index = next(columns)
+    for column in columns:
+        index = map(operator.add, map(operator.mul, index, itertools.repeat(n)), column)
+    return index
+
+
 def index_tuple(idx: int, n: int, arity: int) -> tuple[int, ...]:
     """The ``idx``-th tuple of {0..n-1}^arity in lexicographic order."""
     return tuple(idx // n ** (arity - 1 - i) % n for i in range(arity))
@@ -90,8 +101,8 @@ class FiniteStructure:
     constants: dict[str, int]
     # name -> (arity, flat result table in lexicographic argument order)
     functions: dict[str, tuple[int, tuple[int, ...]]]
-    # name -> (arity, frozenset of argument tuples)
-    relations: dict[str, tuple[int, frozenset[tuple[int, ...]]]]
+    # name -> (arity, frozenset of the members' indices, see tuple_index)
+    relations: dict[str, tuple[int, frozenset[int]]]
     weights: tuple[Fraction, ...]
 
     @staticmethod
@@ -99,7 +110,8 @@ class FiniteStructure:
                 weights=()) -> "FiniteStructure":
         """The structure of raw data, each table checked: constants and
         function results in range, total function tables, relation tuples of
-        their arity in range, and ``check_weights`` (empty: counting)."""
+        their arity in range, and ``check_weights`` (empty: counting).  Each
+        relation is given as its member tuples and kept as their indices."""
         if n < 1:
             raise ValueError("universe must be nonempty")
         constants, functions, relations = constants or {}, functions or {}, relations or {}
@@ -112,12 +124,14 @@ class FiniteStructure:
                                  f"({len(table)} entries, need {n ** arity})")
             if not 0 <= min(table) <= max(table) < n:
                 raise ValueError(f"function {name!r} has out-of-range results")
+        members = {}
         for name, (arity, tuples) in relations.items():
             flat = list(itertools.chain.from_iterable(tuples)) or [0]  # [0]: no tuples
             if any(map(arity.__ne__, map(len, tuples))) or not 0 <= min(flat) <= max(flat) < n:
                 bad = next(t for t in tuples if len(t) != arity or not all(0 <= v < n for v in t))
                 raise ValueError(f"relation {name!r} has an invalid tuple {bad}")
-        return FiniteStructure(n, constants, functions, relations, check_weights(weights, n))
+            members[name] = (arity, frozenset(tuple_index(t, n) for t in tuples))
+        return FiniteStructure(n, constants, functions, members, check_weights(weights, n))
 
     # -- signature ---------------------------------------------------------
 
@@ -128,27 +142,6 @@ class FiniteStructure:
             functions=tuple(sorted((n, a) for n, (a, _) in self.functions.items())),
             relations=tuple(sorted((n, a) for n, (a, _) in self.relations.items())),
         )
-
-    # -- relations ---------------------------------------------------------
-
-    @cached_property
-    def relation_indices(self) -> dict[str, frozenset[int]]:
-        """Each relation's members by their lexicographic index (see
-        ``tuple_index``), built once, in O(|R|) per relation: a binary
-        relation's by one comprehension, the others' by C-level maps over the
-        members' columns."""
-        n, indices = self.n, {}
-        for name, (arity, tuples) in self.relations.items():
-            if arity == 2:  # graphs: one comprehension takes half the maps' time
-                index = [a * n + b for a, b in tuples]
-            else:
-                columns = zip(*tuples)
-                index = next(columns, [0] * len(tuples))  # arity 0: {()} is {0}
-                for column in columns:
-                    index = map(operator.add, map(operator.mul, index, itertools.repeat(n)),
-                                column)
-            indices[name] = frozenset(index)
-        return indices
 
     # -- weights -----------------------------------------------------------
 

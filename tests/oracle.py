@@ -3,10 +3,11 @@
 ``naive_evaluate`` is the reference for the set-at-a-time evaluator: no
 memoization and no sharing, every connective recurses, every binder
 re-enumerates its tuples, and every measure sums one Fraction product weight
-per satisfying tuple.  ``atom_by_tuples`` is the reference for an atom's
-table: each row's argument tuple is tested against the relation's set of
-tuples.  ``broadcast_by_repunit`` is the reference for spreading a table
-over outer variables: one product with a repunit.
+per satisfying tuple; a relation atom looks its argument values up, by their
+``tuple_index``, among the relation's members.  ``atom_by_tuples`` is the
+reference for an atom's table: it evaluates the atom one row at a time.
+``broadcast_by_repunit`` is the reference for spreading a table over outer
+variables: one product with a repunit.
 ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
@@ -33,6 +34,8 @@ the best density as a Fraction.
 The rest are references and generators that only the tests use:
 ``random_structure`` draws structures over ``axioms.TEST_SIGNATURE``,
 ``random_structure_over`` structures of a given size over any signature,
+``member_tuples`` a structure's relations as the member tuples that
+``FiniteStructure.checked`` takes,
 ``degree_into`` a vertex's neighbours among a bitmask of vertices,
 ``check_probability`` is the probability sentence scheme, and
 ``box_multiplication_check`` the box-multiplication inequality of
@@ -50,7 +53,7 @@ from aml.parser import ParseError, SourceSpan, Token
 from aml.regularity import (APEncoding, Graph, Hypergraph, PartitionResult, RegularityError,
                             RegularityVerdict, _ap_vertex, is_epsilon_regular)
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
-from aml.structures import FiniteStructure, VFlag, integer_table, tuple_index
+from aml.structures import FiniteStructure, VFlag, index_tuple, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
                         Implies, Meas, Not, Or, Signature, Term, Var)
 
@@ -76,7 +79,7 @@ def naive_evaluate(m: FiniteStructure, phi: Formula, val: dict[str, int] | None 
     if isinstance(phi, Equality):
         return term(phi.left) == term(phi.right)
     if isinstance(phi, Atom):
-        return tuple(term(a) for a in phi.args) in m.relations[phi.name][1]
+        return tuple_index([term(a) for a in phi.args], m.n) in m.relations[phi.name][1]
     if isinstance(phi, Not):
         return not naive_evaluate(m, phi.body, val)
     if isinstance(phi, And):
@@ -108,7 +111,7 @@ def atom_by_tuples(m: FiniteStructure, phi: Equality | Atom, ctx: tuple[str, ...
                    env: dict[str, int]) -> int:
     """The table of the atom ``phi`` over ``ctx`` (``env`` binds its other
     variables), one row at a time in lexicographic order: a relation atom
-    tests the row's argument tuple against the relation's tuples."""
+    looks the row's argument values up among the relation's members."""
     truths = (naive_evaluate(m, phi, {**env, **dict(zip(ctx, row))})
               for row in itertools.product(range(m.n), repeat=len(ctx)))
     return sum(truth << i for i, truth in enumerate(truths))
@@ -435,6 +438,12 @@ def random_structure_over(rng: random.Random, sig: Signature, n: int,
         if not any(weights):
             weights = (Fraction(1),) + weights[1:]
     return FiniteStructure.checked(n, constants, functions, relations, weights)
+
+
+def member_tuples(m: FiniteStructure) -> dict[str, tuple[int, frozenset[tuple[int, ...]]]]:
+    """Each relation of ``m`` as its arity and its members' tuples."""
+    return {name: (arity, frozenset(index_tuple(i, m.n, arity) for i in members))
+            for name, (arity, members) in m.relations.items()}
 
 
 def check_probability(m: FiniteStructure, qs) -> bool:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from io import StringIO
 import itertools
 from pathlib import Path
+import shlex
 import subprocess
 import sys
 import time
@@ -250,14 +251,15 @@ def test_formula_arguments_read_at_paths(capsys, tmp_path):
     (["hypergraph", TRI, "--pattern", TRI, "--remove", "--eps", ""], 2,
      "error: bad --eps '': expected a rational like 2/3\n"),
     (["eval", Z4, "x = e", "--bind", "x=abc"], 2, "error: bad binding value 'abc'\n"),
+    (["eval", Z4, "x = e", "--bind", "x=0, x=1"], 2, "error: binding 'x' given twice\n"),
     (["furstenberg", "--E", "1,2", "--N", "5", "--U", "0,x"], 2,
      "error: bad --U '0,x': expected integers\n"),
     (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: bad --g '1,x': expected rationals\n"),
     (["check-axioms", Z4, "--schemes", ","], 2, "error: empty scheme selection\n"),
 ], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target",
         "vars-without-phi", "target-without-phi", "eps-without-remove",
-        "eps-without-remove-checked-first", "eps-empty", "bind-abc", "shift-not-integer",
-        "value-not-rational", "schemes-empty"])
+        "eps-without-remove-checked-first", "eps-empty", "bind-abc", "bind-twice",
+        "shift-not-integer", "value-not-rational", "schemes-empty"])
 def test_argument_errors_exit_with_their_message(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
 
@@ -743,7 +745,8 @@ _FAMILY = _file(st.builds(
 
 _EVERY_SUBCOMMAND_ARGV = st.one_of(
     _formula_texts().map(lambda text: ["eval", Z4, text, "--bind", "x=0"]),
-    _cmd("eval", _STRUCTURE, _FORMULA, _opt("--bind", st.sampled_from(["x=0", "x=9", "x"]))),
+    _cmd("eval", _STRUCTURE, _FORMULA,
+         _opt("--bind", st.sampled_from(["x=0", "x=9", "x", "x=0,x=1"]))),
     _cmd("measure", _STRUCTURE, _FORMULA, _opt("--vars", st.sampled_from(["x", "x,y", "x,x"]))),
     _cmd("check-axioms", _STRUCTURE, _opt("--count", _INT), _opt("--seed", _INT),
          _opt("--schemes", st.sampled_from(["AML", "I", "F", "F+", "f-a,I", "nope", ","]))),
@@ -1227,6 +1230,12 @@ def test_family_and_e_file_errors_name_the_path_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
     assert (code, out, err) == (2, "", f"error: {fam}: line 2: family file must start "
                                        f"with 'family cyclic|interval'\n")
+    for text, name in (("family cyclic 2 9 predicate P even\npredicate P odd\n", "P"),
+                       ("family cyclic 2 9\npredicate add even\n", "add")):
+        fam.write_text(text)
+        code, out, err = run(capsys, "limit", str(fam), "--sentence", "e = e")
+        assert (code, out, err) == (2, "", f"error: {fam}: line 2: "
+                                           f"symbol {name!r} is already declared\n")
     evens = tmp_path / "evens.set"
     evens.write_text("# evens\n2, 4, 6\n8 ten\n")
     fam.write_text("family interval evens.set 1 10\n")
@@ -1311,3 +1320,51 @@ def test_importing_the_cli_loads_no_subcommand_module():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+# -- README and help ------------------------------------------------------------------------------
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _quick_start():
+    """Each `aml ...` line of the README's CLI quick start, as (argv, the
+    `# ...` lines shown under it)."""
+    text = README.read_text(encoding="utf-8").split("## Quick start — CLI\n", 1)[1]
+    examples = []
+    for line in text.split("```sh\n", 1)[1].split("```", 1)[0].splitlines():
+        if line.startswith("aml "):
+            examples.append((shlex.split(line, comments=True)[1:], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line[2:])
+    return examples
+
+
+def _shows(shown: str, line: str) -> bool:
+    """Whether ``line`` is what ``shown`` shows, in part if it ends in '...'."""
+    return line.startswith(shown[:-3]) if shown.endswith("...") else line == shown
+
+
+def test_the_readme_quick_start_prints_what_it_shows(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    monkeypatch.delenv("AML_BUDGET", raising=False)
+    examples = _quick_start()
+    assert examples
+    for argv, shown in examples:
+        code, out, err = run(capsys, *argv)
+        lines = out.splitlines()
+        assert (code, err) == (0, ""), argv
+        assert len(lines) >= len(shown) and all(map(_shows, shown, lines)), (argv, out)
+
+
+def test_every_parser_renders_its_help(capsys):
+    # walks the subparsers action, so a new subcommand is covered with no list to update
+    top = cli._build_parser()
+    subparsers, = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.choices
+    for argv in [[]] + [[name] for name in subparsers.choices]:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--help"])
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (0, ""), argv
+        assert out.startswith(" ".join(["usage: aml"] + argv)), argv

@@ -20,7 +20,7 @@ from aml.limits import (
 from aml.parser import ParseError, SourceSpan, parse_formula, parse_ints
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import FiniteStructure, VFlag
-from oracle import banach_density_by_slides
+from oracle import banach_density_by_slides, member_tuples
 
 CYCLIC = cyclic_family(1, 30)
 SIG = CYCLIC.signature
@@ -43,8 +43,8 @@ def test_cyclic_family_builds_groups():
 def test_cyclic_family_predicates():
     fam = cyclic_family(1, 10, predicates={"E": "even", "Z": "zero"})
     m = fam.at(6)
-    assert m.relations["E"][1] == frozenset({(0,), (2,), (4,)})
-    assert m.relations["Z"][1] == frozenset({(0,)})
+    assert m.relations["E"][1] == frozenset({0, 2, 4})
+    assert m.relations["Z"][1] == frozenset({0})
     with pytest.raises(LimitError):
         cyclic_family(1, 5, predicates={"E": "no-such-rule"})
 
@@ -53,7 +53,7 @@ def test_interval_family_builds_initial_segments():
     fam = interval_family([2, 4], 3, 8)
     m = fam.at(5)
     assert m.n == 5
-    assert m.relations["E"][1] == frozenset({(1,), (3,)})   # elements 2 and 4
+    assert m.relations["E"][1] == frozenset({1, 3})         # elements 2 and 4
     assert m.functions["f"][1] == (1, 2, 3, 4, 0)            # successor, wrapping
 
 
@@ -64,7 +64,7 @@ def test_family_members_match_the_checked_construction():
     for fam in (cyclic, interval_family([1, 2, 5, 39], 1, 40)):
         for i in fam.indices():
             m = fam.at(i)
-            assert m == FiniteStructure.checked(i, m.constants, m.functions, m.relations)
+            assert m == FiniteStructure.checked(i, m.constants, m.functions, member_tuples(m))
     for i in cyclic.indices():  # the addition table, built by rotating a row
         assert cyclic.at(i).functions["add"][1] == \
             tuple((a + b) % i for a in range(i) for b in range(i))
@@ -340,14 +340,14 @@ def _no_e_file(path):
 def test_parse_cyclic_family():
     fam = parse_family("family cyclic 1 20 predicate E even", _no_e_file)
     assert (fam.i_lo, fam.i_hi) == (1, 20)
-    assert fam.at(4).relations["E"][1] == frozenset({(0,), (2,)})
+    assert fam.at(4).relations["E"][1] == frozenset({0, 2})
     assert fam.at(4).signature() == fam.signature
 
 
 def test_parse_interval_family_with_loader():
     fam = parse_family("family interval E.txt 2 6",
                        loader=lambda path: parse_ints("# odd numbers\n1 3  # small\n5\n"))
-    assert fam.at(5).relations["E"][1] == frozenset({(0,), (2,), (4,)})
+    assert fam.at(5).relations["E"][1] == frozenset({0, 2, 4})
     assert fam.at(5).signature() == fam.signature
 
 
@@ -360,3 +360,11 @@ def test_parse_family_errors():
     with pytest.raises(ParseError) as e:
         parse_family("family interval E.txt 1 5", loader=lambda p: parse_ints("one three"))
     assert e.value.span == SourceSpan(16, 21)  # at the E-file's name
+    # a predicate named twice, or after the groups' own symbols, at its second name
+    for text, name, at in (("family cyclic 2 9 predicate P even predicate P odd", "P", 45),
+                           ("family cyclic 2 9\npredicate add even", "add", 28),
+                           ("family cyclic 2 9 predicate e zero", "e", 28)):
+        with pytest.raises(ParseError) as e:
+            parse_family(text, _no_e_file)
+        assert e.value.message == f"symbol {name!r} is already declared"
+        assert e.value.span == SourceSpan(at, at + len(name))

@@ -119,7 +119,8 @@ def test_relation_indices_are_the_members_lexicographic_positions():
                                               "T": (3, frozenset({(1, 2, 0), (2, 2, 2)})),
                                               "E": (2, frozenset()),
                                               "Z": (0, frozenset({()}))})
-    assert m.relation_indices == {"P": {2}, "R": {1, 6}, "T": {15, 26}, "E": set(), "Z": {0}}
+    assert m.relations == {"P": (1, {2}), "R": (2, {1, 6}), "T": (3, {15, 26}), "E": (2, set()),
+                           "Z": (0, {0})}
 
 
 # -- measures ----------------------------------------------------------------------
