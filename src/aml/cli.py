@@ -25,9 +25,11 @@ Input files (structures, graphs, hypergraphs, families and their E-files,
 element sets, groups) are all read through parser.DataWords: '#' comments
 end with the line.  A format error in any of them is a ParseError located at
 a word; it, or a file that is not UTF-8, exits 2 as "error: <path>: line <L>:
-<message>" (see _parse_input).  RegularityError, LimitError and GowersError
-(a group file that breaks a group law among them) are semantic errors
-(exit 3) wherever they arise.
+<message>" (see _parse_input).  Every number in a file, a flag or AML_BUDGET
+is read by parser's numeral grammar; a flag's or AML_BUDGET's word that it
+refuses (a NumeralError) exits 2 as "error: <message>".  RegularityError,
+LimitError and GowersError (a group file that breaks a group law among them)
+are semantic errors (exit 3) wherever they arise.
 
 Output formats: "text" is human-oriented; "records" prints one key=value
 pair per line (indexed keys for list items), deterministic for fixed inputs
@@ -39,9 +41,9 @@ Exit codes, chosen in main by the type of the error alone: 0 success, 1 a
 checked property failed, 2 a bad argument or input file (stderr starts
 "error:"; a formula's ParseError, "parse error:"; argparse's own, "usage:"),
 3 a semantic error from a layer (unbound variable, out-of-range binding,
-mismatched signature; "semantic error:"), 4 enumeration budget exceeded
-("budget error:").  Exits 2-4 print nothing on stdout, and exits 0 and 1
-nothing on stderr.
+mismatched signature; "semantic error:"), 4 enumeration budget exceeded, or
+memory exhausted by an input that the charges under-price ("budget error:").
+Exits 2-4 print nothing on stdout, and exits 0 and 1 nothing on stderr.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
-from .parser import DataWords, ParseError, parse_formula, parse_ints, parse_structure
+from .parser import (INTEGER, INTEGERS, DataWords, NumeralError, ParseError, integer, integers,
+                     parse_formula, parse_integers, parse_structure, rational)
 from .semantics import Budget, BudgetExceeded, EvalError, Evaluator, extension
-from .structures import FiniteStructure, VFlag, measure
+from .structures import VFlag, measure
 from .syntax import AbbrevCmp, Cmp, Meas, Not, free_vars
 
 EXIT_OK = 0
@@ -89,28 +91,12 @@ def _formula_arg(text: str) -> str:
     return text
 
 
-def _parse_rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad {what} {text!r}: expected a rational like 2/3") from None
-
-
-def _parse_list(text: str, what: str, convert=int, kind: str = "integers") -> list:
-    """The comma- or space-separated words of ``text``, each through ``convert``."""
-    try:
-        return [convert(w) for w in text.replace(",", " ").split()]
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad {what} {text!r}: expected {kind}") from None
-
-
-def _element_set(args_e: str, what: str = "--E") -> set[int]:
+def _element_set(text: str) -> set[int]:
     """An integer-set argument: inline integers (none, when it is blank or
-    only commas), or a path to a file of them ('#' starts a comment)."""
-    stripped = args_e.strip()
-    if all(w.lstrip("-").isdecimal() for w in stripped.replace(",", " ").split()):
-        return set(_parse_list(stripped, what))  # blank or commas only: the empty set
-    return set(_parse_input(parse_ints, stripped))
+    only commas), else the path of a file of them ('#' starts a comment)."""
+    if INTEGERS.fullmatch(text):
+        return set(integers(text))
+    return set(_parse_input(parse_integers, text.strip()))
 
 
 def _parse_input(parse, path: str, **kwargs):
@@ -157,28 +143,15 @@ class _Out:
             print(line)
 
 
-def _load_structure(path: str, budget: Budget) -> FiniteStructure:
-    return _parse_input(parse_structure, path, budget=budget)
-
-
 def _parse_bindings(text: str | None) -> dict[str, int]:
     """The --bind pairs name=element, each name once; the evaluator checks
     the elements of the names the formula uses, and ignores the rest."""
-    if not text:
-        return {}
     val: dict[str, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        name, eq, value = piece.partition("=")
+    for piece in filter(None, map(str.strip, (text or "").split(","))):
+        name, eq, value = map(str.strip, piece.partition("="))
         if not eq:
             raise CliError(f"bad binding {piece!r}: expected name=element")
-        try:
-            elem = int(value)
-        except ValueError:
-            raise CliError(f"bad binding value {value!r}") from None
-        name = name.strip()
+        elem = integer(value, f"bad binding value {value!r}")
         if name in val:  # the run would not read the first value
             raise CliError(f"binding {name!r} given twice")
         val[name] = elem
@@ -190,7 +163,7 @@ def _parse_bindings(text: str | None) -> dict[str, int]:
 
 
 def _cmd_eval(args, out: _Out, budget: Budget) -> int:
-    m = _load_structure(args.structure, budget)
+    m = _parse_input(parse_structure, args.structure, budget=budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     val = _parse_bindings(args.bind)
     trace: list = []
@@ -228,7 +201,7 @@ def _tuple_vars(text: str | None, phi) -> tuple[str, ...]:
 
 
 def _cmd_measure(args, out: _Out, budget: Budget) -> int:
-    m = _load_structure(args.structure, budget)
+    m = _parse_input(parse_structure, args.structure, budget=budget)
     phi = parse_formula(_formula_arg(args.formula), m.signature())
     xs = _tuple_vars(args.vars, phi)
     if not xs:
@@ -267,7 +240,7 @@ def _cmd_check_axioms(args, out: _Out, budget: Budget) -> int:
     schemes = _parse_schemes(args.schemes)
     if args.count < 0:
         raise CliError(f"--count must be nonnegative, got {args.count}")
-    ms = [_load_structure(path, budget) for path in args.structures]
+    ms = [_parse_input(parse_structure, path, budget=budget) for path in args.structures]
     share = [args.count // len(ms) + (i < args.count % len(ms)) for i in range(len(ms))]
     held = total = 0
     failures: list[str] = []
@@ -294,14 +267,9 @@ def _group_table(text: str) -> list[int]:
     """A group file: "group <n>" and then the n*n entries of its addition
     table.  Returns n followed by the entries."""
     d = DataWords(text)
-    head = d.words[:2]
-    try:
-        n = int(head[1]) if len(head) == 2 and head[0] == "group" and head[1].isdecimal() else 0
-    except ValueError:  # more digits than the interpreter converts
-        n = 0
+    n, *entries = (parse_integers(text, 1) if d.words[:1] == ["group"] else None) or [0]
     if n < 1:
         raise d.error("expected 'group <n>'", 0)
-    entries = d.ints(2)
     if len(entries) != n * n:
         raise d.error(f"group table needs {n * n} entries, got {len(entries)}", len(d.words) - 1)
     return [n, *entries]
@@ -313,12 +281,8 @@ def _load_group(spec: str, order: int, budget: Budget):
     ``order`` elements, which is checked before any table is built."""
     from . import gowers
     low = spec.strip().lower()
-    if low.startswith("z") and low[1:].isdecimal():
-        try:
-            n, entries = int(low[1:]), None
-        except ValueError:  # more digits than the interpreter converts
-            raise CliError(
-                f"bad group z<n>: an order of {len(low) - 1} digits is too long") from None
+    if low.startswith("z") and INTEGER.fullmatch(low[1:]):
+        n, entries = integer(low[1:]), None
     else:
         n, *entries = _parse_input(_group_table, spec)
     if order != n:
@@ -331,7 +295,7 @@ def _load_group(spec: str, order: int, budget: Budget):
 
 def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
     from . import gowers
-    values = _parse_list(args.g, "--g", Fraction, "rationals")
+    values = list(map(rational, args.g.replace(",", " ").split()))
     if args.k < 1:  # before _load_group builds an n*n addition table
         raise gowers.GowersError("k must be >= 1")
     group = _load_group(args.group, len(values), budget)
@@ -354,7 +318,7 @@ def _cmd_gowers(args, out: _Out, budget: Budget) -> int:
 def _cmd_regularity(args, out: _Out, budget: Budget) -> int:
     from . import regularity
     g = _parse_input(regularity.parse_graph, args.graph, budget=budget)
-    eps = _parse_rational(args.eps, "--eps")
+    eps = rational(args.eps)
     res = regularity.regularity_partition(g, eps, k_max=args.kmax, exact_cap=args.cap,
                                           budget=budget)
     parts = res.parts
@@ -382,7 +346,7 @@ def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
     host = _parse_input(regularity.parse_hypergraph, args.host)
     pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
     if args.remove:
-        eps = None if args.eps is None else _parse_rational(args.eps, "--eps")
+        eps = None if args.eps is None else rational(args.eps)
         res = regularity.remove_copies(pattern, host, eps, budget=budget)
         copies = res.copies_before
     else:
@@ -404,7 +368,7 @@ def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
 
 def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
     from . import regularity
-    elements = _element_set(args.A, "--A")
+    elements = _element_set(args.A)
     enc = regularity.ap_encode(elements, args.n, args.k, budget=budget)
     out.text(f"hypergraph: {enc.hypergraph.n} vertices, "
              f"{len(enc.hypergraph.edges)} edges, parts "
@@ -424,8 +388,8 @@ def _cmd_ap_encode(args, out: _Out, budget: Budget) -> int:
 def _cmd_limit(args, out: _Out, budget: Budget) -> int:
     from . import limits
     base = os.path.dirname(os.path.abspath(args.family))  # E-file paths are relative to it
-    family = _parse_input(limits.parse_family, args.family,
-                          loader=lambda path: _parse_input(parse_ints, os.path.join(base, path)))
+    family = _parse_input(limits.parse_family, args.family, loader=lambda path:
+                          _parse_input(parse_integers, os.path.join(base, path)))
     if bool(args.sentence) == bool(args.phi):
         raise CliError("need exactly one of --sentence (truth profile) or "
                        "--phi with --target (limit measure)")
@@ -447,7 +411,7 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
         raise CliError("--phi needs --target")
     phi = parse_formula(_formula_arg(args.phi), family.signature)
     xs = _tuple_vars(args.vars, phi)
-    target = _parse_rational(args.target, "--target")
+    target = rational(args.target)
     lm = limits.limit_measure(family, phi, xs, target, budget=budget)
     out.text(lm.describe().replace("flag +", "flag ⊕")
              .replace("flag -", "flag ⊖").replace("flag .", "flag ⊙"))
@@ -478,7 +442,7 @@ def _cmd_density(args, out: _Out, budget: Budget) -> int:
 def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
     from . import limits
     elements = _element_set(args.E)
-    shifts = set(_parse_list(args.U, "--U"))
+    shifts = set(integers(args.U))
     cyc, plain, bound = limits.furstenberg_check(elements, args.N, shifts, budget=budget)
     ok = abs(cyc - plain) <= bound
     out.text(f"cyclic density = {cyc}, plain density = {plain}, "
@@ -495,11 +459,19 @@ def _cmd_furstenberg(args, out: _Out, budget: Budget) -> int:
 # Argument wiring
 
 
+def _integer_arg(word: str) -> int:
+    """argparse's type for every integer flag: integer(), with its message."""
+    try:
+        return integer(word)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process, so it holds nothing read from the environment."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int,
+    common.add_argument("--budget", type=_integer_arg,
                         help="enumeration budget in work units (default: the "
                              "AML_BUDGET environment variable, read on every "
                              f"run, else {DEFAULT_BUDGET})")
@@ -532,8 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seeded soundness run over structures")
     p.add_argument("structures", nargs="+")
     p.add_argument("--schemes", default="AML,I,F,F+")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_integer_arg, default=100)
+    p.add_argument("--seed", type=_integer_arg, default=0)
     p.set_defaults(func=_cmd_check_axioms)
 
     p = sub.add_parser("gowers", parents=[common],
@@ -542,15 +514,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True,
                    help="function values, e.g. --g=-1,1,-1,1 (with '=', a leading "
                         "minus is not read as an option)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer_arg, required=True)
     p.set_defaults(func=_cmd_gowers)
 
     p = sub.add_parser("regularity", parents=[common],
                        help="energy-increment regularity partition")
     p.add_argument("graph")
     p.add_argument("--eps", required=True)
-    p.add_argument("--kmax", type=int, default=64)
-    p.add_argument("--cap", type=int, default=15,
+    p.add_argument("--kmax", type=_integer_arg, default=64)
+    p.add_argument("--cap", type=_integer_arg, default=15,
                    help="exact regularity part-size cap")
     p.set_defaults(func=_cmd_regularity)
 
@@ -565,8 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap-encode", parents=[common],
                        help="arithmetic-progression hypergraph encoding")
     p.add_argument("--A", required=True, help="set elements, or a file path")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_integer_arg, required=True)
+    p.add_argument("--k", type=_integer_arg, required=True)
     p.set_defaults(func=_cmd_ap_encode)
 
     p = sub.add_parser("limit", parents=[common],
@@ -576,21 +548,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="formula for a limit measure")
     p.add_argument("--vars", help="tuple variables, with --phi only")
     p.add_argument("--target", help="target rational, with --phi only")
-    p.add_argument("--slack", type=int, default=5)
+    p.add_argument("--slack", type=_integer_arg, default=5)
     p.add_argument("--trace", action="store_true", help="print each index's value")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("density", parents=[common],
                        help="best-window (Banach) density")
     p.add_argument("--E", required=True, help="set elements, or a file path")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--Lmin", type=int, default=1)
+    p.add_argument("--N", type=_integer_arg, required=True)
+    p.add_argument("--Lmin", type=_integer_arg, default=1)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("furstenberg", parents=[common],
                        help="cyclic vs plain shift-intersection densities")
     p.add_argument("--E", required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer_arg, required=True)
     p.add_argument("--U", required=True, help="shift set, e.g. 0,2")
     p.set_defaults(func=_cmd_furstenberg)
 
@@ -600,13 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _budget(limit: int | None) -> Budget:
     """The run's Budget: --budget, else AML_BUDGET (read on every call), else
     DEFAULT_BUDGET."""
+    bad = "budget must be a positive integer (check --budget / AML_BUDGET)"
     if limit is None:
-        try:
-            limit = int(os.environ.get("AML_BUDGET", DEFAULT_BUDGET))
-        except ValueError:
-            limit = 0
+        limit = integer(os.environ.get("AML_BUDGET", str(DEFAULT_BUDGET)), bad)
     if limit <= 0:
-        raise CliError("budget must be a positive integer (check --budget / AML_BUDGET)")
+        raise CliError(bad)
     return Budget(limit)
 
 
@@ -616,14 +586,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         budget = _budget(args.budget)
         code = args.func(args, out, budget)
-    except CliError as e:
+    except (CliError, NumeralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetExceeded as e:
-        print(f"budget error: {e}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as e:   # the latter for inputs the charges under-price
+        print(f"budget error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (EvalError, ValueError) as e:  # the layers' own errors are ValueErrors
         print(f"semantic error: {e}", file=sys.stderr)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .parser import DataWords, ParseError
+from .parser import DataWords, ParseError, integer
 from .semantics import Budget, Evaluator, extension, meas_holds
 from .structures import FiniteStructure, VFlag, measure
 from .syntax import Cmp, Formula, Signature, free_vars
@@ -380,12 +380,10 @@ def parse_family(text: str, loader: Callable[[str], Iterable[int]]) -> Structure
     if usage is None:
         raise d.error("family file must start with 'family cyclic|interval'", 1)
     first = 2 if kind == "cyclic" else 3
-    try:
-        i_lo, i_hi = int(words[first]), int(words[first + 1])
-    except (IndexError, ValueError):
-        raise d.error(f"expected 'family {kind} {usage}'", first) from None
+    shape = f"expected 'family {kind} {usage}'"
+    i_lo, i_hi = d.read(first, integer, shape), d.read(first + 1, integer, shape)
     if kind == "interval" and len(words) != 5:
-        raise d.error(f"expected 'family {kind} {usage}'", 5)
+        raise d.error(shape, 5)
     if kind == "cyclic":
         predicates = {}
         for i in range(4, len(words), 3):

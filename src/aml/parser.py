@@ -369,6 +369,66 @@ def _print(phi: Formula, level: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Numerals, the one grammar of the numbers in files, flags and the environment
+# (README, "Numerals"; the formula tokenizer reads its own).  In INTEGERS a
+# numeral ends at a separator or the end, so a failed match backtracks linearly.
+
+INTEGER = re.compile(r"[+-]?[0-9]+")
+INTEGERS = re.compile(r"[\s,]*(?:[+-]?[0-9]+(?:[\s,]+|\Z))*")
+
+
+class NumeralError(ValueError):
+    """A word the grammar reads as no number; the CLI exits 2 with its message."""
+
+
+def integer(word: str, bad: str = "") -> int:
+    """``word`` as an integer, else a NumeralError: ``bad`` (by default "expected
+    an integer, got <word>"), or past the digit limit its length."""
+    if INTEGER.fullmatch(word) is None:
+        raise NumeralError(bad or f"expected an integer, got {word!r}")
+    try:
+        return int(word)
+    except ValueError:
+        raise NumeralError(f"integer of {len(word.lstrip('+-'))} digits is too long") from None
+
+
+def integers(text: str) -> list[int]:
+    """The integers of ``text``, whitespace or commas between them: one match of
+    the list, then ``int`` of each word, or else integer() of each."""
+    words = text.replace(",", " ").split()
+    if INTEGERS.fullmatch(text):
+        try:
+            return list(map(int, words))
+        except ValueError:   # a numeral past the digit limit
+            pass
+    return list(map(integer, words))
+
+
+def rational(word: str) -> Fraction:
+    """``word`` as a rational, else a NumeralError (a zero denominator too);
+    an unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
+    num, slash, den = word.partition("/")
+    try:
+        if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        if word.isascii() and "_" not in word:
+            return Fraction(word)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise NumeralError(f"expected a rational, got {word!r}")
+
+
+def parse_integers(text: str, start: int = 0) -> list[int]:
+    """integers() of an input file's words from ``start`` on; a bad one is a
+    ParseError at the word that holds it."""
+    d = DataWords(text)
+    try:
+        return integers(" ".join(d.words[start:]))
+    except NumeralError:   # read again word by word, to raise at the bad one
+        return [v for i in range(start, len(d.words)) for v in d.read(i, integers)]
+
+
+# ---------------------------------------------------------------------------
 # Input files
 #
 # Every input file (structures, graphs, hypergraphs, families, element sets,
@@ -407,6 +467,14 @@ class DataWords:
         words = (m for m in _WORD_OR_COMMENT.finditer(self.text) if m[0][0] != "#")
         return ParseError(message, SourceSpan(*next(islice(words, i, None)).span()))
 
+    def read(self, i: int, reader, *args):
+        """``reader(word i, *args)`` ("" past the last word), its NumeralError
+        raised as a ParseError at the word."""
+        try:
+            return reader(self.words[i] if i < len(self.words) else "", *args)
+        except NumeralError as e:
+            raise self.error(str(e), i) from None
+
     def elements(self, lo: int, hi: int, n: int) -> list[int] | None:
         """Words lo..hi-1 as elements of 0..n-1, each looked up among the
         numerals "0".."m-1", m = min(n, word count), a table built once per
@@ -420,23 +488,6 @@ class DataWords:
         except KeyError:
             return None
         return vals if len(vals) == hi - lo else None
-
-    def ints(self, start: int = 0) -> list[int]:
-        """The integers in words ``start`` on; commas separate them too."""
-        out = []
-        for i in range(start, len(self.words)):
-            for w in self.words[i].split(","):
-                if w:
-                    try:
-                        out.append(int(w))
-                    except ValueError:
-                        raise self.error(f"expected an integer, got {w!r}", i) from None
-        return out
-
-
-def parse_ints(text: str) -> list[int]:
-    """A file of integers (element sets, E-files): whitespace or commas between."""
-    return DataWords(text).ints()
 
 
 # Structure files
@@ -454,21 +505,13 @@ def parse_ints(text: str) -> list[int]:
 #
 # Words are read as one flat list, so a table or a tuple may wrap across
 # lines.  Each table and relation body is converted in bulk by
-# DataWords.elements; only when a word is not a numeral of 0..n-1 are its words
-# read one by one, to convert "07" or report the first bad word.  A relation
-# is kept as its members' indices, read from the body's k columns at once.
+# DataWords.elements; only when a word is not a numeral of 0..n-1 are its
+# words read one by one by integer(), to convert "07" or report the first bad
+# word.  A relation is kept as its members' indices, read from the body's k
+# columns at once.
 # Every check is made here, so the structure is built without a second one.
 
 _DECLARATIONS = frozenset(("measure", "constant", "function", "relation", "end"))
-
-
-def _fraction(word: str) -> Fraction:
-    """``Fraction(word)``, with its result and its errors, reading an unsigned
-    ASCII ``p`` or ``p/q`` without the regex that ``Fraction`` runs."""
-    num, slash, den = word.partition("/")
-    if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
-        return Fraction(int(num), int(den) if slash else 1)
-    return Fraction(word)  # a sign, a decimal, an exponent, or an error
 
 
 def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
@@ -480,11 +523,8 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             raise d.error(f"expected {what}, found end of input", i)
         return words[i]
 
-    def integer(i: int, what: str) -> int:
-        try:
-            return int(word(i, what))
-        except ValueError:
-            raise d.error(f"expected {what}, found {words[i]!r}", i) from None
+    def integer_at(i: int, what: str) -> int:
+        return d.read(i, integer, f"expected {what}, found {word(i, what)!r}")
 
     def elements(lo: int, hi: int, what) -> list[int]:
         """Words lo..hi-1 as elements; ``what(j)`` names the j-th for an error."""
@@ -493,7 +533,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             return vals
         vals = []
         for i in range(lo, hi):  # "07" and "+7" too, or else the first bad word
-            v = integer(i, what(i - lo))
+            v = integer_at(i, what(i - lo))
             if not 0 <= v < n:
                 raise d.error(f"element {v} out of range [0, {n})", i)
             vals.append(v)
@@ -501,8 +541,8 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
 
     def weight(i: int, j: int) -> Fraction:
         try:
-            q = _fraction(word(j, f"weight {i}"))
-        except (ValueError, ZeroDivisionError):
+            q = rational(word(j, f"weight {i}"))
+        except ValueError:
             raise d.error(f"expected weight {i}, found {words[j]!r}", j) from None
         if q < 0:
             raise d.error(f"weight {i} is negative", j)
@@ -515,7 +555,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             raise d.error(f"symbol {name!r} is already declared", i)
         if kind == "constant":
             return name, 0
-        k = integer(i + 1, f"{kind} arity")
+        k = integer_at(i + 1, f"{kind} arity")
         if k < 1:
             raise d.error("arity must be positive", i + 1)
         return name, k
@@ -523,7 +563,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     kw = word(0, "'universe'")
     if kw != "universe":
         raise d.error(f"structure file must start with 'universe', found {kw!r}", 0)
-    n = integer(1, "universe size")
+    n = integer_at(1, "universe size")
     if n < 1:
         raise d.error("universe must be nonempty", 1)
     (budget or Budget()).charge(n)  # before anything of size n is built
@@ -571,7 +611,7 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
             hi = words.index("end", lo) if "end" in words[lo:] else len(words)
             body = elements(lo, hi, lambda j: what)
             if (hi - lo) % k:
-                integer(hi, what)  # the 'end' or the end of input inside a tuple
+                integer_at(hi, what)  # the 'end' or the end of input inside a tuple
             if hi == len(words):
                 raise d.error(f"relation {name!r} is missing its 'end' line", hi)
             relations[name] = (k, frozenset(column_indices([body[i::k] for i in range(k)], n)))

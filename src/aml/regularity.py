@@ -60,7 +60,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .parser import DataWords
+from .parser import DataWords, integer
 from .semantics import Budget
 from .structures import set_bits
 
@@ -528,14 +528,15 @@ def _links(edges) -> dict[int, int]:
 
 
 def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
-    """(assignment, mask) for each map of the pattern's vertices but the last
-    that sends their edges onto host edges, in lexicographic order; ``mask``
-    holds the last vertex's images that complete it.  A vertex's candidates
+    """(bits, mask) for each map of the pattern's vertices but the last that
+    sends their edges onto host edges, in lexicographic order: ``bits[i]`` is
+    1 << the image of vertex i (``bits[-1]`` is 0), and ``mask`` holds the
+    last vertex's images that complete the map.  A vertex's candidates
     are the AND of the host links of the other images of the edges it is the
     largest vertex of, else every host vertex.  A face is looked up by the
     sum of its images' bits, their OR when the images are distinct; images
     that collapse carry, so the sum has fewer than k − 1 bits and is no key.
-    ``assignment`` is reused.  The charge is the worst case, all maps, and at
+    ``bits`` is reused.  The charge is the worst case, all maps, and at
     least the pattern's vertices, which the search steps through one by one."""
     if pattern.k != host.k:
         raise RegularityError("pattern and host must have the same uniformity")
@@ -548,7 +549,7 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
     faces = [[] for _ in range(pattern.n)]   # the rest of each edge, by its largest vertex
     for e in pattern.edges:
         faces[e[-1]].append(e[:-1])
-    assignment, last = [0] * pattern.n, pattern.n - 1
+    last = pattern.n - 1
     bits = [0] * pattern.n      # 1 << each assigned vertex's image
     untried = [0] * pattern.n   # each assigned vertex's candidates not yet tried
     image_bit = bits.__getitem__
@@ -559,7 +560,7 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
             mask &= links.get(sum(map(image_bit, face)), 0)
         if i == last:
             if mask:
-                yield assignment, mask
+                yield bits, mask
             mask = 0
         while not mask:   # back to the last vertex with a candidate left
             i -= 1
@@ -568,24 +569,8 @@ def _partial_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
             mask = untried[i]
         low = mask & -mask
         untried[i] = mask ^ low
-        assignment[i], bits[i] = low.bit_length() - 1, low
+        bits[i] = low
         i += 1
-
-
-def _pattern_maps(pattern: Hypergraph, host: Hypergraph, budget: Budget | None):
-    """(assignment, image edges) for each map of the pattern's vertices into
-    the host's that sends every pattern edge onto a host edge, in
-    lexicographic order: each mask of :func:`_partial_maps` expanded, with the
-    images of edges closed earlier built once per partial map."""
-    last = pattern.n - 1
-    early = [e for e in pattern.edges if e[-1] < last]
-    closing = [e[:-1] for e in pattern.edges if e[-1] == last]
-    for assignment, mask in _partial_maps(pattern, host, budget):
-        prefix = tuple(assignment[:last])
-        images = [tuple(sorted([assignment[w] for w in e])) for e in early]
-        faces = [[assignment[w] for w in face] for face in closing]
-        for v in set_bits(mask):
-            yield prefix + (v,), frozenset(images + [tuple(sorted(f + [v])) for f in faces])
 
 
 def count_copies(pattern: Hypergraph, host: Hypergraph,
@@ -696,21 +681,29 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
     if eps is not None and Fraction(eps) < 0:
         raise RegularityError("eps must be nonnegative")
     budget = budget or Budget()
+    # a copy is the set of its image edges, each as its rank in sorted(host.edges),
+    # looked up by its vertices' bitmask; rank order is edge order
+    edges = sorted(host.edges)
+    rank = {sum(1 << v for v in e): r for r, e in enumerate(edges)}
+    closes = [e[-1] == pattern.n - 1 for e in pattern.edges]   # holds the last vertex
     copy_sets: set[frozenset] = set()   # distinct copies, kept as they are found
     before = 0
-    for _, used in _pattern_maps(pattern, host, budget):
-        copy_sets.add(used)
-        before += 1
+    for bits, mask in _partial_maps(pattern, host, budget):
+        faces = [sum(map(bits.__getitem__, e)) for e in pattern.edges]   # without the last
+        for v in set_bits(mask):   # v completes each face it closes, so holds none
+            copy_sets.add(frozenset([rank[face | c << v] for face, c in zip(faces, closes)]))
+        before += mask.bit_count()
     if not before:
         return RemovalResult(frozenset(), "none", 0, 0,
                              None if eps is None else True)
     unique = sorted(copy_sets, key=sorted)   # each copy by its edges in order
     if before <= BB_CAP:
-        removed = _min_hitting_set(unique, budget)
+        ranks = _min_hitting_set(unique, budget)
         method = "branch-and-bound"
     else:
-        removed = _greedy_hitting_set(unique, budget)
+        ranks = _greedy_hitting_set(unique, budget)
         method = "greedy"
+    removed = frozenset(edges[r] for r in ranks)
     stripped = Hypergraph(host.n, host.k, host.edges - removed)
     after = count_copies(pattern, stripped, budget)
     within = None
@@ -867,20 +860,21 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     """n, k and the edges of a "graph <n>" or "hypergraph <n> <k>" file: one
     edge per line, each k distinct vertices in [0, n) (k = 2 for a graph).
     A plain pair file's vertices are read in bulk by DataWords.elements.  A
-    format error is a ParseError at the first word of its line, found by
-    reading the rows one by one, as are the files the bulk read refuses."""
+    format error is a ParseError at a word that is no numeral, else at the
+    first word of its line, found by reading the rows one by one, as are the
+    files the bulk read refuses."""
     d = DataWords(text)
     plain = _PLAIN_PAIRS.fullmatch(text)
     header = d.words[:2 if kind == "graph" else 3] if plain else (d.rows or [[]])[0]
     usage = "graph <n>" if kind == "graph" else "hypergraph <n> <k>"
-    fields = header[1:] if header[:1] == [kind] else []
-    try:
-        n, k = map(int, fields if kind == "hypergraph" else fields + ["2"])
-    except ValueError:  # not a number, or a wrong count of them
-        n = k = 0
+    shape = f"{kind} file must start with '{usage}' (positive numbers)"
+    if header[:1] != [kind] or len(header) != (2 if kind == "graph" else 3):
+        raise d.error(shape, 0)
+    n, k = d.read(1, integer, shape), d.read(2, integer, shape) if kind == "hypergraph" else 2
     if n < 1 or k < 1:
-        raise d.error(f"{kind} file must start with '{usage}' (positive numbers)", 0)
-    (budget or Budget()).charge(n)  # before an n-vertex graph is built
+        raise d.error(shape, 0)
+    # before an n-vertex graph is built: n, and a graph's n·⌈n/64⌉ adjacency words
+    (budget or Budget()).charge(n * (1 + (-(-n // 64) if kind == "graph" else 0)))
     if plain:
         vs = d.elements(len(header), len(d.words), n)
         if vs is not None:
@@ -892,10 +886,7 @@ def _parse_edges(text: str, kind: str, budget: Budget | None = None):
     for body in d.rows[1:]:
         if len(body) != k:
             raise d.error(f"expected {k} vertices", first)
-        try:
-            vs = [int(w) for w in body]
-        except ValueError:
-            raise d.error("bad vertex", first) from None
+        vs = [d.read(i, integer, "bad vertex") for i in range(first, first + k)]
         if len(set(vs)) != k or min(vs) < 0 or max(vs) >= n:
             raise d.error(f"expected {k} distinct vertices in [0, {n}), "
                           f"got {' '.join(body)!r}", first)

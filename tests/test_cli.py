@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 import itertools
+import random
 from pathlib import Path
 import shlex
 import subprocess
@@ -249,12 +250,12 @@ def test_formula_arguments_read_at_paths(capsys, tmp_path):
     (["hypergraph", "no-such.hg", "--pattern", TRI, "--eps", "1/2"], 2,
      "error: --eps needs --remove\n"),
     (["hypergraph", TRI, "--pattern", TRI, "--remove", "--eps", ""], 2,
-     "error: bad --eps '': expected a rational like 2/3\n"),
+     "error: expected a rational, got ''\n"),
     (["eval", Z4, "x = e", "--bind", "x=abc"], 2, "error: bad binding value 'abc'\n"),
     (["eval", Z4, "x = e", "--bind", "x=0, x=1"], 2, "error: binding 'x' given twice\n"),
     (["furstenberg", "--E", "1,2", "--N", "5", "--U", "0,x"], 2,
-     "error: bad --U '0,x': expected integers\n"),
-    (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: bad --g '1,x': expected rationals\n"),
+     "error: expected an integer, got 'x'\n"),
+    (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: expected a rational, got 'x'\n"),
     (["check-axioms", Z4, "--schemes", ","], 2, "error: empty scheme selection\n"),
 ], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target",
         "vars-without-phi", "target-without-phi", "eps-without-remove",
@@ -496,7 +497,7 @@ def test_stats_come_last_and_change_nothing_else(capsys, argv, fmt):
 def test_stats_count_the_regularity_pair_checks(capsys):
     code, out, _ = run(capsys, "regularity", G16, "--eps", "1/4", "--stats")
     assert code == 0
-    assert _split_stats(out)[1] == ["stats.budget.used=4350",
+    assert _split_stats(out)[1] == ["stats.budget.used=4366",
                                     "stats.regularity.irregular_pairs=22",
                                     "stats.regularity.pair_checks=29"]
 
@@ -527,6 +528,47 @@ def test_declared_sizes_are_charged_before_allocation(capsys, tmp_path):
     huge.write_text(f"graph {10 ** 12}\n0 1\n")
     code, out, _ = run(capsys, "regularity", str(huge), "--eps", "1/4")
     assert (code, out) == (4, "")
+
+
+# main in a child whose address space is capped at 256 MiB (in the child only):
+# a run that builds until the cap stops within a second
+_CAPPED_MAIN = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+                "from aml.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.fixture(scope="module")
+def wide_graph(tmp_path_factory):
+    """graph 5000000 and 20,000 random edges: 311 KB, whose adjacency masks
+    would take about 12.5 GB."""
+    rng = random.Random(1)
+    path = tmp_path_factory.mktemp("wide") / "wide.graph"
+    path.write_text("graph 5000000\n" + "".join(
+        "{} {}\n".format(*rng.sample(range(5 * 10 ** 6), 2)) for _ in range(20000)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["regularity", "WIDE", "--eps", "1/2"],
+    ["regularity", "WIDE", "--eps", "1/2", "--budget", str(10 ** 12)],
+    ["eval", "UNIVERSE", "e = e"],
+    ["eval", "UNIVERSE", "e = e", "--budget", str(10 ** 9)],
+], ids=["wide-graph", "wide-graph-raised", "universe", "universe-raised"])
+def test_inputs_past_memory_exit_4_without_a_traceback(tmp_path, wide_graph, argv):
+    # the default budget stops both at their headers; a raised one lets them
+    # build until memory runs out, and main maps the MemoryError to exit 4
+    universe = tmp_path / "huge.struct"
+    universe.write_text("universe 300000000\n")
+    argv = [{"WIDE": wide_graph, "UNIVERSE": str(universe)}.get(a, a) for a in argv]
+    src = str(Path(cli.__file__).parents[1])
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("budget error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_gowers_cube_charges_its_corners(capsys):
@@ -631,10 +673,10 @@ def test_integers_too_long_to_read_exit_2(capsys, tmp_path, digit_limit):
     group = tmp_path / "big.group"
     group.write_text(f"# order past the limit\ngroup {digits}\n0\n")
     code, out, err = run(capsys, "gowers", str(group), "--g=1", "--k", "1")
-    assert (code, out, err) == (2, "", f"error: {group}: line 2: expected 'group <n>'\n")
-    code, out, err = run(capsys, "gowers", f"z{digits}", "--g=1", "--k", "1")
-    assert (code, out, err) == (2, "", f"error: bad group z<n>: an order of {len(digits)} "
+    assert (code, out, err) == (2, "", f"error: {group}: line 2: integer of {len(digits)} "
                                        f"digits is too long\n")
+    code, out, err = run(capsys, "gowers", f"z{digits}", "--g=1", "--k", "1")
+    assert (code, out, err) == (2, "", f"error: integer of {len(digits)} digits is too long\n")
     assert time.perf_counter() - start < 1
 
 
@@ -666,7 +708,9 @@ _ERROR_PREFIXES = {2: ("error: ", "parse error: ", "usage: "), 3: ("semantic err
 _FORMULA_TOKENS = ["~", "(", ")", "&", "|", "->", "forall", "exists", "x", "y", "e",
                    ".", ",", "=", "!=", "m[x]", "m[x,y]", "m[", "]", "<", "<=", ">=",
                    ">", "1/2", "1", "0/0", "add(", "add(x, e)", "@", "q", "forall x ."]
-_GRAPH_WORDS = ["graph", "hypergraph", "0", "1", "2", "3", "6", "-1", "x", "#", "1/2"]
+# words at the edge of the numeral grammar, a 5,000-digit literal among them
+_NUMERALS = ["1_0", "٣", "²", "+7", "07", "-0", "1" * 5000]
+_GRAPH_WORDS = ["graph", "hypergraph", "0", "1", "2", "3", "6", "-1", "x", "#", "1/2", *_NUMERALS]
 
 
 @st.composite
@@ -681,7 +725,8 @@ def _formula_texts(draw):
 def _graph_texts(draw):
     header = draw(st.sampled_from(["graph 6", "graph 1", "graph 0", "graph", "graph x",
                                    "graph 3 3", "hypergraph 6 2", "hypergraph 6 1",
-                                   "hypergraph 6 3", ""]))
+                                   "hypergraph 6 3", "",
+                                   *(f"graph {w}" for w in _NUMERALS)]))
     lines = draw(st.lists(st.lists(st.sampled_from(_GRAPH_WORDS), max_size=3),
                           max_size=8))
     return "\n".join([header] + [" ".join(words) for words in lines]) + "\n"
@@ -714,7 +759,9 @@ def _structure_texts(draw):
     extra = draw(st.sampled_from(["", "universe 0", "universe -1", "measure weights 1 0",
                                   "relation P 1", "0 9", "constant c 5",
                                   "constant add 1", "function e 1\n0 1 2 3",  # redeclared
-                                  "function g 20000\n0"]))  # no file fills 4^20000
+                                  "function g 20000\n0",  # no file fills 4^20000
+                                  *(f"constant c {w}" for w in _NUMERALS),
+                                  *(f"measure weights {w} 1 1 1" for w in _NUMERALS)]))
     return "\n".join(kept + [extra]) + "\n"
 
 
@@ -723,16 +770,18 @@ def _group_texts(draw):
     n = draw(st.integers(min_value=-1, max_value=4))
     entries = draw(st.one_of(
         st.just([(a + b) % n for a in range(n) for b in range(n)] if n > 0 else []),
-        st.lists(st.integers(min_value=-1, max_value=4), max_size=16)))
-    return f"group {n}\n" + " ".join(map(str, entries)) + "\n"
+        st.lists(st.one_of(st.integers(min_value=-1, max_value=4), st.sampled_from(_NUMERALS)),
+                 max_size=16)))
+    header = draw(st.sampled_from([str(n), *_NUMERALS]))
+    return f"group {header}\n" + " ".join(map(str, entries)) + "\n"
 
 
-_INT = st.sampled_from(["0", "-1", "1", "2", "3", "12"])
-_LIST = st.lists(st.sampled_from(["0", "1", "-1", "2", "5", "1/2", "x", "1/0"]),
+_INT = st.sampled_from(["0", "-1", "1", "2", "3", "12", *_NUMERALS])
+_LIST = st.lists(st.sampled_from(["0", "1", "-1", "2", "5", "1/2", "x", "1/0", *_NUMERALS]),
                  max_size=6).map(",".join)
 _NOT_UTF8 = _file(st.sampled_from([b"universe 2\n\xff\n", b"\xfe 1 2\n"]))
-_SET = st.one_of(st.just(EVENS), _LIST, _NOT_UTF8)
-_EPS = st.sampled_from(["1/4", "1/3", "0", "1", "2", "-1/2", "x", "1/0"])
+_SET = st.one_of(st.just(EVENS), _LIST, _file(_LIST), _NOT_UTF8)
+_EPS = st.sampled_from(["1/4", "1/3", "0", "1", "2", "-1/2", "x", "1/0", *_NUMERALS])
 _FORMULA = st.sampled_from(["x = e", "e = e", "m[x] <= 1/2 . add(x, x) = e", "x = y",
                             "P(x)", "x ="])
 _STRUCTURE = st.one_of(_file(_structure_texts()), _NOT_UTF8)
@@ -746,7 +795,8 @@ _FAMILY = _file(st.builds(
 _EVERY_SUBCOMMAND_ARGV = st.one_of(
     _formula_texts().map(lambda text: ["eval", Z4, text, "--bind", "x=0"]),
     _cmd("eval", _STRUCTURE, _FORMULA,
-         _opt("--bind", st.sampled_from(["x=0", "x=9", "x", "x=0,x=1"]))),
+         _opt("--bind", st.sampled_from(["x=0", "x=9", "x", "x=0,x=1",
+                                         *(f"x={w}" for w in _NUMERALS)]))),
     _cmd("measure", _STRUCTURE, _FORMULA, _opt("--vars", st.sampled_from(["x", "x,y", "x,x"]))),
     _cmd("check-axioms", _STRUCTURE, _opt("--count", _INT), _opt("--seed", _INT),
          _opt("--schemes", st.sampled_from(["AML", "I", "F", "F+", "f-a,I", "nope", ","]))),
@@ -1026,7 +1076,7 @@ def test_regularity_degree_certificate_is_metered(capsys, tmp_path):
     code, out, err = run(capsys, "regularity", str(k200), "--eps", "1/4", "--cap", "200",
                          "--budget", "100000")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 9120600 work units > limit 100000\n"
+    assert err == "budget error: enumeration budget exceeded: 9121400 work units > limit 100000\n"
     assert time.perf_counter() - start < 1
 
 

@@ -17,7 +17,7 @@ from aml.limits import (
     parse_family,
     truth_profile,
 )
-from aml.parser import ParseError, SourceSpan, parse_formula, parse_ints
+from aml.parser import ParseError, SourceSpan, parse_formula, parse_integers
 from aml.semantics import Budget, BudgetExceeded
 from aml.structures import FiniteStructure, VFlag
 from oracle import banach_density_by_slides, member_tuples
@@ -346,7 +346,7 @@ def test_parse_cyclic_family():
 
 def test_parse_interval_family_with_loader():
     fam = parse_family("family interval E.txt 2 6",
-                       loader=lambda path: parse_ints("# odd numbers\n1 3  # small\n5\n"))
+                       loader=lambda path: parse_integers("# odd numbers\n1 3  # small\n5\n"))
     assert fam.at(5).relations["E"][1] == frozenset({0, 2, 4})
     assert fam.at(5).signature() == fam.signature
 
@@ -358,7 +358,7 @@ def test_parse_family_errors():
         with pytest.raises(ParseError):
             parse_family(bad, _no_e_file)
     with pytest.raises(ParseError) as e:
-        parse_family("family interval E.txt 1 5", loader=lambda p: parse_ints("one three"))
+        parse_family("family interval E.txt 1 5", loader=lambda p: parse_integers("one three"))
     assert e.value.span == SourceSpan(16, 21)  # at the E-file's name
     # a predicate named twice, or after the groups' own symbols, at its second name
     for text, name, at in (("family cyclic 2 9 predicate P even predicate P odd", "P", 45),

@@ -20,7 +20,6 @@ from aml.regularity import (
     RegularityError,
     RegularityVerdict,
     _degree_certificate,
-    _pattern_maps,
     ap_encode,
     count_copies,
     density,
@@ -34,6 +33,7 @@ from aml.regularity import (
 )
 from aml.parser import ParseError, SourceSpan
 from aml.semantics import Budget, BudgetExceeded
+from aml.structures import set_bits
 from oracle import (ap_encode_by_scan, degree_certificate_by_scan, degree_into,
                     greedy_hitting_set_by_recount, is_epsilon_regular_by_subsets,
                     partition_energy_by_fractions, regular_by_enumeration,
@@ -590,8 +590,17 @@ def test_partition_rejects_bad_eps_and_kmax():
 
 # -- copy counting ------------------------------------------------------------------------
 
+def _expanded_maps(pattern, host):
+    """(assignment, image edges) for each map of regularity._partial_maps,
+    each mask expanded in order to its last vertex's images."""
+    for bits, mask in regularity._partial_maps(pattern, host, None):
+        for v in set_bits(mask):
+            full = tuple(b.bit_length() - 1 for b in bits[:-1]) + (v,)
+            yield full, frozenset(tuple(sorted({full[w] for w in e})) for e in pattern.edges)
+
+
 def count_copies_injective(pattern, host):
-    return sum(1 for assignment, _ in _pattern_maps(pattern, host, None)
+    return sum(1 for assignment, _ in _expanded_maps(pattern, host)
                if len(set(assignment)) == pattern.n)
 
 
@@ -617,7 +626,7 @@ def _random_hypergraph(rng, n, k, p):
 def _assert_maps_match_the_reference(pattern, host):
     """The map stream is the reference's, and count_copies its length."""
     want = list(_pattern_maps_reference(pattern, host))
-    assert list(_pattern_maps(pattern, host, None)) == want
+    assert list(_expanded_maps(pattern, host)) == want
     assert count_copies(pattern, host) == len(want)
 
 
@@ -648,10 +657,10 @@ def test_collapsed_faces_admit_nothing():
     pattern = Hypergraph.from_edges(4, 4, [(0, 1, 2, 3)])
     host = Hypergraph.from_edges(5, 4, list(itertools.combinations(range(5), 4)))
     assert 12 not in regularity._links(host.edges)
-    maps = list(_pattern_maps(pattern, host, None))
+    maps = list(_expanded_maps(pattern, host))
     assert maps == list(_pattern_maps_reference(pattern, host))
     assert len(maps) == 120 and all(len(set(a)) == 4 for a, _ in maps)
-    assert all(len(set(a[:3])) == 3 for a, _ in regularity._partial_maps(pattern, host, None))
+    assert all(len(set(b[:3])) == 3 for b, _ in regularity._partial_maps(pattern, host, None))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 7), st.randoms(use_true_random=False))
@@ -799,7 +808,7 @@ def test_greedy_hitting_set_matches_the_recounting_reference():
     for _ in range(60):
         pattern = rng.choice(patterns)
         host = _random_hypergraph(rng, rng.randint(3, 9), pattern.k, rng.uniform(0.2, 0.9))
-        unique = sorted({used for _, used in _pattern_maps(pattern, host, None)},
+        unique = sorted({used for _, used in _expanded_maps(pattern, host)},
                         key=lambda s: sorted(map(sorted, s)))
         budget = Budget()
         assert regularity._greedy_hitting_set(unique, budget) == \
@@ -991,13 +1000,17 @@ def test_hypergraph_file_round_trip():
 def test_graph_header_is_charged_before_the_graph_is_built():
     budget = Budget()
     assert parse_graph("graph 5\n0 1\n", budget=budget).n == 5
-    assert budget.used == 5
+    assert budget.used == 5 + 5   # n, and n·⌈n/64⌉ words of adjacency masks
+    budget = Budget()
+    parse_graph("graph 65\n", budget=budget)
+    assert budget.used == 65 + 65 * 2
     with pytest.raises(BudgetExceeded):
         parse_graph(f"graph {10 ** 12}\n", budget=Budget(10 ** 7))
 
 
 def test_graph_parse_errors():
-    # a format error is a ParseError at the first word of its line
+    # a format error is a ParseError at the first word of its line, or at a
+    # word that is no numeral
     with pytest.raises(ParseError) as e:
         parse_graph("graph 3\n# edges\n0 3\n")
     assert e.value.span == SourceSpan(16, 17)
@@ -1006,4 +1019,4 @@ def test_graph_parse_errors():
     assert e.value.span == SourceSpan(0, 11)
     with pytest.raises(ParseError) as e:
         parse_hypergraph("hypergraph 4 3\n0 1 2\n1 x 3\n")
-    assert (e.value.message, e.value.span) == ("bad vertex", SourceSpan(21, 22))
+    assert (e.value.message, e.value.span) == ("bad vertex", SourceSpan(23, 24))   # at the x
