@@ -3,9 +3,9 @@ logic-dense and combinatorics benchmark mixes, against tests/golden/digests.txt.
 CI reads its pins from the same file; the soundness-small pin is checked
 there only, since one pass of that mix takes seconds.  The pass runs every
 CLI op with --stats and reads the pair checks and irregular verdicts of the
-regularity survey from the library's counters; the digest is taken with the
-stats records stripped, so it also shows that --stats moves no byte of any
-op's output."""
+regularity survey, and the work units charged, from the library's counters;
+the digest is taken with the stats records stripped, so it also shows that
+--stats moves no byte of any op's output."""
 
 from collections import Counter
 from contextlib import redirect_stdout
@@ -51,6 +51,9 @@ def _bench_run(monkeypatch):
 # (pair checks, irregular verdicts) of the pass's regularity survey, as the
 # library counts them
 PAIR_CHECKS = {"logic-dense": (0, 0), "combinatorics": (6835, 2995)}
+# the work units that the pass's CLI ops charge, summed: a change that claims
+# only speed moves no charge
+BUDGET_USED = {"logic-dense": 2309120, "combinatorics": 6567350}
 
 
 def _strip_stats(stdout: str, counts: Counter) -> str:
@@ -85,3 +88,5 @@ def test_one_benchmark_pass_matches_its_pin(workload, monkeypatch, tmp_path):
     assert with_stats == cli_ops   # every CLI op exits 0, so each printed its stats
     assert (counts["regularity.pair_checks"], counts["regularity.irregular_pairs"]) == \
         PAIR_CHECKS[workload]
+    assert counts["budget.used"] == BUDGET_USED[workload], \
+        f"budget.used {BUDGET_USED[workload]} pinned, {counts['budget.used']} now"
