@@ -20,20 +20,21 @@ both read only those sizes:
    falls (top-s means of degrees never rise with s and bottom-s means never
    fall; for a degree r, min(r, t)/t never rises with t and
    max(0, r − |U'| + t)/t never falls), so that cell is the worst of all.
-   Its row half, from the degrees already counted for e(U, U'), is tried
-   first; the column degrees are counted only when the rows leave the pair
-   open, m >= 2 and U' has two vertices or more.  At m = 1 the row bounds
-   are exact (the most and the fewest neighbours one vertex has among m'),
-   with one vertex in U' the rows are 0/1 and exact too, and at m' = 1 the
-   column bounds are exact: so when m or m' is 1 the certificate fails
-   exactly when a witness exists.
+   Its row half, from the degrees already counted for e(U, U') (U the
+   smaller side), is tried first; the column degrees are counted only when
+   the rows leave the pair open, m >= 2 and U' has two vertices or more.
+   At m = 1 the row bounds are exact (the most and the fewest neighbours
+   one vertex has among m'), with one vertex in U' the rows are 0/1 and
+   exact too, and at m' = 1 the column bounds are exact: so when m or m' is
+   1 it fails exactly when a witness exists (at m = 1, it is charged but
+   not run: 2 decides alone).
 2. The search finds the first witness in bitmask order among the m-subsets
    of the smaller side alone, against the m'-prefix of the other side's
    degree order: if (A, B) deviates, so does (A*, B) for the m vertices A*
    of A with the most (or fewest) neighbours in B, and A* ⊆ A comes no later;
    and top-m' (bottom-m') mean degrees never rise (fall) as m' grows.  When
    that side's m is 1, A is one vertex and the degrees into it are its row's
-   bits, so the witness is read off the rows in vertex order.
+   bits, so the witness is read off the degrees counted for e(U, U').
 
 A pair of parts too small to hold any proper qualifying subset is regular
 outright, and the partition survey settles it without a check.  Each round
@@ -43,10 +44,11 @@ and no verdict for a regular pair; :func:`is_epsilon_regular` is the checked
 entry to the same kernel.  Either way the kernel counts its checks in the
 budget's ``regularity.pair_checks`` and ``regularity.irregular_pairs``.
 Partition energies are one integer sum over a common denominator, each
-unordered part pair counted once.  The AP encoding reads each edge family's
-solutions from A's residue class of its coefficient, with two bisections per
-tuple of the other coordinates, builds each edge as its vertex tuple in part
-order, and links only the faces its first counter reads.
+unordered part pair counted once (the survey's from its kernel's counts).
+The AP encoding reads each edge family's solutions from A's residue class of
+its coefficient, with two bisections per tuple of the other coordinates,
+builds each edge as its vertex tuple in part order, and links only the faces
+its first counter reads.
 """
 
 from __future__ import annotations
@@ -217,16 +219,12 @@ def _degree_certificate(adj, rows: list[int], v: tuple[int, ...], mask_u: int,
     qualifying sizes (s, t) lie strictly within eps of d(U, U'), that is when
     scale·bound < hi and scale·bound > lo for ``test`` = (scale, hi, lo).
     False leaves the pair undecided.  The row half is tried first, and the
-    columns are counted only when it leaves the pair open, s >= 2 and U' has
-    two vertices or more.  Why that one cell decides every cell, and why
-    the certificate fails only on a pair with a witness when s or t is 1,
-    is argument 1 of the module docstring."""
+    columns are counted only when it leaves the pair open.  Argument 1 of
+    the module docstring says why that one cell decides every cell."""
     scale, hi, lo = test
     top, bottom = _bounds(rows, s, t, len(v))
     if scale * top < hi and scale * bottom > lo:
         return True
-    if s == 1 or len(v) == 1:
-        return False
     top_c, bottom_c = _bounds(sorted([(adj[y] & mask_u).bit_count() for y in v], reverse=True),
                               t, s, len(rows))
     return scale * min(top, top_c) < hi and scale * max(bottom, bottom_c) > lo
@@ -239,12 +237,10 @@ def _first_witness(adj, left: tuple[int, ...], right: tuple[int, ...],
     increasing bitmask order and, for each, B the m_r vertices of ``right``
     of most degree into A, then those of least (ties to the lesser vertex
     among the most, the greater among the least); None if there is none.
-    The pair check calls it for m_l >= 2 (at m_l = 1,
-    :func:`_first_vertex_witness` reads the same witness off the rows).
-    A is a vertex mask, so a degree into it is one AND of an adjacency row
-    and a popcount.  Gosper's step runs within the mask of ``left``: the
-    vertices outside it are set before the lowest bit is added, so the
-    carry skips them."""
+    The kernel calls it for m_l >= 2.  A is a vertex mask, so a degree into
+    it is one AND of an adjacency row and a popcount.  Gosper's step runs
+    within the mask of ``left``: the vertices outside it are set before the
+    lowest bit is added, so the carry skips them."""
     rows = [adj[y] for y in right]
     scale, hi, lo = test
     top_min = -(-hi // scale)  # m_r degrees summing to at least this deviate up
@@ -274,37 +270,6 @@ def _first_witness(adj, left: tuple[int, ...], right: tuple[int, ...],
         bits = ripple | lowest[(bits ^ ripple).bit_count() - 2]
 
 
-def _first_vertex_witness(adj, left: tuple[int, ...], right: tuple[int, ...], mask_r: int,
-                          m_r: int, test: tuple[int, int, int]):
-    """:func:`_first_witness` at m_l = 1, read off the rows: each A is one
-    vertex x of ``left``, taken in increasing order, and the degrees into it
-    of the vertices of ``right`` (``mask_r``) are the bits of x's row, so
-    nothing is sorted.  With r = |N(x) ∩ right| and b = |right|, the most and
-    the fewest edges that m_r of them carry are min(r, m_r) and
-    max(0, m_r − (b − r)), tested as there.  B is the first m_r (most) or
-    the last m_r (fewest) of x's neighbours ascending followed by its
-    non-neighbours ascending, the order that the stable sort there gives.
-    None if no x deviates; after a failed certificate, which is exact at
-    m_l = 1, some x always does."""
-    scale, hi, lo = test
-    top_min = -(-hi // scale)
-    bottom_max = lo // scale
-    b = len(right)
-    # min(r, m_r) >= top_min exactly when r >= r_top, and
-    # max(0, m_r − b + r) <= bottom_max exactly when r <= r_bottom
-    r_top = top_min if m_r >= top_min else b + 1
-    r_bottom = bottom_max + b - m_r if bottom_max >= 0 else -1
-    for x in left:
-        row = adj[x] & mask_r
-        r = row.bit_count()
-        if r >= r_top or r <= r_bottom:
-            order = [y for y in right if row >> y & 1] + [y for y in right if not row >> y & 1]
-            chosen, edges = (order[:m_r], min(r, m_r)) if r >= r_top else \
-                (order[b - m_r:], max(0, m_r - b + r))
-            return (x,), tuple(sorted(chosen)), edges
-    return None
-
-
 def _pair_kernel(adj, u: tuple[int, ...], v: tuple[int, ...], mask_u: int, mask_v: int,
                  m_u: int, m_v: int, p: int, q: int, budget: Budget):
     """The pair check of :func:`is_epsilon_regular`, unchecked: ``u`` and
@@ -312,26 +277,46 @@ def _pair_kernel(adj, u: tuple[int, ...], v: tuple[int, ...], mask_u: int, mask_
     ``mask_u``, ``mask_v`` and least qualifying sizes m_u, m_v at eps = p/q.
     Returns (e(U, U'), None) for a regular pair, else (e(U, U'), (A, B,
     e(A, B))) with A ⊆ U and B ⊆ U' the first witness, and bumps the
-    counters ``regularity.pair_checks`` and ``regularity.irregular_pairs``."""
+    counters ``regularity.pair_checks`` and ``regularity.irregular_pairs``.
+    At m = 1 on the smaller side its vertex scan alone decides (module
+    docstring), charging the subsets only with a witness: B is the first
+    (most edges) or last m' of x's neighbours, then non-neighbours, ascending."""
     a, b = len(u), len(v)
-    rows = sorted([(adj[x] & mask_v).bit_count() for x in u], reverse=True)
-    edges, cells = sum(rows), a * b
     budget.charge((a - m_u + 1) * (b - m_v + 1) * (a + b))
     budget.count("regularity.pair_checks")
+    swapped = a > b
+    left, right, m_l, m_r, mask_l, mask_r = \
+        (v, u, m_v, m_u, mask_v, mask_u) if swapped else (u, v, m_u, m_v, mask_u, mask_v)
+    degrees = [(adj[x] & mask_r).bit_count() for x in left]
+    edges, cells = sum(degrees), a * b
     # e/(m_u m_v) is at least eps from edges/cells exactly when scale·e >= hi
     # or scale·e <= lo, in integers
-    least = m_u * m_v
-    test = q * cells, (q * edges + p * cells) * least, (q * edges - p * cells) * least
-    if _degree_certificate(adj, rows, v, mask_u, m_u, m_v, test):
-        return edges, None
-    # search subsets of the smaller side
-    swapped = a > b
-    left, right, m_l, m_r = (v, u, m_v, m_u) if swapped else (u, v, m_u, m_v)
-    budget.charge(1 << len(left))  # one unit per subset
-    found = _first_witness(adj, left, right, m_l, m_r, test) if m_l > 1 else \
-        _first_vertex_witness(adj, left, right, mask_u if swapped else mask_v, m_r, test)
-    if found is None:
-        return edges, None
+    scale, hi, lo = test = \
+        q * cells, (q * edges + p * cells) * m_u * m_v, (q * edges - p * cells) * m_u * m_v
+    if m_l == 1:
+        size, top_min, bottom_max = len(right), -(-hi // scale), lo // scale
+        # m_r vertices carry at most min(r, m_r) edges to x, >= top_min exactly when
+        # r >= r_top, and at least max(0, m_r − size + r), <= bottom_max exactly when r <= r_bottom
+        r_top = top_min if m_r >= top_min else size + 1
+        r_bottom = bottom_max + size - m_r if bottom_max >= 0 else -1
+        for x, r in zip(left, degrees):
+            if r >= r_top or r <= r_bottom:
+                break
+        else:
+            return edges, None
+        budget.charge(1 << len(left))  # one unit per subset
+        row = adj[x] & mask_r
+        order = [y for y in right if row >> y & 1] + [y for y in right if not row >> y & 1]
+        chosen, wit_edges = (order[:m_r], min(r, m_r)) if r >= r_top else \
+            (order[size - m_r:], max(0, m_r - size + r))
+        found = (x,), tuple(sorted(chosen)), wit_edges
+    else:
+        if _degree_certificate(adj, sorted(degrees, reverse=True), right, mask_l, m_l, m_r, test):
+            return edges, None
+        budget.charge(1 << len(left))  # one unit per subset
+        found = _first_witness(adj, left, right, m_l, m_r, test)
+        if found is None:
+            return edges, None
     budget.count("regularity.irregular_pairs")
     sub, other, wit_edges = found
     return edges, (other, sub, wit_edges) if swapped else found
@@ -347,14 +332,12 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     If it cannot settle the pair, charges the 2^min(|U|, |U'|) subsets of the
     smaller side and returns the first witness in their bitmask order, or
     certifies regularity when there is none; both parts must be within
-    ``exact_cap``.  When the smaller side's m is 1 (a one-vertex side, or
-    up to ⌊1/ε⌋ vertices), the certificate is exact, so it fails exactly
-    when a witness exists, and the search reads that witness off the rows
-    of the side's vertices in increasing order
-    (:func:`_first_vertex_witness`).  Both read only the least qualifying
-    sizes, for the two reasons the module docstring gives.  This is the
-    checked entry: it validates its arguments and runs the same kernel as
-    the partition survey, counted the same way.
+    ``exact_cap``.  When the smaller side's m is 1 (a one-vertex side, or up
+    to ⌊1/ε⌋ vertices) the certificate is exact, so the scan of that side's
+    vertices alone decides the pair, with the same charges.  Both read only
+    the least qualifying sizes (module docstring).  This is the checked
+    entry: it validates its arguments and runs the same kernel as the
+    partition survey, counted the same way.
     """
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
@@ -429,32 +412,44 @@ def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
 
 def _survey(g: Graph, parts, eps: Fraction, budget: Budget):
     """Exact verdicts for all unordered part pairs; returns (irregular list,
-    ordered-pair mass of irregular pairs).  Each part's mask and least
-    qualifying size are computed once, and each pair is decided by
-    :func:`_pair_kernel`.  The parts are sorted, disjoint and within the cap
-    (the initial chunks fit it and refinement only splits them), so nothing
-    is re-checked per pair."""
-    irregular = []
-    mass = 0
+    ordered-pair mass of irregular pairs, :func:`partition_energy`).  The
+    parts are sorted, disjoint and within the cap (the initial chunks fit it
+    and refinement only splits them), so nothing is re-checked per pair.
+    Each pair is decided by :func:`_pair_kernel`, which counts e(U, U') for
+    the energy, and a pair of whole parts by popcounts."""
+    irregular, mass = [], 0
     adj, p, q = g.adj, eps.numerator, eps.denominator
     masks = [_mask_of(part) for part in parts]
     least = [_least_qualifying(eps, len(part)) for part in parts]
+    lcm = math.lcm(*map(len, parts))
+    scales = [lcm // len(part) for part in parts]
+    # the pairs of two single-vertex parts, both of scale lcm, have e(U, U')
+    # 0 or 1: their sum over ordered pairs is one popcount per such vertex
+    single = sum([mask for part, mask in zip(parts, masks) if len(part) == 1])
+    total = lcm * lcm * sum([(adj[x] & single).bit_count() for x in set_bits(single)])
     for i, (u, mask_u, m_u) in enumerate(zip(parts, masks, least)):
         # parts no larger than their least qualifying size ⌈ε|U|⌉: only the
         # pair itself qualifies, so a pair of two of them is regular; it is
         # charged the certificate's one cell, |U| + |U'|
-        whole_u = m_u == len(u)
+        a = len(u)
+        whole_u = m_u == a
+        row = 0   # Σ e(U, U_j)² scale_j over j >= i, twice for j > i
         for j in range(i, len(parts)):
             v, m_v = parts[j], least[j]
             if whole_u and m_v == len(v):
-                budget.charge(len(u) + len(v))
-                continue
-            found = _pair_kernel(adj, u, v, mask_u, masks[j], m_u, m_v, p, q, budget)[1]
-            if found is not None:
-                irregular.append((i, j, found[:2]))
-                block = len(u) * len(v)
-                mass += block if i == j else 2 * block
-    return irregular, mass
+                budget.charge(a + len(v))
+                if a + len(v) == 2:   # two single vertices, summed above
+                    continue
+                edges = sum([(adj[x] & masks[j]).bit_count() for x in u])
+            else:
+                edges, found = _pair_kernel(adj, u, v, mask_u, masks[j], m_u, m_v, p, q, budget)
+                if found is not None:
+                    irregular.append((i, j, found[:2]))
+                    block = a * len(v)
+                    mass += block if i == j else 2 * block
+            row += edges * edges * scales[j] * (1 if i == j else 2)
+        total += scales[i] * row
+    return irregular, mass, Fraction(total, (lcm * g.n) ** 2)
 
 
 def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
@@ -482,12 +477,11 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
         raise RegularityError(f"need at least {pieces} parts to start "
                               f"but k_max={k_max}")
     parts = _initial_chunks(n, pieces)
-    energies = [partition_energy(g, parts)]
-    bound = eps * n * n
-    rounds = 0
+    energies, bound, rounds = [], eps * n * n, 0
 
     while True:
-        irregular, mass = _survey(g, parts, eps, budget)
+        irregular, mass, energy = _survey(g, parts, eps, budget)
+        energies.append(energy)
         if mass <= bound:
             return PartitionResult(tuple(parts), "regular", tuple(irregular), mass,
                                    bound, tuple(energies), rounds)
@@ -507,7 +501,6 @@ def regularity_partition(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
                                    mass, bound, tuple(energies), rounds)
         rounds += 1
         parts = new_parts
-        energies.append(partition_energy(g, parts))
 
 
 # ---------------------------------------------------------------------------

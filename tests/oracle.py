@@ -220,15 +220,16 @@ def is_epsilon_regular_by_subsets(g: Graph, part_u, part_v, eps, exact_cap: int 
 
 
 def regularity_partition_by_checks(g: Graph, eps, k_max: int = 64, exact_cap: int = 15,
-                                   budget: Budget | None = None,
-                                   check=is_epsilon_regular) -> PartitionResult:
+                                   budget: Budget | None = None, check=is_epsilon_regular,
+                                   rounds_parts: list | None = None) -> PartitionResult:
     """``aml.regularity.regularity_partition`` with the same charges, its
     survey written out as one ``check`` call per unordered part pair, except
     a pair of two parts that each equal their least qualifying size: only
     the pair itself qualifies, so it is regular, charged |U| + |U'|.  Each
     round splits every part of an irregular pair into the classes of
-    vertices that agree on membership in each of its witness sets.  Takes
-    valid arguments."""
+    vertices that agree on membership in each of its witness sets.  Each
+    round's parts, whose energy it logs, are appended to ``rounds_parts``
+    when it is given.  Takes valid arguments."""
     eps, budget, n = Fraction(eps), budget or Budget(), g.n
     pieces = -(-n // exact_cap)
     sizes = [n // pieces + (i < n % pieces) for i in range(pieces)]
@@ -236,6 +237,8 @@ def regularity_partition_by_checks(g: Graph, eps, k_max: int = 64, exact_cap: in
     parts = [tuple(range(start, end)) for start, end in zip(ends, ends[1:])]
     energies, bound, rounds = [partition_energy_by_fractions(g, parts)], eps * n * n, 0
     while True:
+        if rounds_parts is not None:
+            rounds_parts.append(parts)
         irregular, mass = [], 0
         for i, j in itertools.combinations_with_replacement(range(len(parts)), 2):
             u, v = parts[i], parts[j]
@@ -508,7 +511,7 @@ _PUNCT = ("->", "<=", ">=", "!=", "<", ">", "=", "~", "&", "|", "(", ")", "[", "
 def tokenize_by_characters(text: str) -> list[Token]:
     """The tokens of a formula, read one character at a time: identifiers
     start with a letter or '_' and go on with letters, digits or '_',
-    integers are runs of decimal digits, and the longest punctuation wins."""
+    integers are runs of ASCII digits, and the longest punctuation wins."""
     toks: list[Token] = []
     i = 0
     n = len(text)
@@ -524,9 +527,9 @@ def tokenize_by_characters(text: str) -> list[Token]:
             toks.append(Token("ident", text[i:j], i, j))
             i = j
             continue
-        if c.isdecimal():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("int", text[i:j], i, j))
             i = j

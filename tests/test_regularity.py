@@ -405,12 +405,60 @@ def test_partition_is_unchanged_with_the_subset_oracle():
     assert seen["regular"] and seen["k-max-exhausted"] and seen["refined"], seen
 
 
-def test_survey_kernel_matches_the_subset_oracle_on_every_pair():
-    # every pair of every round of the reference survey is decided by the
-    # kernel too, with its own budget: the same base density, witness,
-    # witness density and charge as the all-subsets oracle, one pair check
-    # counted and one irregular pair when there is a witness
+WIDE_EPS = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+
+
+def _wide_eps_runs(seed, count):
+    """_partition_runs' graphs at eps 1/2, 2/3 and 3/4 with part-size caps of
+    2-4, so that whole parts of two or three vertices (no larger than their
+    least qualifying size) are surveyed from the first round on; every other
+    pair of runs allows two parts more than it starts with."""
+    return [(g, WIDE_EPS[case % 3], 2 + case % 3,
+             64 if case % 4 < 2 else -(-g.n // (2 + case % 3)) + 2)
+            for case, (g, _, _, _) in enumerate(_partition_runs(seed, count))]
+
+
+def _assert_energy_log(g, eps, cap, k_max):
+    """The survey's energy of every round is partition_energy of that
+    round's parts, as the reference refines them, and their Fraction sum;
+    returns the result and the parts of each round."""
+    rounds = []
+    got = regularity_partition(g, eps, k_max, cap)
+    assert got == regularity_partition_by_checks(g, eps, k_max, cap, rounds_parts=rounds)
+    assert got.energy_log == tuple([partition_energy(g, parts) for parts in rounds]) == \
+        tuple([partition_energy_by_fractions(g, parts) for parts in rounds])
+    return got, rounds
+
+
+def test_energy_log_is_each_rounds_partition_energy_seeded():
     seen = collections.Counter()
+    for g, eps, cap, k_max in _partition_runs(43, 16) + _wide_eps_runs(47, 24):
+        got, rounds = _assert_energy_log(g, eps, cap, k_max)
+        seen[got.status, eps >= Fraction(1, 2)] += 1
+        seen["refined", eps >= Fraction(1, 2)] += got.rounds > 0
+        seen["whole parts of 2-3 vertices"] += any(
+            1 < len(part) == _m_min(eps, part) for parts in rounds for part in parts)
+    assert seen["k-max-exhausted", False] and seen["k-max-exhausted", True], seen
+    assert seen["refined", False] and seen["refined", True], seen
+    assert seen["whole parts of 2-3 vertices"] >= 5, seen
+
+
+@given(st.integers(1, 20), st.sampled_from(EPS_CHOICES + WIDE_EPS), st.integers(1, 6),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_energy_log_is_each_rounds_partition_energy(n, eps, cap, tight, rng):
+    density = rng.random()
+    g = Graph.from_edges(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                             if rng.random() < density])
+    _assert_energy_log(g, eps, cap, -(-n // cap) + 1 if tight else 64)
+
+
+def _kernel_check(seen):
+    """A ``check`` for the reference survey that decides every pair with the
+    kernel too, with its own budget, and asserts the same base density,
+    witness, witness density and charge as the all-subsets oracle, one pair
+    check counted and one irregular pair when there is a witness.  ``seen``
+    counts the pairs by (the smaller side's m is 1, verdict)."""
 
     def compared(g, u, v, eps, exact_cap, budget):
         want_budget, got_budget = Budget(), Budget()
@@ -426,12 +474,31 @@ def test_survey_kernel_matches_the_subset_oracle_on_every_pair():
         assert got_budget.counts == {"regularity.pair_checks": 1,
                                      **({} if want.regular else {"regularity.irregular_pairs": 1})}
         budget.charge(want_budget.used)
-        seen["regular" if want.regular else "irregular"] += 1
+        seen[(m_u if len(u) <= len(v) else m_v) == 1, want.regular] += 1
         return want
 
+    return compared
+
+
+def test_survey_kernel_matches_the_subset_oracle_on_every_pair():
+    # every pair of every round of the reference survey
+    seen = collections.Counter()
     for g, eps, cap, k_max in _partition_runs(29, 16):
-        regularity_partition_by_checks(g, eps, k_max, cap, check=compared)
-    assert seen["regular"] >= 100 and seen["irregular"] >= 100, seen
+        regularity_partition_by_checks(g, eps, k_max, cap, check=_kernel_check(seen))
+    assert seen[False, True] >= 10 and seen[False, False] >= 40, seen
+    assert seen[True, True] + seen[False, True] >= 100, seen
+    assert seen[True, False] + seen[False, False] >= 100, seen
+
+
+def test_the_vertex_scan_alone_matches_the_subset_oracle_on_every_pair():
+    # a pair whose smaller side has m = 1 is decided by the vertex scan
+    # alone, and its subsets are charged only with a witness: every such
+    # pair of every round of seeded partitions, at eps below 1/2 and from
+    # 1/2 on, against the all-subsets oracle
+    seen = collections.Counter()
+    for g, eps, cap, k_max in _partition_runs(37, 12) + _wide_eps_runs(41, 12):
+        regularity_partition_by_checks(g, eps, k_max, cap, check=_kernel_check(seen))
+    assert seen[True, True] >= 100 and seen[True, False] >= 100, seen
 
 
 def _certified_by_scan(g, u, v, eps):
