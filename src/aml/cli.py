@@ -285,6 +285,8 @@ def _load_group(spec: str, order: int, budget: Budget):
         n, entries = integer(low[1:]), None
     else:
         n, *entries = _parse_input(_group_table, spec)
+    if n < 1:   # before the order is compared with the values
+        raise gowers.GowersError("group order must be positive")
     if order != n:
         raise gowers.GowersError(f"--g needs {n} values for this group")
     if entries is None:

@@ -23,6 +23,7 @@ the input, and nesting is capped at ``MAX_DEPTH`` levels.
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,7 +83,7 @@ class Token(NamedTuple):
 # Whitespace, then one token: an identifier (checked to start with a letter or
 # '_', which [^\W\d] alone does not ensure: it admits '²' and '½'), an
 # integer, a punctuation mark, or else one stray character or the end.
-_TOKEN = re.compile(r"\s*(?:(?P<ident>[^\W\d]\w*)|(?P<int>\d+)"
+_TOKEN = re.compile(r"\s*(?:(?P<ident>[^\W\d]\w*)|(?P<int>[0-9]+)"
                     r"|(?P<punct>->|<=|>=|!=|[<>=~&|()\[\].,/])|(?P<other>.|\Z))", re.S)
 
 
@@ -375,6 +376,8 @@ def _print(phi: Formula, level: int) -> str:
 
 INTEGER = re.compile(r"[+-]?[0-9]+")
 INTEGERS = re.compile(r"[\s,]*(?:[+-]?[0-9]+(?:[\s,]+|\Z))*")
+# a rational with an exponent as Fraction(str) reads it: sign, digits, decimals, exponent
+_SCALED = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)\.?([0-9]*)[eE]([-+]?[0-9]+)\s*")
 
 
 class NumeralError(ValueError):
@@ -405,14 +408,26 @@ def integers(text: str) -> list[int]:
 
 
 def rational(word: str) -> Fraction:
-    """``word`` as a rational, else a NumeralError (a zero denominator too);
-    an unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
+    """``word`` as a rational, else a NumeralError (a zero denominator too;
+    past the digit limit, the digits of the numerator or denominator that a
+    word with an exponent is written with, found before any power is built).
+    An unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
     num, slash, den = word.partition("/")
     try:
         if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
             return Fraction(int(num), int(den) if slash else 1)
+        scaled = _SCALED.fullmatch(word) if word.isascii() else None
+        if scaled:
+            sign, whole, decimals, exponent = scaled.groups()
+            mantissa, shift = int(sign + whole + decimals), int(exponent) - len(decimals)
+            digits = len((whole + decimals).lstrip("0")) + shift if shift >= 0 else 1 - shift
+            if mantissa and 0 < sys.get_int_max_str_digits() < digits:
+                raise NumeralError(f"rational of {digits} digits is too long")
+            return mantissa * Fraction(10) ** shift if mantissa else Fraction(0)
         if word.isascii() and "_" not in word:
             return Fraction(word)
+    except NumeralError:
+        raise
     except (ValueError, ZeroDivisionError):
         pass
     raise NumeralError(f"expected a rational, got {word!r}")

@@ -986,6 +986,12 @@ def test_gowers_checks_the_values_before_building_a_table(capsys, monkeypatch, t
     assert built == []
 
 
+@pytest.mark.parametrize("group", ["z-3", "z0"])
+def test_gowers_refuses_a_non_positive_order_before_the_values(capsys, group):
+    code, out, err = run(capsys, "gowers", group, "--g=1", "--k", "1")
+    assert (code, out, err) == (3, "", "semantic error: group order must be positive\n")
+
+
 def test_gowers_checks_k_before_building_a_table(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(gowers.AbelianGroup, "cyclic", staticmethod(built.append))

@@ -4,6 +4,7 @@ every word, and no reader outside parser.py decides for itself."""
 import ast
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -20,9 +21,13 @@ TRI = str(DATA / "tri.hg")
 FAM = str(DATA / "fam.fam")
 
 LONG = "1" * 5000   # past the interpreter's default digit limit of 4300
+# rationals whose denominators, 10^5000 and 10^10000000, are past it too: each
+# is refused by its length, before the power is built
+SCALED = {"1e-5000": 5001, "1e-10000000": 10000001}
 
 # Each word's verdict: the value it reads as, or None where no reader takes it.
-VERDICTS = {"1_0": None, "٣": None, "²": None, "+7": 7, "07": 7, "-0": 0, LONG: None}
+VERDICTS = {"1_0": None, "٣": None, "²": None, "+7": 7, "07": 7, "-0": 0, LONG: None,
+            **dict.fromkeys(SCALED)}
 
 
 def _ones(v: int) -> str:
@@ -118,6 +123,9 @@ def test_every_reader_gives_each_word_one_verdict(reader, tmp_path, monkeypatch,
             assert (code, out) == (2, ""), (word, err)
             if word == LONG and reads_integers:
                 assert f"integer of {len(LONG)} digits is too long" in err, err
+            if word in SCALED and not reads_integers and reader != "weight":
+                # a weight's message names the weight instead
+                assert f"rational of {SCALED[word]} digits is too long" in err, err
         else:               # read as its plain numeral is
             assert (code, out) == outcome(str(value), value)[:2], word
 
@@ -135,6 +143,17 @@ def test_the_grammar_functions_agree_with_the_table(digit_limit):
             assert integer(word) == integers(f"1, {word} 2")[1] == rational(word) == value
     with pytest.raises(ValueError, match=f"^integer of {len(LONG)} digits is too long$"):
         integer("-" + LONG)
+    for word, digits in SCALED.items():
+        with pytest.raises(ValueError, match=f"^rational of {digits} digits is too long$"):
+            rational(word)
+    # the numerator or denominator as written, at the limit and one past it
+    assert rational(f"1e{digit_limit - 1}") == 10 ** (digit_limit - 1)
+    assert rational(f"-0.5e-{digit_limit - 2}") == Fraction(-5, 10 ** (digit_limit - 1))
+    past = f"^rational of {digit_limit + 1} digits is too long$"
+    for word in (f"1e{digit_limit}", f"10e{digit_limit - 1}", f"-0.5e-{digit_limit - 1}"):
+        with pytest.raises(ValueError, match=past):
+            rational(word)
+    assert rational("0e99999999") == rational("-0.0e-99999999") == 0
     with pytest.raises(ValueError, match="^nope$"):
         integer("x", "nope")
     assert integers("") == integers(" , ,") == []

@@ -1,7 +1,9 @@
 """Concrete-syntax round trips, precedence, error spans, structure files."""
 
 import random
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,15 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as ex:
         tokenize("P(x) ? Q")
     assert ex.value.span.start == 5
+
+
+@pytest.mark.parametrize("text", ["m[x] <= ١/٤ . x = e", "m[x] < 1/٤ . x = e"])
+def test_a_threshold_is_read_in_ascii_digits_only(text):
+    # an Arabic-Indic digit is a decimal digit to Python, but no integer token
+    stray = next(i for i, c in enumerate(text) if c in "١٤")
+    want = (f"unexpected character {text[stray]!r}", SourceSpan(stray, stray + 1))
+    assert _tokens_or_error(tokenize, text) == want == \
+        _tokens_or_error(tokenize_by_characters, text)
 
 
 # '²' and '½' are alphanumeric but neither letters nor decimal digits, 'ǅ' is
@@ -323,10 +334,22 @@ def _fraction_or_error(read, word: str):
 
 def _fraction_without_extras(word: str) -> Fraction:
     """The rational grammar's reference: Fraction(word), but no underscore and
-    no non-ASCII character."""
+    no non-ASCII character, and a word with an exponent read exactly through
+    Decimal, refused when its numerator or denominator as written, Decimal's
+    digits before or over its power of ten, has more digits than the
+    interpreter converts."""
     if not word.isascii() or "_" in word:
         raise ValueError(word)
-    return Fraction(word)
+    if "e" not in word.lower():
+        return Fraction(word)
+    try:
+        _, digits, exponent = Decimal(word).as_tuple()
+    except ArithmeticError:   # no decimal number, so no Fraction word either
+        raise ValueError(word) from None
+    written = len(digits) + exponent if exponent >= 0 else 1 - exponent
+    if any(digits) and written > sys.get_int_max_str_digits() > 0:
+        raise ValueError(word)
+    return Fraction(Decimal(word))
 
 
 @given(st.lists(st.sampled_from(["0", "1", "7", "08", "/", "+", "-", ".", "e", "_", " ",
@@ -340,10 +363,15 @@ def _fraction_without_extras(word: str) -> Fraction:
 @example("1e-3")
 @example("1_0")
 @example("٣/4")
+@example("1e4301")
+@example("-2.5e-4300")
+@example("0e99999999")
+@example("1e-10000000")
 @settings(max_examples=600, deadline=None)
 def test_a_weight_reads_as_fraction_reads_it(word):
-    # the unsigned p and p/q fast path and the Fraction string parser,
-    # against Fraction without underscores or non-ASCII digits
+    # the unsigned p and p/q fast path, the exponent path and the Fraction
+    # string parser, against Fraction without underscores or non-ASCII
+    # digits, its exponents priced through Decimal
     got = _fraction_or_error(rational, word)
     assert got == _fraction_or_error(_fraction_without_extras, word)
     if isinstance(got, Fraction):
