@@ -35,7 +35,7 @@ from typing import Callable
 
 from .semantics import Budget, Evaluator
 from .structures import FiniteStructure, index_tuple
-from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Forall, Formula, Func,
+from .syntax import (COMPARISONS, And, Atom, Cmp, Const, Equality, Forall, Formula, Func,
                      Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev, free_vars)
 
 
@@ -76,13 +76,8 @@ def _need(cond: bool, scheme: str, reason: str) -> None:
 
 
 def _m(xs: tuple[str, ...], op: str, bound: Fraction, body: Formula) -> Formula:
-    """m[xs] op bound . body for op among <, <=, >=, >; the last two are
-    negated core forms, as syntax.expand_abbrev writes them."""
-    if op == "<":
-        return Meas(xs, Cmp.LT, bound, body)
-    if op == "<=":
-        return Meas(xs, Cmp.LE, bound, body)
-    return expand_abbrev(xs, AbbrevCmp(op), bound, body)
+    """m[xs] op bound . body for op among <, <=, >=, >, in the core syntax."""
+    return expand_abbrev(xs, COMPARISONS[op], bound, body)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ table entries:
 
     ||g||^{2^k}  =  E_h ||g * g(. + h)||^{2^{k-1}},   with  ||g||^2 = (E g)^2.
 
-``gowers_norm_pow`` computes by that identity.  The substitution form is
-kept as the small-n reference it is tested against.
+``gowers_norm_pow`` computes by that identity.  Its test reference, the
+substitution form, is the box-norm power below of g(h_1 + ... + h_k).
 
 For a k-variable function f on a measured universe, the box-norm power is
 
@@ -208,26 +208,12 @@ def gowers_norm_pow(group: AbelianGroup, g: GridFunction, k: int,
 
 
 def gowers_norm_pow_subst(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:
-    """||g||^{2^k} via the two-sided substitution form over (h0, h1) in G^k x G^k.
-
-    Costs |G|^{2k} * 2^k; kept as the small-n reference that tests compare
-    the other forms against."""
+    """||g||^{2^k} via the two-sided substitution form over (h0, h1) in G^k x G^k,
+    the box-norm power of the lift g(h_1 + ... + h_k) under counting weights:
+    the reference that tests compare ``gowers_norm_pow`` against."""
     _check_degree(group, g, k)
-    gi, denom = integer_table(g.values)
-    add = group.table
-    n = group.n
-    zero = group.zero
-    total = 0
-    for h0 in itertools.product(range(n), repeat=k):
-        for h1 in itertools.product(range(n), repeat=k):
-            sums = [zero]
-            for a, b in zip(h0, h1):
-                sums = [add[s][a] for s in sums] + [add[s][b] for s in sums]
-            prod = 1
-            for s in sums:
-                prod *= gi[s]
-            total += prod
-    return Fraction(total, denom ** (1 << k) * n ** (2 * k))
+    return gowers_box_pow(GridFunction.from_group_function(GridFunction(g.n, 1, g.values, ()),
+                                                           k, group))
 
 
 def _box_tables(f: GridFunction):

@@ -131,12 +131,9 @@ def interval_family(elements, i_lo: int, i_hi: int) -> StructureFamily:
 
 @dataclass(frozen=True)
 class TruthProfile:
-    i_lo: int
-    i_hi: int
-    values: tuple[bool, ...]
+    values: tuple[bool, ...]   # at the family's indices, in order
     verdict: str          # "eventually-true" | "eventually-false" | "undetermined"
     from_index: int | None
-    slack: int
 
     def describe(self) -> str:
         if self.verdict == "eventually-true":
@@ -179,9 +176,8 @@ def truth_profile(family: StructureFamily, sigma: Formula, slack: int = 5,
     i0 = family.i_lo + _suffix_start(values, operator.eq)
     if i0 < family.i_hi - slack:
         verdict = "eventually-true" if last else "eventually-false"
-        return TruthProfile(family.i_lo, family.i_hi, values, verdict, i0, slack)
-    return TruthProfile(family.i_lo, family.i_hi, values, "undetermined",
-                        None, slack)
+        return TruthProfile(values, verdict, i0)
+    return TruthProfile(values, "undetermined", None)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +186,7 @@ def truth_profile(family: StructureFamily, sigma: Formula, slack: int = 5,
 
 @dataclass(frozen=True)
 class LimitMeasure:
-    i_lo: int
-    i_hi: int
-    values: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]   # at the family's indices, in order
     target: Fraction
     verdict: str               # "converged" | "undetermined"
     limit: Fraction | None
@@ -236,8 +230,7 @@ def limit_measure(family: StructureFamily, phi: Formula, xs, r,
         lt = le = None
         if verdict == "converged":
             lt, le = meas_holds(Cmp.LT, r, r, flag), meas_holds(Cmp.LE, r, r, flag)
-        return LimitMeasure(family.i_lo, family.i_hi, values, r, verdict,
-                            limit, flag, lt, le, note)
+        return LimitMeasure(values, r, verdict, limit, flag, lt, le, note)
 
     last = values[-1]
     if last == r:

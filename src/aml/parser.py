@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 from .semantics import Budget
 from .structures import FiniteStructure, column_indices
-from .syntax import (AbbrevCmp, And, Atom, Cmp, Const, Equality, Exists, Forall, Formula,
-                     Func, Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev)
+from .syntax import (COMPARISONS, And, Atom, Const, Equality, Exists, Forall, Formula, Func,
+                     Implies, Meas, Not, Or, Signature, Term, Var, expand_abbrev)
 
 
 @dataclass(frozen=True)
@@ -195,26 +195,20 @@ class _Parser:
                 self.next()
                 continue
             break
-        close = self.expect("]")
+        self.expect("]")
         seen: set[str] = set()
         for v, sp in zip(vars, spans):
             if v in seen:
                 raise ParseError(f"repeated variable {v!r} in measure list", sp)
             seen.add(v)
         cmp_tok = self.peek()
-        if cmp_tok.kind not in ("<", "<=", ">", ">="):
+        if cmp_tok.kind not in COMPARISONS:
             raise ParseError(f"expected a comparison after the measure list, "
                              f"found {cmp_tok.text or 'end of input'!r}", cmp_tok.span)
         self.next()
         q = self.rational()
         self.expect(".")
-        body = self.formula()
-        if cmp_tok.kind == "<":
-            return Meas(tuple(vars), Cmp.LT, q, body)
-        if cmp_tok.kind == "<=":
-            return Meas(tuple(vars), Cmp.LE, q, body)
-        abbrev = AbbrevCmp.GE if cmp_tok.kind == ">=" else AbbrevCmp.GT
-        return expand_abbrev(tuple(vars), abbrev, q, body)
+        return expand_abbrev(vars, COMPARISONS[cmp_tok.kind], q, self.formula())
 
     def variable(self) -> str:
         t = self.expect("ident")
@@ -239,9 +233,9 @@ class _Parser:
     def integer(self) -> int:
         t = self.expect("int")
         try:
-            return int(t.text)
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError(f"integer of {len(t.text)} digits is too long", t.span) from None
+            return integer(t.text)
+        except NumeralError as e:  # more digits than the interpreter converts
+            raise ParseError(str(e), t.span) from None
 
     def atom(self) -> Formula:
         t = self.peek()
@@ -407,11 +401,11 @@ def integers(text: str) -> list[int]:
     return list(map(integer, words))
 
 
-def rational(word: str) -> Fraction:
-    """``word`` as a rational, else a NumeralError (a zero denominator too;
-    past the digit limit, the digits of the numerator or denominator that a
-    word with an exponent is written with, found before any power is built).
-    An unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
+def rational(word: str, bad: str = "") -> Fraction:
+    """``word`` as a rational, else a NumeralError: ``bad`` or one naming the word
+    (a zero denominator too), or past the digit limit the digits of the numerator
+    or denominator that a word with an exponent is written with, found before any
+    power is built.  An unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
     num, slash, den = word.partition("/")
     try:
         if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
@@ -430,7 +424,7 @@ def rational(word: str) -> Fraction:
         raise
     except (ValueError, ZeroDivisionError):
         pass
-    raise NumeralError(f"expected a rational, got {word!r}")
+    raise NumeralError(bad or f"expected a rational, got {word!r}")
 
 
 def parse_integers(text: str, start: int = 0) -> list[int]:
@@ -557,8 +551,8 @@ def parse_structure(text: str, budget: Budget | None = None) -> FiniteStructure:
     def weight(i: int, j: int) -> Fraction:
         try:
             q = rational(word(j, f"weight {i}"))
-        except ValueError:
-            raise d.error(f"expected weight {i}, found {words[j]!r}", j) from None
+        except NumeralError:   # read again, to raise at the word with its message
+            q = d.read(j, rational, f"expected weight {i}, found {words[j]!r}")
         if q < 0:
             raise d.error(f"weight {i} is negative", j)
         return q

@@ -43,8 +43,8 @@ decides each other pair with one unchecked kernel, which builds no Fraction
 and no verdict for a regular pair; :func:`is_epsilon_regular` is the checked
 entry to the same kernel.  Either way the kernel counts its checks in the
 budget's ``regularity.pair_checks`` and ``regularity.irregular_pairs``.
-Partition energies are one integer sum over a common denominator, each
-unordered part pair counted once (the survey's from its kernel's counts).
+A round's partition energy is one integer sum over a common denominator of
+the e(U, U') the survey's kernel counts, each unordered part pair once.
 The AP encoding reads each edge family's solutions from A's residue class of
 its coefficient, with two bisections per tuple of the other coordinates,
 builds each edge as its vertex tuple in part order, and links only the faces
@@ -54,7 +54,6 @@ its first counter reads.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 import operator
@@ -366,32 +365,6 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
 # Energy-increment regularity partition
 
 
-def partition_energy(g: Graph, parts) -> Fraction:
-    """Mean-square edge density: sum over ordered part pairs (i,j), including
-    i = j, of (|U_i||U_j| / n^2) * d(U_i, U_j)^2.
-
-    With L = lcm |U_i| the energy is Σ e² (L/|U_i|)(L/|U_j|) / (L n)², one
-    integer sum.  Since e(U_i, U_j) = e(U_j, U_i), each unordered pair is
-    counted once, in one pass over the vertices of U_i for all j >= i, and a
-    pair i < j enters the sum twice.  The parts must partition 0..n-1."""
-    masks = [_vertex_mask(g, p) for p in parts]
-    if not all(masks) or sum(map(len, parts)) != g.n \
-            or functools.reduce(operator.or_, masks) != (1 << g.n) - 1:
-        raise RegularityError(f"the parts do not partition 0..{g.n - 1}")
-    lcm = math.lcm(*map(len, parts))
-    scales = [lcm // len(p) for p in parts]
-    total = 0
-    for i, (p, scale) in enumerate(zip(parts, scales)):
-        later = masks[i:]
-        counts = [0] * len(later)
-        for x in p:
-            adj = g.adj[x]
-            counts = [e + (adj & m).bit_count() for e, m in zip(counts, later)]
-        total += scale * (2 * sum([e * e * s for e, s in zip(counts, scales[i:])])
-                          - counts[0] * counts[0] * scale)
-    return Fraction(total, (lcm * g.n) ** 2)
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     parts: tuple[tuple[int, ...], ...]  # disjoint, covering 0..n-1, by least vertex
@@ -412,9 +385,11 @@ def _initial_chunks(n: int, pieces: int) -> list[tuple[int, ...]]:
 
 def _survey(g: Graph, parts, eps: Fraction, budget: Budget):
     """Exact verdicts for all unordered part pairs; returns (irregular list,
-    ordered-pair mass of irregular pairs, :func:`partition_energy`).  The
-    parts are sorted, disjoint and within the cap (the initial chunks fit it
-    and refinement only splits them), so nothing is re-checked per pair.
+    ordered-pair mass of irregular pairs, energy).  The energy is the sum over
+    ordered part pairs (i, j), i = j too, of (|U_i||U_j| / n²) d(U_i, U_j)²:
+    with L = lcm |U_i|, the integer sum Σ e² (L/|U_i|)(L/|U_j|) over (L n)².
+    The parts are sorted, disjoint and within the cap (the initial chunks fit
+    it and refinement only splits them), so nothing is re-checked per pair.
     Each pair is decided by :func:`_pair_kernel`, which counts e(U, U') for
     the energy, and a pair of whole parts by popcounts."""
     irregular, mass = [], 0
@@ -711,9 +686,6 @@ def remove_copies(pattern: Hypergraph, host: Hypergraph, eps=None,
 
 @dataclass(frozen=True)
 class APEncoding:
-    n: int
-    k: int
-    elements: frozenset[int]          # A as a subset of [1, n]
     hypergraph: Hypergraph
     parts: tuple[tuple[int, ...], ...]  # vertex ranges X_1..X_{k+1}
     total_copies: int                 # complete-pattern copies, any difference
@@ -834,8 +806,7 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
             ds = steps[a_val]
             direct += c * (bisect.bisect_right(ds, big - s) - bisect.bisect_left(ds, 1 - s))
 
-    return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
-                      direct, copy_count == direct)
+    return APEncoding(hg, parts, total, trivial, copy_count, direct, copy_count == direct)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Formulae are first-order formulae extended with the measure constructor
 ``m[x1,...,xn] < q . body`` / ``m[x1,...,xn] <= q . body``, which binds the
 listed variables and asserts a bound on the measure of the body's extension.
-``>=`` and ``>`` are abbreviations (negations of the core forms) and are
-expanded by :func:`expand_abbrev`, so evaluators only ever see LT/LE.
+``>=`` and ``>`` are abbreviations (negations of the core forms).  COMPARISONS
+maps each written form to its ``Cmp`` or ``AbbrevCmp``, and :func:`expand_abbrev`
+writes either in the core syntax, so evaluators only ever see LT/LE.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ class AbbrevCmp(Enum):
     GT = ">"
 
 
+COMPARISONS = {c.value: c for c in (*Cmp, *AbbrevCmp)}
+
+
 @dataclass(frozen=True)
 class Meas(Formula):
     """Measure constructor: compares the measure of the body's extension
@@ -202,15 +206,18 @@ _FREE = {
 }
 
 
-def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: AbbrevCmp,
+def expand_abbrev(vars: tuple[str, ...] | list[str], cmp: Cmp | AbbrevCmp,
                   threshold, body: Formula) -> Formula:
-    """Expand a >= / > measure bound into the core syntax.
+    """The measure bound m[xs] cmp q . body in the core syntax: a core
+    comparison is the bare Meas, and a >= / > bound its negated core form,
 
     m[xs] >= q . body  becomes  ~ m[xs] < q . body
     m[xs] >  q . body  becomes  ~ m[xs] <= q . body
     """
+    if isinstance(cmp, Cmp):
+        return Meas(tuple(vars), cmp, threshold, body)  # Meas coerces the threshold
     inner = Cmp.LT if cmp is AbbrevCmp.GE else Cmp.LE
-    return Not(Meas(tuple(vars), inner, threshold, body))  # Meas coerces the threshold
+    return Not(Meas(tuple(vars), inner, threshold, body))
 
 
 # ---------------------------------------------------------------------------

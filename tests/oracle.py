@@ -351,8 +351,7 @@ def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) ->
                 if 1 <= s + d <= big:
                     direct += 1
 
-    return APEncoding(n, k, a_set, hg, parts, total, trivial, copy_count,
-                      direct, copy_count == direct)
+    return APEncoding(hg, parts, total, trivial, copy_count, direct, copy_count == direct)
 
 
 def gowers_cube_by_terms(group: AbelianGroup, g: GridFunction, k: int) -> Fraction:

@@ -1,6 +1,12 @@
-"""The public names the ``aml`` package exports."""
+"""The public names the ``aml`` package exports, and the library names that
+the benchmark's tracer patches."""
+
+import importlib.util
+from pathlib import Path
 
 import aml
+
+TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
 
 PUBLIC = [
     "AbbrevCmp", "And", "Atom", "Budget", "BudgetExceeded", "Cmp", "Const",
@@ -16,3 +22,23 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(aml.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(aml, name) is not None, name
+
+
+def test_the_bench_tracer_patches_names_that_exist():
+    # bench/tracer.py wraps library attributes by name: a renamed or deleted
+    # one fails its install here, before any traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    saved = []
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert saved
+        for owner, attr, original in saved:
+            assert getattr(owner, attr) is not original, (owner.__name__, attr)
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in saved:
+        assert getattr(owner, attr) is original, (owner.__name__, attr)

@@ -132,6 +132,20 @@ def test_both_norm_forms_agree():
                 assert power == gowers_cube_by_terms(grp, f, k)
 
 
+def test_forms_ignore_the_functions_weights():
+    # the U^k power averages over the group under counting measure, whatever
+    # weights g carries; the substitution form lifts g's values, not them
+    vals = [Fraction(3, 2), -1, Fraction(1, 3)]
+    for weights in ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (1, 0, 0)):
+        weighted = GridFunction.from_values(vals, 1, weights=weights)
+        counting = GridFunction.from_values(vals, 1)
+        for k in (1, 2, 3):
+            power = gowers_norm_pow(Z3, counting, k)
+            assert gowers_norm_pow_subst(Z3, weighted, k) == power
+            assert gowers_norm_pow(Z3, weighted, k) == power
+            assert gowers_cube_by_terms(Z3, weighted, k) == power
+
+
 def test_norm_power_matches_the_term_by_term_cube_seeded():
     # zeros, negatives and wide denominators exercise the vanishing
     # derivatives, the signs and the integer rescaling

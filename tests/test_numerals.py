@@ -123,8 +123,7 @@ def test_every_reader_gives_each_word_one_verdict(reader, tmp_path, monkeypatch,
             assert (code, out) == (2, ""), (word, err)
             if word == LONG and reads_integers:
                 assert f"integer of {len(LONG)} digits is too long" in err, err
-            if word in SCALED and not reads_integers and reader != "weight":
-                # a weight's message names the weight instead
+            if word in SCALED and not reads_integers:
                 assert f"rational of {SCALED[word]} digits is too long" in err, err
         else:               # read as its plain numeral is
             assert (code, out) == outcome(str(value), value)[:2], word
@@ -177,8 +176,6 @@ def test_the_list_pattern_fails_in_linear_time(text):
 ALLOWED = {
     ("parser.py", "integer"): "the grammar's integer words",
     ("parser.py", "rational"): "the grammar's rational words: its unsigned p and p/q fast path",
-    ("parser.py", "_Parser.integer"): "the formula tokenizer's own unsigned integers, "
-                                      "tested against tests/oracle.py",
     ("gowers.py", "FiniteAlgebra.from_generators"): "int(g) of a generator that is a number "
                                                     "already, not a word",
 }

@@ -26,7 +26,6 @@ from aml.regularity import (
     is_epsilon_regular,
     parse_graph,
     parse_hypergraph,
-    partition_energy,
     regularity_partition,
     remove_copies,
     validate_witness,
@@ -104,11 +103,12 @@ def test_density_values():
 
 def test_density_rejects_repeated_vertices():
     # (5,) against (6, 6) would count the edge 5-6 once over 1 x 2 cells
-    with pytest.raises(RegularityError):
+    repeated = "^vertex sets must not repeat a vertex$"
+    with pytest.raises(RegularityError, match=repeated):
         density(HALF, (5,), (6, 6))
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match=repeated):
         density(HALF, (5, 5), (6,))
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match=repeated):
         is_epsilon_regular(HALF, (0, 0, 1), RIGHT, QUARTER)
 
 
@@ -127,19 +127,6 @@ def test_vertices_out_of_range_are_named(check, vertex):
     # ValueError: negative shift count
     with pytest.raises(RegularityError, match=rf"^vertex {vertex} out of range 0\.\.3$"):
         check()
-
-
-@pytest.mark.parametrize("parts, message", [
-    ([(0, 1), (2, 3), ()], r"the parts do not partition 0\.\.3"),       # ZeroDivisionError
-    ([(0, 1), (1, 2, 3)], r"the parts do not partition 0\.\.3"),        # 37/144
-    ([(0, 1), (2,)], r"the parts do not partition 0\.\.3"),
-    ([(0, 0, 1), (2, 3)], r"vertex sets must not repeat a vertex"),    # 7/48
-    ([(0, 1), (2, 9)], r"vertex 9 out of range 0\.\.3"),              # IndexError
-    ([(0, 1), (2, -3)], r"vertex -3 out of range 0\.\.3"),
-], ids=["empty", "overlap", "missing", "repeat", "past-n", "negative"])
-def test_partition_energy_takes_only_partitions(parts, message):
-    with pytest.raises(RegularityError, match=f"^{message}$"):
-        partition_energy(PATH4, parts)
 
 
 # -- regular pairs -----------------------------------------------------------------
@@ -419,14 +406,13 @@ def _wide_eps_runs(seed, count):
 
 
 def _assert_energy_log(g, eps, cap, k_max):
-    """The survey's energy of every round is partition_energy of that
-    round's parts, as the reference refines them, and their Fraction sum;
-    returns the result and the parts of each round."""
+    """The survey's energy of every round is the Fraction sum of that round's
+    parts, as the reference refines them; returns the result and the parts of
+    each round."""
     rounds = []
     got = regularity_partition(g, eps, k_max, cap)
     assert got == regularity_partition_by_checks(g, eps, k_max, cap, rounds_parts=rounds)
-    assert got.energy_log == tuple([partition_energy(g, parts) for parts in rounds]) == \
-        tuple([partition_energy_by_fractions(g, parts) for parts in rounds])
+    assert got.energy_log == tuple([partition_energy_by_fractions(g, parts) for parts in rounds])
     return got, rounds
 
 
@@ -566,22 +552,12 @@ G16 = parse_graph((DATA / "g16.graph").read_text())
 
 
 def test_partition_energy_of_frozen_graph():
-    chunks = [tuple(range(0, 8)), tuple(range(8, 16))]
-    assert partition_energy(G16, [tuple(range(16))]) <= \
-        partition_energy(G16, chunks)   # refinement never loses energy
-    assert partition_energy(G16, chunks) == partition_energy_by_fractions(G16, chunks)
-
-
-def test_partition_energy_matches_the_fraction_sum_seeded():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 24)
-        g = Graph.from_edges(n, [(x, y) for x in range(n) for y in range(x + 1, n)
-                                 if rng.random() < rng.random()])
-        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
-        parts = [p for p in (tuple(x for x in range(n) if labels[x] == i)
-                             for i in range(n)) if p]
-        assert partition_energy(g, parts) == partition_energy_by_fractions(g, parts)
+    # the first round surveys the initial chunks: one part at cap 16, two at 8
+    whole = regularity_partition(G16, QUARTER, exact_cap=16).energy_log[0]
+    halves = regularity_partition(G16, QUARTER, exact_cap=8).energy_log[0]
+    assert whole == partition_energy_by_fractions(G16, [tuple(range(16))])
+    assert halves == partition_energy_by_fractions(G16, [tuple(range(8)), tuple(range(8, 16))])
+    assert whole <= halves   # refinement never loses energy
 
 
 def test_regularity_partition_frozen_run():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from aml.syntax import (
+    COMPARISONS,
     AbbrevCmp,
     And,
     Atom,
@@ -162,3 +163,12 @@ def test_ge_expands_to_negated_strict():
 def test_gt_expands_to_negated_weak():
     got = expand_abbrev(("x", "y"), AbbrevCmp.GT, Fraction(1, 3), RXY)
     assert got == Not(Meas(("x", "y"), Cmp.LE, Fraction(1, 3), RXY))
+
+
+def test_core_comparisons_expand_to_the_bare_measure():
+    assert expand_abbrev(["x"], Cmp.LT, "1/2", PX) == Meas(("x",), Cmp.LT, HALF, PX)
+    assert expand_abbrev(("x", "y"), Cmp.LE, 0, RXY) == Meas(("x", "y"), Cmp.LE, 0, RXY)
+
+
+def test_comparisons_are_the_four_written_forms():
+    assert COMPARISONS == {"<": Cmp.LT, "<=": Cmp.LE, ">=": AbbrevCmp.GE, ">": AbbrevCmp.GT}
