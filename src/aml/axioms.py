@@ -317,10 +317,8 @@ def _random_term(rng: random.Random, sig: Signature, vars_now: tuple[str, ...],
         return Var(rng.choice(vars_now))
     if constants and (v < 0.8 or not functions or fuel == 0):
         return Const(rng.choice(constants))
-    if functions and fuel > 0:
-        name, arity = rng.choice(functions)
-        return Func(name, tuple(_random_term(rng, sig, vars_now, fuel - 1) for _ in range(arity)))
-    return Var(rng.choice(vars_now)) if vars_now else Const(constants[0])
+    name, arity = rng.choice(functions)
+    return Func(name, tuple(_random_term(rng, sig, vars_now, fuel - 1) for _ in range(arity)))
 
 
 def _random_node(rng: random.Random, sig: Signature, vars_now: tuple[str, ...], d: int,

@@ -415,8 +415,8 @@ def _cmd_limit(args, out: _Out, budget: Budget) -> int:
     xs = _tuple_vars(args.vars, phi)
     target = rational(args.target)
     lm = limits.limit_measure(family, phi, xs, target, budget=budget)
-    out.text(lm.describe().replace("flag +", "flag ⊕")
-             .replace("flag -", "flag ⊖").replace("flag .", "flag ⊙"))
+    out.text(lm.describe().replace(f"flag {lm.flag.value}", f"flag {_FLAG_DISPLAY[lm.flag]}")
+             if lm.flag else lm.describe())
     out.record("verdict", lm.verdict)
     if lm.verdict == "converged":
         out.record("limit", lm.limit)

@@ -121,6 +121,8 @@ class GridFunction:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.n < 1 or self.arity < 0:
+            raise GowersError(f"need n >= 1 and arity >= 0, got n={self.n}, arity={self.arity}")
         object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
         if len(self.values) != self.n ** self.arity:
             raise GowersError(f"need {self.n ** self.arity} values, got {len(self.values)}")
@@ -130,6 +132,8 @@ class GridFunction:
     def from_values(values, arity: int, n: int | None = None, weights=()) -> "GridFunction":
         values = tuple(values)
         if n is None:
+            if arity < 1:
+                raise GowersError(f"cannot infer n at arity {arity}")
             n = round(len(values) ** (1 / arity))
             while n ** arity < len(values):
                 n += 1

@@ -3,8 +3,7 @@
 Formula grammar (lowest to highest precedence; binders extend maximally to
 the right):
 
-    formula  := impl
-    impl     := disj ("->" impl)?
+    formula  := disj ("->" formula)?
     disj     := conj ("|" conj)*
     conj     := neg ("&" neg)*
     neg      := "~" neg | quant | atom
@@ -139,13 +138,10 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def formula(self) -> Formula:
-        return self.impl()
-
-    def impl(self) -> Formula:
         left = self.disj()
         if self.peek().kind == "->":
             with self.nested(self.next()):
-                return Implies(left, self.impl())
+                return Implies(left, self.formula())
         return left
 
     def disj(self) -> Formula:
@@ -183,24 +179,16 @@ class _Parser:
         return Forall(var, body) if kw.text == "forall" else Exists(var, body)
 
     def measure(self) -> Formula:
-        start = self.next().span.start  # "m"
-        self.expect("[")
+        self.next()  # "m"
         vars: list[str] = []
-        spans: list[SourceSpan] = []
-        while True:
+        sep = self.expect("[")
+        while sep.kind != "]":  # a variable after the "[" and after each ","
             t = self.peek()
-            vars.append(self.variable())
-            spans.append(t.span)
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            break
-        self.expect("]")
-        seen: set[str] = set()
-        for v, sp in zip(vars, spans):
-            if v in seen:
-                raise ParseError(f"repeated variable {v!r} in measure list", sp)
-            seen.add(v)
+            v = self.variable()
+            if v in vars:
+                raise ParseError(f"repeated variable {v!r} in measure list", t.span)
+            vars.append(v)
+            sep = self.next() if self.peek().kind == "," else self.expect("]")
         cmp_tok = self.peek()
         if cmp_tok.kind not in COMPARISONS:
             raise ParseError(f"expected a comparison after the measure list, "
@@ -403,9 +391,11 @@ def integers(text: str) -> list[int]:
 
 def rational(word: str, bad: str = "") -> Fraction:
     """``word`` as a rational, else a NumeralError: ``bad`` or one naming the word
-    (a zero denominator too), or past the digit limit the digits of the numerator
-    or denominator that a word with an exponent is written with, found before any
-    power is built.  An unsigned ``p`` or ``p/q`` is read without Fraction's regex."""
+    (a zero denominator too), or past the digit limit the digits of the longer of
+    ``p`` and ``q``, of a decimal's whole and decimal digits together, or of the
+    numerator or denominator that a word with an exponent is written with, found
+    before any power is built.  An unsigned ``p`` or ``p/q`` is read without
+    Fraction's regex."""
     num, slash, den = word.partition("/")
     try:
         if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
@@ -422,8 +412,12 @@ def rational(word: str, bad: str = "") -> Fraction:
             return Fraction(word)
     except NumeralError:
         raise
-    except (ValueError, ZeroDivisionError):
-        pass
+    except (ValueError, ZeroDivisionError):   # no rational, 0 denominator, or past the limit
+        p, q = num.strip().replace(".", "", 1), den.strip()
+        p = p[1:] if p[:1] in ("+", "-") else p
+        digits = max(len(p), len(q)) if p.isdigit() and (q.isdigit() or not slash) else 0
+        if 0 < sys.get_int_max_str_digits() < digits:
+            raise NumeralError(f"rational of {digits} digits is too long") from None
     raise NumeralError(bad or f"expected a rational, got {word!r}")
 
 

@@ -338,8 +338,7 @@ def is_epsilon_regular(g: Graph, part_u, part_v, eps, exact_cap: int = 15,
     entry: it validates its arguments and runs the same kernel as the
     partition survey, counted the same way.
     """
-    if not isinstance(eps, Fraction):
-        eps = Fraction(eps)
+    eps = Fraction(eps)
     p, q = eps.numerator, eps.denominator
     if not 0 < p < q:
         raise RegularityError("eps must be in (0,1)")
@@ -695,11 +694,6 @@ class APEncoding:
     verified: bool
 
 
-def _ap_vertex(i: int, value: int, n: int) -> int:
-    """Vertex id for value ∈ [1,n] in part X_i (parts are disjoint ranges)."""
-    return (i - 1) * n + (value - 1)
-
-
 def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncoding:
     """Encode A ⊆ [1,n] as a (k+1)-partite k-uniform hypergraph whose
     complete-pattern copies with x_{k+1} ≠ x_1 + ... + x_k correspond exactly
@@ -743,17 +737,18 @@ def ap_encode(elements, n: int, k: int, budget: Budget | None = None) -> APEncod
     classes = {c: [[a for a in ordered if a % c == r] for r in range(c)]
                for c in range(1, k + 1)}
     # an edge's tuple has the solved part first (X_1) or last (X_{k+1}); the
-    # vertex of value x in part j is offset_j + x.  No edge is built twice:
-    # the families cover different parts, and within one, a fixes x.  An edge
-    # ending in X_{k+1} also links its first k − 1 vertices, as a face, to
-    # that vertex, as bit x − 1: counter one reads only these links.
+    # vertex of value x in part j is (j − 1)·n + x − 1, its part's offset
+    # (j − 1)·n − 1 plus x.  No edge is built twice: the families cover
+    # different parts, and within one, a fixes x.  An edge ending in X_{k+1}
+    # also links its first k − 1 vertices, as a face, to that vertex, as bit
+    # x − 1: counter one reads only these links.
     inner, outer = [], []   # the edges avoiding X_{k+1}, and the rest
     links: dict[tuple[int, ...], int] = {}
     for solved, coeff, top, others in families:
-        first, offset = solved == 1, _ap_vertex(solved, 1, n) - 1
+        first, offset = solved == 1, (solved - 1) * n - 1
         faces = [(0, ())]   # (partial sum, vertex tuple) for each tuple of the others' values
         for j, c in others:
-            base = _ap_vertex(j, 1, n) - 1
+            base = (j - 1) * n - 1
             faces = [(p + c * x, f + (base + x,)) for p, f in faces for x in range(1, n + 1)]
         residues = classes[coeff]
         for partial, rest in faces:

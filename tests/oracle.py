@@ -51,7 +51,7 @@ from fractions import Fraction
 from aml.gowers import AbelianGroup, GowersError, GridFunction, gowers_box_pow
 from aml.parser import ParseError, SourceSpan, Token
 from aml.regularity import (APEncoding, Graph, Hypergraph, PartitionResult, RegularityError,
-                            RegularityVerdict, _ap_vertex, is_epsilon_regular)
+                            RegularityVerdict, is_epsilon_regular)
 from aml.semantics import Budget, EvalError, evaluate, meas_holds
 from aml.structures import FiniteStructure, VFlag, index_tuple, integer_table, tuple_index
 from aml.syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
@@ -280,6 +280,11 @@ def partition_energy_by_fractions(g: Graph, parts) -> Fraction:
             e = sum(degree_into(g, x, mask) for x in p)
             total += Fraction(e * e, len(p) * len(q) * g.n * g.n)
     return total
+
+
+def _ap_vertex(part: int, value: int, n: int) -> int:
+    """The vertex of ``value`` in part X_part, whose ids start at (part − 1)·n."""
+    return (part - 1) * n + value - 1
 
 
 def ap_encode_by_scan(elements, n: int, k: int, budget: Budget | None = None) -> APEncoding:

@@ -1,12 +1,14 @@
-"""The public names the ``aml`` package exports, and the library names that
-the benchmark's tracer patches."""
+"""The public names the ``aml`` package exports, the library names that the
+benchmark's tracer patches, and the library names the test oracle may use."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import aml
 
 TRACER = Path(__file__).parents[1] / "bench" / "tracer.py"
+ORACLE = Path(__file__).parent / "oracle.py"
 
 PUBLIC = [
     "AbbrevCmp", "And", "Atom", "Budget", "BudgetExceeded", "Cmp", "Const",
@@ -42,3 +44,19 @@ def test_the_bench_tracer_patches_names_that_exist():
         tracer.uninstall()
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, (owner.__name__, attr)
+
+
+def test_the_oracle_imports_no_private_library_name():
+    # an oracle that shares a helper with the code it checks cannot catch
+    # that helper's mistakes, so it reads only public names of aml
+    private = []
+    for node in ast.walk(ast.parse(ORACLE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "aml":
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "aml"]
+        else:
+            continue
+        private += [name for name in names if any(part.startswith("_")
+                                                  for part in name.split("."))]
+    assert not private, private

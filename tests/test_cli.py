@@ -27,6 +27,7 @@ TRI = str(DATA / "tri.hg")
 TWOTRI = str(DATA / "twotri.hg")
 FAM = str(DATA / "fam.fam")
 EVENS = str(DATA / "evens.set")
+UNARY = str(DATA / "unary.struct")
 
 
 def run(capsys, *argv):
@@ -257,10 +258,30 @@ def test_formula_arguments_read_at_paths(capsys, tmp_path):
      "error: expected an integer, got 'x'\n"),
     (["gowers", "z2", "--g=1,x", "--k", "1"], 2, "error: expected a rational, got 'x'\n"),
     (["check-axioms", Z4, "--schemes", ","], 2, "error: empty scheme selection\n"),
+    (["eval", Z4, "x = e", "--bind", "x"], 2, "error: bad binding 'x': expected name=element\n"),
+    (["check-axioms", Z4, "--schemes", "nope"], 2,
+     "error: unknown scheme 'nope': expected group AML/I/F/F+ or scheme id\n"),
+    (["eval", Z4, "m[x] . x = e"], 2,
+     "parse error: expected a comparison after the measure list, found '.' (at 5..6)\n"),
+    (["eval", Z4, "forall forall . e = e"], 2,
+     "parse error: 'forall' is a keyword, not a variable (at 7..13)\n"),
+    (["eval", Z4, "m[x] < 1/0 . x = e"], 2, "parse error: zero denominator (at 9..10)\n"),
+    (["eval", Z4, "e = exists"], 2,
+     "parse error: 'exists' is a keyword, not a term (at 4..10)\n"),
+    (["eval", Z4, "add = e"], 2, "parse error: function 'add' needs arguments (at 0..3)\n"),
+    (["eval", UNARY, "forall x . x = P"], 2,
+     "parse error: 'P' is a relation, not a term (at 15..16)\n"),
+    (["eval", Z4, "e = e e"], 2, "parse error: unexpected trailing input 'e' (at 6..7)\n"),
+    # a repeated variable is refused where it is read, before the missing ']'
+    (["eval", Z4, "m[x,x . x = e"], 2,
+     "parse error: repeated variable 'x' in measure list (at 4..5)\n"),
 ], ids=["measure-closed", "limit-neither", "limit-both", "phi-without-target",
         "vars-without-phi", "target-without-phi", "eps-without-remove",
         "eps-without-remove-checked-first", "eps-empty", "bind-abc", "bind-twice",
-        "shift-not-integer", "value-not-rational", "schemes-empty"])
+        "shift-not-integer", "value-not-rational", "schemes-empty", "bind-without-equals",
+        "unknown-scheme", "no-comparison", "keyword-variable", "zero-denominator",
+        "keyword-term", "function-without-arguments", "relation-as-term", "trailing-input",
+        "repeat-before-bracket"])
 def test_argument_errors_exit_with_their_message(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
 
@@ -1264,6 +1285,16 @@ def test_limit_measure(capsys):
     code, out, _ = run(capsys, "limit", FAM, "--phi", "x = e",
                        "--vars", "x", "--target", "0")
     assert (code, out) == (0, "limit 0 flag ⊕; m<0: False, m<=0: False\n")
+
+
+@pytest.mark.parametrize("phi, target, line", [
+    ("x = e", "0", "limit 0 flag ⊕; m<0: False, m<=0: False"),
+    ("x != e", "1", "limit 1 flag ⊖; m<1: True, m<=1: True"),
+    ("x = x", "1", "limit 1 flag ⊙; m<1: False, m<=1: True"),
+    ("x != e", "1/2", "Undetermined (one-sided monotone suffix covers only 1 of 20 indices)"),
+], ids=["plus", "minus", "dot", "undetermined"])
+def test_limit_measure_shows_each_flag_glyph(capsys, phi, target, line):
+    assert run(capsys, "limit", FAM, "--phi", phi, "--target", target) == (0, line + "\n", "")
 
 
 def test_limit_measure_records(capsys):

@@ -304,6 +304,17 @@ def test_box_and_dual_need_a_coordinate_to_slice():
         dual_function(constant)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GridFunction(0, 1, (), ()), "need n >= 1 and arity >= 0, got n=0, arity=1"),
+    (lambda: GridFunction.from_values([], 1), "need n >= 1 and arity >= 0, got n=0, arity=1"),
+    (lambda: GridFunction.from_values([1], 0), "cannot infer n at arity 0"),
+], ids=["empty-domain", "no-values", "arity-0-inferred"])
+def test_grid_functions_refuse_shapes_they_cannot_hold(make, message):
+    # each once divided by zero: Fraction(1, 0) for the weights, 1 / arity for n
+    with pytest.raises(GowersError, match=f"^{message}$"):
+        make()
+
+
 def test_box_and_dual_leave_no_reference_cycles():
     # their recursions are module functions, not closures that refer to
     # themselves, so a call leaves nothing for the cyclic collector

@@ -25,9 +25,13 @@ LONG = "1" * 5000   # past the interpreter's default digit limit of 4300
 # is refused by its length, before the power is built
 SCALED = {"1e-5000": 5001, "1e-10000000": 10000001}
 
+# plain rationals past the limit, and the digits each is refused for: the
+# longer of p and q, or a decimal's whole and decimal digits together
+LONG_RATIONALS = {LONG: 5000, "-" + LONG: 5000, "1/" + LONG: 5000, LONG + ".5": 5001}
+
 # Each word's verdict: the value it reads as, or None where no reader takes it.
-VERDICTS = {"1_0": None, "٣": None, "²": None, "+7": 7, "07": 7, "-0": 0, LONG: None,
-            **dict.fromkeys(SCALED)}
+VERDICTS = {"1_0": None, "٣": None, "²": None, "+7": 7, "07": 7, "-0": 0,
+            **dict.fromkeys(LONG_RATIONALS), **dict.fromkeys(SCALED)}
 
 
 def _ones(v: int) -> str:
@@ -117,14 +121,16 @@ def test_every_reader_gives_each_word_one_verdict(reader, tmp_path, monkeypatch,
         argv = build(w, v, write)
         return _run(argv, monkeypatch, budget=w if reader == "AML_BUDGET" else None)
 
+    lengths = {**LONG_RATIONALS, **SCALED}   # the digits a rational reader names
     for word, value in VERDICTS.items():
         code, out, err = outcome(word, 1 if value is None else value)
         if value is None:   # rejected as a format error, whatever the reader
             assert (code, out) == (2, ""), (word, err)
             if word == LONG and reads_integers:
                 assert f"integer of {len(LONG)} digits is too long" in err, err
-            if word in SCALED and not reads_integers:
-                assert f"rational of {SCALED[word]} digits is too long" in err, err
+            if word in lengths and not reads_integers:
+                assert f"rational of {lengths[word]} digits is too long" in err, err
+                assert len(err) < 200, err
         else:               # read as its plain numeral is
             assert (code, out) == outcome(str(value), value)[:2], word
 
@@ -142,7 +148,7 @@ def test_the_grammar_functions_agree_with_the_table(digit_limit):
             assert integer(word) == integers(f"1, {word} 2")[1] == rational(word) == value
     with pytest.raises(ValueError, match=f"^integer of {len(LONG)} digits is too long$"):
         integer("-" + LONG)
-    for word, digits in SCALED.items():
+    for word, digits in {**SCALED, **LONG_RATIONALS}.items():
         with pytest.raises(ValueError, match=f"^rational of {digits} digits is too long$"):
             rational(word)
     # the numerator or denominator as written, at the limit and one past it
