@@ -345,8 +345,8 @@ def _cmd_hypergraph(args, out: _Out, budget: Budget) -> int:
     from . import regularity
     if args.eps is not None and not args.remove:
         raise CliError("--eps needs --remove")
-    host = _parse_input(regularity.parse_hypergraph, args.host)
-    pattern = _parse_input(regularity.parse_hypergraph, args.pattern)
+    host = _parse_input(regularity.parse_hypergraph, args.host, budget=budget)
+    pattern = _parse_input(regularity.parse_hypergraph, args.pattern, budget=budget)
     if args.remove:
         eps = None if args.eps is None else rational(args.eps)
         res = regularity.remove_copies(pattern, host, eps, budget=budget)

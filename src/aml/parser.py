@@ -105,14 +105,16 @@ class _Parser:
     def __init__(self, text: str, sig: Signature):
         self.text = text
         self.sig = sig
-        self.toks = tokenize(text)
+        toks = tokenize(text)
+        self.toks = toks + toks[-1:]  # a second eof: peek(1) stays in the list
         self.pos = 0
         self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        """The token ``ahead`` (0 or 1) past the current one."""
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -393,9 +395,10 @@ def rational(word: str, bad: str = "") -> Fraction:
     """``word`` as a rational, else a NumeralError: ``bad`` or one naming the word
     (a zero denominator too), or past the digit limit the digits of the longer of
     ``p`` and ``q``, of a decimal's whole and decimal digits together, or of the
-    numerator or denominator that a word with an exponent is written with, found
-    before any power is built.  An unsigned ``p`` or ``p/q`` is read without
-    Fraction's regex."""
+    numerator or denominator that a word with an exponent is written with (or of
+    the exponent, when it alone is past the limit), counted before any of them
+    is converted or any power is built.  An unsigned ``p`` or ``p/q`` is read
+    without Fraction's regex."""
     num, slash, den = word.partition("/")
     try:
         if word.isascii() and num.isdigit() and (den.isdigit() or not slash):
@@ -403,11 +406,17 @@ def rational(word: str, bad: str = "") -> Fraction:
         scaled = _SCALED.fullmatch(word) if word.isascii() else None
         if scaled:
             sign, whole, decimals, exponent = scaled.groups()
-            mantissa, shift = int(sign + whole + decimals), int(exponent) - len(decimals)
-            digits = len((whole + decimals).lstrip("0")) + shift if shift >= 0 else 1 - shift
-            if mantissa and 0 < sys.get_int_max_str_digits() < digits:
+            significant, power = (whole + decimals).lstrip("0"), exponent.lstrip("+-").lstrip("0")
+            if not significant:
+                return Fraction(0)
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(power):   # the exponent's own digits, before int()
+                raise NumeralError(f"rational of {len(power)} digits is too long")
+            shift = (-1 if exponent[0] == "-" else 1) * int(power or "0") - len(decimals)
+            digits = max(len(significant) + max(shift, 0), 1 - min(shift, 0))
+            if 0 < limit < digits:
                 raise NumeralError(f"rational of {digits} digits is too long")
-            return mantissa * Fraction(10) ** shift if mantissa else Fraction(0)
+            return int(sign + significant) * Fraction(10) ** shift
         if word.isascii() and "_" not in word:
             return Fraction(word)
     except NumeralError:

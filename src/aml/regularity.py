@@ -860,7 +860,7 @@ def parse_graph(text: str, budget: Budget | None = None) -> Graph:
     return Graph(n, _adjacency(n, pairs))
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
+def parse_hypergraph(text: str, budget: Budget | None = None) -> Hypergraph:
     """Parse "hypergraph <n> <k>" followed by one k-set of vertices per line."""
-    n, k, rows = _parse_edges(text, "hypergraph")   # each row's vertices as written
+    n, k, rows = _parse_edges(text, "hypergraph", budget)   # each row's vertices as written
     return Hypergraph(n, k, frozenset(tuple(sorted(row)) for row in rows))

@@ -28,13 +28,14 @@ oracle it is tested against lives in the test suite (``tests/oracle.py``).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
 from .structures import (DefinableSet, FiniteStructure, VFlag, column_indices, fiber_counts,
-                         fiber_sums)
+                         fiber_sums, row_bytes)
 from .syntax import (And, Atom, Cmp, Const, Equality, Exists, Forall, Formula, Func,
                      Implies, Meas, Not, Or, Term, Var, free_vars)
 
@@ -140,6 +141,27 @@ def _repeat_blocks(digits: str, block: int, count: int) -> str:
     return "".join([digits[i:i + block] * count for i in range(0, len(digits), block)])
 
 
+# The spread below costs a few microseconds per bit phase, and the digit path
+# of ``Evaluator._broadcast`` a few nanoseconds per bit of the table; the
+# spread is the cheaper one from about 256 bits of the table per phase on.
+_SPREAD_BITS_PER_PHASE = 256
+
+
+def _spread(rows: bytes, run: int, phases: int) -> int:
+    """The bitset with bit i * run set iff ``rows[i]`` (0/1 bytes) is 1, for
+    ``phases`` = 8 / gcd(run, 8), the offsets in a byte at which runs start.
+    The rows that start at one offset, one phase, are written into a zero
+    bytearray by one strided byte assignment."""
+    stride = run * phases // 8  # the bytes from one row of a phase to its next
+    spread = 0
+    for phase in range(phases):
+        column = rows[phase::phases]
+        starts = bytearray(len(column) * stride)
+        starts[::stride] = column
+        spread |= int.from_bytes(starts, "little") << phase * run
+    return spread
+
+
 def _any_fiber(bits: int, width: int, fibers: int) -> int:
     """Bit j set iff some bit of ``bits`` in j*width .. (j+1)*width - 1 is set."""
     # Window ORs of power-of-two spans laid end to end cover each fiber
@@ -163,7 +185,12 @@ class Evaluator:
     A subformula evaluated in a context (a tuple of distinct variables) is a
     table: an int bitset over the context's assignments, in the lexicographic
     order of ``DefinableSet``.  Atoms enumerate only their own variables and
-    are broadcast to the context by block replication.  An atom's rows are
+    are broadcast to the context by block replication: missing outer
+    variables repeat the whole table by shift-and-OR doubling, missing inner
+    ones spread each row to the start of its run by strided byte assignment
+    and fill the runs by one subtraction (tables too small for that to pay
+    repeat the blocks of their digit string, as a variable missing between
+    two own ones does).  An atom's rows are
     read by index: each row's argument index is computed by C-level maps over
     the argument columns (``column_indices``) and tested against the
     relation's member indices (``FiniteStructure.relations``), and when the
@@ -177,7 +204,8 @@ class Evaluator:
     charged, traced nor checked against the structure.  A binder is tabled
     over its free variables (in context order) followed by its bound ones, so
     its body's fibers are contiguous blocks: a quantifier folds each fiber, a
-    measure sums each fiber's product weights as integers.  The innermost
+    measure sums each fiber's product weights as integers (``fiber_sums``;
+    under non-uniform weights, by packed columns).  The innermost
     binder of a name wins.
 
     Charges, made before the table is built: a quantifier n^(|free| + 1) and
@@ -294,6 +322,16 @@ class Evaluator:
                 bits |= bits << block
                 block *= 2
             return bits & ((1 << size) - 1)
+        size = n ** len(ctx)
+        if size >= _SPREAD_BITS_PER_PHASE and ctx[:len(own)] == own:
+            # the missing variables are innermost: each row becomes a run of
+            # equal bits.  Spread each row's bit to the start of its run, then
+            # fill every run at once; runs do not overlap, so nothing carries.
+            run = n ** (len(ctx) - len(own))
+            phases = 8 // math.gcd(run, 8)
+            if size >= _SPREAD_BITS_PER_PHASE * phases:
+                spread = _spread(row_bytes(bits, n ** len(own)), run, phases)
+                return (spread << run) - spread
         digits = format(bits, f"0{n ** len(own)}b")
         below = len(own)  # own variables after the current one
         for v in ctx:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -197,18 +198,54 @@ def fiber_counts(bits: int, block: int, fibers: int) -> list[int]:
     return [digits.count("1", i, i + block) for i in range(len(digits) - block, -1, -block)]
 
 
+def row_bytes(bits: int, rows: int) -> bytes:
+    """The first ``rows`` bits of ``bits`` as one 0/1 byte each, lowest first."""
+    return format(bits, f"0{rows}b").encode()[::-1].translate(_BYTE01)
+
+
+# the native unsigned formats that memoryview.cast reads a slot of 1, 2, 4 or 8 bytes in
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _weighted_column_sums(ones: bytes, ints) -> list[int]:
+    """Σ_a ints[a] * ones[i * n + a] for each i, n = len(ints) and ``ones``
+    0/1 bytes: each column ``ones[a::n]`` with a nonzero weight is read once
+    into slots wide enough for Σ ints, and the columns are added as one
+    integer each, times their weight, so no slot carries into the next."""
+    n = len(ints)
+    width = -(-sum(ints).bit_length() // 8)
+    width = next((w for w in _SLOT_FORMATS if w >= width), width)
+    slots = bytearray(len(ones) // n * width)
+    low = 0 if sys.byteorder == "little" else width - 1  # a slot's low byte
+    total = 0
+    for a, w in enumerate(ints):
+        if w:
+            slots[low::width] = ones[a::n]
+            total += int.from_bytes(slots, sys.byteorder) * w
+    packed = total.to_bytes(len(slots), sys.byteorder)
+    if width in _SLOT_FORMATS:
+        return memoryview(packed).cast(_SLOT_FORMATS[width]).tolist()
+    return [int.from_bytes(packed[i:i + width], sys.byteorder)
+            for i in range(0, len(packed), width)]
+
+
 def fiber_sums(m: FiniteStructure, bits: int, k: int, fibers: int) -> list[int]:
     """For a bitset over ``fibers`` consecutive blocks of n^k tuples, each
     block's product-weight sum times L^k (see ``integer_weights``), as an
-    integer: the last k coordinates are summed out one at a time."""
+    integer: the last k coordinates are summed out one at a time, the first
+    of them by packed columns (``_weighted_column_sums``), the others block
+    by block.  At k = 0 each tuple is its own block, and its sum its bit."""
     ints, _ = m.integer_weights
     if min(ints) == max(ints):
         return [c * ints[0] ** k for c in fiber_counts(bits, m.n ** k, fibers)]
     n = m.n
-    sums = format(bits, f"0{n ** k * fibers}b").encode()[::-1].translate(_BYTE01)
-    for _ in range(k):  # sums starts as one 0/1 byte per tuple
+    ones = row_bytes(bits, n ** k * fibers)
+    if not k:
+        return list(ones)
+    sums = _weighted_column_sums(ones, ints)
+    for _ in range(k - 1):
         sums = [sum(map(operator.mul, ints, sums[i:i + n])) for i in range(0, len(sums), n)]
-    return list(sums)
+    return sums
 
 
 def measure(s: DefinableSet) -> Fraction:

@@ -39,12 +39,15 @@ class Signature:
             names.append(name)
         if len(names) != len(set(names)):
             raise ValueError("symbol names must be distinct across constants/functions/relations")
+        # name -> arity, built once for the parser's lookups; not fields
+        object.__setattr__(self, "_function_arities", dict(self.functions))
+        object.__setattr__(self, "_relation_arities", dict(self.relations))
 
     def function_arity(self, name: str) -> int | None:
-        return dict(self.functions).get(name)
+        return self._function_arities.get(name)
 
     def relation_arity(self, name: str) -> int | None:
-        return dict(self.relations).get(name)
+        return self._relation_arities.get(name)
 
     def is_constant(self, name: str) -> bool:
         return name in self.constants

@@ -7,7 +7,11 @@ per satisfying tuple; a relation atom looks its argument values up, by their
 ``tuple_index``, among the relation's members.  ``atom_by_tuples`` is the
 reference for an atom's table: it evaluates the atom one row at a time.
 ``broadcast_by_repunit`` is the reference for spreading a table over outer
-variables: one product with a repunit.
+variables: one product with a repunit.  ``broadcast_by_digits`` is the
+reference for spreading a table over any missing variables, inner ones too:
+it repeats the blocks of the table's base-2 digit string in place.
+``fiber_sums_by_blocks`` is the reference for the weighted fiber sums: it
+sums out one coordinate at a time, one block of n weighted values at a time.
 ``degree_certificate_by_scan`` and
 ``partition_energy_by_fractions`` are the references for the regularity
 certificate and the partition energy: each sums its terms one by one.
@@ -122,6 +126,33 @@ def broadcast_by_repunit(bits: int, block: int, size: int) -> int:
     multiple of ``block``: one product with the repunit in base 2^block,
     whose division and product take time quadratic in the table's size."""
     return bits * (((1 << size) - 1) // ((1 << block) - 1))
+
+
+def broadcast_by_digits(bits: int, own: tuple[str, ...], ctx: tuple[str, ...], n: int) -> int:
+    """The table ``bits`` over ``own``, a subsequence of ``ctx``, as a table
+    over ``ctx``: written most significant digit first, each missing
+    variable repeats every block of the digits below it n times."""
+    digits = format(bits, f"0{n ** len(own)}b")
+    below = len(own)  # own variables after the current one
+    for v in ctx:
+        if v in own:
+            below -= 1
+        else:
+            block = n ** below
+            digits = "".join([digits[i:i + block] * n for i in range(0, len(digits), block)])
+    return int(digits, 2)
+
+
+def fiber_sums_by_blocks(m: FiniteStructure, bits: int, k: int, fibers: int) -> list[int]:
+    """Each of the ``fibers`` consecutive blocks of n^k tuples of ``bits``,
+    its product-weight sum times L^k (``integer_table`` of the weights):
+    the last k coordinates summed out one at a time, block by block."""
+    ints, _ = integer_table(m.weights)
+    n = m.n
+    sums = [1 if digit == "1" else 0 for digit in reversed(format(bits, f"0{n ** k * fibers}b"))]
+    for _ in range(k):
+        sums = [sum(map(operator.mul, ints, sums[i:i + n])) for i in range(0, len(sums), n)]
+    return sums
 
 
 def degree_into(g: Graph, v: int, mask: int) -> int:

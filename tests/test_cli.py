@@ -173,6 +173,13 @@ def test_a_binding_the_formula_does_not_use_is_ignored(capsys):
     assert run(capsys, "eval", Z4, "e = e", "--bind", "z=9") == (0, "true\n", "")
 
 
+def test_a_binder_shadows_a_binding_of_its_variable(capsys):
+    # the formula is closed: the measure's own x ranges over the universe,
+    # whatever --bind gives the name x outside it
+    assert run(capsys, "eval", Z4, "m[x] <= 1/4 . x = e", "--bind", "x=1") == \
+        (0, "true (mu = 1/4, <= 1/4, flag ⊙)\n", "")
+
+
 def test_budget_exhaustion_exits_4(capsys):
     code, _, err = run(capsys, "eval", Z4, "m[x,y] <= 1 . x = y",
                        "--budget", "5")
@@ -652,24 +659,27 @@ def test_gowers_charges_the_rendering_of_a_long_power(capsys):
 
 def test_exponents_read_from_input_trip_the_budget_unbuilt(capsys, tmp_path):
     # each power has an input integer for exponent, far past the limit's
-    # 24 bits, so it trips the budget without being built or printed
+    # 24 bits, so it trips the budget without being built or printed; the
+    # hypergraph headers charge their 20 and 1000 vertices first
     host, pattern = tmp_path / "host.hg", tmp_path / "pattern.hg"
     host.write_text("hypergraph 20 1\n0\n")
-    pattern.write_text(f"hypergraph {10 ** 9} 1\n0\n")
+    pattern.write_text("hypergraph 1000 1\n0\n")
     for argv, exponent in [(["gowers", "z3", "--g=1,1,1", "--k", "10000"], 10000),
                            (["ap-encode", "--A", "1,2", "--n", "3", "--k", "20000"], 20000),
-                           (["hypergraph", str(host), "--pattern", str(pattern)], 10 ** 9)]:
+                           (["hypergraph", str(host), "--pattern", str(pattern)], 1000)]:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, ""), argv
         assert err == ("budget error: enumeration budget exceeded: "
                        f"2^{exponent} or more work units > limit {10 ** 7}\n")
         assert time.perf_counter() - start < 1, argv
+    # headers of 2 and 8 vertices fit a budget of 10, and 2^8 maps past its 4 bits
+    host.write_text("hypergraph 2 1\n0\n")
+    pattern.write_text("hypergraph 8 1\n0\n")
     code, out, err = run(capsys, "hypergraph", str(host), "--pattern", str(pattern),
                          "--budget", "10")
     assert (code, out) == (4, "")
-    assert err == ("budget error: enumeration budget exceeded: "
-                   f"2^{10 ** 9} or more work units > limit 10\n")
+    assert err == "budget error: enumeration budget exceeded: 2^8 or more work units > limit 10\n"
 
 
 def test_a_charge_too_long_to_print_exits_4(capsys, digit_limit):
@@ -1129,14 +1139,14 @@ def test_hypergraph_count(capsys):
 
 
 def test_hypergraph_removal_enumerates_the_host_once(capsys):
-    # 6^3 = 216 maps for the removal, 9 copy sets filtered by the branch and
-    # bound (two sets at each of the root's 3 branches, then one at 3 more),
-    # 216 more maps to recount the stripped host
+    # the headers' 6 + 3 vertices, 6^3 = 216 maps for the removal, 9 copy
+    # sets filtered by the branch and bound (two sets at each of the root's 3
+    # branches, then one at 3 more), 216 more maps to recount the stripped host
     argv = ("hypergraph", TWOTRI, "--pattern", TRI, "--remove")
-    code, out, err = run(capsys, *argv, "--budget", "440")
+    code, out, err = run(capsys, *argv, "--budget", "449")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 441 work units > limit 440\n"
-    code, out, _ = run(capsys, *argv, "--budget", "441")
+    assert err == "budget error: enumeration budget exceeded: 450 work units > limit 449\n"
+    code, out, _ = run(capsys, *argv, "--budget", "450")
     assert (code, out) == (0, "copies = 12\n"
                               "removed 2 edges (branch-and-bound); copies after = 0\n")
 
@@ -1171,8 +1181,9 @@ def test_k4_copies_in_k40_are_counted_quickly(capsys, tmp_path):
 
 def test_a_thousand_edge_hitting_set_is_searched_without_recursion(capsys, tmp_path):
     # 1000 disjoint edges, each a copy of the one-edge pattern: the exact
-    # search goes 1000 branches deep.  Charged 2000^2 maps, the 1000 + 999 +
-    # ... + 1 copy sets its branches filter, and 2000^2 maps to recount.
+    # search goes 1000 branches deep.  Charged the headers' 2000 + 2 vertices,
+    # 2000^2 maps, the 1000 + 999 + ... + 1 copy sets its branches filter, and
+    # 2000^2 maps to recount.
     host, edge = tmp_path / "host.hg", tmp_path / "edge.hg"
     host.write_text("hypergraph 2000 2\n" + "".join(f"{2 * i} {2 * i + 1}\n"
                                                     for i in range(1000)))
@@ -1183,16 +1194,16 @@ def test_a_thousand_edge_hitting_set_is_searched_without_recursion(capsys, tmp_p
     assert (code, out, err) == (0, "copies = 2000\n"
                                    "removed 1000 edges (branch-and-bound); copies after = 0\n", "")
     assert time.perf_counter() - start < 1
-    code, out, err = run(capsys, *argv, "--budget", "8500499")
+    code, out, err = run(capsys, *argv, "--budget", "8502501")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 8500500 work units > limit 8500499\n"
+    assert err == "budget error: enumeration budget exceeded: 8502502 work units > limit 8502501\n"
 
 
 def test_a_greedy_hitting_set_keeps_its_counts(capsys, tmp_path):
     # K160 holds 25,440 copies of one edge, past the exact search's cap: the
     # greedy set is every edge, 12,720 rounds, so recounting every edge each
-    # round is quadratic.  Charged 160^2 maps, the 12,720 copy sets'
-    # incidences, then 160^2 maps to recount.
+    # round is quadratic.  Charged the headers' 160 + 2 vertices, 160^2 maps,
+    # the 12,720 copy sets' incidences, then 160^2 maps to recount.
     host, edge = tmp_path / "k160.hg", tmp_path / "edge.hg"
     host.write_text("hypergraph 160 2\n" + "".join(
         f"{u} {v}\n" for u, v in itertools.combinations(range(160), 2)))
@@ -1203,27 +1214,29 @@ def test_a_greedy_hitting_set_keeps_its_counts(capsys, tmp_path):
     assert (code, out, err) == (0, "copies = 25440\n"
                                    "removed 12720 edges (greedy); copies after = 0\n", "")
     assert time.perf_counter() - start < 2
-    code, out, err = run(capsys, *argv, "--budget", str(160 ** 2 + 12719))
+    code, out, err = run(capsys, *argv, "--budget", str(162 + 160 ** 2 + 12719))
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 38320 work units > limit 38319\n"
+    assert err == "budget error: enumeration budget exceeded: 38482 work units > limit 38481\n"
 
 
 def test_a_pattern_larger_than_a_one_vertex_host_is_charged_its_size(capsys, tmp_path):
-    # one map of 3000 vertices, walked one vertex at a time: charged 3000
+    # one map of 3000 vertices, walked one vertex at a time: charged 3000,
+    # after the headers' 1 + 3000 vertices
     host, pattern = tmp_path / "host.hg", tmp_path / "pattern.hg"
     host.write_text("hypergraph 1 1\n0\n")
     pattern.write_text("hypergraph 3000 1\n0\n")
     argv = ("hypergraph", str(host), "--pattern", str(pattern))
-    code, out, err = run(capsys, *argv, "--budget", "2999")
+    code, out, err = run(capsys, *argv, "--budget", "6000")
     assert (code, out) == (4, "")
-    assert err == "budget error: enumeration budget exceeded: 3000 work units > limit 2999\n"
+    assert err == "budget error: enumeration budget exceeded: 6001 work units > limit 6000\n"
     start = time.perf_counter()
-    assert run(capsys, *argv) == (0, "copies = 1\n", "")
+    assert run(capsys, *argv, "--budget", "6001") == (0, "copies = 1\n", "")
+    # a header past the budget trips it before its file's edges are read
     pattern.write_text(f"hypergraph {10 ** 9} 1\n0\n")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == ("budget error: enumeration budget exceeded: "
-                   f"{10 ** 9} work units > limit {10 ** 7}\n")
+                   f"{10 ** 9 + 1} work units > limit {10 ** 7}\n")
     assert time.perf_counter() - start < 1
 
 

@@ -29,9 +29,14 @@ SCALED = {"1e-5000": 5001, "1e-10000000": 10000001}
 # longer of p and q, or a decimal's whole and decimal digits together
 LONG_RATIONALS = {LONG: 5000, "-" + LONG: 5000, "1/" + LONG: 5000, LONG + ".5": 5001}
 
+# exponent words whose mantissa or exponent alone is past the limit: each is
+# refused by its digits before either is converted, so no message echoes it
+LONG_PARTS = {LONG + "e1": 5001, "1e" + LONG: 5000}
+
 # Each word's verdict: the value it reads as, or None where no reader takes it.
 VERDICTS = {"1_0": None, "٣": None, "²": None, "+7": 7, "07": 7, "-0": 0,
-            **dict.fromkeys(LONG_RATIONALS), **dict.fromkeys(SCALED)}
+            **dict.fromkeys(LONG_RATIONALS), **dict.fromkeys(SCALED),
+            **dict.fromkeys(LONG_PARTS)}
 
 
 def _ones(v: int) -> str:
@@ -121,7 +126,7 @@ def test_every_reader_gives_each_word_one_verdict(reader, tmp_path, monkeypatch,
         argv = build(w, v, write)
         return _run(argv, monkeypatch, budget=w if reader == "AML_BUDGET" else None)
 
-    lengths = {**LONG_RATIONALS, **SCALED}   # the digits a rational reader names
+    lengths = {**LONG_RATIONALS, **SCALED, **LONG_PARTS}   # the digits a rational reader names
     for word, value in VERDICTS.items():
         code, out, err = outcome(word, 1 if value is None else value)
         if value is None:   # rejected as a format error, whatever the reader
@@ -148,7 +153,7 @@ def test_the_grammar_functions_agree_with_the_table(digit_limit):
             assert integer(word) == integers(f"1, {word} 2")[1] == rational(word) == value
     with pytest.raises(ValueError, match=f"^integer of {len(LONG)} digits is too long$"):
         integer("-" + LONG)
-    for word, digits in {**SCALED, **LONG_RATIONALS}.items():
+    for word, digits in {**SCALED, **LONG_RATIONALS, **LONG_PARTS}.items():
         with pytest.raises(ValueError, match=f"^rational of {digits} digits is too long$"):
             rational(word)
     # the numerator or denominator as written, at the limit and one past it
@@ -158,7 +163,10 @@ def test_the_grammar_functions_agree_with_the_table(digit_limit):
     for word in (f"1e{digit_limit}", f"10e{digit_limit - 1}", f"-0.5e-{digit_limit - 1}"):
         with pytest.raises(ValueError, match=past):
             rational(word)
-    assert rational("0e99999999") == rational("-0.0e-99999999") == 0
+    assert rational("0e99999999") == rational("-0.0e-99999999") == rational("0e" + LONG) == 0
+    # leading zeros are no digits: neither is past the limit
+    assert rational("0" * 5000 + "1e1") == rational("1e" + "0" * 5000 + "1") == 10
+    assert (rational("1e-0"), rational("-00012e-002")) == (1, Fraction(-12, 100))
     with pytest.raises(ValueError, match="^nope$"):
         integer("x", "nope")
     assert integers("") == integers(" , ,") == []

@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from aml import semantics
 from aml.axioms import (SchemeInstance, check_instance, check_soundness, generate_instances,
                         random_formula)
 from aml.parser import parse_formula
@@ -25,8 +27,8 @@ from aml.structures import (DefinableSet, FiniteStructure, VFlag, fiber_sums, in
                             measure, tuple_index)
 from aml.syntax import (And, Atom, Cmp, Equality, Exists, Forall, Func, Implies, Meas, Not, Or,
                         Signature, Var, free_vars)
-from oracle import (atom_by_tuples, broadcast_by_repunit, check_probability, naive_evaluate,
-                    random_structure, random_structure_over)
+from oracle import (atom_by_tuples, broadcast_by_digits, broadcast_by_repunit, check_probability,
+                    naive_evaluate, random_structure, random_structure_over)
 
 SIG = Signature(constants=("e",), functions=(("f", 1),),
                 relations=(("P", 1), ("R", 2)))
@@ -516,6 +518,31 @@ def test_broadcasts_at_size_match_the_references():
     elapsed = time.perf_counter() - start
     assert spread == broadcast_by_repunit(triple, n ** 3, n ** 4)
     assert elapsed < 0.1  # the repunit product, quadratic, is hundreds of times slower
+
+
+def test_innermost_broadcasts_match_the_digit_reference():
+    # own a prefix of ctx: the missing variables are innermost, and each row
+    # becomes a run of n^(missing) bits.  Every such shape for n 1-9 up to
+    # 20,000 bits: runs below 8 bits, of a multiple of 8 bits and of neither,
+    # each on both sides of the size from which the spread replaces the digits
+    rng = random.Random(36)
+    seen = set()
+    names = tuple("abcdefghijklmnop")
+    for n in range(1, 10):
+        ev = Evaluator(FiniteStructure.checked(n))
+        for size in range(2, 5 if n == 1 else 17):
+            if n ** size > 20000:
+                break
+            ctx = names[:size]
+            for own in (ctx[:i] for i in range(1, size)):
+                run = n ** (size - len(own))
+                for bits in (rng.getrandbits(n ** len(own)), (1 << n ** len(own)) - 1):
+                    assert ev._broadcast(bits, own, ctx) == \
+                        broadcast_by_digits(bits, own, ctx, n), (n, own, ctx)
+                phases = 8 // math.gcd(run, 8)
+                spread = n ** size >= semantics._SPREAD_BITS_PER_PHASE * phases
+                seen.add(("short" if run < 8 else "other" if run % 8 else "bytes", spread))
+    assert seen == set(itertools.product(("short", "bytes", "other"), (False, True)))
 
 
 def test_atom_tables_stay_with_their_structure_and_valuation():

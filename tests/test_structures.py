@@ -1,12 +1,14 @@
 """Finite measured structures: validation, definable sets, exact measures."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from aml.structures import (DefinableSet, FiniteStructure, VFlag, index_tuple,
+from aml.structures import (DefinableSet, FiniteStructure, VFlag, fiber_sums, index_tuple,
                             integer_table, measure, tuple_index)
+from oracle import fiber_sums_by_blocks
 
 M4 = FiniteStructure.checked(
     4,
@@ -145,6 +147,28 @@ def product(a: DefinableSet, b: DefinableSet) -> DefinableSet:
     """The Cartesian product A x B as a set of arity |A| + |B|."""
     return set_of(a.structure, a.arity + b.arity,
                   (s + t for s, t in itertools.product(a.tuples(), b.tuples())))
+
+
+def test_weighted_fiber_sums_match_the_block_reference_seeded():
+    # n 1-9, k 0-3 (k = 0: each tuple its own fiber) and 1 to n^2 fibers,
+    # under integer weights with zeros among them whose sum needs 1, 2, 3, 4,
+    # 8, 9 or 17 bytes, at the least and the most bits of that many bytes: a
+    # full row of n tuples reaches that sum, the most that one packed column
+    # slot must hold
+    rng = random.Random(36)
+    for nbytes in (1, 2, 3, 4, 8, 9, 17):
+        for bits_of_sum in [8 * nbytes - 7, 8 * nbytes] * 6:
+            top = (1 << bits_of_sum) - 1
+            n = rng.randint(1, 9)
+            ints = [rng.choice((0, rng.randrange(top // n + 1))) for _ in range(n)]
+            ints[rng.randrange(n)] += top - sum(ints)
+            m = FiniteStructure.checked(n, weights=ints)
+            k, fibers = rng.randint(0, 3), rng.randint(1, n * n)
+            size = n ** k * fibers
+            bits = rng.choice((rng.getrandbits(size), (1 << size) - 1,
+                               rng.getrandbits(size) & rng.getrandbits(size)))
+            assert fiber_sums(m, bits, k, fibers) == fiber_sums_by_blocks(m, bits, k, fibers), \
+                (nbytes, ints, k, fibers)
 
 
 def test_product_measure_identity():
